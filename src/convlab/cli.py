@@ -214,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_search)
 
     sp = add_parser("laws", help="run every theorem suite")
-    sp.add_argument("--size", type=int, default=3)
+    sp.add_argument("--size", type=int, default=3, choices=(2, 3))
     sp.set_defaults(fn=cmd_laws)
 
     sp = add_parser("tables", help="emit the machine-checked tables")
-    sp.add_argument("--size", type=int, default=3)
+    sp.add_argument("--size", type=int, default=3, choices=(2, 3))
     sp.set_defaults(fn=cmd_tables)
 
     sp = add_parser("exemplar", help="symbolic infinite exemplars")

@@ -53,18 +53,29 @@ def _carrier_from_doc(doc: dict) -> Carrier:
     return Carrier(tuple(points))
 
 
+def _is_label_list(val: Any, known: set[str]) -> bool:
+    return isinstance(val, list) and all(
+        isinstance(s, str) and s in known for s in val)
+
+
 def convergence_from_doc(doc: dict) -> Convergence:
     """Parse and fully validate; raises ValidationError with one entry per
     problem (schema first, then every violated axiom instance)."""
     if not isinstance(doc, dict):
         raise ValidationError(["document must be a JSON object"])
+    if "vicinity" in doc and not isinstance(doc["vicinity"], dict):
+        raise ValidationError(
+            ['"vicinity" must map each point to a list of labels'])
     carrier = _carrier_from_doc(doc)
+    known = set(carrier.labels)
     if "vicinity" in doc:
         vic = doc["vicinity"]
         problems = [
+            f"vicinity names unknown point {p!r}" for p in vic if p not in known]
+        problems += [
             f"vicinity of {p!r} must be a list of labels"
             for p, v in vic.items()
-            if not isinstance(v, list)]
+            if not _is_label_list(v, known)]
         if problems:
             raise ValidationError(problems)
         return pretopology_from_vicinities(
@@ -73,7 +84,7 @@ def convergence_from_doc(doc: dict) -> Convergence:
     if not isinstance(lim, dict):
         raise ValidationError(['document needs a "lim" table or "vicinity" map'])
     table = [0] * (carrier.full + 1)
-    seen = set()
+    seen: dict[int, str] = {}
     problems = []
     for key, val in lim.items():
         labels = [s for s in key.split(",") if s]
@@ -85,12 +96,15 @@ def convergence_from_doc(doc: dict) -> Convergence:
         if mask == 0:
             problems.append("lim key for the empty set is not allowed")
             continue
-        try:
-            table[mask] = carrier.mask_of(val)
-        except (KeyError, TypeError):
+        if mask in seen:
+            problems.append(
+                f"lim keys {seen[mask]!r} and {key!r} name the same subset")
+            continue
+        seen[mask] = key
+        if not _is_label_list(val, known):
             problems.append(f"lim value for {key!r} must be a list of labels")
             continue
-        seen.add(mask)
+        table[mask] = carrier.mask_of(val)
     for m in range(1, carrier.full + 1):
         if m not in seen:
             problems.append(

@@ -45,6 +45,7 @@ from .functors import (
     pseudotopologize,
     paratopologize,
     reflect,
+    reflect_by_steps,
     topologize,
 )
 from .maps import (
@@ -61,13 +62,16 @@ from .maps import (
 )
 from .spaces import (
     Convergence,
+    adherence_scan,
     adherence_table,
+    antitone_scan,
     closed_masks,
     finer,
     inf,
     interior_mask,
     is_cover,
     open_masks,
+    open_masks_scan,
     product,
     sup,
     validate_table,
@@ -641,16 +645,18 @@ def _all_maps(src: Carrier, dst: Carrier):
 
 
 def suite_finite_collapse(max_size: int) -> LawResult:
-    """reflect(F0) = reflect(F1) = reflect(F_ALL) and the three coreflectors
-    are the identity, on every enumerated convergence up to the cap."""
+    """reflect(F0) = reflect(F1) = reflect(F_ALL), each also equal to the
+    literal adherence-determined operator iterated over the selector's own
+    class enumeration, and the three coreflectors are the identity, on
+    every enumerated convergence up to the cap."""
     r = LawResult("finite collapse (selector classes + coreflectors)")
     for n in range(1, max_size + 1):
         for conv in all_convergences(default_carrier(n)):
             r.instances += 1
-            t0 = reflect(Selector.F0, conv).table
-            t1 = reflect(Selector.F1, conv).table
             ta = reflect(Selector.F_ALL, conv).table
-            if not (t0 == t1 == ta):
+            if any(reflect(sel, conv).table != ta
+                   or reflect_by_steps(sel, conv).table != ta
+                   for sel in (Selector.F0, Selector.F1, Selector.F_ALL)):
                 r.fail(f"selector collapse failed on {conv!r}")
             from .functors import seq_coreflect, countable_character_coreflect, \
                 locally_compactoid_coreflect
@@ -664,7 +670,9 @@ def suite_finite_collapse(max_size: int) -> LawResult:
 def suite_reflector_ordering(max_size: int) -> LawResult:
     """T <= S0 <= S1 <= S pointwise; the open-set topologizer agrees
     bit-exactly with the closed-class reflection; reflection leaves the
-    adherence of class filters (and the open sets) unchanged."""
+    adherence of class filters (and the open sets) unchanged; the closed
+    forms for adherence, open sets and antitone validation agree with their
+    literal scans."""
     r = LawResult("reflector ordering + topologizer agreement")
     for n in range(1, max_size + 1):
         for conv in all_convergences(default_carrier(n)):
@@ -682,6 +690,17 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
                     is_pretopology(conv) and is_pseudotopology(conv)):
                 r.fail(f"class predicates inconsistent on {conv!r}")
             adh = adherence_table(conv)
+            if adh != adherence_scan(conv):
+                r.fail(f"closed-form adherence != scan on {conv!r}")
+            if open_masks(conv) != open_masks_scan(conv):
+                r.fail(f"closed-form open sets != scan on {conv!r}")
+            # raising the limit of the whole carrier keeps the table centered,
+            # so validation can only report antitone instances on it
+            raised = conv.table[:-1] + (conv.carrier.full,)
+            if any(validate_table(conv.carrier, t)
+                   != antitone_scan(conv.carrier, t)
+                   for t in (conv.table, raised)):
+                r.fail(f"covering-pair validation != full scan on {conv!r}")
             for sel in Selector:
                 refl_adh = adherence_table(reflect(sel, conv))
                 if any(refl_adh[h] != adh[h]

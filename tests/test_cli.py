@@ -11,6 +11,23 @@ from convlab.zoo import chain_pretopology, sierpinski
 P3_DOC = {"vicinity": {"a": ["a", "b"], "b": ["b", "c"], "c": ["c"]}}
 IDENT_DOC = {"map": {"a": "a", "b": "b", "c": "c"}}
 
+# malformed documents, each with the message naming its defect
+MALFORMED_DOCS = {
+    "string-value": (
+        {"points": ["a"], "lim": {"a": "a"}},
+        "lim value for 'a' must be a list of labels"),
+    "vicinity-list": (
+        {"vicinity": [["a"]]},
+        '"vicinity" must map each point to a list of labels'),
+    "alias-keys": (
+        {"points": ["a", "b"],
+         "lim": {"a": ["a"], "b": ["b"], "a,b": [], "b,a": ["a"]}},
+        "lim keys 'a,b' and 'b,a' name the same subset"),
+    "vicinity-unknown-point": (
+        {"points": ["a"], "vicinity": {"a": ["a"], "z": ["a"]}},
+        "vicinity names unknown point 'z'"),
+}
+
 
 @pytest.fixture()
 def p3_file(tmp_path):
@@ -63,6 +80,13 @@ class TestIO:
         assert any("centered axiom violated at point a" in v
                    for v in exc.value.violations)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+    def test_malformed_document_rejected(self, case):
+        doc, message = MALFORMED_DOCS[case]
+        with pytest.raises(ValidationError) as exc:
+            io.convergence_from_doc(doc)
+        assert message in exc.value.violations
+
     def test_family_doc(self):
         conv = chain_pretopology()
         fam = io.family_from_doc([["a"], ["b", "c"]], conv.carrier)
@@ -91,6 +115,22 @@ class TestCLI:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
         assert "malformed JSON" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+    def test_validate_malformed_document_exits_2(self, case, tmp_path,
+                                                 capsys):
+        doc, message = MALFORMED_DOCS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert message in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["laws", "tables"])
+    def test_unsupported_size_is_an_input_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--size", "7"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_oversized_carrier_capped(self, tmp_path, capsys):
         doc = {"vicinity": {f"p{i}": [f"p{i}"] for i in range(17)}}

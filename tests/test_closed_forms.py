@@ -1,0 +1,119 @@
+"""The O(n * 2^n) closed forms on the query path against their literal
+O(4^n) oracles, on random spaces of 4 to 8 points."""
+
+from hypothesis import given, settings, strategies as st
+
+from convlab.families import Carrier
+from convlab.functors import Selector, reflect, reflect_by_steps
+from convlab.spaces import (
+    Convergence,
+    adherence_scan,
+    adherence_table,
+    antitone_scan,
+    closure_mask,
+    open_masks,
+    open_masks_scan,
+    pretopology_from_vicinities,
+    validate_table,
+)
+
+SETTINGS = settings(max_examples=50, deadline=None)
+
+
+def carrier_of(n: int) -> Carrier:
+    return Carrier(tuple("abcdefgh"[:n]))
+
+
+def table_from_generators(n: int, gens: list[list[int]]) -> tuple[int, ...]:
+    """lim ^A = the points x with A inside one of x's generator sets; every
+    finite convergence arises this way."""
+    table = [0] * (1 << n)
+    for x, sets in enumerate(gens):
+        for g in sets:
+            sub = g | 1 << x
+            top = sub
+            while sub:
+                table[sub] |= 1 << x
+                sub = (sub - 1) & top
+    return tuple(table)
+
+
+@st.composite
+def valid_tables(draw):
+    n = draw(st.integers(4, 8))
+    masks = st.integers(0, (1 << n) - 1)
+    gens = [draw(st.lists(masks, min_size=1, max_size=3)) for _ in range(n)]
+    return carrier_of(n), table_from_generators(n, gens)
+
+
+@st.composite
+def corrupted_tables(draw):
+    carrier, table = draw(valid_tables())
+    table = list(table)
+    full = carrier.full
+    edits = draw(st.lists(
+        st.tuples(st.integers(1, full), st.integers(0, full)),
+        min_size=1, max_size=4))
+    for mask, value in edits:
+        table[mask] = value
+    return carrier, tuple(table)
+
+
+@given(valid_tables())
+@SETTINGS
+def test_adherence_matches_scan(space):
+    conv = Convergence(*space)
+    assert adherence_table(conv) == adherence_scan(conv)
+
+
+@given(valid_tables())
+@SETTINGS
+def test_open_sets_and_closures_match_scan(space):
+    conv = Convergence(*space)
+    opens = open_masks_scan(conv)
+    assert open_masks(conv) == opens
+    full = conv.carrier.full
+    for mask in range(full + 1):
+        outside = 0
+        for o in opens:
+            if not o & mask:
+                outside |= o
+        assert closure_mask(conv, mask) == full & ~outside
+
+
+@given(valid_tables())
+@SETTINGS
+def test_pretopological_reflections_match_iterated_operator(space):
+    conv = Convergence(*space)
+    for sel in (Selector.F0, Selector.F1, Selector.F_ALL):
+        assert reflect(sel, conv).table == reflect_by_steps(sel, conv).table
+
+
+@given(valid_tables())
+@SETTINGS
+def test_valid_tables_validate_clean(space):
+    carrier, table = space
+    assert validate_table(carrier, table) == []
+    assert antitone_scan(carrier, table) == []
+
+
+@given(corrupted_tables())
+@SETTINGS
+def test_validation_messages_match_full_scan(space):
+    carrier, table = space
+    centered = [f"centered axiom violated at point {carrier.labels[i]}"
+                for i in carrier.points() if not table[1 << i] >> i & 1]
+    assert validate_table(carrier, table) == (
+        centered + antitone_scan(carrier, table))
+
+
+def test_open_set_whose_subset_by_one_point_is_not_open():
+    # V(b) = {a, b}: {a, b} holds the vicinity of each of its points, {b}
+    # does not, so openness cannot be built up from O minus its lowest point
+    carrier = carrier_of(4)
+    conv = pretopology_from_vicinities(
+        carrier, {"a": "a", "b": "ab", "c": "c", "d": "d"})
+    opens = open_masks(conv)
+    assert carrier.mask_of("ab") in opens
+    assert carrier.mask_of("b") not in opens
+    assert opens == open_masks_scan(conv)
