@@ -17,7 +17,6 @@ from .families import (
     ValidationError,
 )
 from .functors import Selector, handle
-from .utils import worker_count
 
 SELECTOR_FLAGS = {"F0": Selector.F0, "F1": Selector.F1, "F": Selector.F_ALL}
 
@@ -108,7 +107,7 @@ def cmd_enumerate(args) -> int:
     from .enumerate import EnumerationSpec, enumerate_spaces
 
     spec = EnumerationSpec(args.size, args.klass, args.seed, args.count)
-    stream = enumerate_spaces(spec, workers=worker_count())
+    stream = enumerate_spaces(spec)
     if args.count_only:
         _print({"class": args.klass, "size": args.size, "count": len(stream)},
                args.format)

@@ -29,7 +29,6 @@ from typing import Callable, Iterator
 
 from .families import CapExceeded, Carrier, CarrierMap, ValidationError
 from .spaces import Convergence, topology_from_opens
-from .utils import parallel_map
 
 CONVERGENCE_CAP = 3
 PRETOPOLOGY_CAP = 4
@@ -197,30 +196,18 @@ def sample_convergences(carrier: Carrier, count: int,
     return tuple(random_convergence(carrier, rng) for _ in range(count))
 
 
-def enumerate_spaces(spec: EnumerationSpec,
-                     workers: int | None = None) -> tuple[Convergence, ...]:
-    """Materialize the stream; with several workers the parameter grid is
-    chunked and rebuilt in index order, so the result is identical."""
+def enumerate_spaces(spec: EnumerationSpec) -> tuple[Convergence, ...]:
+    """Materialize the stream: the seeded sample, or the class universe."""
     carrier = default_carrier(spec.size)
     if spec.count is not None:
         if spec.seed is None:
             raise ValidationError(["sampling needs a seed"])
         return sample_convergences(carrier, spec.count, spec.seed)
     if spec.klass == "convergence":
-        stream = all_convergences(carrier)
-    elif spec.klass in ("pretopology", "pseudotopology"):
-        stream = all_pretopologies(carrier)
-    else:
-        stream = all_topologies(carrier)
-    if workers is not None and workers > 1:
-        # rebuild from tables in parallel; order-preserving by construction
-        rebuilt = parallel_map(_identity_conv, stream, workers=workers)
-        return tuple(rebuilt)
-    return stream
-
-
-def _identity_conv(conv: Convergence) -> Convergence:
-    return conv
+        return all_convergences(carrier)
+    if spec.klass in ("pretopology", "pseudotopology"):
+        return all_pretopologies(carrier)
+    return all_topologies(carrier)
 
 
 def count_spaces(spec: EnumerationSpec) -> int:
@@ -231,8 +218,9 @@ def count_spaces(spec: EnumerationSpec) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-def surjections(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:
-    """All surjections, ordered by mapping tuple."""
+def all_maps(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:
+    """All maps, ordered by mapping tuple read with the first point as the
+    least significant digit."""
     out = []
     n, m = source.size, target.size
     for code in range(m ** n):
@@ -241,9 +229,14 @@ def surjections(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:
         for _ in range(n):
             mapping.append(c % m)
             c //= m
-        if len(set(mapping)) == m:
-            out.append(CarrierMap(source, target, tuple(mapping)))
+        out.append(CarrierMap(source, target, tuple(mapping)))
     return tuple(out)
+
+
+def surjections(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:
+    """All surjections, in the order of all_maps."""
+    return tuple(f for f in all_maps(source, target)
+                 if len(set(f.mapping)) == target.size)
 
 
 @dataclass(frozen=True, slots=True)

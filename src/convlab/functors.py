@@ -7,26 +7,28 @@ A reflector here is the generic operator
 instantiated at four filter classes: closed principal filters of the
 argument space (the topologizer T), principal filters (the pretopologizer
 S0), countably based filters (the paratopologizer S1) and all filters (the
-pseudotopologizer S).  On a finite carrier the last three classes contain
-exactly the same concrete filters.
+pseudotopologizer S).
 
-For those three classes reflect() uses the closed form the antitone axiom
-gives: every class filter meshing ^F contains a point filter of F, so the
-operator sends lim ^F to the intersection of lim ^{x} over x in F (the
-ultrafilter formula), which is already a fixed point.  The literal operator
-_adh_determined_step, iterated by reflect_by_steps through each selector's
-own enumerator, is the oracle the law sweep and the property tests compare
-against; the collapse S0 = S1 = S is a tested theorem, not an assumption.
+The finite collapse is decided once.  On a finite carrier every filter
+attains its intersection, so the principal, countably based, sequential and
+all-filter classes have the same bases: _principal_masks enumerates them
+for F0, F1 and F_ALL, and S0 = S1 = S is one function under three names.
+That function is the closed form the antitone axiom gives: every class
+filter meshing ^F contains a point filter of F, so the operator sends
+lim ^F to the intersection of lim ^{x} over x in F (the ultrafilter
+formula), which is already a fixed point.  The literal operator
+_adh_determined_step, iterated by reflect_by_steps, is the independent
+construction the law sweep compares it with on every enumerated space.
 
 The closed-principal class mentions the space's own closed sets, so T is
 iterated to a fixed point (one application already lands on the topology;
 the loop is the honest formulation).  topologize() is the independent
 open-set construction used as an oracle against reflect(F0_CLOSED, .).
 
-Coreflectors Seq (sequentially based), I1 (countable character) and K
-(locally compactoid) are implemented from their filter-class definitions;
-that they all equal the identity on finite carriers is again a tested
-theorem.
+The coreflectors Seq (sequentially based) and I1 (countable character) are
+likewise one definition-based construction over the principal class; K
+(locally compactoid) is built from compactoid members.  That all three
+equal the identity on finite carriers is a tested theorem.
 """
 
 from __future__ import annotations
@@ -56,42 +58,21 @@ class Selector(enum.Enum):
 
 
 def _principal_masks(carrier: Carrier) -> tuple[int, ...]:
-    """Bases of all non-degenerate principal filters."""
-    return tuple(range(1, carrier.full + 1))
+    """Bases of all non-degenerate principal filters, by minimum member.
 
-
-def _countably_based_masks(carrier: Carrier) -> tuple[int, ...]:
-    """Bases of all countably based filters.
-
-    A countable base on a finite carrier is a descending chain of sets that
-    stabilizes, so each such filter is the principal filter of its minimum.
+    These are also the bases of the countably based, the sequential and all
+    filters: a filter on a finite carrier attains its intersection, so it is
+    the principal filter of its minimum.
     """
     return tuple(range(1, carrier.full + 1))
-
-
-def _all_filter_masks(carrier: Carrier) -> tuple[int, ...]:
-    """Bases of all non-degenerate filters.
-
-    Every filter on a finite carrier attains its intersection, hence is
-    principal; the enumeration is by minimum member.
-    """
-    return tuple(range(1, carrier.full + 1))
-
-
-def _closed_principal_masks(conv: Convergence) -> tuple[int, ...]:
-    return tuple(m for m in closed_masks(conv) if m)
 
 
 def class_filter_masks(sel: Selector, conv: Convergence) -> tuple[int, ...]:
     """Concrete filter bases of the selector class at this space."""
     if sel is Selector.F0_CLOSED:
-        return _closed_principal_masks(conv)
-    if sel is Selector.F0:
+        return tuple(m for m in closed_masks(conv) if m)
+    if sel in (Selector.F0, Selector.F1, Selector.F_ALL):
         return _principal_masks(conv.carrier)
-    if sel is Selector.F1:
-        return _countably_based_masks(conv.carrier)
-    if sel is Selector.F_ALL:
-        return _all_filter_masks(conv.carrier)
     raise ValidationError([f"unknown selector {sel!r}"])
 
 
@@ -154,34 +135,18 @@ def topologize(conv: Convergence) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
-@lru_cache(maxsize=None)
 def pretopologize(conv: Convergence) -> Convergence:
+    """S0, and on a finite carrier also S1 and S: the principal-class
+    reflection."""
     return reflect(Selector.F0, conv)
 
 
-@lru_cache(maxsize=None)
-def paratopologize(conv: Convergence) -> Convergence:
-    return reflect(Selector.F1, conv)
-
-
-@lru_cache(maxsize=None)
-def pseudotopologize(conv: Convergence) -> Convergence:
-    return reflect(Selector.F_ALL, conv)
+paratopologize = pseudotopologize = pretopologize
 
 
 # ---------------------------------------------------------------------------
 # coreflectors
 # ---------------------------------------------------------------------------
-
-def _sequential_filter_masks(carrier: Carrier) -> tuple[int, ...]:
-    """Bases of all sequential filters on a finite carrier.
-
-    A sequential filter is the cofinite filter of a countable set centered
-    at a subset; with the carrier finite, (B/A)_0 = ^A for any finite B, so
-    the sequential filters are exactly the principal ones.
-    """
-    return tuple(range(1, carrier.full + 1))
-
 
 def _is_compactoid_mask(conv: Convergence, k: int) -> bool:
     """{K} compact at the whole space: every filter meshing K has adherent
@@ -194,14 +159,17 @@ def _is_compactoid_mask(conv: Convergence, k: int) -> bool:
 
 @lru_cache(maxsize=None)
 def seq_coreflect(conv: Convergence) -> Convergence:
-    """Coarsest sequentially based convergence finer than the input:
-    limits through sequential subfilters only."""
+    """Coarsest sequentially based (equivalently, countable character)
+    convergence finer than the input: limits through class subfilters only.
+    A sequential filter (B/A)_0 with B finite is ^A, and a countable base
+    stabilizes, so on a finite carrier both classes are the principal one
+    and Seq = I1."""
     carrier = conv.carrier
     table = [0] * (carrier.full + 1)
-    seqs = _sequential_filter_masks(carrier)
+    klass = _principal_masks(carrier)
     for a in range(1, carrier.full + 1):
         acc = 0
-        for e in seqs:
+        for e in klass:
             # ^e coarser-or-equal ^a  <=>  a <= e
             if a & ~e == 0:
                 acc |= conv.table[e]
@@ -209,19 +177,7 @@ def seq_coreflect(conv: Convergence) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
-@lru_cache(maxsize=None)
-def countable_character_coreflect(conv: Convergence) -> Convergence:
-    """Limits through countably based subfilters only."""
-    carrier = conv.carrier
-    table = [0] * (carrier.full + 1)
-    cbs = _countably_based_masks(carrier)
-    for a in range(1, carrier.full + 1):
-        acc = 0
-        for e in cbs:
-            if a & ~e == 0:
-                acc |= conv.table[e]
-        table[a] = acc
-    return Convergence(carrier, tuple(table))
+countable_character_coreflect = seq_coreflect
 
 
 @lru_cache(maxsize=None)

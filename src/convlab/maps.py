@@ -23,6 +23,13 @@ one the three routes and the compactness characterizations all agree on.
 Class conventions: the quotient ladder reads its closed-set class on the
 final convergence (H is in the class iff H is fxi-closed, equivalently its
 preimage is xi-closed); the perfect ladder reads closedness on the source.
+
+The finite collapse is implemented once, in functors: F0, F1 and F_ALL
+enumerate the same principal bases and share one reflection, checked in the
+law sweep against the literal reflect_by_steps.  classify() therefore runs
+each ladder twice, for the principal class and for the closed class; the
+principal result is the biquotient, countably biquotient and hereditarily
+quotient flag (the perfect, countably perfect and adherent flag).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .families import (
     bits_of,
     popcount,
 )
-from .functors import FunctorHandle, Selector, reflect
+from .functors import FunctorHandle, Selector, class_filter_masks, reflect
 from .spaces import (
     Convergence,
     adherence_table,
@@ -122,13 +129,6 @@ def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
 # class enumeration per selector
 # ---------------------------------------------------------------------------
 
-def _class_masks_on(sel: Selector, conv: Convergence) -> tuple[int, ...]:
-    """Bases of the selector's filters on the given space; for the closed
-    class, closedness is read off the supplied convergence."""
-    from .functors import class_filter_masks
-    return class_filter_masks(sel, conv)
-
-
 def quotient_class_space(ctx: MapContext, sel: Selector) -> Convergence:
     """The space whose filters the quotient ladder quantifies over: the
     target carrier, with closedness read on the final convergence."""
@@ -147,7 +147,7 @@ def _quotient_adherence_form(ctx: MapContext, sel: Selector) -> bool:
     f = ctx.f
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
-    for h in _class_masks_on(sel, quotient_class_space(ctx, sel)):
+    for h in class_filter_masks(sel, quotient_class_space(ctx, sel)):
         if adh_t[h] & ~f.image_mask(adh_s[f.preimage_mask(h)]):
             return False
     return True
@@ -173,8 +173,8 @@ def _quotient_cover_form(ctx: MapContext, sel: Selector) -> bool:
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
     if sel is Selector.F0_CLOSED:
-        q_masks = [full_s & ~f.preimage_mask(h)
-                   for h in _class_masks_on(sel, quotient_class_space(ctx, sel))]
+        klass = class_filter_masks(sel, quotient_class_space(ctx, sel))
+        q_masks = [full_s & ~f.preimage_mask(h) for h in klass]
     else:
         # complement families of all class filters on the source carrier
         q_masks = [full_s & ~g for g in range(1, full_s + 1)]
@@ -205,7 +205,7 @@ def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
     f = ctx.f
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
-    for h in _class_masks_on(sel, quotient_class_space(ctx, sel)):
+    for h in class_filter_masks(sel, quotient_class_space(ctx, sel)):
         bad = adh_t[h] & ~f.image_mask(adh_s[f.preimage_mask(h)])
         if bad:
             y = bad.bit_length() - 1
@@ -220,17 +220,13 @@ def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
 # perfect-like: two routes
 # ---------------------------------------------------------------------------
 
-def _perfect_class_masks(ctx: MapContext, sel: Selector) -> tuple[int, ...]:
-    return _class_masks_on(sel, ctx.source)
-
-
 def _perfect_adherence_form(ctx: MapContext, sel: Selector) -> bool:
     """Route (a): adh f[^G] <= f(adh ^G) for every class filter on the
     source."""
     f = ctx.f
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
-    for g in _perfect_class_masks(ctx, sel):
+    for g in class_filter_masks(sel, ctx.source):
         if adh_t[f.image_mask(g)] & ~f.image_mask(adh_s[g]):
             return False
     return True
@@ -245,7 +241,7 @@ def _perfect_cover_form(ctx: MapContext, sel: Selector) -> bool:
     full_t = ctx.target.carrier.full
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
-    for g in _perfect_class_masks(ctx, sel):
+    for g in class_filter_masks(sel, ctx.source):
         inh_q = full_s & ~adh_s[g]
         img_g = f.image_mask(g)
         inh_p = full_t & ~adh_t[img_g]
@@ -269,7 +265,7 @@ def perfect_witness(ctx: MapContext, sel: Selector) -> dict | None:
     f = ctx.f
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
-    for g in _perfect_class_masks(ctx, sel):
+    for g in class_filter_masks(sel, ctx.source):
         bad = adh_t[f.image_mask(g)] & ~f.image_mask(adh_s[g])
         if bad:
             return {
@@ -494,11 +490,17 @@ _LADDER = [
     ("adherent", "hereditarily_quotient"),
 ]
 
-# on finite carriers the countable and unrestricted classes coincide
-_FINITE_COLLAPSES = [
-    ("biquotient", "countably_biquotient", "hereditarily_quotient"),
-    ("perfect", "countably_perfect", "adherent"),
-]
+# flags decided by one principal-class evaluation (the finite collapse)
+# and by the closed class, per ladder
+_QUOTIENT_CLASSES = (
+    (("biquotient", "countably_biquotient", "hereditarily_quotient"),
+     Selector.F0),
+    (("quotient",), Selector.F0_CLOSED),
+)
+_PERFECT_CLASSES = (
+    (("perfect", "countably_perfect", "adherent"), Selector.F0),
+    (("closed",), Selector.F0_CLOSED),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -525,29 +527,22 @@ class ClassificationReport:
             if d[stronger] and not d[weaker]:
                 raise InvariantViolation(
                     f"implication breached: {stronger} without {weaker}")
-        for group in _FINITE_COLLAPSES:
-            vals = {d[name] for name in group}
-            if len(vals) != 1:
-                raise InvariantViolation(
-                    f"finite collapse breached across {group}")
 
 
 def classify(ctx: MapContext) -> ClassificationReport:
     ctx.require_surjective()
+    flags = {}
+    for decide, classes in ((is_quotient_like, _QUOTIENT_CLASSES),
+                            (is_perfect_like, _PERFECT_CLASSES)):
+        for names, sel in classes:
+            flags.update(dict.fromkeys(names, decide(ctx, sel)))
     return ClassificationReport(
         continuous=continuous(ctx),
         open=is_open_map(ctx),
         almost_open=is_almost_open(ctx),
-        biquotient=is_quotient_like(ctx, Selector.F_ALL),
-        countably_biquotient=is_quotient_like(ctx, Selector.F1),
-        hereditarily_quotient=is_quotient_like(ctx, Selector.F0),
-        quotient=is_quotient_like(ctx, Selector.F0_CLOSED),
-        perfect=is_perfect_like(ctx, Selector.F_ALL),
-        countably_perfect=is_perfect_like(ctx, Selector.F1),
-        adherent=is_perfect_like(ctx, Selector.F0),
-        closed=is_perfect_like(ctx, Selector.F0_CLOSED),
         graph_closed=graph_closed(
             ctx.f.as_relation(), ctx.source, ctx.target),
+        **flags,
     )
 
 
@@ -588,22 +583,13 @@ def classification_witnesses(ctx: MapContext,
                     "target_set": list(dst.carrier.labels_of(b)),
                     "point": dst.carrier.labels[bad.bit_length() - 1]}
                 break
-    for name, sel in (("biquotient", Selector.F_ALL),
-                      ("countably_biquotient", Selector.F1),
-                      ("hereditarily_quotient", Selector.F0),
-                      ("quotient", Selector.F0_CLOSED)):
-        if not getattr(report, name):
-            w = quotient_witness(ctx, sel)
+    for witness, classes in ((quotient_witness, _QUOTIENT_CLASSES),
+                             (perfect_witness, _PERFECT_CLASSES)):
+        for names, sel in classes:
+            failing = [name for name in names if not getattr(report, name)]
+            w = witness(ctx, sel) if failing else None
             if w:
-                out[name] = w
-    for name, sel in (("perfect", Selector.F_ALL),
-                      ("countably_perfect", Selector.F1),
-                      ("adherent", Selector.F0),
-                      ("closed", Selector.F0_CLOSED)):
-        if not getattr(report, name):
-            w = perfect_witness(ctx, sel)
-            if w:
-                out[name] = w
+                out.update(dict.fromkeys(failing, w))
     if not report.graph_closed:
         rel = f.as_relation()
         for w in src.carrier.points():

@@ -268,6 +268,17 @@ def min_open_table(conv: Convergence) -> tuple[int, ...]:
     return tuple(out)
 
 
+def adherence_closure(adh: tuple[int, ...], mask: int) -> int:
+    """Least fixed point of set adherence above the mask, on a raw
+    adherence table."""
+    cur = mask
+    while True:
+        nxt = adh[cur] | cur if cur else cur
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def closure_mask(conv: Convergence, mask: int) -> int:
     """Least closed superset; computed two ways and cross-checked."""
     best = conv.carrier.full
@@ -275,13 +286,7 @@ def closure_mask(conv: Convergence, mask: int) -> int:
         if mask & ~c == 0 and c & ~best == 0:
             best = c
     # independent route: least fixed point of set adherence above `mask`
-    adh = adherence_table(conv)
-    cur = mask
-    while True:
-        nxt = adh[cur] | cur if cur else cur
-        if nxt == cur:
-            break
-        cur = nxt
+    cur = adherence_closure(adherence_table(conv), mask)
     if cur != best:
         raise InvariantViolation(
             f"closure mismatch: scan {best:#x} vs adherence lfp {cur:#x}")

@@ -1,10 +1,22 @@
 """The O(n * 2^n) closed forms on the query path against their literal
-O(4^n) oracles, on random spaces of 4 to 8 points."""
+O(4^n) oracles, on random spaces of 4 to 8 points; and the shared
+principal-class evaluation in classify() against per-selector calls, on
+random surjections of 4 to 6 points onto 2 or 3."""
 
 from hypothesis import given, settings, strategies as st
 
-from convlab.families import Carrier
-from convlab.functors import Selector, reflect, reflect_by_steps
+from convlab.families import Carrier, CarrierMap
+from convlab.functors import Selector, reflect, reflect_by_steps, topologize
+from convlab.maps import (
+    MapContext,
+    classification_witnesses,
+    classify,
+    final_convergence,
+    is_perfect_like,
+    is_quotient_like,
+    perfect_witness,
+    quotient_witness,
+)
 from convlab.spaces import (
     Convergence,
     adherence_scan,
@@ -38,12 +50,37 @@ def table_from_generators(n: int, gens: list[list[int]]) -> tuple[int, ...]:
     return tuple(table)
 
 
+def draw_table(draw, n: int) -> tuple[int, ...]:
+    masks = st.integers(0, (1 << n) - 1)
+    gens = [draw(st.lists(masks, min_size=1, max_size=3)) for _ in range(n)]
+    return table_from_generators(n, gens)
+
+
 @st.composite
 def valid_tables(draw):
     n = draw(st.integers(4, 8))
-    masks = st.integers(0, (1 << n) - 1)
-    gens = [draw(st.lists(masks, min_size=1, max_size=3)) for _ in range(n)]
-    return carrier_of(n), table_from_generators(n, gens)
+    return carrier_of(n), draw_table(draw, n)
+
+
+@st.composite
+def surjection_contexts(draw):
+    """A surjection of 4..6 points onto 2..3, a random source, and a target
+    that is random, the final convergence, or its topologization."""
+    n, m = draw(st.integers(4, 6)), draw(st.integers(2, 3))
+    extra = draw(st.lists(st.integers(0, m - 1),
+                          min_size=n - m, max_size=n - m))
+    mapping = tuple(draw(st.permutations(list(range(m)) + extra)))
+    src, dst = carrier_of(n), Carrier(tuple("pqr"[:m]))
+    f = CarrierMap(src, dst, mapping)
+    xi = Convergence(src, draw_table(draw, n))
+    target = draw(st.sampled_from(("random", "final", "topologized")))
+    if target == "random":
+        tau = Convergence(dst, draw_table(draw, m))
+    elif target == "final":
+        tau = final_convergence(f, xi)
+    else:
+        tau = topologize(final_convergence(f, xi))
+    return MapContext(f, xi, tau)
 
 
 @st.composite
@@ -117,3 +154,26 @@ def test_open_set_whose_subset_by_one_point_is_not_open():
     assert carrier.mask_of("ab") in opens
     assert carrier.mask_of("b") not in opens
     assert opens == open_masks_scan(conv)
+
+
+# (quotient-like flag, perfect-like flag) per selector
+LADDER_FLAGS = {
+    Selector.F_ALL: ("biquotient", "perfect"),
+    Selector.F1: ("countably_biquotient", "countably_perfect"),
+    Selector.F0: ("hereditarily_quotient", "adherent"),
+    Selector.F0_CLOSED: ("quotient", "closed"),
+}
+
+
+@given(surjection_contexts())
+@SETTINGS
+def test_classify_matches_per_selector_calls(ctx):
+    report = classify(ctx)
+    witnesses = classification_witnesses(ctx, report)
+    for sel, (q_name, p_name) in LADDER_FLAGS.items():
+        assert getattr(report, q_name) == is_quotient_like(ctx, sel)
+        assert getattr(report, p_name) == is_perfect_like(ctx, sel)
+        for name, witness in ((q_name, quotient_witness),
+                              (p_name, perfect_witness)):
+            want = None if getattr(report, name) else witness(ctx, sel)
+            assert witnesses.get(name) == want

@@ -1,15 +1,23 @@
+import pytest
+
+from convlab import laws
 from convlab.laws import LawResult, emit_tables, run_laws
 
 
+@pytest.fixture(scope="module")
+def small_report():
+    return run_laws(max_size=2)
+
+
 class TestRunner:
-    def test_small_run_is_green_with_many_suites(self):
-        report = run_laws(max_size=2)
+    def test_small_run_is_green_with_many_suites(self, small_report):
+        report = small_report
         assert report.ok
         assert len(report.results) >= 12
         assert sum(r.instances for r in report.results) > 1000
 
-    def test_report_accessors(self):
-        report = run_laws(max_size=2)
+    def test_report_accessors(self, small_report):
+        report = small_report
         r = report.result("Sierpinski fixture")
         assert r.ok and r.instances == 3
         doc = report.as_dict()
@@ -22,6 +30,34 @@ class TestRunner:
             r.fail(f"boom {i}")
         assert len(r.failures) <= 6
         assert not r.ok
+
+
+class TestErrorsPropagate:
+    """Only route disagreement (InvariantViolation) counts as a law
+    failure; any other exception is a fault of the program and escapes
+    from the first call, instead of being recorded and swept past."""
+
+    @staticmethod
+    def _failing(monkeypatch, name):
+        calls = []
+
+        def boom(*args):
+            calls.append(args)
+            raise TypeError("programming error")
+        monkeypatch.setattr(laws, name, boom)
+        return calls
+
+    def test_cover_duality(self, monkeypatch):
+        calls = self._failing(monkeypatch, "is_cover")
+        with pytest.raises(TypeError):
+            laws.suite_cover_duality(samples=1, seed=0)
+        assert len(calls) == 1
+
+    def test_prop_JE(self, monkeypatch):
+        calls = self._failing(monkeypatch, "is_JE")
+        with pytest.raises(TypeError):
+            laws.suite_prop_JE(max_size=1)
+        assert len(calls) == 1
 
 
 class TestTables:

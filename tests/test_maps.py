@@ -238,6 +238,20 @@ class TestClassify:
             if not value:
                 assert flag in ws
 
+    def test_one_evaluation_per_class(self, p3, tp3, monkeypatch):
+        from convlab import maps
+        calls = []
+        for name in ("is_quotient_like", "is_perfect_like"):
+            def counted(ctx, sel, name=name, fn=getattr(maps, name)):
+                calls.append((name, sel))
+                return fn(ctx, sel)
+            monkeypatch.setattr(maps, name, counted)
+        classify(MapContext(identity_map(ABC), p3, tp3))
+        assert len(calls) == 4
+        assert set(calls) == {
+            (name, sel) for name in ("is_quotient_like", "is_perfect_like")
+            for sel in (Selector.F0, Selector.F0_CLOSED)}
+
 
 class TestGraphClosed:
     def test_identity_on_discrete(self):
