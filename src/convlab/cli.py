@@ -1,17 +1,20 @@
 """Command-line front end.
 
-Exit codes: 0 pass, 1 law/check failure, 2 input error.
+Exit codes: 0 pass, 1 law/check failure, 2 input error, 3 internal fault
+(two routes that must agree disagreed; one JSON line on stderr names them).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import io
 from .families import (
     CapExceeded,
     CarrierMismatch,
+    InvariantViolation,
     NotSurjective,
     SetFamily,
     ValidationError,
@@ -244,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(json.dumps({"error": "internal", "message": str(exc)}),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

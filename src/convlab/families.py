@@ -16,8 +16,7 @@ say so in their docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -403,12 +402,23 @@ class CarrierMap:
     source: Carrier
     target: Carrier
     mapping: tuple[int, ...]
+    # image_mask for every source mask, preimage_mask for every target mask
+    image_table: tuple[int, ...] = field(
+        init=False, compare=False, repr=False)
+    preimage_table: tuple[int, ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.mapping) != self.source.size:
             raise ValidationError(["map must be total"])
         if any(not 0 <= j < self.target.size for j in self.mapping):
             raise ValidationError(["map value outside the target carrier"])
+        fibers = [0] * self.target.size
+        for i, j in enumerate(self.mapping):
+            fibers[j] |= 1 << i
+        object.__setattr__(self, "image_table", _union_table(
+            [1 << j for j in self.mapping]))
+        object.__setattr__(self, "preimage_table", _union_table(fibers))
 
     @classmethod
     def of(cls, source: Carrier, target: Carrier,
@@ -437,13 +447,13 @@ class CarrierMap:
         return self.target.labels[self.mapping[self.source.index(label)]]
 
     def image_mask(self, mask: int) -> int:
-        return _map_image_table(self)[mask]
+        return self.image_table[mask]
 
     def preimage_mask(self, mask: int) -> int:
-        return _map_preimage_table(self)[mask]
+        return self.preimage_table[mask]
 
     def fiber_mask(self, j: int) -> int:
-        return self.preimage_mask(1 << j)
+        return self.preimage_table[1 << j]
 
     def image(self, subset: Subset) -> Subset:
         return Subset(self.target, self.image_mask(subset.bits))
@@ -461,29 +471,12 @@ class CarrierMap:
         return self.is_surjective() and self.is_injective()
 
 
-@lru_cache(maxsize=None)
-def _map_image_table(f: CarrierMap) -> tuple[int, ...]:
-    """image_mask for every source mask, computed once per map."""
-    n = f.source.size
-    point_img = [1 << j for j in f.mapping]
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+def _union_table(point_masks: list[int]) -> tuple[int, ...]:
+    """For every mask over the points, the union of their point masks."""
+    table = [0] * (1 << len(point_masks))
+    for mask in range(1, len(table)):
         low = mask & -mask
-        table[mask] = table[mask ^ low] | point_img[low.bit_length() - 1]
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _map_preimage_table(f: CarrierMap) -> tuple[int, ...]:
-    """preimage_mask for every target mask, computed once per map."""
-    m = f.target.size
-    fiber = [0] * m
-    for i, j in enumerate(f.mapping):
-        fiber[j] |= 1 << i
-    table = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | fiber[low.bit_length() - 1]
+        table[mask] = table[mask ^ low] | point_masks[low.bit_length() - 1]
     return tuple(table)
 
 

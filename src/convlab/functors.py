@@ -114,9 +114,14 @@ def _ultrafilter_table(conv: Convergence) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def reflect(sel: Selector, conv: Convergence) -> Convergence:
-    """The reflection of ``conv`` under the selector's operator."""
+    """The reflection of ``conv`` under the selector's operator; F0, F1 and
+    F_ALL share one cache entry per space."""
+    return _reflect(sel if sel is Selector.F0_CLOSED else Selector.F0, conv)
+
+
+@lru_cache(maxsize=None)
+def _reflect(sel: Selector, conv: Convergence) -> Convergence:
     if sel is Selector.F0_CLOSED:
         return reflect_by_steps(sel, conv)
     return Convergence(conv.carrier, _ultrafilter_table(conv))

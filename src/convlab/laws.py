@@ -1,12 +1,17 @@
 """Theorem suites: every law of the calculus verified exhaustively at desk
 scale, in one fused pass per map domain.
 
-The fused sweep hoists everything that depends only on (map, source) or
-only on (map, target) out of the context loop, and evaluates the remaining
-per-(map, source, target) checks on raw mask tables.  The public functions
-in maps/compactness are cross-checked against the fused results on a
-deterministic sample of contexts, so the fast path cannot drift from the
-reference implementations.
+The fused sweep classifies every (map, source, target) context through the
+classification kernel of maps, the same code classify() runs: a MapFacts
+record is built once per (map, source) and map_flags decides each target.
+A route disagreement inside the kernel raises InvariantViolation.  What the
+sweep adds are the laws about the flags, hoisted the same way: the
+final/initial adjunction and adherence transport, the continuity
+equivalences, the relation-compactness characterizations, the topological
+closure forms, the implication ladder, bijections and preservation.  On a
+deterministic sample of contexts the kernel's graph-closedness flag and the
+relation-compactness tables are compared with the relation-level
+implementations in maps and compactness.
 """
 
 from __future__ import annotations
@@ -60,16 +65,18 @@ from .functors import (
     topologize,
 )
 from .maps import (
+    _LADDER,
     MapContext,
+    MapFacts,
     classify,
     closed_in_product,
     continuous,
-    final_convergence,
     graph_closed,
     identity_map,
     initial_convergence,
     is_JE,
     is_quotient_like,
+    map_flags,
 )
 from .spaces import (
     Convergence,
@@ -84,7 +91,6 @@ from .spaces import (
     is_cover,
     open_masks,
     open_masks_scan,
-    product,
     sup,
     validate_table,
 )
@@ -140,11 +146,6 @@ class LawSuiteReport:
 # fused sweep over (map, source, target) domains
 # ---------------------------------------------------------------------------
 
-_QUOT_FLAGS = ("biquotient", "countably_biquotient", "hereditarily_quotient",
-               "quotient")
-_PERF_FLAGS = ("perfect", "countably_perfect", "adherent", "closed")
-
-
 @dataclass(slots=True)
 class SweepStats:
     contexts: int = 0
@@ -175,101 +176,45 @@ class SweepStats:
 
 
 def _space_facts(conv: Convergence) -> tuple:
-    """(adh table, S0 table, T table, closed set tuple, is_topology,
-    is_pretopology helper data) cached per space by the callers' caches."""
-    adh = adherence_table(conv)
+    """(adh table, S0 table, closed set tuple, is_topology, is_pretopology)
+    cached per space by the callers' caches."""
     s0 = pretopologize(conv).table
-    t = topologize(conv).table
-    return adh, s0, t, closed_masks(conv), t == conv.table, s0 == conv.table
+    return (adherence_table(conv), s0, closed_masks(conv),
+            topologize(conv).table == conv.table, s0 == conv.table)
 
 
 def sweep_domain(maps, sources, targets, stats: SweepStats,
                  crosscheck_stride: int = 997) -> None:
-    """One fused pass; every law's failures land in ``stats``."""
+    """One fused pass.  The classification kernel (maps.MapFacts, built once
+    per (map, source), and maps.map_flags per target) decides every flag and
+    raises InvariantViolation when its routes disagree; the laws about the
+    flags land in ``stats``."""
     tgt_facts = {tau: _space_facts(tau) for tau in targets}
     node = 0
     for f in maps:
-        img = f.image_mask
-        pre = f.preimage_mask
+        img_a, pre_b = f.image_table, f.preimage_table
         full_s = f.source.full
         full_t = f.target.full
         n_t = f.target.size
-        fibers = [f.fiber_mask(y) for y in range(n_t)]
         bijective = f.is_bijective()
-        img_a = [img(a) for a in range(full_s + 1)]
-        pre_b = [pre(b) for b in range(full_t + 1)]
-        point_img = [f.mapping[x] for x in range(f.source.size)]
         for xi in sources:
-            adh_s, s0_s, t_s, closed_s, xi_is_top, xi_is_pre = _space_facts(xi)
+            facts = MapFacts(f, xi)
+            fibers, fxi, adh_fxi = facts.fibers, facts.fxi, facts.adh_fxi
+            adh_s, s0_s, closed_s, xi_is_top, xi_is_pre = _space_facts(xi)
             lim_s = xi.table
-            fxi = final_convergence(f, xi)
-            adh_fxi = adherence_table(fxi)
-            s0_fxi = pretopologize(fxi).table
-            t_fxi = topologize(fxi).table
             closed_fxi_ne = [h for h in closed_masks(fxi) if h]
             closed_s_ne = [g for g in closed_s if g]
             # adherence transport: adh in the final convergence equals the
             # pushed source adherence of the preimage filter
             ok_in_fin = all(
-                adh_fxi[h] == img(adh_s[pre_b[h]])
+                adh_fxi[h] == img_a[adh_s[pre_b[h]]]
                 for h in range(1, full_t + 1))
             stats.adjunction.instances += 1
             if not ok_in_fin:
                 stats.adjunction.fail(
                     f"final-adherence transport failed: {f.mapping} {xi!r}")
-            img_lim = [img(lim_s[a]) for a in range(full_s + 1)]
-            img_adh_g = [img(adh_s[g]) for g in range(full_s + 1)]
-            img_lim_s0 = [img(s0_s[a]) for a in range(full_s + 1)]
-            # lift tables for the open / almost-open filter forms
-            lift_any = [0] * n_t
-            lift_x = [0] * f.source.size
-            for x in range(f.source.size):
-                acc = 0
-                for a in range(1, full_s + 1):
-                    if lim_s[a] >> x & 1:
-                        acc |= 1 << img_a[a]
-                lift_x[x] = acc  # bitset over target masks b
-            lift_all = []
-            for y in range(n_t):
-                any_acc = 0
-                all_acc = (1 << (full_t + 1)) - 1
-                for x in bits_of(fibers[y]):
-                    any_acc |= lift_x[x]
-                    all_acc &= lift_x[x]
-                lift_any[y] = any_acc
-                lift_all.append(all_acc)
-            # cover-route triggers: q ranges over complements of nonempty g
-            quot_triggers_gen = []
-            for g in range(1, full_s + 1):
-                inh_q = full_s & ~adh_s[g]
-                iq = img_a[full_s & ~g]
-                for y in range(n_t):
-                    if fibers[y] & ~inh_q == 0:
-                        quot_triggers_gen.append((y, iq))
-            quot_triggers_closed = []
-            for h in closed_fxi_ne:
-                g = pre_b[h]
-                inh_q = full_s & ~adh_s[g]
-                iq = img_a[full_s & ~g]
-                for y in range(n_t):
-                    if fibers[y] & ~inh_q == 0:
-                        quot_triggers_closed.append((y, iq))
-            perf_triggers = []  # (y, img g) with the fiber inside inh {g^c}
-            for g in range(1, full_s + 1):
-                inh_q = full_s & ~adh_s[g]
-                for y in range(n_t):
-                    if fibers[y] & ~inh_q == 0:
-                        perf_triggers.append((y, img_a[g], g))
-            # graph-closedness constraints: adh_t[img a] within the common
-            # image singleton of every limit point of a
-            graph_constraints = []
-            for a in range(1, full_s + 1):
-                lims = lim_s[a]
-                if lims:
-                    allowed = full_t
-                    for w in bits_of(lims):
-                        allowed &= 1 << point_img[w]
-                    graph_constraints.append((img_a[a], allowed))
+            img_adh_g = [img_a[adh_s[g]] for g in range(full_s + 1)]
+            img_lim_s0 = [img_a[s0_s[a]] for a in range(full_s + 1)]
             # relation-compactness precomputation
             # (i) fibers of f as a relation from (Y, tau) to (X, xi):
             #     viol_perf[b][y] for the general class; closed class on xi
@@ -302,116 +247,30 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
             for tau in targets:
                 stats.contexts += 1
                 node += 1
-                adh_t, s0_t, t_t, closed_t, tau_is_top, tau_is_pre = tgt_facts[tau]
+                adh_t, s0_t, closed_t, tau_is_top, tau_is_pre = tgt_facts[tau]
                 lim_t = tau.table
-
-                cont = all(
-                    img_lim[a] & ~lim_t[img_a[a]] == 0
-                    for a in range(1, full_s + 1))
-
-                # quotient routes --------------------------------------
-                qa_gen = all(
-                    adh_t[h] & ~adh_fxi[h] == 0
-                    for h in range(1, full_t + 1))
-                qa_closed = all(
-                    adh_t[h] & ~adh_fxi[h] == 0 for h in closed_fxi_ne)
-                qb_gen = all(
-                    lim_t[b] & ~s0_fxi[b] == 0 for b in range(1, full_t + 1))
-                qb_closed = all(
-                    lim_t[b] & ~t_fxi[b] == 0 for b in range(1, full_t + 1))
-                qc_gen = all(
-                    (full_t & ~adh_t[full_t & ~iq] if full_t & ~iq else full_t)
-                    >> y & 1
-                    for y, iq in quot_triggers_gen)
-                qc_closed = all(
-                    (full_t & ~adh_t[full_t & ~iq] if full_t & ~iq else full_t)
-                    >> y & 1
-                    for y, iq in quot_triggers_closed)
-                stats.agreement.instances += 2
-                if not (qa_gen == qb_gen == qc_gen):
-                    stats.agreement.fail(
-                        f"quotient routes (general class) disagree: "
-                        f"{qa_gen}/{qb_gen}/{qc_gen} at {f.mapping}")
-                if not (qa_closed == qb_closed == qc_closed):
-                    stats.agreement.fail(
-                        f"quotient routes (closed class) disagree: "
-                        f"{qa_closed}/{qb_closed}/{qc_closed} at {f.mapping}")
-
-                # perfect routes ---------------------------------------
-                pa_gen = all(
-                    adh_t[img_a[g]] & ~img_adh_g[g] == 0
-                    for g in range(1, full_s + 1))
-                pa_closed = all(
-                    adh_t[img_a[g]] & ~img_adh_g[g] == 0 for g in closed_s_ne)
-                pb_gen = all(
-                    not adh_t[ig] >> y & 1 for y, ig, g in perf_triggers)
-                pb_closed = all(
-                    not adh_t[ig] >> y & 1
-                    for y, ig, g in perf_triggers if g in closed_s)
-                stats.agreement.instances += 2
-                if pa_gen != pb_gen:
-                    stats.agreement.fail(
-                        f"perfect routes (general class) disagree at {f.mapping}")
-                if pa_closed != pb_closed:
-                    stats.agreement.fail(
-                        f"perfect routes (closed class) disagree at {f.mapping}")
-
-                # open / almost open -----------------------------------
-                almost_open_order = all(
-                    lim_t[b] & ~fxi.table[b] == 0
-                    for b in range(1, full_t + 1))
-                almost_open_filter = all(
-                    lift_any[y] >> b & 1
-                    for b in range(1, full_t + 1) for y in bits_of(lim_t[b]))
-                stats.agreement.instances += 1
-                if almost_open_order != almost_open_filter:
-                    stats.agreement.fail(
-                        f"almost-open forms disagree at {f.mapping}")
-                open_flag = all(
-                    lift_all[y] >> b & 1
-                    for b in range(1, full_t + 1) for y in bits_of(lim_t[b]))
-
-                gclosed = all(
-                    adh_t[ia] & ~allowed == 0
-                    for ia, allowed in graph_constraints)
-
-                flags = {
-                    "continuous": cont,
-                    "open": open_flag,
-                    "almost_open": almost_open_order,
-                    "biquotient": qa_gen,
-                    "countably_biquotient": qa_gen,
-                    "hereditarily_quotient": qa_gen,
-                    "quotient": qa_closed,
-                    "perfect": pa_gen,
-                    "countably_perfect": pa_gen,
-                    "adherent": pa_gen,
-                    "closed": pa_closed,
-                    "graph_closed": gclosed,
-                }
+                flags = map_flags(facts, lim_t, adh_t)
+                stats.agreement.instances += 5
+                cont = flags["continuous"]
+                q_gen, q_closed = flags["biquotient"], flags["quotient"]
+                p_gen, p_closed = flags["perfect"], flags["closed"]
                 key = tuple(sorted(flags.items()))
                 stats.vector_counts[key] = stats.vector_counts.get(key, 0) + 1
 
                 # implication ladder -----------------------------------
                 stats.implications.instances += 1
-                ladder_ok = (
-                    (not open_flag or almost_open_order)
-                    and (not almost_open_order or qa_gen)
-                    and (not qa_gen or qa_closed)
-                    and (not pa_gen or pa_closed)
-                    and (not pa_gen or qa_gen)
-                    and (not pa_closed or qa_closed))
-                if not ladder_ok:
+                if any(flags[stronger] and not flags[weaker]
+                       for stronger, weaker in _LADDER):
                     stats.implications.fail(
                         f"ladder breached at {f.mapping}: {flags}")
 
                 # bijections: quotient <-> perfect per class -----------
                 if bijective:
                     stats.bijections.instances += 1
-                    if qa_gen != pa_gen or qa_closed != pa_closed:
+                    if q_gen != p_gen or q_closed != p_closed:
                         stats.bijections.fail(
                             f"bijection gap at {f.mapping}: "
-                            f"q={qa_gen}/{qa_closed} p={pa_gen}/{pa_closed}")
+                            f"q={q_gen}/{q_closed} p={p_gen}/{p_closed}")
 
                 # continuity equivalences (transferable classes) -------
                 cont_refl = all(
@@ -458,22 +317,22 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
                     for a in range(1, full_s + 1)
                     for z in bits_of(lim_t[img_a[a]]))
                 stats.compact_thms.instances += 2
-                if rc_perf_gen != pa_gen or rc_perf_closed != pa_closed:
+                if rc_perf_gen != p_gen or rc_perf_closed != p_closed:
                     stats.compact_thms.fail(
                         f"perfect/compact-fiber gap at {f.mapping}: "
                         f"rc={rc_perf_gen}/{rc_perf_closed} "
-                        f"p={pa_gen}/{pa_closed}")
-                if rc_quot_gen != qa_gen or rc_quot_closed != qa_closed:
+                        f"p={p_gen}/{p_closed}")
+                if rc_quot_gen != q_gen or rc_quot_closed != q_closed:
                     stats.compact_thms.fail(
                         f"quotient/compact gap at {f.mapping}: "
                         f"rc={rc_quot_gen}/{rc_quot_closed} "
-                        f"q={qa_gen}/{qa_closed}")
+                        f"q={q_gen}/{q_closed}")
 
                 # topological pairs ------------------------------------
                 if xi_is_top and tau_is_top:
                     stats.topo_props.instances += 1
                     probs = []
-                    if not (pa_closed == pa_gen):
+                    if not (p_closed == p_gen):
                         probs.append("closed/adherent/perfect split")
                     # closure-form propositions
                     cl_s = partial(adherence_closure, adh_s)
@@ -482,24 +341,24 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
                         cl_s(pre_b[b]) & ~pre_b[cl_t(b)] == 0
                         for b in range(full_t + 1))
                     eq3 = all(
-                        img(cl_s(a)) & ~cl_t(img_a[a]) == 0
+                        img_a[cl_s(a)] & ~cl_t(img_a[a]) == 0
                         for a in range(full_s + 1))
                     if (eq2 and eq3) != cont or eq2 != eq3:
                         probs.append("closure continuity forms")
                     eq4 = all(
-                        cl_t(b) & ~img(cl_s(pre_b[b])) == 0
+                        cl_t(b) & ~img_a[cl_s(pre_b[b])] == 0
                         for b in range(1, full_t + 1))
-                    if eq4 != qa_closed:
+                    if eq4 != q_closed:
                         probs.append("closure quotient form")
                     eq5 = all(
-                        cl_t(img_a[a]) & ~img(cl_s(a)) == 0
+                        cl_t(img_a[a]) & ~img_a[cl_s(a)] == 0
                         for a in range(full_s + 1))
-                    if eq5 != pa_closed:
+                    if eq5 != p_closed:
                         probs.append("closure closed-map form")
                     refl = all(
                         b in closed_t
                         for b in range(full_t + 1) if pre_b[b] in closed_s)
-                    if refl != qa_closed:
+                    if refl != q_closed:
                         probs.append("closedness-reflecting form")
                     closed_class_incl2 = all(
                         adh_s_pre[h] & ~pre_b[h] == 0 for h in closed_t if h)
@@ -516,24 +375,22 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
                 # J-fixed.  S0, S1 and S share the reflection table.
                 stats.preservation.instances += 1
                 if cont:
-                    if qa_closed and xi_is_top and not tau_is_top:
+                    if q_closed and xi_is_top and not tau_is_top:
                         stats.preservation.fail(
                             f"T-quotient image of a topology not a topology "
                             f"at {f.mapping}")
-                    if qa_gen and xi_is_pre and not tau_is_pre:
+                    if q_gen and xi_is_pre and not tau_is_pre:
                         stats.preservation.fail(
                             f"S0/S1/S-quotient image of a pretopology not a "
                             f"pretopology at {f.mapping}")
 
                 # sampled cross-check against reference implementations
                 if node % crosscheck_stride == 0:
-                    ctx = MapContext(f, xi, tau)
-                    report = classify(ctx)
                     stats.crosscheck.instances += 1
-                    if report.as_dict() != flags:
+                    if (graph_closed(f.as_relation(), xi, tau)
+                            != flags["graph_closed"]):
                         stats.crosscheck.fail(
-                            f"fused flags diverge from classify() at "
-                            f"{f.mapping}: {report.as_dict()} vs {flags}")
+                            f"graph-closedness diverges at {f.mapping}")
                     for sel, fast in ((Selector.F_ALL, rc_perf_gen),
                                       (Selector.F0_CLOSED, rc_perf_closed)):
                         slow = is_relation_compact(
@@ -610,11 +467,9 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
     rng = random.Random(seed)
     universe3 = all_convergences(c3)
     maps3 = all_maps(c3, c3)
-    pair_count = 0
     for _ in range(sample_pairs):
         xi = universe3[rng.randrange(len(universe3))]
         zeta = universe3[rng.randrange(len(universe3))]
-        pair_count += 1
         for h in REFLECTORS:
             hx, hz = h(xi), h(zeta)
             r.instances += 1
@@ -999,7 +854,7 @@ def suite_family_algebra() -> LawResult:
     image-mesh duality for relations, and the map characterization of
     relations, exhaustively on small carriers."""
     from .families import (
-        CarrierMap, FiniteFilter, grill, isotonize, mesh,
+        FiniteFilter, grill, isotonize, mesh,
         rel_image_family, rel_preimage_family, filter_meet, ultrafilters_of)
     r = LawResult("family algebra: transport, duality, rel-map")
     for n, m in ((2, 2), (3, 2), (3, 3), (2, 3)):

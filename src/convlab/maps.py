@@ -1,8 +1,17 @@
 """Continuity, initial/final convergences, and classification of surjections
 into quotient-like and perfect-like classes.
 
+Classification has one kernel.  MapFacts gathers, once per (map, source)
+pair, everything the routes read that does not depend on the target: the
+image, preimage and fiber tables, the source adherence, the final
+convergence with its adherence and reflections, the filter classes, the
+cover-route triggers, the lift sets of the open and almost-open forms and
+the graph-closedness constraints.  map_flags then decides the twelve flags
+for one target from its limit and adherence tables.  classify, the is_*
+predicates and the law sweep all call it, so each route exists once.
+
 Each inverse-continuity class is decided through independent routes that
-must agree bit-for-bit:
+must agree bit-for-bit; a disagreement raises InvariantViolation:
 
   quotient-like (per selector class of filters on the target):
     (a) the adherence form, fiberwise:   y in adh ^H on the target implies
@@ -14,6 +23,9 @@ must agree bit-for-bit:
     (a) adh f[^G] on the target is inside the image of adh ^G;
     (b) the cover form through inherence duality.
 
+  almost open: target >= final convergence, and the filter form (some
+  fiber point lifts every converging principal filter).
+
 The blunt preimage inclusion f^-(adh ^H) <= adh ^(f^-H) is deliberately
 NOT the implemented quotient test: it demands the whole fiber, not a fiber
 point, and is strictly stronger than (b) on non-topological instances (a
@@ -24,18 +36,23 @@ Class conventions: the quotient ladder reads its closed-set class on the
 final convergence (H is in the class iff H is fxi-closed, equivalently its
 preimage is xi-closed); the perfect ladder reads closedness on the source.
 
-The finite collapse is implemented once, in functors: F0, F1 and F_ALL
+The finite collapse is decided once, in functors: F0, F1 and F_ALL
 enumerate the same principal bases and share one reflection, checked in the
-law sweep against the literal reflect_by_steps.  classify() therefore runs
+law sweep against the literal reflect_by_steps.  map_flags therefore runs
 each ladder twice, for the principal class and for the closed class; the
 principal result is the biquotient, countably biquotient and hereditarily
 quotient flag (the perfect, countably perfect and adherent flag).
+
+continuous() and graph_closed() keep their own loops: the first accepts
+maps that are not surjective, the second any relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
+
 from .families import (
     Carrier,
     CarrierMap,
@@ -51,7 +68,6 @@ from .spaces import (
     Convergence,
     adherence_table,
     closed_masks,
-    closure_mask,
     finer,
     open_masks,
     product,
@@ -126,78 +142,202 @@ def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
 
 
 # ---------------------------------------------------------------------------
-# class enumeration per selector
+# the classification kernel
 # ---------------------------------------------------------------------------
 
-def quotient_class_space(ctx: MapContext, sel: Selector) -> Convergence:
-    """The space whose filters the quotient ladder quantifies over: the
-    target carrier, with closedness read on the final convergence."""
-    if sel is Selector.F0_CLOSED:
-        return final_convergence(ctx.f, ctx.source)
-    return ctx.target
+class _Routes(NamedTuple):
+    """Constraints of the quotient and perfect routes for one filter class;
+    each is a tuple of (k, bad) pairs that hold when table[k] & bad == 0."""
+
+    quotient_adh: tuple    # on adh_t, per class filter ^H on the target
+    quotient_refl: tuple   # on lim_t, against the reflected final convergence
+    quotient_cover: tuple  # on adh_t, per complement of an image family
+    perfect_adh: tuple     # on adh_t, per image f(G) of a class filter ^G
+    perfect_cover: tuple   # on adh_t, per image f(G), from the fibers
 
 
-# ---------------------------------------------------------------------------
-# quotient-like: three routes
-# ---------------------------------------------------------------------------
+def _forbidden(allowed, full: int) -> tuple:
+    """(k, full minus allowed) for each (k, allowed), vacuous ones dropped."""
+    return tuple((k, full & ~ok) for k, ok in allowed if full & ~ok)
 
-def _quotient_adherence_form(ctx: MapContext, sel: Selector) -> bool:
-    """Route (a): for each class filter ^H on the target and each point of
-    adh ^H, some fiber point adheres to ^(f^-H)."""
-    f = ctx.f
-    adh_t = adherence_table(ctx.target)
-    adh_s = adherence_table(ctx.source)
-    for h in class_filter_masks(sel, quotient_class_space(ctx, sel)):
-        if adh_t[h] & ~f.image_mask(adh_s[f.preimage_mask(h)]):
+
+def _misses(table, constraints) -> bool:
+    for k, bad in constraints:
+        if table[k] & bad:
             return False
     return True
 
 
-def _quotient_reflector_form(ctx: MapContext, sel: Selector) -> bool:
-    """Route (b): target finer than the reflected final convergence."""
-    return finer(ctx.target, reflect(sel, final_convergence(ctx.f, ctx.source)))
+class MapFacts:
+    """Everything the classification routes read that depends only on the
+    surjection f and the source xi, built once per (f, xi) pair; the target
+    enters through its limit and adherence tables alone (map_flags)."""
+
+    __slots__ = ("f", "xi", "img", "pre", "fibers", "adh_s", "fxi",
+                 "adh_fxi", "lifts", "pushed", "order", "lift_some",
+                 "lift_every", "graph", "_routes")
+
+    def __init__(self, f: CarrierMap, xi: Convergence):
+        fxi = final_convergence(f, xi)  # checks the carrier and surjectivity
+        img = self.img = f.image_table
+        self.pre = f.preimage_table
+        full_s, full_t = f.source.full, f.target.full
+        self.f, self.xi, self.fxi = f, xi, fxi
+        self.fibers = [self.pre[1 << y] for y in range(f.target.size)]
+        self.adh_s = adherence_table(xi)
+        self.adh_fxi = adherence_table(fxi)
+        # lifts[b]: the source points in lim ^A for some A with f(A) = B
+        lifts = [0] * (full_t + 1)
+        graph: dict[int, int] = {}
+        for a in range(1, full_s + 1):
+            lim = xi.table[a]
+            if lim:
+                lifts[img[a]] |= lim
+                # graph-closedness: adh f(A) lies in the common image of
+                # the limits of ^A (empty unless they share one image)
+                common = img[lim]
+                if common & (common - 1):
+                    common = 0
+                graph[img[a]] = graph.get(img[a], full_t) & common
+        self.lifts = lifts
+        targets = range(1, full_t + 1)
+        pushed = [img[x] for x in lifts]  # f(lim ^A) over the A with f(A) = B
+        # continuity: f(lim ^A) within lim ^f(A)
+        self.pushed = tuple((b, pushed[b]) for b in targets if pushed[b])
+        # almost open: the order form (target finer than the final
+        # convergence) and the filter form (some fiber point lifts ^B)
+        self.order = _forbidden(((b, fxi.table[b]) for b in targets), full_t)
+        self.lift_some = _forbidden(((b, pushed[b]) for b in targets), full_t)
+        # open: every fiber point lifts ^B
+        self.lift_every = _forbidden(
+            ((b, full_t & ~img[full_s & ~lifts[b]]) for b in targets), full_t)
+        self.graph = _forbidden(graph.items(), full_t)
+        self._routes: dict[Selector, _Routes] = {}
+
+    def routes(self, sel: Selector) -> _Routes:
+        got = self._routes.get(sel)
+        if got is None:
+            got = self._routes[sel] = self._build_routes(sel)
+        return got
+
+    def _cover_triggers(self, pairs) -> tuple:
+        """For each (k, g): the points y whose fiber lies in the inherence of
+        the complement family of ^G (misses adh ^G) must miss entry k."""
+        out: dict[int, int] = {}
+        for k, g in pairs:
+            adh_g = self.adh_s[g]
+            ys = sum(1 << y for y, fy in enumerate(self.fibers)
+                     if not fy & adh_g)
+            if k and ys:
+                out[k] = out.get(k, 0) | ys
+        return tuple(out.items())
+
+    def _build_routes(self, sel: Selector) -> _Routes:
+        img, pre, adh_s = self.img, self.pre, self.adh_s
+        full_s, full_t = self.f.source.full, self.f.target.full
+        # the quotient ladder reads its class on the final convergence, the
+        # perfect ladder on the source
+        target_class = class_filter_masks(sel, self.fxi)
+        source_class = class_filter_masks(sel, self.xi)
+        refl = reflect(sel, self.fxi).table
+        # the cover route quantifies over class filters on the source; for
+        # the closed class, over preimages of the closed class filters
+        if sel is Selector.F0_CLOSED:
+            covers = [pre[h] for h in target_class]
+        else:
+            covers = source_class
+        perfect_adh: dict[int, int] = {}
+        for g in source_class:
+            ig = img[g]
+            perfect_adh[ig] = perfect_adh.get(ig, full_t) & img[adh_s[g]]
+        return _Routes(
+            _forbidden(((h, img[adh_s[pre[h]]]) for h in target_class),
+                       full_t),
+            _forbidden(((b, refl[b]) for b in range(1, full_t + 1)), full_t),
+            self._cover_triggers(
+                (full_t & ~img[full_s & ~g], g) for g in covers),
+            _forbidden(perfect_adh.items(), full_t),
+            self._cover_triggers((img[g], g) for g in source_class))
 
 
-def _quotient_cover_form(ctx: MapContext, sel: Selector) -> bool:
-    """Route (c): images of class covers of fibers are covers.
-
-    For each family Q on the source whose complement family is a class
-    filter base, and each target point y:  f^-(y) <= inh Q  implies
-    y in inh f[Q].  For the selector classes containing all principal
-    filters, Q ranges over all singleton families; for the closed class it
-    ranges over the preimage covers derived from the class filters.
-    """
-    f = ctx.f
-    full_s = ctx.source.carrier.full
-    full_t = ctx.target.carrier.full
-    adh_t = adherence_table(ctx.target)
-    adh_s = adherence_table(ctx.source)
-    if sel is Selector.F0_CLOSED:
-        klass = class_filter_masks(sel, quotient_class_space(ctx, sel))
-        q_masks = [full_s & ~f.preimage_mask(h) for h in klass]
-    else:
-        # complement families of all class filters on the source carrier
-        q_masks = [full_s & ~g for g in range(1, full_s + 1)]
-    for q in q_masks:
-        inh_q = full_s & ~adh_s[full_s & ~q] if full_s & ~q else full_s
-        img_q = f.image_mask(q)
-        inh_img = full_t & ~adh_t[full_t & ~img_q] if full_t & ~img_q else full_t
-        for y in range(ctx.target.carrier.size):
-            if f.fiber_mask(y) & ~inh_q == 0 and not inh_img >> y & 1:
-                return False
-    return True
-
-
-def is_quotient_like(ctx: MapContext, sel: Selector) -> bool:
-    """All three routes, which must agree."""
-    ctx.require_surjective()
-    a = _quotient_adherence_form(ctx, sel)
-    b = _quotient_reflector_form(ctx, sel)
-    c = _quotient_cover_form(ctx, sel)
+def _quotient(sel: Selector, facts: MapFacts, lim_t, adh_t) -> bool:
+    """Quotient-like for the class: (a) every point of adh ^H has a fiber
+    point adhering to ^(f^-H); (b) the target is finer than the reflected
+    final convergence; (c) images of class covers of fibers are covers."""
+    r = facts.routes(sel)
+    a = _misses(adh_t, r.quotient_adh)
+    b = _misses(lim_t, r.quotient_refl)
+    c = _misses(adh_t, r.quotient_cover)
     if not a == b == c:
         raise InvariantViolation(
             f"quotient routes disagree for {sel}: adh={a} refl={b} cover={c}")
     return a
+
+
+def _perfect(sel: Selector, facts: MapFacts, lim_t, adh_t) -> bool:
+    """Perfect-like for the class: (a) adh f[^G] lies in f(adh ^G); (b) when
+    the complement family of ^G covers a fiber, its pushed-forward
+    complement family covers the point."""
+    r = facts.routes(sel)
+    a = _misses(adh_t, r.perfect_adh)
+    b = _misses(adh_t, r.perfect_cover)
+    if a != b:
+        raise InvariantViolation(
+            f"perfect routes disagree for {sel}: adh={a} cover={b}")
+    return a
+
+
+def _almost_open(facts: MapFacts, lim_t) -> bool:
+    """I-quotient: the order form against the existential filter form."""
+    by_order = _misses(lim_t, facts.order)
+    by_filters = _misses(lim_t, facts.lift_some)
+    if by_order != by_filters:
+        raise InvariantViolation(
+            f"almost-open forms disagree: order={by_order} filter={by_filters}")
+    return by_order
+
+
+def map_flags(facts: MapFacts, lim_t, adh_t) -> dict[str, bool]:
+    """The twelve classification flags of f: (xi) -> (tau), given tau's limit
+    and adherence tables; every route runs once per class."""
+    flags = {
+        "continuous": all(need & ~lim_t[b] == 0 for b, need in facts.pushed),
+        "open": _misses(lim_t, facts.lift_every),
+        "almost_open": _almost_open(facts, lim_t),
+        "graph_closed": _misses(adh_t, facts.graph),
+    }
+    for decide, classes in ((_quotient, _QUOTIENT_CLASSES),
+                            (_perfect, _PERFECT_CLASSES)):
+        for names, sel in classes:
+            verdict = decide(sel, facts, lim_t, adh_t)
+            flags.update(dict.fromkeys(names, verdict))
+    return flags
+
+
+def _evaluate(ctx: MapContext) -> tuple:
+    ctx.require_surjective()
+    return (MapFacts(ctx.f, ctx.source), ctx.target.table,
+            adherence_table(ctx.target))
+
+
+def is_quotient_like(ctx: MapContext, sel: Selector) -> bool:
+    return _quotient(sel, *_evaluate(ctx))
+
+
+def is_perfect_like(ctx: MapContext, sel: Selector) -> bool:
+    return _perfect(sel, *_evaluate(ctx))
+
+
+def is_almost_open(ctx: MapContext) -> bool:
+    facts, lim_t, _ = _evaluate(ctx)
+    return _almost_open(facts, lim_t)
+
+
+def is_open_map(ctx: MapContext) -> bool:
+    """Filter form: every fiber point of every limit point lifts the
+    converging principal filter exactly."""
+    facts, lim_t, _ = _evaluate(ctx)
+    return _misses(lim_t, facts.lift_every)
 
 
 def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
@@ -205,7 +345,7 @@ def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
     f = ctx.f
     adh_t = adherence_table(ctx.target)
     adh_s = adherence_table(ctx.source)
-    for h in class_filter_masks(sel, quotient_class_space(ctx, sel)):
+    for h in class_filter_masks(sel, final_convergence(f, ctx.source)):
         bad = adh_t[h] & ~f.image_mask(adh_s[f.preimage_mask(h)])
         if bad:
             y = bad.bit_length() - 1
@@ -214,51 +354,6 @@ def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
                 "point": ctx.target.carrier.labels[y],
             }
     return None
-
-
-# ---------------------------------------------------------------------------
-# perfect-like: two routes
-# ---------------------------------------------------------------------------
-
-def _perfect_adherence_form(ctx: MapContext, sel: Selector) -> bool:
-    """Route (a): adh f[^G] <= f(adh ^G) for every class filter on the
-    source."""
-    f = ctx.f
-    adh_t = adherence_table(ctx.target)
-    adh_s = adherence_table(ctx.source)
-    for g in class_filter_masks(sel, ctx.source):
-        if adh_t[f.image_mask(g)] & ~f.image_mask(adh_s[g]):
-            return False
-    return True
-
-
-def _perfect_cover_form(ctx: MapContext, sel: Selector) -> bool:
-    """Route (b): when the complement family of a class filter ^G covers a
-    fiber, its pushed-forward complement family covers the point:
-    f^-(y) <= inh {G^c}  implies  y in inh {f(G)^c}."""
-    f = ctx.f
-    full_s = ctx.source.carrier.full
-    full_t = ctx.target.carrier.full
-    adh_t = adherence_table(ctx.target)
-    adh_s = adherence_table(ctx.source)
-    for g in class_filter_masks(sel, ctx.source):
-        inh_q = full_s & ~adh_s[g]
-        img_g = f.image_mask(g)
-        inh_p = full_t & ~adh_t[img_g]
-        for y in range(ctx.target.carrier.size):
-            if f.fiber_mask(y) & ~inh_q == 0 and not inh_p >> y & 1:
-                return False
-    return True
-
-
-def is_perfect_like(ctx: MapContext, sel: Selector) -> bool:
-    ctx.require_surjective()
-    a = _perfect_adherence_form(ctx, sel)
-    b = _perfect_cover_form(ctx, sel)
-    if a != b:
-        raise InvariantViolation(
-            f"perfect routes disagree for {sel}: adh={a} cover={b}")
-    return a
 
 
 def perfect_witness(ctx: MapContext, sel: Selector) -> dict | None:
@@ -275,108 +370,12 @@ def perfect_witness(ctx: MapContext, sel: Selector) -> dict | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# open / almost open
-# ---------------------------------------------------------------------------
-
-def is_almost_open(ctx: MapContext) -> bool:
-    """I-quotient: target >= final convergence.  Cross-checked against the
-    existential filter form (some fiber point has a filter mapping onto the
-    converging one)."""
-    ctx.require_surjective()
-    by_order = finer(ctx.target, final_convergence(ctx.f, ctx.source))
-    f, src, dst = ctx.f, ctx.source, ctx.target
-    by_filters = True
-    for b in range(1, dst.carrier.full + 1):
-        need = dst.table[b]
-        for y in bits_of(need):
-            if not any(
-                    src.table[a] & f.fiber_mask(y) and f.image_mask(a) == b
-                    for a in range(1, src.carrier.full + 1)):
-                by_filters = False
-                break
-        if not by_filters:
-            break
-    if by_order != by_filters:
-        raise InvariantViolation(
-            f"almost-open forms disagree: order={by_order} filter={by_filters}")
-    return by_order
-
-
-def is_open_map(ctx: MapContext) -> bool:
-    """Filter form: every fiber point of every limit point lifts the
-    converging principal filter exactly."""
-    ctx.require_surjective()
-    f, src, dst = ctx.f, ctx.source, ctx.target
-    for b in range(1, dst.carrier.full + 1):
-        for y in bits_of(dst.table[b]):
-            for x in bits_of(f.fiber_mask(y)):
-                if not any(
-                        src.table[a] >> x & 1 and f.image_mask(a) == b
-                        for a in range(1, src.carrier.full + 1)):
-                    return False
-    return True
-
-
 def is_open_map_topological(ctx: MapContext) -> bool:
     """Open-set form: images of open sets are open.  Equivalent to the
     filter form when the source is a topology."""
     ctx.require_surjective()
     opens_t = set(open_masks(ctx.target))
     return all(ctx.f.image_mask(o) in opens_t for o in open_masks(ctx.source))
-
-
-# ---------------------------------------------------------------------------
-# closure forms (the topological propositions)
-# ---------------------------------------------------------------------------
-
-def continuity_closure_forms(ctx: MapContext) -> tuple[bool, bool]:
-    """(cl f^-B <= f^-(cl B) for all B,  f(cl A) <= cl f(A) for all A)."""
-    f, src, dst = ctx.f, ctx.source, ctx.target
-    eq2 = all(
-        closure_mask(src, f.preimage_mask(b)) & ~f.preimage_mask(closure_mask(dst, b)) == 0
-        for b in range(dst.carrier.full + 1))
-    eq3 = all(
-        f.image_mask(closure_mask(src, a)) & ~closure_mask(dst, f.image_mask(a)) == 0
-        for a in range(src.carrier.full + 1))
-    return eq2, eq3
-
-
-def quotient_closure_form(ctx: MapContext) -> bool:
-    """Fiberwise inversion of the closure-preimage inclusion: every point of
-    cl B has a fiber point in cl f^-(B)."""
-    f, src, dst = ctx.f, ctx.source, ctx.target
-    for b in range(1, dst.carrier.full + 1):
-        clb = closure_mask(dst, b)
-        cls_ = f.image_mask(closure_mask(src, f.preimage_mask(b)))
-        if clb & ~cls_:
-            return False
-    return True
-
-
-def closed_map_closure_form(ctx: MapContext) -> bool:
-    """cl f(A) <= f(cl A) for every A (the image-closure inversion)."""
-    f, src, dst = ctx.f, ctx.source, ctx.target
-    return all(
-        closure_mask(dst, f.image_mask(a)) & ~f.image_mask(closure_mask(src, a)) == 0
-        for a in range(src.carrier.full + 1))
-
-
-def closedness_reflecting(ctx: MapContext) -> bool:
-    """B closed on the target whenever f^-(B) is closed on the source."""
-    f = ctx.f
-    closed_t = set(closed_masks(ctx.target))
-    return all(
-        b in closed_t
-        for b in range(ctx.target.carrier.full + 1)
-        if f.preimage_mask(b) in closed_masks(ctx.source))
-
-
-def closed_map_images(ctx: MapContext) -> bool:
-    """Images of closed sets are closed."""
-    f = ctx.f
-    closed_t = set(closed_masks(ctx.target))
-    return all(f.image_mask(c) in closed_t for c in closed_masks(ctx.source))
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +529,7 @@ class ClassificationReport:
 
 
 def classify(ctx: MapContext) -> ClassificationReport:
-    ctx.require_surjective()
-    flags = {}
-    for decide, classes in ((is_quotient_like, _QUOTIENT_CLASSES),
-                            (is_perfect_like, _PERFECT_CLASSES)):
-        for names, sel in classes:
-            flags.update(dict.fromkeys(names, decide(ctx, sel)))
-    return ClassificationReport(
-        continuous=continuous(ctx),
-        open=is_open_map(ctx),
-        almost_open=is_almost_open(ctx),
-        graph_closed=graph_closed(
-            ctx.f.as_relation(), ctx.source, ctx.target),
-        **flags,
-    )
+    return ClassificationReport(**map_flags(*_evaluate(ctx)))
 
 
 def classification_witnesses(ctx: MapContext,
@@ -558,21 +544,17 @@ def classification_witnesses(ctx: MapContext,
                     "set": list(src.carrier.labels_of(a))}
                 break
     if not report.open:
-        done = False
-        for b in range(1, dst.carrier.full + 1):
-            for y in bits_of(dst.table[b]):
-                for x in bits_of(f.fiber_mask(y)):
-                    if not any(src.table[a] >> x & 1 and f.image_mask(a) == b
-                               for a in range(1, src.carrier.full + 1)):
-                        out["open"] = {
-                            "target_set": list(dst.carrier.labels_of(b)),
-                            "target_point": dst.carrier.labels[y],
-                            "source_point": src.carrier.labels[x]}
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
+        facts = MapFacts(f, src)
+        for b, bad in facts.lift_every:
+            y_bits = dst.table[b] & bad
+            if y_bits:
+                y = (y_bits & -y_bits).bit_length() - 1
+                x_bits = facts.fibers[y] & ~facts.lifts[b]
+                out["open"] = {
+                    "target_set": list(dst.carrier.labels_of(b)),
+                    "target_point": dst.carrier.labels[y],
+                    "source_point": src.carrier.labels[
+                        (x_bits & -x_bits).bit_length() - 1]}
                 break
     if not report.almost_open:
         fxi = final_convergence(f, src)

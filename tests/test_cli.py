@@ -224,3 +224,34 @@ class TestCLI:
         assert doc["ok"] is True
         assert len(doc["suites"]) >= 12
         assert sum(s["instances"] for s in doc["suites"]) > 1000
+
+
+class TestInternalFault:
+    """A disagreement between two kernel routes is a fault of the program:
+    exit code 3 and one JSON line on stderr naming the routes."""
+
+    @pytest.fixture(autouse=True)
+    def cover_route_without_triggers(self, monkeypatch):
+        # the cover routes then hold wherever the other routes fail
+        from convlab import maps
+        monkeypatch.setattr(maps.MapFacts, "_cover_triggers",
+                            lambda self, pairs: ())
+
+    @staticmethod
+    def internal_message(capsys) -> str:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "internal"
+        return doc["message"]
+
+    def test_classify_map(self, p3_file, tp3_file, ident_file, capsys):
+        assert main(["classify-map", "--map", ident_file,
+                     "--source", p3_file, "--target", tp3_file]) == 3
+        message = self.internal_message(capsys)
+        assert "quotient routes disagree" in message
+        assert "cover=True" in message
+
+    def test_laws(self, capsys):
+        assert main(["laws", "--size", "2"]) == 3
+        assert "routes disagree" in self.internal_message(capsys)

@@ -1,6 +1,6 @@
 import pytest
 
-from convlab.families import ValidationError
+from convlab.families import Carrier, ValidationError
 from convlab.functors import (
     COREFLECTORS,
     HANDLES,
@@ -38,6 +38,15 @@ class TestReflect:
         d = discrete(ABC)
         for sel in Selector:
             assert reflect(sel, d).table == d.table
+
+    def test_principal_selectors_share_one_cache_entry(self):
+        from convlab import functors
+        space = discrete(Carrier(("u1", "u2", "u3", "u4")))
+        before = functors._reflect.cache_info().currsize
+        results = [reflect(sel, space)
+                   for sel in (Selector.F0, Selector.F1, Selector.F_ALL)]
+        assert functors._reflect.cache_info().currsize == before + 1
+        assert results[0] is results[1] is results[2]
 
     def test_closed_class_reflection_of_chain(self, p3):
         t = reflect(Selector.F0_CLOSED, p3)

@@ -1,6 +1,8 @@
 import pytest
 
-from convlab import laws
+from convlab import laws, maps
+from convlab.enumerate import all_convergences, default_carrier, surjections
+from convlab.families import Carrier, InvariantViolation
 from convlab.laws import LawResult, emit_tables, run_laws
 
 
@@ -58,6 +60,17 @@ class TestErrorsPropagate:
         with pytest.raises(TypeError):
             laws.suite_prop_JE(max_size=1)
         assert len(calls) == 1
+
+
+class TestRouteDisagreement:
+    def test_propagates_out_of_the_sweep(self, monkeypatch):
+        # without triggers the cover routes hold wherever the others fail
+        monkeypatch.setattr(maps.MapFacts, "_cover_triggers",
+                            lambda self, pairs: ())
+        c2, d2 = default_carrier(2), Carrier(("p", "q"))
+        with pytest.raises(InvariantViolation, match="routes disagree"):
+            laws.sweep_domain(surjections(c2, d2), all_convergences(c2),
+                              all_convergences(d2), laws.SweepStats())
 
 
 class TestTables:

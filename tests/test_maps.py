@@ -241,15 +241,15 @@ class TestClassify:
     def test_one_evaluation_per_class(self, p3, tp3, monkeypatch):
         from convlab import maps
         calls = []
-        for name in ("is_quotient_like", "is_perfect_like"):
-            def counted(ctx, sel, name=name, fn=getattr(maps, name)):
+        for name in ("_quotient", "_perfect"):
+            def counted(sel, *args, name=name, fn=getattr(maps, name)):
                 calls.append((name, sel))
-                return fn(ctx, sel)
+                return fn(sel, *args)
             monkeypatch.setattr(maps, name, counted)
         classify(MapContext(identity_map(ABC), p3, tp3))
         assert len(calls) == 4
         assert set(calls) == {
-            (name, sel) for name in ("is_quotient_like", "is_perfect_like")
+            (name, sel) for name in ("_quotient", "_perfect")
             for sel in (Selector.F0, Selector.F0_CLOSED)}
 
 
