@@ -2,16 +2,28 @@
 scale, in one fused pass per map domain.
 
 The fused sweep classifies every (map, source, target) context through the
-classification kernel of maps, the same code classify() runs: a MapFacts
-record is built once per (map, source) and map_flags decides each target.
-A route disagreement inside the kernel raises InvariantViolation.  What the
-sweep adds are the laws about the flags, hoisted the same way: the
-final/initial adjunction and adherence transport, the continuity
-equivalences, the relation-compactness characterizations, the topological
-closure forms, the implication ladder, bijections and preservation.  On a
-deterministic sample of contexts the kernel's graph-closedness flag and the
-relation-compactness tables are compared with the relation-level
+classification kernel of maps, the same code classify() runs, transposed
+over the targets: the targets of a domain form one maps.TargetUniverse, a
+MapFacts record is built once per (map, source), and map_flags decides all
+targets of the pair at once, each flag a bitset over the targets.  A route
+disagreement inside the kernel raises InvariantViolation at the first
+failing context, the one a scan of one context at a time would meet.
+
+What the sweep adds are the laws about the flags, decided the same way per
+pair: the implication ladder, bijections and preservation are masks over
+the flag bitsets; the final/initial adjunction and the continuity
+equivalences are "need inside table[k]" lookups on the universe's
+complement tables; the relation-compactness characterizations are (k, bad)
+constraints on the limit tables, built from one bad-points mask per filter
+base; the flag-vector histogram refines the universe by the flag bitsets
+and counts each cell by popcount.  The topological closure forms still run
+per context, on the pairs of topologies only.  On the contexts whose
+number is a multiple of the stride, the kernel's graph-closedness flag and
+the relation-compactness verdicts are compared with the relation-level
 implementations in maps and compactness.
+
+LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
+counts every failure in failures_total.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .families import (
     InvariantViolation,
     SetFamily,
     Subset,
-    bits_of,
+    popcount,
 )
 from .functors import (
     COREFLECTORS,
@@ -68,6 +80,7 @@ from .maps import (
     _LADDER,
     MapContext,
     MapFacts,
+    TargetUniverse,
     classify,
     closed_in_product,
     continuous,
@@ -101,19 +114,22 @@ MAX_REPORTED_FAILURES = 5
 
 @dataclass(slots=True)
 class LawResult:
+    """Instances checked, the true failure total, and the first
+    MAX_REPORTED_FAILURES failure messages."""
+
     name: str
     instances: int = 0
     failures: list[str] = field(default_factory=list)
+    failures_total: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures_total
 
     def fail(self, msg: str) -> None:
+        self.failures_total += 1
         if len(self.failures) < MAX_REPORTED_FAILURES:
             self.failures.append(msg)
-        else:
-            self.failures[-1] = "... more failures suppressed"
 
 
 @dataclass(slots=True)
@@ -137,7 +153,8 @@ class LawSuiteReport:
             "elapsed_seconds": round(self.elapsed, 3),
             "suites": [
                 {"name": r.name, "instances": r.instances,
-                 "ok": r.ok, "failures": r.failures}
+                 "ok": r.ok, "failures_total": r.failures_total,
+                 "failures": r.failures}
                 for r in self.results],
         }
 
@@ -183,229 +200,262 @@ def _space_facts(conv: Convergence) -> tuple:
             topologize(conv).table == conv.table, s0 == conv.table)
 
 
+def _fail_at(result: LawResult, n: int, checks) -> None:
+    """For each (bad, message) check, one failure per target in the bitset
+    bad, recorded in target order as a scan of one target at a time would
+    record them; message(i) describes target i."""
+    for i in range(n):
+        for bad, message in checks:
+            if bad >> i & 1:
+                result.fail(message(i))
+
+
+def _count_vectors(counts: dict, flags: dict[str, int], full: int,
+                   pairs: int) -> None:
+    """Add to the histogram the flag vector of every target, once for each
+    of the pairs that had these flag bitsets: the bitsets refine the
+    universe into cells of equal vectors, each counted by popcount."""
+    names = sorted(flags)
+    cells = [full] if full else []
+    for bits in {flags[name] for name in names}:
+        cells = [c for cell in cells for c in (cell & bits, cell & ~bits) if c]
+    for cell in sorted(cells, key=lambda c: c & -c):
+        low = cell & -cell
+        key = tuple((name, bool(flags[name] & low)) for name in names)
+        counts[key] = counts.get(key, 0) + pairs * popcount(cell)
+
+
+def _at(bits: int, i: int) -> bool:
+    return bool(bits >> i & 1)
+
+
+def _rc_constraints(bad_of, within, meet_of, full: int) -> tuple:
+    """(k, the OR of bad_of[j] over the j in within with meet_of[j] meeting
+    k) for every k up to full, empty ones dropped: a limit point of ^K in
+    that mask violates relation compactness."""
+    out = [0] * (full + 1)
+    for j in within:
+        bad, m = bad_of[j], meet_of[j]
+        if bad:
+            for k in range(1, full + 1):
+                if k & m:
+                    out[k] |= bad
+    return tuple((k, bad) for k, bad in enumerate(out) if bad)
+
+
 def sweep_domain(maps, sources, targets, stats: SweepStats,
                  crosscheck_stride: int = 997) -> None:
-    """One fused pass.  The classification kernel (maps.MapFacts, built once
-    per (map, source), and maps.map_flags per target) decides every flag and
-    raises InvariantViolation when its routes disagree; the laws about the
-    flags land in ``stats``."""
-    tgt_facts = {tau: _space_facts(tau) for tau in targets}
+    """One fused pass, transposed over the targets: they form one
+    maps.TargetUniverse, and each (map, source) pair builds one MapFacts
+    and decides every target at once.  map_flags returns each flag as a
+    bitset over the targets and raises InvariantViolation at the first
+    target where two routes disagree; each law about the flags is a few
+    bitset operations or "need inside table[k]" lookups per pair.  Only the
+    topological-pairs closure forms and the sampled cross-check against the
+    reference implementations run per context."""
+    universe = TargetUniverse(targets)
+    targets, n, every = universe.targets, len(universe.targets), universe.full
+    tgt_facts = [_space_facts(tau) for tau in targets]
+    sources = [(xi, _space_facts(xi)) for xi in sources]
+    tau_top = sum(1 << i for i, facts in enumerate(tgt_facts) if facts[3])
+    tau_pre = sum(1 << i for i, facts in enumerate(tgt_facts) if facts[4])
+    # pairs per distinct set of flag bitsets, for the vector histogram
+    flag_sets: dict[tuple, int] = {}
     node = 0
     for f in maps:
         img_a, pre_b = f.image_table, f.preimage_table
-        full_s = f.source.full
-        full_t = f.target.full
-        n_t = f.target.size
+        full_s, full_t = f.source.full, f.target.full
+        src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
         bijective = f.is_bijective()
-        for xi in sources:
+        for xi, (adh_s, s0_s, closed_s, xi_is_top, xi_is_pre) in sources:
             facts = MapFacts(f, xi)
-            fibers, fxi, adh_fxi = facts.fibers, facts.fxi, facts.adh_fxi
-            adh_s, s0_s, closed_s, xi_is_top, xi_is_pre = _space_facts(xi)
-            lim_s = xi.table
-            closed_fxi_ne = [h for h in closed_masks(fxi) if h]
-            closed_s_ne = [g for g in closed_s if g]
+            flags = map_flags(facts, universe)
+            fxi, adh_fxi = facts.fxi, facts.adh_fxi
+            stats.contexts += n
+            stats.agreement.instances += 5 * n
+            cont = flags["continuous"]
+            q_gen, q_closed = flags["biquotient"], flags["quotient"]
+            p_gen, p_closed = flags["perfect"], flags["closed"]
+            key = tuple(flags.items())
+            flag_sets[key] = flag_sets.get(key, 0) + 1
+
             # adherence transport: adh in the final convergence equals the
             # pushed source adherence of the preimage filter
-            ok_in_fin = all(
-                adh_fxi[h] == img_a[adh_s[pre_b[h]]]
-                for h in range(1, full_t + 1))
             stats.adjunction.instances += 1
-            if not ok_in_fin:
+            if not all(adh_fxi[h] == img_a[adh_s[pre_b[h]]]
+                       for h in tgt_sets):
                 stats.adjunction.fail(
                     f"final-adherence transport failed: {f.mapping} {xi!r}")
-            img_adh_g = [img_a[adh_s[g]] for g in range(full_s + 1)]
-            img_lim_s0 = [img_a[s0_s[a]] for a in range(full_s + 1)]
-            # relation-compactness precomputation
-            # (i) fibers of f as a relation from (Y, tau) to (X, xi):
-            #     viol_perf[b][y] for the general class; closed class on xi
-            viol_perf_gen = [[False] * n_t for _ in range(full_t + 1)]
-            viol_perf_closed = [[False] * n_t for _ in range(full_t + 1)]
-            for b in range(1, full_t + 1):
-                pb = pre_b[b]
-                for y in range(n_t):
-                    fy = fibers[y]
-                    viol_perf_gen[b][y] = any(
-                        j & pb and not fy & adh_s[j]
-                        for j in range(1, full_s + 1))
-                    viol_perf_closed[b][y] = any(
-                        j & pb and not fy & adh_s[j] for j in closed_s_ne)
-            # (ii) f as a relation from (X, initial) to (Y, final):
-            #      viol_quot[a][z] per class at the final convergence
-            viol_quot_gen = [[False] * n_t for _ in range(full_s + 1)]
-            viol_quot_closed = [[False] * n_t for _ in range(full_s + 1)]
-            for a in range(1, full_s + 1):
-                ia = img_a[a]
-                for z in range(n_t):
-                    viol_quot_gen[a][z] = any(
-                        j & ia and not adh_fxi[j] >> z & 1
-                        for j in range(1, full_t + 1))
-                    viol_quot_closed[a][z] = any(
-                        j & ia and not adh_fxi[j] >> z & 1
-                        for j in closed_fxi_ne)
-            adh_s_pre = [adh_s[pre_b[h]] for h in range(full_t + 1)]
 
-            for tau in targets:
-                stats.contexts += 1
-                node += 1
-                adh_t, s0_t, closed_t, tau_is_top, tau_is_pre = tgt_facts[tau]
-                lim_t = tau.table
-                flags = map_flags(facts, lim_t, adh_t)
-                stats.agreement.instances += 5
-                cont = flags["continuous"]
-                q_gen, q_closed = flags["biquotient"], flags["quotient"]
-                p_gen, p_closed = flags["perfect"], flags["closed"]
-                key = tuple(sorted(flags.items()))
-                stats.vector_counts[key] = stats.vector_counts.get(key, 0) + 1
+            # implication ladder ---------------------------------------
+            stats.implications.instances += n
+            breached = 0
+            for stronger, weaker in _LADDER:
+                breached |= flags[stronger] & ~flags[weaker]
+            if breached:
+                _fail_at(stats.implications, n, [(breached, lambda i: (
+                    f"ladder breached at {f.mapping}: "
+                    f"{ {name: _at(bits, i) for name, bits in flags.items()} }"
+                ))])
 
-                # implication ladder -----------------------------------
-                stats.implications.instances += 1
-                if any(flags[stronger] and not flags[weaker]
-                       for stronger, weaker in _LADDER):
-                    stats.implications.fail(
-                        f"ladder breached at {f.mapping}: {flags}")
+            # bijections: quotient <-> perfect per class ---------------
+            if bijective:
+                stats.bijections.instances += n
+                gap = (q_gen ^ p_gen) | (q_closed ^ p_closed)
+                if gap:
+                    _fail_at(stats.bijections, n, [(gap, lambda i: (
+                        f"bijection gap at {f.mapping}: "
+                        f"q={_at(q_gen, i)}/{_at(q_closed, i)} "
+                        f"p={_at(p_gen, i)}/{_at(p_closed, i)}"))])
 
-                # bijections: quotient <-> perfect per class -----------
-                if bijective:
-                    stats.bijections.instances += 1
-                    if q_gen != p_gen or q_closed != p_closed:
-                        stats.bijections.fail(
-                            f"bijection gap at {f.mapping}: "
-                            f"q={q_gen}/{q_closed} p={p_gen}/{p_closed}")
+            # continuity equivalences (transferable classes): f(S0 lim ^A)
+            # inside S0 lim ^f(A), f(adh ^(f^-H)) inside adh ^H, f(adh ^G)
+            # inside adh ^f(G)
+            cont_refl = universe.holding("co_s0", (
+                (img_a[a], img_a[s0_s[a]]) for a in src_sets))
+            incl2 = universe.holding("co_adh", (
+                (h, img_a[adh_s[pre_b[h]]]) for h in tgt_sets))
+            incl3 = universe.holding("co_adh", (
+                (img_a[g], img_a[adh_s[g]]) for g in src_sets))
+            stats.continuity_eq.instances += n
+            gap = (cont_refl ^ incl2) | (cont_refl ^ incl3)
+            if gap:
+                _fail_at(stats.continuity_eq, n, [(gap, lambda i: (
+                    f"cont-in-conv forms disagree at {f.mapping}: "
+                    f"{_at(cont_refl, i)}/{_at(incl2, i)}/{_at(incl3, i)}"))])
 
-                # continuity equivalences (transferable classes) -------
-                cont_refl = all(
-                    img_lim_s0[a] & ~s0_t[img_a[a]] == 0
-                    for a in range(1, full_s + 1))
-                incl2 = all(
-                    adh_s_pre[h] & ~pre_b[adh_t[h]] == 0
-                    for h in range(1, full_t + 1))
-                incl3 = all(
-                    img_adh_g[g] & ~adh_t[img_a[g]] == 0
-                    for g in range(1, full_s + 1))
-                stats.continuity_eq.instances += 1
-                if not (cont_refl == incl2 == incl3):
-                    stats.continuity_eq.fail(
-                        f"cont-in-conv forms disagree at {f.mapping}: "
-                        f"{cont_refl}/{incl2}/{incl3}")
+            # adjunction: f xi >= tau <=> continuous <=> xi >= f- tau, the
+            # last read one A at a time: f(lim ^A) inside lim ^f(A)
+            stats.adjunction.instances += n
+            final_ok = universe.holding("co_lim", (
+                (b, fxi.table[b]) for b in tgt_sets))
+            init_ok = universe.holding("co_lim", (
+                (img_a[a], img_a[xi.table[a]]) for a in src_sets))
+            gap = (final_ok ^ cont) | (cont ^ init_ok)
+            if gap:
+                _fail_at(stats.adjunction, n, [(gap, lambda i: (
+                    f"adjunction broken at {f.mapping}: "
+                    f"{_at(final_ok, i)}/{_at(cont, i)}/{_at(init_ok, i)}"))])
 
-                # adjunction: f xi >= tau <=> continuous <=> xi >= f- tau
-                stats.adjunction.instances += 1
-                final_ok = all(
-                    fxi.table[b] & ~lim_t[b] == 0
-                    for b in range(1, full_t + 1))
-                init_ok = all(
-                    lim_s[a] & ~pre_b[lim_t[img_a[a]]] == 0
-                    for a in range(1, full_s + 1))
-                if not (final_ok == cont == init_ok):
-                    stats.adjunction.fail(
-                        f"adjunction broken at {f.mapping}: "
-                        f"{final_ok}/{cont}/{init_ok}")
-
-                # compactness characterizations ------------------------
-                rc_perf_gen = not any(
-                    viol_perf_gen[b][y]
-                    for b in range(1, full_t + 1) for y in bits_of(lim_t[b]))
-                rc_perf_closed = not any(
-                    viol_perf_closed[b][y]
-                    for b in range(1, full_t + 1) for y in bits_of(lim_t[b]))
-                rc_quot_gen = not any(
-                    viol_quot_gen[a][z]
-                    for a in range(1, full_s + 1)
-                    for z in bits_of(lim_t[img_a[a]]))
-                rc_quot_closed = not any(
-                    viol_quot_closed[a][z]
-                    for a in range(1, full_s + 1)
-                    for z in bits_of(lim_t[img_a[a]]))
-                stats.compact_thms.instances += 2
-                if rc_perf_gen != p_gen or rc_perf_closed != p_closed:
-                    stats.compact_thms.fail(
+            # relation compactness ---------------------------------------
+            # (i) the fibers of f as a relation from (Y, tau) to (X, xi): a
+            #     limit point y of ^B is bad when some class filter ^J
+            #     meeting f^-B has no adherent point in the fiber of y
+            rc_perf_gen = universe.holding("lim", _rc_constraints(
+                facts.misses, src_sets, img_a, full_t))
+            rc_perf_closed = universe.holding("lim", _rc_constraints(
+                facts.misses, [g for g in closed_s if g], img_a, full_t))
+            # (ii) f as a relation from (X, initial) to (Y, final): a limit
+            #      point z of ^f(A) is bad when some class filter ^J meeting
+            #      f(A) does not adhere to z in the final convergence
+            limit_misses = [full_t & ~adh_fxi[j] for j in range(full_t + 1)]
+            closed_fxi_ne = [h for h in closed_masks(fxi) if h]
+            rc_quot_gen = universe.holding("lim", _rc_constraints(
+                limit_misses, tgt_sets, range(full_t + 1), full_t))
+            rc_quot_closed = universe.holding("lim", _rc_constraints(
+                limit_misses, closed_fxi_ne, range(full_t + 1), full_t))
+            stats.compact_thms.instances += 2 * n
+            perf_gap = (rc_perf_gen ^ p_gen) | (rc_perf_closed ^ p_closed)
+            quot_gap = (rc_quot_gen ^ q_gen) | (rc_quot_closed ^ q_closed)
+            if perf_gap or quot_gap:
+                _fail_at(stats.compact_thms, n, [
+                    (perf_gap, lambda i: (
                         f"perfect/compact-fiber gap at {f.mapping}: "
-                        f"rc={rc_perf_gen}/{rc_perf_closed} "
-                        f"p={p_gen}/{p_closed}")
-                if rc_quot_gen != q_gen or rc_quot_closed != q_closed:
-                    stats.compact_thms.fail(
+                        f"rc={_at(rc_perf_gen, i)}/{_at(rc_perf_closed, i)} "
+                        f"p={_at(p_gen, i)}/{_at(p_closed, i)}")),
+                    (quot_gap, lambda i: (
                         f"quotient/compact gap at {f.mapping}: "
-                        f"rc={rc_quot_gen}/{rc_quot_closed} "
-                        f"q={q_gen}/{q_closed}")
+                        f"rc={_at(rc_quot_gen, i)}/{_at(rc_quot_closed, i)} "
+                        f"q={_at(q_gen, i)}/{_at(q_closed, i)}"))])
 
-                # topological pairs ------------------------------------
-                if xi_is_top and tau_is_top:
-                    stats.topo_props.instances += 1
-                    probs = []
-                    if not (p_closed == p_gen):
-                        probs.append("closed/adherent/perfect split")
-                    # closure-form propositions
-                    cl_s = partial(adherence_closure, adh_s)
-                    cl_t = partial(adherence_closure, adh_t)
-                    eq2 = all(
-                        cl_s(pre_b[b]) & ~pre_b[cl_t(b)] == 0
-                        for b in range(full_t + 1))
-                    eq3 = all(
-                        img_a[cl_s(a)] & ~cl_t(img_a[a]) == 0
-                        for a in range(full_s + 1))
-                    if (eq2 and eq3) != cont or eq2 != eq3:
-                        probs.append("closure continuity forms")
-                    eq4 = all(
-                        cl_t(b) & ~img_a[cl_s(pre_b[b])] == 0
-                        for b in range(1, full_t + 1))
-                    if eq4 != q_closed:
-                        probs.append("closure quotient form")
-                    eq5 = all(
-                        cl_t(img_a[a]) & ~img_a[cl_s(a)] == 0
-                        for a in range(full_s + 1))
-                    if eq5 != p_closed:
-                        probs.append("closure closed-map form")
-                    refl = all(
-                        b in closed_t
-                        for b in range(full_t + 1) if pre_b[b] in closed_s)
-                    if refl != q_closed:
-                        probs.append("closedness-reflecting form")
-                    closed_class_incl2 = all(
-                        adh_s_pre[h] & ~pre_b[h] == 0 for h in closed_t if h)
-                    if closed_class_incl2 != cont:
-                        probs.append("closed-class continuity form")
-                    if probs:
-                        stats.topo_props.fail(
-                            f"{probs} at {f.mapping} xi={xi!r} tau={tau!r}")
+            # topological pairs, one context at a time ---------------------
+            for i in range(n) if xi_is_top else ():
+                if not tau_top >> i & 1:
+                    continue
+                adh_t, _, closed_t, _, _ = tgt_facts[i]
+                stats.topo_props.instances += 1
+                probs = []
+                if _at(p_closed, i) != _at(p_gen, i):
+                    probs.append("closed/adherent/perfect split")
+                # closure-form propositions
+                cl_s = partial(adherence_closure, adh_s)
+                cl_t = partial(adherence_closure, adh_t)
+                eq2 = all(
+                    cl_s(pre_b[b]) & ~pre_b[cl_t(b)] == 0
+                    for b in range(full_t + 1))
+                eq3 = all(
+                    img_a[cl_s(a)] & ~cl_t(img_a[a]) == 0
+                    for a in range(full_s + 1))
+                if (eq2 and eq3) != _at(cont, i) or eq2 != eq3:
+                    probs.append("closure continuity forms")
+                eq4 = all(
+                    cl_t(b) & ~img_a[cl_s(pre_b[b])] == 0
+                    for b in tgt_sets)
+                if eq4 != _at(q_closed, i):
+                    probs.append("closure quotient form")
+                eq5 = all(
+                    cl_t(img_a[a]) & ~img_a[cl_s(a)] == 0
+                    for a in range(full_s + 1))
+                if eq5 != _at(p_closed, i):
+                    probs.append("closure closed-map form")
+                refl = all(
+                    b in closed_t
+                    for b in range(full_t + 1) if pre_b[b] in closed_s)
+                if refl != _at(q_closed, i):
+                    probs.append("closedness-reflecting form")
+                closed_class_incl2 = all(
+                    adh_s[pre_b[h]] & ~pre_b[h] == 0 for h in closed_t if h)
+                if closed_class_incl2 != _at(cont, i):
+                    probs.append("closed-class continuity form")
+                if probs:
+                    stats.topo_props.fail(
+                        f"{probs} at {f.mapping} xi={xi!r} "
+                        f"tau={targets[i]!r}")
 
-                # preservation grid: with the coreflectors equal to the
-                # identity on finite carriers (a separately proved suite),
-                # a JE-space is exactly a J-fixed one, so the grid reduces
-                # to: continuous J-quotient images of J-fixed spaces are
-                # J-fixed.  S0, S1 and S share the reflection table.
-                stats.preservation.instances += 1
-                if cont:
-                    if q_closed and xi_is_top and not tau_is_top:
-                        stats.preservation.fail(
-                            f"T-quotient image of a topology not a topology "
-                            f"at {f.mapping}")
-                    if q_gen and xi_is_pre and not tau_is_pre:
-                        stats.preservation.fail(
-                            f"S0/S1/S-quotient image of a pretopology not a "
-                            f"pretopology at {f.mapping}")
+            # preservation grid: with the coreflectors equal to the
+            # identity on finite carriers (a separately proved suite), a
+            # JE-space is exactly a J-fixed one, so the grid reduces to:
+            # continuous J-quotient images of J-fixed spaces are J-fixed.
+            # S0, S1 and S share the reflection table.
+            stats.preservation.instances += n
+            t_gap = cont & q_closed & ~tau_top if xi_is_top else 0
+            s0_gap = cont & q_gen & ~tau_pre if xi_is_pre else 0
+            if t_gap or s0_gap:
+                _fail_at(stats.preservation, n, [
+                    (t_gap, lambda i: (f"T-quotient image of a topology not "
+                                       f"a topology at {f.mapping}")),
+                    (s0_gap, lambda i: (f"S0/S1/S-quotient image of a "
+                                        f"pretopology not a pretopology at "
+                                        f"{f.mapping}"))])
 
-                # sampled cross-check against reference implementations
-                if node % crosscheck_stride == 0:
-                    stats.crosscheck.instances += 1
-                    if (graph_closed(f.as_relation(), xi, tau)
-                            != flags["graph_closed"]):
+            # sampled cross-check against reference implementations, at
+            # the contexts numbered by a multiple of the stride
+            for i in range((-node - 1) % crosscheck_stride, n,
+                           crosscheck_stride):
+                tau = targets[i]
+                stats.crosscheck.instances += 1
+                if (graph_closed(f.as_relation(), xi, tau)
+                        != _at(flags["graph_closed"], i)):
+                    stats.crosscheck.fail(
+                        f"graph-closedness diverges at {f.mapping}")
+                for sel, fast in ((Selector.F_ALL, rc_perf_gen),
+                                  (Selector.F0_CLOSED, rc_perf_closed)):
+                    slow = is_relation_compact(
+                        f.as_relation().inverse(), tau, xi, sel)
+                    if slow != _at(fast, i):
                         stats.crosscheck.fail(
-                            f"graph-closedness diverges at {f.mapping}")
-                    for sel, fast in ((Selector.F_ALL, rc_perf_gen),
-                                      (Selector.F0_CLOSED, rc_perf_closed)):
-                        slow = is_relation_compact(
-                            f.as_relation().inverse(), tau, xi, sel)
-                        if slow != fast:
-                            stats.crosscheck.fail(
-                                f"relation compactness diverges at {f.mapping}")
-                    itau = initial_convergence(f, tau)
-                    for sel, fast in ((Selector.F_ALL, rc_quot_gen),
-                                      (Selector.F0_CLOSED, rc_quot_closed)):
-                        slow = is_relation_compact(
-                            f.as_relation(), itau, fxi, sel)
-                        if slow != fast:
-                            stats.crosscheck.fail(
-                                f"quotient compactness diverges at {f.mapping}")
+                            f"relation compactness diverges at {f.mapping}")
+                itau = initial_convergence(f, tau)
+                for sel, fast in ((Selector.F_ALL, rc_quot_gen),
+                                  (Selector.F0_CLOSED, rc_quot_closed)):
+                    slow = is_relation_compact(
+                        f.as_relation(), itau, fxi, sel)
+                    if slow != _at(fast, i):
+                        stats.crosscheck.fail(
+                            f"quotient compactness diverges at {f.mapping}")
+            node += n
+    for key, pairs in flag_sets.items():
+        _count_vectors(stats.vector_counts, dict(key), every, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +969,7 @@ def run_laws(max_size: int = 3, functor_samples: int = 10_000,
              duality_samples: int = 10_000, seed: int = 0) -> LawSuiteReport:
     """Run every suite; max_size trims the universes (2 for a smoke run,
     3 for the full acceptance surface)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     results: list[LawResult] = []
     results.append(suite_axioms_and_lattice())
     results.append(suite_family_algebra())
@@ -962,7 +1012,7 @@ def run_laws(max_size: int = 3, functor_samples: int = 10_000,
         surjections(default_carrier(grid_n), Carrier(("p", "q"))),
         all_convergences(default_carrier(grid_n)),
         all_convergences(Carrier(("p", "q")))))
-    return LawSuiteReport(results, time.time() - t0)
+    return LawSuiteReport(results, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

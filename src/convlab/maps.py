@@ -6,9 +6,19 @@ pair, everything the routes read that does not depend on the target: the
 image, preimage and fiber tables, the source adherence, the final
 convergence with its adherence and reflections, the filter classes, the
 cover-route triggers, the lift sets of the open and almost-open forms and
-the graph-closedness constraints.  map_flags then decides the twelve flags
-for one target from its limit and adherence tables.  classify, the is_*
-predicates and the law sweep all call it, so each route exists once.
+the graph-closedness constraints.  Each route is a tuple of (k, bad)
+constraints that hold when table[k] & bad == 0 on a target table.
+
+The targets enter as a TargetUniverse: a tuple of targets on one carrier,
+with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
+the bitset of targets whose lim / adh / S0 table (or its complement) has an
+entry k meeting m, memoized per (kind, k, m), so a route over a whole
+universe is an OR of a few memoized lookups.  map_flags decides the twelve
+flags of one (map, source) pair for every target at once, as bitsets, and
+route agreement is equality of bitsets; on a disagreement the lowest
+differing bit names the first failing target.  classify, the is_*
+predicates and the law sweep all call it: classify is the one-target case,
+so each route exists once.
 
 Each inverse-continuity class is decided through independent routes that
 must agree bit-for-bit; a disagreement raises InvariantViolation:
@@ -63,7 +73,13 @@ from .families import (
     bits_of,
     popcount,
 )
-from .functors import FunctorHandle, Selector, class_filter_masks, reflect
+from .functors import (
+    FunctorHandle,
+    Selector,
+    class_filter_masks,
+    pretopologize,
+    reflect,
+)
 from .spaces import (
     Convergence,
     adherence_table,
@@ -158,33 +174,112 @@ class _Routes(NamedTuple):
 
 def _forbidden(allowed, full: int) -> tuple:
     """(k, full minus allowed) for each (k, allowed), vacuous ones dropped."""
-    return tuple((k, full & ~ok) for k, ok in allowed if full & ~ok)
+    return tuple((k, bad) for k, ok in allowed if (bad := full & ~ok))
 
 
-def _misses(table, constraints) -> bool:
-    for k, bad in constraints:
-        if table[k] & bad:
-            return False
-    return True
+def _complement(table_of):
+    def complement(tau):
+        full = tau.carrier.full
+        return [full & ~v for v in table_of(tau)]
+    return complement
+
+
+# target-side tables by kind; a co_ kind holds the entrywise complements, so
+# that entry k meets m exactly where m is not inside the table's entry k
+_TABLES = {
+    "lim": lambda tau: tau.table,
+    "adh": adherence_table,
+    "s0": lambda tau: pretopologize(tau).table,
+}
+_TABLES.update({"co_" + kind: _complement(table_of)
+                for kind, table_of in list(_TABLES.items())})
+
+
+class TargetUniverse:
+    """Targets on one carrier, numbered by position; a bitset over the
+    universe holds one fact for every target at once (bit i: targets[i]).
+
+    meets(kind, k, m) is the set of targets whose table entry k meets the
+    mask m.  Each kind's tables are built on its first use and, when there
+    are several targets, each answer is memoized, so a sweep asks each
+    (kind, k, m) of its targets once; a one-target universe has nothing to
+    share and tests the entry directly."""
+
+    __slots__ = ("targets", "full", "_shift", "_tables", "_memo")
+
+    def __init__(self, targets):
+        self.targets = tuple(targets)
+        self.full = (1 << len(self.targets)) - 1
+        self._shift = self.targets[0].carrier.size if self.targets else 0
+        self._tables: dict[str, list] = {}
+        self._memo: dict[str, dict[int, int]] = {}
+
+    def tables(self, kind: str) -> list:
+        """The kind's table of every target, in target order."""
+        got = self._tables.get(kind)
+        if got is None:
+            got = self._tables[kind] = [_TABLES[kind](t) for t in self.targets]
+            self._memo[kind] = {}
+        return got
+
+    def meets(self, kind: str, k: int, m: int) -> int:
+        tables = self.tables(kind)
+        memo = self._memo[kind]
+        key = k << self._shift | m
+        got = memo.get(key)
+        if got is None:
+            got, bit = 0, 1
+            for table in tables:
+                if table[k] & m:
+                    got |= bit
+                bit <<= 1
+            memo[key] = got
+        return got
+
+    def holding(self, kind: str, constraints) -> int:
+        """The targets meeting every (k, bad) constraint: table[k] & bad
+        == 0 for each."""
+        tables = self._tables.get(kind) or self.tables(kind)
+        if self.full == 1:
+            table = tables[0]
+            for k, bad in constraints:
+                if table[k] & bad:
+                    return 0
+            return 1
+        memo, shift, full = self._memo[kind], self._shift, self.full
+        failing = 0
+        for k, bad in constraints:
+            got = memo.get(k << shift | bad)
+            failing |= self.meets(kind, k, bad) if got is None else got
+            if failing == full:
+                break
+        return full & ~failing
 
 
 class MapFacts:
     """Everything the classification routes read that depends only on the
-    surjection f and the source xi, built once per (f, xi) pair; the target
-    enters through its limit and adherence tables alone (map_flags)."""
+    surjection f and the source xi, built once per (f, xi) pair; the targets
+    enter through a TargetUniverse alone (map_flags)."""
 
-    __slots__ = ("f", "xi", "img", "pre", "fibers", "adh_s", "fxi",
-                 "adh_fxi", "lifts", "pushed", "order", "lift_some",
-                 "lift_every", "graph", "_routes")
+    __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "fibers",
+                 "adh_s", "misses", "fxi", "adh_fxi", "lifts", "pushed",
+                 "order", "lift_some", "lift_every", "graph", "_routes")
 
     def __init__(self, f: CarrierMap, xi: Convergence):
         fxi = final_convergence(f, xi)  # checks the carrier and surjectivity
         img = self.img = f.image_table
         self.pre = f.preimage_table
-        full_s, full_t = f.source.full, f.target.full
+        full_s = self.full_s = f.source.full
+        full_t = self.full_t = f.target.full
         self.f, self.xi, self.fxi = f, xi, fxi
         self.fibers = [self.pre[1 << y] for y in range(f.target.size)]
         self.adh_s = adherence_table(xi)
+        # misses[j]: the target points whose fiber misses adh ^J
+        misses = [0] * (full_s + 1)
+        for y, fy in enumerate(self.fibers):
+            misses = [m if fy & adh_j else m | 1 << y
+                      for m, adh_j in zip(misses, self.adh_s)]
+        self.misses = misses
         self.adh_fxi = adherence_table(fxi)
         # lifts[b]: the source points in lim ^A for some A with f(A) = B
         lifts = [0] * (full_t + 1)
@@ -202,7 +297,7 @@ class MapFacts:
         self.lifts = lifts
         targets = range(1, full_t + 1)
         pushed = [img[x] for x in lifts]  # f(lim ^A) over the A with f(A) = B
-        # continuity: f(lim ^A) within lim ^f(A)
+        # continuity: f(lim ^A) within lim ^f(A), on the co_lim tables
         self.pushed = tuple((b, pushed[b]) for b in targets if pushed[b])
         # almost open: the order form (target finer than the final
         # convergence) and the filter form (some fiber point lifts ^B)
@@ -225,16 +320,14 @@ class MapFacts:
         the complement family of ^G (misses adh ^G) must miss entry k."""
         out: dict[int, int] = {}
         for k, g in pairs:
-            adh_g = self.adh_s[g]
-            ys = sum(1 << y for y, fy in enumerate(self.fibers)
-                     if not fy & adh_g)
+            ys = self.misses[g]
             if k and ys:
                 out[k] = out.get(k, 0) | ys
         return tuple(out.items())
 
     def _build_routes(self, sel: Selector) -> _Routes:
         img, pre, adh_s = self.img, self.pre, self.adh_s
-        full_s, full_t = self.f.source.full, self.f.target.full
+        full_s, full_t = self.full_s, self.full_t
         # the quotient ladder reads its class on the final convergence, the
         # perfect ladder on the source
         target_class = class_filter_masks(sel, self.fxi)
@@ -260,84 +353,127 @@ class MapFacts:
             self._cover_triggers((img[g], g) for g in source_class))
 
 
-def _quotient(sel: Selector, facts: MapFacts, lim_t, adh_t) -> bool:
+def _disagree(faults: list, what: str, sel: Selector | None,
+              **forms: int) -> None:
+    """Record, for _raise_first, the targets where the forms of one verdict
+    (bitsets over the targets) differ."""
+    first, *rest = forms.values()
+    differ = 0
+    for bits in rest:
+        differ |= first ^ bits
+    faults.append((differ, what, sel, forms))
+
+
+def _raise_first(facts: MapFacts, universe: TargetUniverse,
+                 faults: list) -> None:
+    """Raise InvariantViolation for the first target, in universe order, at
+    which two forms of one verdict differ, naming the first such verdict in
+    evaluation order: the fault a scan of one target at a time meets
+    first."""
+    if not faults:
+        return
+    low = min(fault[0] & -fault[0] for fault in faults)
+    _, what, sel, forms = next(fault for fault in faults if fault[0] & low)
+    i = low.bit_length() - 1
+    label = f"{what} disagree" + (f" for {sel}" if sel else "")
+    detail = " ".join(f"{name}={bool(bits & low)}"
+                      for name, bits in forms.items())
+    raise InvariantViolation(
+        f"{label}: {detail} at f={facts.f.mapping} xi={facts.xi!r} "
+        f"tau={universe.targets[i]!r}")
+
+
+def _quotient(sel: Selector, facts: MapFacts, universe: TargetUniverse,
+              faults: list) -> int:
     """Quotient-like for the class: (a) every point of adh ^H has a fiber
     point adhering to ^(f^-H); (b) the target is finer than the reflected
     final convergence; (c) images of class covers of fibers are covers."""
     r = facts.routes(sel)
-    a = _misses(adh_t, r.quotient_adh)
-    b = _misses(lim_t, r.quotient_refl)
-    c = _misses(adh_t, r.quotient_cover)
-    if not a == b == c:
-        raise InvariantViolation(
-            f"quotient routes disagree for {sel}: adh={a} refl={b} cover={c}")
-    return a
+    adh = universe.holding("adh", r.quotient_adh)
+    refl = universe.holding("lim", r.quotient_refl)
+    cover = universe.holding("adh", r.quotient_cover)
+    if not adh == refl == cover:
+        _disagree(faults, "quotient routes", sel,
+                  adh=adh, refl=refl, cover=cover)
+    return adh
 
 
-def _perfect(sel: Selector, facts: MapFacts, lim_t, adh_t) -> bool:
+def _perfect(sel: Selector, facts: MapFacts, universe: TargetUniverse,
+             faults: list) -> int:
     """Perfect-like for the class: (a) adh f[^G] lies in f(adh ^G); (b) when
     the complement family of ^G covers a fiber, its pushed-forward
     complement family covers the point."""
     r = facts.routes(sel)
-    a = _misses(adh_t, r.perfect_adh)
-    b = _misses(adh_t, r.perfect_cover)
-    if a != b:
-        raise InvariantViolation(
-            f"perfect routes disagree for {sel}: adh={a} cover={b}")
-    return a
+    adh = universe.holding("adh", r.perfect_adh)
+    cover = universe.holding("adh", r.perfect_cover)
+    if adh != cover:
+        _disagree(faults, "perfect routes", sel, adh=adh, cover=cover)
+    return adh
 
 
-def _almost_open(facts: MapFacts, lim_t) -> bool:
+def _almost_open(facts: MapFacts, universe: TargetUniverse,
+                 faults: list) -> int:
     """I-quotient: the order form against the existential filter form."""
-    by_order = _misses(lim_t, facts.order)
-    by_filters = _misses(lim_t, facts.lift_some)
+    by_order = universe.holding("lim", facts.order)
+    by_filters = universe.holding("lim", facts.lift_some)
     if by_order != by_filters:
-        raise InvariantViolation(
-            f"almost-open forms disagree: order={by_order} filter={by_filters}")
+        _disagree(faults, "almost-open forms", None,
+                  order=by_order, filter=by_filters)
     return by_order
 
 
-def map_flags(facts: MapFacts, lim_t, adh_t) -> dict[str, bool]:
-    """The twelve classification flags of f: (xi) -> (tau), given tau's limit
-    and adherence tables; every route runs once per class."""
+def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
+    """The twelve classification flags of f: (xi) -> (tau) for every target
+    tau of the universe, each a bitset over the universe; every route runs
+    once per class, as an OR of memoized meets over its constraints."""
+    faults: list = []
     flags = {
-        "continuous": all(need & ~lim_t[b] == 0 for b, need in facts.pushed),
-        "open": _misses(lim_t, facts.lift_every),
-        "almost_open": _almost_open(facts, lim_t),
-        "graph_closed": _misses(adh_t, facts.graph),
+        "continuous": universe.holding("co_lim", facts.pushed),
+        "open": universe.holding("lim", facts.lift_every),
+        "almost_open": _almost_open(facts, universe, faults),
+        "graph_closed": universe.holding("adh", facts.graph),
     }
     for decide, classes in ((_quotient, _QUOTIENT_CLASSES),
                             (_perfect, _PERFECT_CLASSES)):
         for names, sel in classes:
-            verdict = decide(sel, facts, lim_t, adh_t)
+            verdict = decide(sel, facts, universe, faults)
             flags.update(dict.fromkeys(names, verdict))
+    _raise_first(facts, universe, faults)
     return flags
 
 
 def _evaluate(ctx: MapContext) -> tuple:
+    """The kernel's view of one context: its MapFacts and the one-target
+    universe of its target."""
     ctx.require_surjective()
-    return (MapFacts(ctx.f, ctx.source), ctx.target.table,
-            adherence_table(ctx.target))
+    return MapFacts(ctx.f, ctx.source), TargetUniverse((ctx.target,))
+
+
+def _decide(route, ctx: MapContext, *args) -> bool:
+    facts, universe = _evaluate(ctx)
+    faults: list = []
+    verdict = route(*args, facts, universe, faults)
+    _raise_first(facts, universe, faults)
+    return bool(verdict)
 
 
 def is_quotient_like(ctx: MapContext, sel: Selector) -> bool:
-    return _quotient(sel, *_evaluate(ctx))
+    return _decide(_quotient, ctx, sel)
 
 
 def is_perfect_like(ctx: MapContext, sel: Selector) -> bool:
-    return _perfect(sel, *_evaluate(ctx))
+    return _decide(_perfect, ctx, sel)
 
 
 def is_almost_open(ctx: MapContext) -> bool:
-    facts, lim_t, _ = _evaluate(ctx)
-    return _almost_open(facts, lim_t)
+    return _decide(_almost_open, ctx)
 
 
 def is_open_map(ctx: MapContext) -> bool:
     """Filter form: every fiber point of every limit point lifts the
     converging principal filter exactly."""
-    facts, lim_t, _ = _evaluate(ctx)
-    return _misses(lim_t, facts.lift_every)
+    facts, universe = _evaluate(ctx)
+    return bool(universe.holding("lim", facts.lift_every))
 
 
 def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
@@ -529,7 +665,9 @@ class ClassificationReport:
 
 
 def classify(ctx: MapContext) -> ClassificationReport:
-    return ClassificationReport(**map_flags(*_evaluate(ctx)))
+    """The one-target case of map_flags."""
+    flags = map_flags(*_evaluate(ctx))
+    return ClassificationReport(**dict(zip(flags, map(bool, flags.values()))))
 
 
 def classification_witnesses(ctx: MapContext,

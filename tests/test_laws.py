@@ -1,9 +1,16 @@
 import pytest
 
 from convlab import laws, maps
-from convlab.enumerate import all_convergences, default_carrier, surjections
+from convlab.enumerate import (
+    all_convergences,
+    all_pretopologies,
+    default_carrier,
+    surjections,
+)
 from convlab.families import Carrier, InvariantViolation
+from convlab.functors import Selector
 from convlab.laws import LawResult, emit_tables, run_laws
+from convlab.maps import MapContext, classify
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +31,19 @@ class TestRunner:
         assert r.ok and r.instances == 3
         doc = report.as_dict()
         assert doc["ok"] is True
-        assert {"name", "instances", "ok", "failures"} <= set(doc["suites"][0])
+        assert {"name", "instances", "ok", "failures_total",
+                "failures"} <= set(doc["suites"][0])
 
     def test_failure_capping(self):
         r = LawResult("x")
         for i in range(20):
             r.fail(f"boom {i}")
-        assert len(r.failures) <= 6
+        # the first messages are kept as they were, and the total is true
+        assert r.failures == [f"boom {i}" for i in range(5)]
+        assert r.failures_total == 20
         assert not r.ok
+        doc = laws.LawSuiteReport([r], 0.0).as_dict()
+        assert doc["suites"][0]["failures_total"] == 20
 
 
 class TestErrorsPropagate:
@@ -62,6 +74,29 @@ class TestErrorsPropagate:
         assert len(calls) == 1
 
 
+def _domain(name):
+    """(maps, sources, targets) of a sweep domain of run_laws."""
+    c2, c3, d2 = default_carrier(2), default_carrier(3), Carrier(("p", "q"))
+    if name in ("2to2", "3to2"):
+        src = c2 if name == "2to2" else c3
+        return (surjections(src, d2), all_convergences(src),
+                all_convergences(d2))
+    pre3 = all_pretopologies(c3)
+    return ([f for f in surjections(c3, c3) if f.is_bijective()], pre3, pre3)
+
+
+def _first_fault_by_scan(maps_, sources, targets) -> str:
+    """The message classify raises first, one context at a time."""
+    for f in maps_:
+        for xi in sources:
+            for tau in targets:
+                try:
+                    classify(MapContext(f, xi, tau))
+                except InvariantViolation as exc:
+                    return str(exc)
+    raise AssertionError("no route disagreement")
+
+
 class TestRouteDisagreement:
     def test_propagates_out_of_the_sweep(self, monkeypatch):
         # without triggers the cover routes hold wherever the others fail
@@ -71,6 +106,34 @@ class TestRouteDisagreement:
         with pytest.raises(InvariantViolation, match="routes disagree"):
             laws.sweep_domain(surjections(c2, d2), all_convergences(c2),
                               all_convergences(d2), laws.SweepStats())
+
+    @staticmethod
+    def _broken_covers(self, sel, build=maps.MapFacts._build_routes):
+        # the closed quotient cover route always holds and the principal
+        # perfect cover route never does (entry {p} of an adherence table
+        # is never empty): on the first faulty pair the later perfect route
+        # disagrees at an earlier target than the quotient route
+        routes = build(self, sel)
+        if sel is Selector.F0_CLOSED:
+            return routes._replace(quotient_cover=())
+        return routes._replace(perfect_cover=((1, self.full_t),))
+
+    @pytest.mark.parametrize("broken", ["no triggers", "crossed covers"])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_first_fault_is_the_one_a_scan_meets(self, monkeypatch, broken,
+                                                 order):
+        if broken == "no triggers":
+            monkeypatch.setattr(maps.MapFacts, "_cover_triggers",
+                                lambda self, pairs: ())
+        else:
+            monkeypatch.setattr(maps.MapFacts, "_build_routes",
+                                self._broken_covers)
+        maps_, sources, targets = _domain("2to2")
+        targets = targets[::order]
+        with pytest.raises(InvariantViolation) as swept:
+            laws.sweep_domain(maps_, sources, targets, laws.SweepStats())
+        assert str(swept.value) == _first_fault_by_scan(maps_, sources,
+                                                        targets)
 
 
 class TestTables:
@@ -92,3 +155,66 @@ class TestTables:
         assert ladder["open vs almost open"] is not None
         assert ladder["biquotient vs countably biquotient"] == \
             "collapses at finite scale"
+
+
+# contexts and per-suite instance counts of two whole sweep domains; a
+# drift fails here, not only against the benchmark's instance record
+PINNED_SWEEPS = {
+    "2to2": (162, {
+        "route agreement (quotient x3, perfect x2)": 810,
+        "continuity equivalences (adherence forms)": 162,
+        "final/initial adjunction + adherence transport": 180,
+        "implication ladder on classified instances": 162,
+        "perfect<->compact fiber relation, quotient<->compact": 324,
+        "topological pairs: closure forms + perfect collapse": 32,
+        "mixed-property preservation grid": 162,
+        "bijections: quotient <-> perfect per class": 162,
+        "fused sweep vs reference implementations": 0,
+    }),
+    "3to3 pretopology bijections": (24576, {
+        "route agreement (quotient x3, perfect x2)": 122880,
+        "continuity equivalences (adherence forms)": 24576,
+        "final/initial adjunction + adherence transport": 24960,
+        "implication ladder on classified instances": 24576,
+        "perfect<->compact fiber relation, quotient<->compact": 49152,
+        "topological pairs: closure forms + perfect collapse": 5046,
+        "mixed-property preservation grid": 24576,
+        "bijections: quotient <-> perfect per class": 24576,
+        "fused sweep vs reference implementations": 24,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_counts_are_pinned(name):
+    stats = laws.SweepStats()
+    laws.sweep_domain(*_domain(name), stats)
+    contexts, instances = PINNED_SWEEPS[name]
+    assert stats.contexts == contexts
+    assert {r.name: r.instances for r in stats.merged()} == instances
+    assert all(r.ok for r in stats.merged())
+
+
+@pytest.mark.parametrize("name, step", [
+    ("2to2", 1), ("3to2", 5), ("3to3 pretopology bijections", 7)])
+def test_universe_kernel_and_sweep_agree_with_classify(name, step):
+    """On every step-th (map, source) pair, bit i of every flag bitset is
+    classify on target i, and the sweep's flag-vector histogram is the
+    histogram of those classify results."""
+    maps_, sources, targets = _domain(name)
+    pairs = [(f, xi) for f in maps_ for xi in sources][::step]
+    universe = maps.TargetUniverse(targets)
+    stats = laws.SweepStats()
+    want: dict = {}
+    for f, xi in pairs:
+        flags = maps.map_flags(maps.MapFacts(f, xi), universe)
+        for i, tau in enumerate(targets):
+            report = classify(MapContext(f, xi, tau)).as_dict()
+            assert {k: bool(v >> i & 1) for k, v in flags.items()} == report
+            key = tuple(sorted(report.items()))
+            want[key] = want.get(key, 0) + 1
+    for f in maps_:
+        laws.sweep_domain([f], [xi for g, xi in pairs if g is f], targets,
+                          stats)
+    assert stats.vector_counts == want
+    assert all(r.ok for r in stats.merged())
