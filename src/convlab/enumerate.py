@@ -7,17 +7,24 @@ Enumeration strategy per class:
   convergence     per point, the downsets of the nonempty-subset poset
                   that contain the singleton (one downset = the sets whose
                   principal filter converges to the point); the space is
-                  the product of independent per-point choices.
-  pretopology     vicinity maps V(x) containing x; lim ^A = {x : A <= V(x)}.
+                  the product of independent per-point choices, and its
+                  limit table is the transpose of the chosen downsets.
+  pretopology     vicinity maps V(x) containing x; lim ^A = {x : A <= V(x)}
+                  (spaces.pretopology_table).
   pseudotopology  same concrete parameterization: on a finite carrier a
                   pseudotopology is determined by its point-filter limits,
                   which is the vicinity data again.
   topology        brute force over open-set systems (the independent
                   oracle for the class counts).
 
-Streams are duplicate-free and deterministically ordered; caps are n <= 3
-for general convergences and n <= 4 for the other classes (seeded sampling
-is the escape hatch for larger n).
+Streams are duplicate-free and deterministically ordered: itertools.product
+over the per-point choices, the last point varying fastest.  Caps are
+n <= 3 for general convergences and n <= 4 for the other classes and for
+seeded sampling, whose per-point downsets are found by a scan over
+2^(2^n) candidates; carriers have 1 to 16 points.
+
+Every search runs over one (map, source, target) stream built by
+_contexts, or over the final convergences of topologies.
 """
 
 from __future__ import annotations
@@ -25,13 +32,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterator
 
-from .families import CapExceeded, Carrier, CarrierMap, ValidationError
-from .spaces import Convergence, topology_from_opens
+from .families import (
+    MAX_CARRIER,
+    CapExceeded,
+    Carrier,
+    CarrierMap,
+    ValidationError,
+    transpose,
+)
+from .spaces import Convergence, pretopology_table, topology_from_opens
 
 CONVERGENCE_CAP = 3
 PRETOPOLOGY_CAP = 4
+SAMPLING_CAP = 4
 
 CLASSES = ("convergence", "pseudotopology", "pretopology", "topology")
 
@@ -50,6 +66,8 @@ class EnumerationSpec:
 
 
 def default_carrier(n: int) -> Carrier:
+    if not 1 <= n <= MAX_CARRIER:
+        raise CapExceeded(f"carrier size {n} outside 1..{MAX_CARRIER}")
     return Carrier(tuple("abcdefghijklmnop"[:n]))
 
 
@@ -81,12 +99,8 @@ def point_downsets(n: int, i: int) -> tuple[int, ...]:
 
 
 def _conv_from_downsets(carrier: Carrier, choice: tuple[int, ...]) -> Convergence:
-    full = carrier.full
-    table = [0] * (full + 1)
-    for a in range(1, full + 1):
-        table[a] = sum(1 << i for i in carrier.points()
-                       if choice[i] >> a & 1)
-    return Convergence(carrier, tuple(table))
+    """lim ^A holds the points whose chosen downset contains A."""
+    return Convergence(carrier, transpose(choice, carrier.full + 1))
 
 
 @lru_cache(maxsize=None)
@@ -94,31 +108,9 @@ def all_convergences(carrier: Carrier) -> tuple[Convergence, ...]:
     if carrier.size > CONVERGENCE_CAP:
         raise CapExceeded(
             f"general convergences are enumerated up to n={CONVERGENCE_CAP}")
-    n = carrier.size
-    downsets = [point_downsets(n, i) for i in carrier.points()]
-    out = []
-    idx = [0] * n
-    while True:
-        out.append(_conv_from_downsets(
-            carrier, tuple(downsets[i][idx[i]] for i in range(n))))
-        k = n - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(downsets[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return tuple(out)
-
-
-def _pretopology_from_vmasks(carrier: Carrier, vmasks: tuple[int, ...]) -> Convergence:
-    full = carrier.full
-    table = [0] * (full + 1)
-    for a in range(1, full + 1):
-        table[a] = sum(1 << i for i in carrier.points()
-                       if a & ~vmasks[i] == 0)
-    return Convergence(carrier, tuple(table))
+    downsets = [point_downsets(carrier.size, i) for i in carrier.points()]
+    return tuple(_conv_from_downsets(carrier, choice)
+                 for choice in product(*downsets))
 
 
 @lru_cache(maxsize=None)
@@ -126,24 +118,11 @@ def all_pretopologies(carrier: Carrier) -> tuple[Convergence, ...]:
     if carrier.size > PRETOPOLOGY_CAP:
         raise CapExceeded(
             f"pretopologies are enumerated up to n={PRETOPOLOGY_CAP}")
-    n = carrier.size
-    out = []
     vmask_options = [
         [v for v in range(carrier.full + 1) if v >> i & 1]
-        for i in range(n)]
-    idx = [0] * n
-    while True:
-        out.append(_pretopology_from_vmasks(
-            carrier, tuple(vmask_options[i][idx[i]] for i in range(n))))
-        k = n - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(vmask_options[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return tuple(out)
+        for i in carrier.points()]
+    return tuple(Convergence(carrier, pretopology_table(vmasks))
+                 for vmasks in product(*vmask_options))
 
 
 def all_pseudotopologies(carrier: Carrier) -> tuple[Convergence, ...]:
@@ -183,6 +162,9 @@ def random_convergence(carrier: Carrier, rng: random.Random) -> Convergence:
     """A uniformly seeded (not uniformly distributed) valid table: random
     per-point downsets."""
     n = carrier.size
+    if n > SAMPLING_CAP:
+        raise CapExceeded(
+            f"convergences are sampled up to n={SAMPLING_CAP}")
     choice = []
     for i in carrier.points():
         options = point_downsets(n, i)
@@ -258,17 +240,10 @@ class SearchEntry:
     serialize: Callable[[object], dict]
 
 
-def _context_candidates(src_n: int, dst_n: int):
-    """Deterministic (map, source, target) stream over full universes."""
+def _contexts(maps, sources, targets):
+    """Deterministic (map, source, target) stream factory: the maps
+    outermost, the targets fastest."""
     from .maps import MapContext
-    src_c = default_carrier(src_n)
-    dst_c = Carrier(tuple("pqrs"[:dst_n]))
-    maps = surjections(src_c, dst_c)
-    if src_n <= CONVERGENCE_CAP:
-        sources = all_convergences(src_c)
-    else:
-        sources = all_topologies(src_c)
-    targets = all_convergences(dst_c)
 
     def gen():
         for f in maps:
@@ -276,6 +251,14 @@ def _context_candidates(src_n: int, dst_n: int):
                 for tau in targets:
                     yield MapContext(f, xi, tau)
     return gen
+
+
+def _convergence_contexts(src_n: int, dst_n: int):
+    """Every surjection of src_n onto dst_n points, between all
+    convergences on either side."""
+    src_c, dst_c = default_carrier(src_n), Carrier(tuple("pqrs"[:dst_n]))
+    return _contexts(surjections(src_c, dst_c), all_convergences(src_c),
+                     all_convergences(dst_c))
 
 
 def _serialize_context(ctx) -> dict:
@@ -327,8 +310,8 @@ def _serialize_final(cand) -> dict:
 
 
 def _closed_image_candidates():
-    from .maps import MapContext, continuous
-    gen0 = _context_candidates(3, 2)
+    from .maps import continuous
+    gen0 = _convergence_contexts(3, 2)
 
     def gen():
         for ctx in gen0():
@@ -351,33 +334,20 @@ def _register_flag_predicate(name: str, description: str,
                              want: dict[str, bool],
                              src_n: int = 3, dst_n: int = 2):
     PREDICATES[name] = SearchEntry(
-        description, _context_candidates(src_n, dst_n),
+        description, _convergence_contexts(src_n, dst_n),
         _flag_test(want), _serialize_context)
 
 
-def _bijection_candidates(n: int):
-    """Bijections over (pretopology, topology) pairs: the home of the
-    quotient-but-not-hereditarily-quotient pattern.  On a 2-point target
-    the two classes provably coincide (a 2-point pretopology is a topology
-    and openness is a pretopological invariant), so the hunt needs equal
-    3-point carriers."""
-    from .maps import MapContext
-    carrier = default_carrier(n)
-    maps = [f for f in surjections(carrier, carrier) if f.is_bijective()]
-    sources = all_pretopologies(carrier)
-    targets = all_topologies(carrier)
-
-    def gen():
-        for f in maps:
-            for xi in sources:
-                for tau in targets:
-                    yield MapContext(f, xi, tau)
-    return gen
-
-
+# Bijections over (pretopology, topology) pairs: the home of the
+# quotient-but-not-hereditarily-quotient pattern.  On a 2-point target the
+# two classes provably coincide (a 2-point pretopology is a topology and
+# openness is a pretopological invariant), so the hunt needs equal 3-point
+# carriers.
+_ABC = default_carrier(3)
 PREDICATES["quotient_not_hereditarily_quotient"] = SearchEntry(
     "quotient surjection that is not hereditarily quotient",
-    _bijection_candidates(3),
+    _contexts([f for f in surjections(_ABC, _ABC) if f.is_bijective()],
+              all_pretopologies(_ABC), all_topologies(_ABC)),
     _flag_test({"quotient": True, "hereditarily_quotient": False}),
     _serialize_context)
 _register_flag_predicate(

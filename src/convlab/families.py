@@ -12,13 +12,20 @@ non-degeneracy must check.
 Families are explicit finite sets of subsets; they are NOT kept upward
 closed.  Operations that need an isotone family isotonize internally and
 say so in their docstring.
+
+Every table built from per-point data comes from one of two recursions:
+union_table (entry H is the union of the point masks over the points of
+H) and meet_table (the intersection), with transpose to swap which side of
+a bit matrix the points index.  Images and preimages of a map, adherence
+tables, vicinity reaches, pretopology limit tables and the ultrafilter
+reflection are all instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_CARRIER = 16
 
@@ -355,11 +362,8 @@ class FiniteRelation:
         return Subset(self.target, self.image_mask(subset.bits))
 
     def inverse(self) -> "FiniteRelation":
-        rows = [0] * self.target.size
-        for i, r in enumerate(self.rows):
-            for j in bits_of(r):
-                rows[j] |= 1 << i
-        return FiniteRelation(self.target, self.source, tuple(rows))
+        return FiniteRelation(self.target, self.source,
+                              transpose(self.rows, self.target.size))
 
     def preimage_mask(self, mask: int) -> int:
         return self.inverse().image_mask(mask)
@@ -413,12 +417,10 @@ class CarrierMap:
             raise ValidationError(["map must be total"])
         if any(not 0 <= j < self.target.size for j in self.mapping):
             raise ValidationError(["map value outside the target carrier"])
-        fibers = [0] * self.target.size
-        for i, j in enumerate(self.mapping):
-            fibers[j] |= 1 << i
-        object.__setattr__(self, "image_table", _union_table(
-            [1 << j for j in self.mapping]))
-        object.__setattr__(self, "preimage_table", _union_table(fibers))
+        points = [1 << j for j in self.mapping]
+        object.__setattr__(self, "image_table", union_table(points))
+        object.__setattr__(self, "preimage_table", union_table(
+            transpose(points, self.target.size)))
 
     @classmethod
     def of(cls, source: Carrier, target: Carrier,
@@ -471,13 +473,44 @@ class CarrierMap:
         return self.is_surjective() and self.is_injective()
 
 
-def _union_table(point_masks: list[int]) -> tuple[int, ...]:
-    """For every mask over the points, the union of their point masks."""
-    table = [0] * (1 << len(point_masks))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | point_masks[low.bit_length() - 1]
+# ---------------------------------------------------------------------------
+# tables built from per-point data
+# ---------------------------------------------------------------------------
+
+def union_table(point_masks: Sequence[int]) -> tuple[int, ...]:
+    """For every mask over the points, the union of their point masks.
+
+    The table over the first i points doubles into the table over i + 1:
+    a mask holding point i is the same mask without it, joined with
+    point i's mask."""
+    table = [0]
+    for m in point_masks:
+        table += [t | m for t in table]
     return tuple(table)
+
+
+def meet_table(point_masks: Sequence[int], full: int) -> tuple[int, ...]:
+    """For every nonempty mask over the points, the intersection of their
+    point masks (within ``full``), by the doubling of union_table.  Entry 0
+    is 0: the empty set lies outside the table domain."""
+    table = [full]
+    for m in point_masks:
+        table += [t & m for t in table]
+    table[0] = 0
+    return tuple(table)
+
+
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The bit matrix with rows and columns swapped: column j of the result
+    holds bit i exactly when rows[i] holds bit j (j below ``width``)."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------

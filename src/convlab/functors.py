@@ -16,14 +16,17 @@ for F0, F1 and F_ALL, and S0 = S1 = S is one function under three names.
 That function is the closed form the antitone axiom gives: every class
 filter meshing ^F contains a point filter of F, so the operator sends
 lim ^F to the intersection of lim ^{x} over x in F (the ultrafilter
-formula), which is already a fixed point.  The literal operator
+formula, one families.meet_table of the singleton limits), which is
+already a fixed point.  The literal operator
 _adh_determined_step, iterated by reflect_by_steps, is the independent
 construction the law sweep compares it with on every enumerated space.
 
 The closed-principal class mentions the space's own closed sets, so T is
 iterated to a fixed point (one application already lands on the topology;
 the loop is the honest formulation).  topologize() is the independent
-open-set construction used as an oracle against reflect(F0_CLOSED, .).
+open-set construction used as an oracle against reflect(F0_CLOSED, .): the
+pretopology (spaces.pretopology_table) whose vicinities are the least open
+sets of the argument.
 
 The coreflectors Seq (sequentially based) and I1 (countable character) are
 likewise one definition-based construction over the principal class; K
@@ -38,13 +41,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .families import Carrier, InvariantViolation, ValidationError
+from .families import Carrier, InvariantViolation, ValidationError, meet_table
 from .spaces import (
     Convergence,
     adherence_table,
     closed_masks,
     finer,
     min_open_table,
+    pretopology_table,
 )
 
 
@@ -102,18 +106,6 @@ def reflect_by_steps(sel: Selector, conv: Convergence) -> Convergence:
         cur = nxt
 
 
-def _ultrafilter_table(conv: Convergence) -> tuple[int, ...]:
-    """lim' ^A = intersection of lim ^{x} over the points x of A."""
-    full = conv.carrier.full
-    table = conv.table
-    out = [full] * len(table)
-    for a in range(1, len(table)):
-        low = a & -a
-        out[a] = out[a ^ low] & table[low]
-    out[0] = 0
-    return tuple(out)
-
-
 def reflect(sel: Selector, conv: Convergence) -> Convergence:
     """The reflection of ``conv`` under the selector's operator; F0, F1 and
     F_ALL share one cache entry per space."""
@@ -124,20 +116,19 @@ def reflect(sel: Selector, conv: Convergence) -> Convergence:
 def _reflect(sel: Selector, conv: Convergence) -> Convergence:
     if sel is Selector.F0_CLOSED:
         return reflect_by_steps(sel, conv)
-    return Convergence(conv.carrier, _ultrafilter_table(conv))
+    # the ultrafilter formula: lim' ^A = intersection of lim ^{x}, x in A
+    carrier = conv.carrier
+    return Convergence(carrier, meet_table(
+        [conv.table[1 << i] for i in carrier.points()], carrier.full))
 
 
 @lru_cache(maxsize=None)
 def topologize(conv: Convergence) -> Convergence:
     """Topological reflection via open sets: x is a limit of ^A exactly when
-    every open set containing x includes A.  Must agree with
+    every open set containing x includes A, i.e. the pretopology whose
+    vicinities are the least open sets.  Must agree with
     reflect(F0_CLOSED, .) bit-exactly."""
-    carrier = conv.carrier
-    nbhd = min_open_table(conv)
-    table = [0] * (carrier.full + 1)
-    for a in range(1, carrier.full + 1):
-        table[a] = sum(1 << i for i in carrier.points() if a & ~nbhd[i] == 0)
-    return Convergence(carrier, tuple(table))
+    return Convergence(conv.carrier, pretopology_table(min_open_table(conv)))
 
 
 def pretopologize(conv: Convergence) -> Convergence:
@@ -302,16 +293,6 @@ class LawReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _continuous_maps(src: Convergence, dst: Convergence,
-                     maps: Iterable) -> set:
-    from .maps import MapContext, continuous  # local: avoid import cycle
-    out = set()
-    for f in maps:
-        if continuous(MapContext(f, src, dst)):
-            out.add(f)
-    return out
 
 
 def check_functor_laws(h: FunctorHandle, convs: list[Convergence],

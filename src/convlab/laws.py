@@ -388,11 +388,14 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
                     for a in range(full_s + 1))
                 if (eq2 and eq3) != _at(cont, i) or eq2 != eq3:
                     probs.append("closure continuity forms")
+                # cl B <= f(cl f^-1 B) for all B characterizes hereditarily
+                # quotient (pseudo-open) maps, q_gen at finite scale; the
+                # quotient form is the closedness-reflecting one below
                 eq4 = all(
                     cl_t(b) & ~img_a[cl_s(pre_b[b])] == 0
                     for b in tgt_sets)
-                if eq4 != _at(q_closed, i):
-                    probs.append("closure quotient form")
+                if eq4 != _at(q_gen, i):
+                    probs.append("closure hereditarily-quotient form")
                 eq5 = all(
                     cl_t(img_a[a]) & ~img_a[cl_s(a)] == 0
                     for a in range(full_s + 1))

@@ -18,6 +18,12 @@ definitions mention, so the query path runs in O(n * 2^n), not O(4^n):
   adherence_table  adh ^H = union of lim ^{x} over the points x of H
   open_masks       O is open iff it contains the vicinity of each point of O
 
+Both are families.union_table of per-point masks, and so is every
+pretopology: pretopology_table gives lim ^A = {x : A <= V(x)} as the
+families.meet_table of the transposed vicinities, for
+pretopology_from_vicinities, topology_from_opens and (in functors) the
+topologizer alike.
+
 The literal quantifications stay once each, as oracles that the law sweep
 and the property tests compare against: adherence_scan, open_masks_scan
 and antitone_scan.
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .families import (
     Carrier,
@@ -44,6 +50,9 @@ from .families import (
     ValidationError,
     bits_of,
     complement_family,
+    meet_table,
+    transpose,
+    union_table,
 )
 
 MAX_PRODUCT = 16
@@ -169,13 +178,8 @@ def adherence_table(conv: Convergence) -> tuple[int, ...]:
 
     Each mask K meeting H holds a point x of H, and lim^K <= lim^{x} by
     antitony, so adh[H] is the union of the singleton limits over the
-    points of H (lowest-bit recursion)."""
-    table = conv.table
-    out = [0] * len(table)
-    for h in range(1, len(table)):
-        low = h & -h
-        out[h] = out[h ^ low] | table[low]
-    return tuple(out)
+    points of H."""
+    return union_table([conv.table[1 << i] for i in conv.carrier.points()])
 
 
 def adherence_scan(conv: Convergence) -> tuple[int, ...]:
@@ -222,18 +226,11 @@ def vicinity_masks(conv: Convergence) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def open_masks(conv: Convergence) -> tuple[int, ...]:
     """All open masks: O is open iff it contains the vicinity of each of its
-    points.  The union of the vicinities over O is built by a lowest-bit
-    recursion; openness is then tested per mask, because a subset of an
-    open set need not be open."""
-    vic = vicinity_masks(conv)
-    reach = [0] * len(conv.table)
-    out = [0]
-    for o in range(1, len(reach)):
-        low = o & -o
-        reach[o] = reach[o ^ low] | vic[low.bit_length() - 1]
-        if reach[o] & ~o == 0:
-            out.append(o)
-    return tuple(out)
+    points.  The union of the vicinities over every mask is one table;
+    openness is then tested per mask, because a subset of an open set need
+    not be open."""
+    reach = union_table(vicinity_masks(conv))
+    return tuple(o for o, r in enumerate(reach) if r & ~o == 0)
 
 
 def open_masks_scan(conv: Convergence) -> tuple[int, ...]:
@@ -253,19 +250,19 @@ def closed_masks(conv: Convergence) -> tuple[int, ...]:
     return tuple(sorted(full & ~o for o in open_masks(conv)))
 
 
+def _least_opens(carrier: Carrier, opens: Iterable[int]) -> tuple[int, ...]:
+    """Per point, the intersection of the given opens that contain it."""
+    out = [carrier.full] * carrier.size
+    for o in opens:
+        for i in bits_of(o):
+            out[i] &= o
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def min_open_table(conv: Convergence) -> tuple[int, ...]:
     """Per point, the smallest open set containing it (opens are cap-closed)."""
-    full = conv.carrier.full
-    opens = open_masks(conv)
-    out = []
-    for i in conv.carrier.points():
-        acc = full
-        for o in opens:
-            if o >> i & 1:
-                acc &= o
-        out.append(acc)
-    return tuple(out)
+    return _least_opens(conv.carrier, open_masks(conv))
 
 
 def adherence_closure(adh: tuple[int, ...], mask: int) -> int:
@@ -301,16 +298,8 @@ def is_open(conv: Convergence, subset: Subset) -> bool:
     return subset.bits in open_masks(conv)
 
 
-def is_closed(conv: Convergence, subset: Subset) -> bool:
-    return subset.bits in closed_masks(conv)
-
-
 def open_sets(conv: Convergence) -> SetFamily:
     return SetFamily(conv.carrier, frozenset(open_masks(conv)))
-
-
-def closed_sets(conv: Convergence) -> SetFamily:
-    return SetFamily(conv.carrier, frozenset(closed_masks(conv)))
 
 
 def interior_mask(conv: Convergence, mask: int) -> int:
@@ -475,6 +464,14 @@ def indiscrete(carrier: Carrier) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
+def pretopology_table(vmasks: Sequence[int]) -> tuple[int, ...]:
+    """The limit table lim ^A = {x : A <= V(x)} of per-point vicinities:
+    the points y of A each allow the x with y in V(x), and lim ^A is the
+    intersection of those allowances."""
+    n = len(vmasks)
+    return meet_table(transpose(vmasks, n), (1 << n) - 1)
+
+
 def pretopology_from_vicinities(carrier: Carrier,
                                 vicinity: Mapping[str, Iterable[str]]
                                 ) -> Convergence:
@@ -489,11 +486,7 @@ def pretopology_from_vicinities(carrier: Carrier,
     violations += [f"vicinity map misses point {m}" for m in sorted(missing)]
     if violations:
         raise ValidationError(violations)
-    table = [0] * (carrier.full + 1)
-    for a in range(1, carrier.full + 1):
-        table[a] = sum(
-            1 << i for i in carrier.points() if a & ~vmasks[i] == 0)
-    return Convergence(carrier, tuple(table))
+    return Convergence(carrier, pretopology_table(vmasks))
 
 
 def topology_from_opens(carrier: Carrier,
@@ -521,14 +514,4 @@ def topology_from_opens(carrier: Carrier,
         break
     if violations:
         raise ValidationError(violations)
-    nbhd = []
-    for i in carrier.points():
-        acc = carrier.full
-        for o in masks:
-            if o >> i & 1:
-                acc &= o
-        nbhd.append(acc)
-    table = [0] * (carrier.full + 1)
-    for a in range(1, carrier.full + 1):
-        table[a] = sum(1 << i for i in carrier.points() if a & ~nbhd[i] == 0)
-    return Convergence(carrier, tuple(table))
+    return Convergence(carrier, pretopology_table(_least_opens(carrier, masks)))

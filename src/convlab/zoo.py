@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from .families import Carrier
-from .spaces import Convergence, discrete, pretopology_from_vicinities, topology_from_opens
+from .spaces import Convergence, pretopology_from_vicinities, topology_from_opens
 
 ABC = Carrier.of("a", "b", "c")
 AB = Carrier.of("a", "b")
 PQ = Carrier.of("p", "q")
 ZERO_ONE = Carrier.of("0", "1")
-POINT = Carrier.of("*")
 
 
 def chain_pretopology() -> Convergence:
@@ -37,7 +36,3 @@ def two_point_non_pseudo() -> Convergence:
     """lim^{a}={a,b}, lim^{b}={b}, lim^{a,b}={}: not a pseudotopology."""
     return Convergence.from_limits(
         AB, {("a",): ("a", "b"), ("b",): ("b",), ("a", "b"): ()})
-
-
-def point_space() -> Convergence:
-    return discrete(POINT)

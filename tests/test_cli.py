@@ -187,6 +187,21 @@ class TestCLI:
         for doc in docs:
             io.convergence_from_doc(doc)
 
+    @pytest.mark.parametrize("size", ["0", "5", "17"])
+    def test_enumerate_sampling_past_the_caps_exits_2(self, size, capsys):
+        """A carrier outside 1..16 points, or seeded sampling above 4
+        points (a scan over 2^(2^n) downset candidates), is refused at
+        once instead of hanging or silently shrinking."""
+        assert main(["enumerate", "--size", size, "--class", "convergence",
+                     "--seed", "1", "--count", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_enumerate_samples_four_points(self, capsys):
+        assert main(["enumerate", "--size", "4", "--class", "convergence",
+                     "--seed", "1", "--count", "1"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)
+        assert io.convergence_from_doc(doc).carrier.size == 4
+
     def test_search_emits_witness_file(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         assert main(["search", "--predicate", "almost_open_not_open",

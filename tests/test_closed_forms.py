@@ -1,5 +1,7 @@
 """The O(n * 2^n) closed forms on the query path against their literal
-O(4^n) oracles, on random spaces of 4 to 8 points; and the shared
+O(4^n) oracles, on random spaces of 4 to 8 points (the pretopology table
+against the vicinity formula written out, the topologizer against the
+iterated closed-class operator); and the shared
 principal-class evaluation in classify() against per-selector calls, on
 random surjections of 4 to 6 points onto 2 or 3."""
 
@@ -26,6 +28,7 @@ from convlab.spaces import (
     open_masks,
     open_masks_scan,
     pretopology_from_vicinities,
+    pretopology_table,
     validate_table,
 )
 
@@ -124,6 +127,25 @@ def test_pretopological_reflections_match_iterated_operator(space):
     conv = Convergence(*space)
     for sel in (Selector.F0, Selector.F1, Selector.F_ALL):
         assert reflect(sel, conv).table == reflect_by_steps(sel, conv).table
+
+
+@given(valid_tables())
+@SETTINGS
+def test_topologize_matches_iterated_closed_operator(space):
+    conv = Convergence(*space)
+    assert topologize(conv).table == \
+        reflect_by_steps(Selector.F0_CLOSED, conv).table
+
+
+@given(st.integers(4, 8).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@SETTINGS
+def test_pretopology_table_is_the_vicinity_formula(vmasks):
+    # lim ^A = {x : A <= V(x)}, on every nonempty A; nothing on the empty set
+    n = len(vmasks)
+    want = [0] + [sum(1 << x for x in range(n) if a & ~vmasks[x] == 0)
+                  for a in range(1, 1 << n)]
+    assert pretopology_table(vmasks) == tuple(want)
 
 
 @given(valid_tables())

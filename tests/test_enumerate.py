@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from convlab.enumerate import (
@@ -54,13 +56,58 @@ class TestUniverses:
                 assert validate_table(conv.carrier, conv.table) == []
 
     def test_caps(self):
+        for n in (0, 17):
+            with pytest.raises(CapExceeded):
+                default_carrier(n)
+        with pytest.raises(CapExceeded):
+            sample_convergences(default_carrier(5), 1, seed=0)
         with pytest.raises(CapExceeded):
             all_convergences(default_carrier(4))
         with pytest.raises(CapExceeded):
             all_pretopologies(Carrier(tuple(f"x{i}" for i in range(5))))
 
 
+def stream_digest(stream) -> str:
+    """SHA-256 over the limit tables of a stream, in stream order."""
+    h = hashlib.sha256()
+    for conv in stream:
+        h.update((",".join(map(str, conv.table)) + ";").encode())
+    return h.hexdigest()
+
+
+# stream_digest of each stream as first recorded: members and order are fixed
+PINNED_STREAMS = {
+    ("convergence", 2):
+        "e018501509cf0bf784e8886cae87453d54aabb91f90260d86f4c0baef253fed8",
+    ("convergence", 3):
+        "943af17871ffd0f12d911346a579d929aac9f99b9af5f5e5048f547bd0dbecea",
+    ("pretopology", 3):
+        "7a4c95a92af1f26639ec15c38c52ad1d0ab844f0116fc6a4eb849f1ec0a402a3",
+    ("pretopology", 4):
+        "b1b3b53bf452daffcbb513c2e8334558197cea1e31ab03e77e537fb20962d673",
+    ("topology", 3):
+        "3dd39c1f3b291f5298a96ea8ba6ec308c6194c79d1595e8507e07328452e4986",
+    ("topology", 4):
+        "71cb612190617375e295ae363a0c99aaa8ec54ab8991bf81b04ba66028ab6347",
+    ("sample", 3):
+        "bcb0e2b44e9d8dee4314691cca66dec47c73dda4b015a47abd7f7c88f96dbfc6",
+}
+STREAMS = {
+    "convergence": all_convergences,
+    "pretopology": all_pretopologies,
+    "topology": all_topologies,
+    "sample": lambda carrier: sample_convergences(carrier, 200, 0),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("klass, n", sorted(PINNED_STREAMS))
+    def test_stream_digest_is_pinned(self, klass, n):
+        """Members and order of every stream the law sweeps and searches
+        read, down to the first witness they report."""
+        stream = STREAMS[klass](default_carrier(n))
+        assert stream_digest(stream) == PINNED_STREAMS[klass, n]
+
     def test_same_stream_across_runs(self):
         a = enumerate_spaces(EnumerationSpec(3, "pretopology"))
         b = enumerate_spaces(EnumerationSpec(3, "pretopology"))

@@ -7,10 +7,11 @@ from convlab.enumerate import (
     default_carrier,
     surjections,
 )
-from convlab.families import Carrier, InvariantViolation
+from convlab.families import Carrier, CarrierMap, InvariantViolation
 from convlab.functors import Selector
 from convlab.laws import LawResult, emit_tables, run_laws
 from convlab.maps import MapContext, classify
+from convlab.spaces import indiscrete, topology_from_opens
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +219,21 @@ def test_universe_kernel_and_sweep_agree_with_classify(name, step):
                           stats)
     assert stats.vector_counts == want
     assert all(r.ok for r in stats.merged())
+
+
+def test_closure_form_characterizes_hereditarily_quotient_maps():
+    """cl B <= f(cl f^-1 B) for every B holds exactly for the hereditarily
+    quotient maps.  Here f: abcd -> pqr from the topology with opens
+    {}, {a,c}, X onto the indiscrete space is continuous and quotient but
+    not hereditarily quotient, and the closure form fails with it."""
+    src, dst = default_carrier(4), Carrier.of("p", "q", "r")
+    f = CarrierMap(src, dst, (2, 1, 0, 0))
+    xi = topology_from_opens(src, [0, 0b0101, src.full])
+    tau = indiscrete(dst)
+    report = classify(MapContext(f, xi, tau))
+    assert report.continuous and report.quotient
+    assert not report.hereditarily_quotient
+    stats = laws.SweepStats()
+    laws.sweep_domain([f], [xi], [tau], stats)
+    assert stats.topo_props.instances == 1
+    assert stats.topo_props.ok, stats.topo_props.failures
