@@ -1,6 +1,6 @@
 """Exhaustive generation of convergences, pretopologies, pseudotopologies
-and topologies on small carriers, plus predicate-driven counterexample
-search.
+and topologies on small carriers, the named sweep and search domains built
+from them, and predicate-driven counterexample search.
 
 Enumeration strategy per class:
 
@@ -11,11 +11,12 @@ Enumeration strategy per class:
                   limit table is the transpose of the chosen downsets.
   pretopology     vicinity maps V(x) containing x; lim ^A = {x : A <= V(x)}
                   (spaces.pretopology_table).
-  pseudotopology  same concrete parameterization: on a finite carrier a
-                  pseudotopology is determined by its point-filter limits,
-                  which is the vicinity data again.
+  pseudotopology  on a finite carrier a pseudotopology is determined by its
+                  point-filter limits, which is the vicinity data again:
+                  the pretopology stream.
   topology        brute force over open-set systems (the independent
-                  oracle for the class counts).
+                  oracle for the class counts), one generator; the cached
+                  tuple all_topologies is that generator read to the end.
 
 Streams are duplicate-free and deterministically ordered: itertools.product
 over the per-point choices, the last point varying fastest.  Caps are
@@ -23,8 +24,11 @@ n <= 3 for general convergences and n <= 4 for the other classes and for
 seeded sampling, whose per-point downsets are found by a scan over
 2^(2^n) candidates; carriers have 1 to 16 points.
 
-Every search runs over one (map, source, target) stream built by
-_contexts, or over the final convergences of topologies.
+A domain is the (maps, sources, targets) triple that a law sweep or a
+search runs over; domain(name) builds each named one from the cached
+universes, and the targets of a domain live on target_carrier.  Nothing is
+built at import: each search stream builds its domain when it is first
+read, so a command pays only for the universes it uses.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterator
 
 from .families import (
@@ -69,6 +73,12 @@ def default_carrier(n: int) -> Carrier:
     if not 1 <= n <= MAX_CARRIER:
         raise CapExceeded(f"carrier size {n} outside 1..{MAX_CARRIER}")
     return Carrier(tuple("abcdefghijklmnop"[:n]))
+
+
+def target_carrier(n: int) -> Carrier:
+    """The target carrier p, q, r, s of the sweep and search domains, cut
+    to n points."""
+    return Carrier(tuple("pqrs"[:n]))
 
 
 @lru_cache(maxsize=None)
@@ -125,22 +135,15 @@ def all_pretopologies(carrier: Carrier) -> tuple[Convergence, ...]:
                  for vmasks in product(*vmask_options))
 
 
-def all_pseudotopologies(carrier: Carrier) -> tuple[Convergence, ...]:
-    """Finite carriers: pseudotopologies are exactly the pretopologies
-    (point-filter limits determine both); same deterministic stream."""
-    return all_pretopologies(carrier)
-
-
-@lru_cache(maxsize=None)
-def all_open_systems(carrier: Carrier) -> tuple[frozenset[int], ...]:
-    """All open-set systems (families containing {} and X, closed under
-    union and intersection), brute force over proper nonempty masks."""
+def topologies(carrier: Carrier) -> Iterator[Convergence]:
+    """The topologies, one per open-set system (a family containing {} and
+    X, closed under union and intersection), by brute force over the
+    families of proper nonempty masks."""
     if carrier.size > PRETOPOLOGY_CAP:
         raise CapExceeded(
             f"topologies are enumerated up to n={PRETOPOLOGY_CAP}")
     full = carrier.full
     proper = [m for m in range(1, full)]
-    out = []
     for pick in range(1 << len(proper)):
         opens = {0, full}
         for k, m in enumerate(proper):
@@ -148,14 +151,12 @@ def all_open_systems(carrier: Carrier) -> tuple[frozenset[int], ...]:
                 opens.add(m)
         if all(a | b in opens and a & b in opens
                for a in opens for b in opens):
-            out.append(frozenset(opens))
-    return tuple(out)
+            yield topology_from_opens(carrier, opens)
 
 
 @lru_cache(maxsize=None)
 def all_topologies(carrier: Carrier) -> tuple[Convergence, ...]:
-    return tuple(topology_from_opens(carrier, opens)
-                 for opens in all_open_systems(carrier))
+    return tuple(topologies(carrier))
 
 
 def random_convergence(carrier: Carrier, rng: random.Random) -> Convergence:
@@ -192,10 +193,6 @@ def enumerate_spaces(spec: EnumerationSpec) -> tuple[Convergence, ...]:
     return all_topologies(carrier)
 
 
-def count_spaces(spec: EnumerationSpec) -> int:
-    return len(enumerate_spaces(spec))
-
-
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -221,15 +218,48 @@ def surjections(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:
                  if len(set(f.mapping)) == target.size)
 
 
+DOMAINS = ("2to2", "3to2", "3to3 pretopologies",
+           "3to3 pretopologies onto topologies", "3to3 sampled")
+
+
+def domain(name: str) -> tuple[tuple[CarrierMap, ...],
+                               tuple[Convergence, ...],
+                               tuple[Convergence, ...]]:
+    """(maps, sources, targets) of a named domain, built on each call from
+    the cached universes:
+
+      2to2, 3to2      the surjections of 2 or 3 points onto 2, all
+                      convergences on both sides
+      3to3 pretopologies
+                      the bijections of a, b, c, pretopologies on both sides
+      3to3 pretopologies onto topologies
+                      the same bijections, onto topologies
+      3to3 sampled    the same bijections, 200 sources sampled from seed 0
+                      and 20 targets from seed 1
+    """
+    if name not in DOMAINS:
+        raise ValidationError(
+            [f"unknown domain {name!r}; choose from {DOMAINS}"])
+    if name in ("2to2", "3to2"):
+        src, dst = default_carrier(int(name[0])), target_carrier(2)
+        return (surjections(src, dst), all_convergences(src),
+                all_convergences(dst))
+    c3 = default_carrier(3)
+    bijections = tuple(f for f in surjections(c3, c3) if f.is_bijective())
+    if name == "3to3 sampled":
+        return (bijections, sample_convergences(c3, 200, 0),
+                sample_convergences(c3, 20, 1))
+    targets = (all_topologies(c3) if name.endswith("onto topologies")
+               else all_pretopologies(c3))
+    return bijections, all_pretopologies(c3), targets
+
+
 @dataclass(frozen=True, slots=True)
 class SearchResult:
     predicate: str
     witness: dict | None
     examined: int
-
-    @property
-    def exhausted(self) -> bool:
-        return self.witness is None
+    exhausted: bool  # the stream ran out without a witness
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,25 +270,19 @@ class SearchEntry:
     serialize: Callable[[object], dict]
 
 
-def _contexts(maps, sources, targets):
-    """Deterministic (map, source, target) stream factory: the maps
-    outermost, the targets fastest."""
+def _contexts(domain_name: str):
+    """Factory of the deterministic (map, source, target) stream of a named
+    domain, built when the stream is first read: the maps outermost, the
+    targets fastest."""
     from .maps import MapContext
 
     def gen():
+        maps, sources, targets = domain(domain_name)
         for f in maps:
             for xi in sources:
                 for tau in targets:
                     yield MapContext(f, xi, tau)
     return gen
-
-
-def _convergence_contexts(src_n: int, dst_n: int):
-    """Every surjection of src_n onto dst_n points, between all
-    convergences on either side."""
-    src_c, dst_c = default_carrier(src_n), Carrier(tuple("pqrs"[:dst_n]))
-    return _contexts(surjections(src_c, dst_c), all_convergences(src_c),
-                     all_convergences(dst_c))
 
 
 def _serialize_context(ctx) -> dict:
@@ -280,16 +304,15 @@ def _flag_test(want: dict[str, bool]) -> Callable:
 
 
 def _topology_final_candidates(src_n: int, dst_n: int):
+    """Factory of the (map, topology, final convergence) stream; the
+    topologies are generated afresh for each map, so a hunt that stops
+    early builds only the topologies it examines."""
     from .maps import final_convergence
 
-    src_c = default_carrier(src_n)
-    dst_c = Carrier(tuple("pqrs"[:dst_n]))
-    maps = surjections(src_c, dst_c)
-    tops = all_topologies(src_c)
-
     def gen():
-        for f in maps:
-            for xi in tops:
+        src_c = default_carrier(src_n)
+        for f in surjections(src_c, target_carrier(dst_n)):
+            for xi in topologies(src_c):
                 yield (f, xi, final_convergence(f, xi))
     return gen
 
@@ -311,7 +334,7 @@ def _serialize_final(cand) -> dict:
 
 def _closed_image_candidates():
     from .maps import continuous
-    gen0 = _convergence_contexts(3, 2)
+    gen0 = _contexts("3to2")
 
     def gen():
         for ctx in gen0():
@@ -327,58 +350,43 @@ def _closed_image_not_closed(ctx) -> bool:
                for c in closed_masks(ctx.source))
 
 
-PREDICATES: dict[str, SearchEntry] = {}
+# (description, domain, wanted flags) of every search over classify's
+# flags.  The quotient-but-not-hereditarily-quotient pattern needs equal
+# 3-point carriers: on a 2-point target the two classes provably coincide
+# (a 2-point pretopology is a topology and openness is a pretopological
+# invariant).
+_FLAG_PREDICATES = {
+    "quotient_not_hereditarily_quotient": (
+        "quotient surjection that is not hereditarily quotient",
+        "3to3 pretopologies onto topologies",
+        {"quotient": True, "hereditarily_quotient": False}),
+    "closed_not_adherent": (
+        "closed surjection that is not adherent",
+        "3to2", {"closed": True, "adherent": False}),
+    "quotient_not_closed": (
+        "quotient surjection that is not closed",
+        "3to2", {"quotient": True, "closed": False}),
+    "almost_open_not_open": (
+        "almost open surjection that is not open",
+        "3to2", {"almost_open": True, "open": False}),
+    "biquotient_not_almost_open": (
+        "biquotient surjection that is not almost open",
+        "3to2", {"biquotient": True, "almost_open": False}),
+    "biquotient_not_perfect": (
+        "biquotient surjection that is not perfect",
+        "3to2", {"biquotient": True, "perfect": False}),
+    "hereditarily_quotient_not_biquotient": (
+        "collapses at finite scale: expected exhausted",
+        "2to2", {"hereditarily_quotient": True, "biquotient": False}),
+    "perfect_not_closed": (
+        "impossible by the implication ladder: expected exhausted",
+        "2to2", {"perfect": True, "closed": False}),
+}
 
-
-def _register_flag_predicate(name: str, description: str,
-                             want: dict[str, bool],
-                             src_n: int = 3, dst_n: int = 2):
-    PREDICATES[name] = SearchEntry(
-        description, _convergence_contexts(src_n, dst_n),
-        _flag_test(want), _serialize_context)
-
-
-# Bijections over (pretopology, topology) pairs: the home of the
-# quotient-but-not-hereditarily-quotient pattern.  On a 2-point target the
-# two classes provably coincide (a 2-point pretopology is a topology and
-# openness is a pretopological invariant), so the hunt needs equal 3-point
-# carriers.
-_ABC = default_carrier(3)
-PREDICATES["quotient_not_hereditarily_quotient"] = SearchEntry(
-    "quotient surjection that is not hereditarily quotient",
-    _contexts([f for f in surjections(_ABC, _ABC) if f.is_bijective()],
-              all_pretopologies(_ABC), all_topologies(_ABC)),
-    _flag_test({"quotient": True, "hereditarily_quotient": False}),
-    _serialize_context)
-_register_flag_predicate(
-    "closed_not_adherent",
-    "closed surjection that is not adherent",
-    {"closed": True, "adherent": False})
-_register_flag_predicate(
-    "quotient_not_closed",
-    "quotient surjection that is not closed",
-    {"quotient": True, "closed": False})
-_register_flag_predicate(
-    "almost_open_not_open",
-    "almost open surjection that is not open",
-    {"almost_open": True, "open": False})
-_register_flag_predicate(
-    "biquotient_not_almost_open",
-    "biquotient surjection that is not almost open",
-    {"biquotient": True, "almost_open": False})
-_register_flag_predicate(
-    "biquotient_not_perfect",
-    "biquotient surjection that is not perfect",
-    {"biquotient": True, "perfect": False})
-_register_flag_predicate(
-    "hereditarily_quotient_not_biquotient",
-    "collapses at finite scale: expected exhausted",
-    {"hereditarily_quotient": True, "biquotient": False}, src_n=2, dst_n=2)
-_register_flag_predicate(
-    "perfect_not_closed",
-    "impossible by the implication ladder: expected exhausted",
-    {"perfect": True, "closed": False}, src_n=2, dst_n=2)
-
+PREDICATES: dict[str, SearchEntry] = {
+    name: SearchEntry(description, _contexts(domain_name), _flag_test(want),
+                      _serialize_context)
+    for name, (description, domain_name, want) in _FLAG_PREDICATES.items()}
 PREDICATES["topology_final_not_topology"] = SearchEntry(
     "topology whose final convergence is not a topology (4 -> 3)",
     _topology_final_candidates(4, 3), _final_not_topology, _serialize_final)
@@ -401,17 +409,22 @@ class SearchTask:
             raise ValidationError(
                 [f"unknown predicate {self.predicate!r}; "
                  f"choose from {sorted(PREDICATES)}"])
+        if self.limit is not None and self.limit < 1:
+            raise ValidationError(
+                [f"search limit must be at least 1, got {self.limit}"])
 
 
 def search(task: SearchTask) -> SearchResult:
-    """First witness in the deterministic candidate order, or exhaustion
-    with the number of examined candidates."""
+    """First witness in the deterministic candidate order, or none with the
+    number of examined candidates; exhausted when no candidate is left, so
+    a search cut at its limit is not."""
     entry = PREDICATES[task.predicate]
+    stream = entry.candidates()
     examined = 0
-    for cand in entry.candidates():
+    for cand in islice(stream, task.limit):
         examined += 1
         if entry.test(cand):
-            return SearchResult(task.predicate, entry.serialize(cand), examined)
-        if task.limit is not None and examined >= task.limit:
-            break
-    return SearchResult(task.predicate, None, examined)
+            return SearchResult(task.predicate, entry.serialize(cand),
+                                examined, False)
+    exhausted = examined != task.limit or next(stream, None) is None
+    return SearchResult(task.predicate, None, examined, exhausted)

@@ -17,10 +17,16 @@ complement tables; the relation-compactness characterizations are (k, bad)
 constraints on the limit tables, built from one bad-points mask per filter
 base; the flag-vector histogram refines the universe by the flag bitsets
 and counts each cell by popcount.  The topological closure forms still run
-per context, on the pairs of topologies only.  On the contexts whose
-number is a multiple of the stride, the kernel's graph-closedness flag and
-the relation-compactness verdicts are compared with the relation-level
+per context, on the pairs of topologies only, together with the open-set
+form of openness.  On the contexts whose number is a multiple of
+CROSSCHECK_STRIDE, the kernel's graph-closedness flag and the
+relation-compactness verdicts are compared with the relation-level
 implementations in maps and compactness.
+
+run_laws sweeps the enumerate domains named in LAW_DOMAINS, in that order
+(a smoke run, max_size 2, only the first); the preservation grid and
+emit_tables read the surjections onto 2 points.  Sample sizes and the seed
+are fixed, so a run is determined by max_size alone.
 
 LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
 counts every failure in failures_total.
@@ -40,6 +46,7 @@ from .compactness import (
     completeness_number_finite,
     image_of_compact,
     is_compact_at,
+    is_compactoid_filter,
     is_relation_compact,
 )
 from .enumerate import (
@@ -48,11 +55,12 @@ from .enumerate import (
     all_pretopologies,
     all_topologies,
     default_carrier,
-    sample_convergences,
+    domain,
     surjections,
+    target_carrier,
 )
 from .families import (
-    Carrier,
+    FiniteFilter,
     FiniteRelation,
     InvariantViolation,
     SetFamily,
@@ -88,6 +96,7 @@ from .maps import (
     identity_map,
     initial_convergence,
     is_JE,
+    is_open_map_topological,
     is_quotient_like,
     map_flags,
 )
@@ -110,6 +119,10 @@ from .spaces import (
 from .zoo import chain_pretopology, sierpinski
 
 MAX_REPORTED_FAILURES = 5
+# the sampled cross-check visits the contexts numbered by a multiple of this
+CROSSCHECK_STRIDE = 997
+# the sweep domains of run_laws, in sweep order; a smoke run sweeps the first
+LAW_DOMAINS = ("2to2", "3to2", "3to3 pretopologies", "3to3 sampled")
 
 
 @dataclass(slots=True)
@@ -243,8 +256,7 @@ def _rc_constraints(bad_of, within, meet_of, full: int) -> tuple:
     return tuple((k, bad) for k, bad in enumerate(out) if bad)
 
 
-def sweep_domain(maps, sources, targets, stats: SweepStats,
-                 crosscheck_stride: int = 997) -> None:
+def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     """One fused pass, transposed over the targets: they form one
     maps.TargetUniverse, and each (map, source) pair builds one MapFacts
     and decides every target at once.  map_flags returns each flag as a
@@ -377,6 +389,10 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
                 probs = []
                 if _at(p_closed, i) != _at(p_gen, i):
                     probs.append("closed/adherent/perfect split")
+                # between topologies, open images of open sets is openness
+                if (is_open_map_topological(MapContext(f, xi, targets[i]))
+                        != _at(flags["open"], i)):
+                    probs.append("open-set form of openness")
                 # closure-form propositions
                 cl_s = partial(adherence_closure, adh_s)
                 cl_t = partial(adherence_closure, adh_t)
@@ -433,8 +449,8 @@ def sweep_domain(maps, sources, targets, stats: SweepStats,
 
             # sampled cross-check against reference implementations, at
             # the contexts numbered by a multiple of the stride
-            for i in range((-node - 1) % crosscheck_stride, n,
-                           crosscheck_stride):
+            for i in range((-node - 1) % CROSSCHECK_STRIDE, n,
+                           CROSSCHECK_STRIDE):
                 tau = targets[i]
                 stats.crosscheck.instances += 1
                 if (graph_closed(f.as_relation(), xi, tau)
@@ -704,11 +720,8 @@ def suite_compactness_extras(max_size: int) -> LawResult:
                 jchi = reflect(sel, chi)
                 for h in range(1, carrier.full + 1):
                     r.instances += 1
-                    compactoid = is_compact_at(CompactnessQuery(
-                        conv,
-                        SetFamily(carrier, frozenset({h})),
-                        SetFamily(carrier, frozenset({carrier.full})),
-                        sel))
+                    compactoid = is_compactoid_filter(
+                        conv, FiniteFilter(carrier, h), sel)
                     if compactoid != bool(jchi.table[h]):
                         r.fail(
                             f"characteristic detection fails ({sel}) on {conv!r}")
@@ -724,17 +737,15 @@ def suite_compactness_extras(max_size: int) -> LawResult:
                     if at_x != bool(s.table[h] >> x & 1):
                         r.fail(f"S-limit/compact-at gap on {conv!r}")
                 # every convergent filter is compactoid
-                if conv.table[h] and not is_compact_at(CompactnessQuery(
-                        conv, SetFamily(carrier, frozenset({h})),
-                        SetFamily(carrier, frozenset({carrier.full})),
-                        Selector.F_ALL)):
+                if conv.table[h] and not is_compactoid_filter(
+                        conv, FiniteFilter(carrier, h)):
                     r.fail(f"convergent filter not compactoid on {conv!r}")
             r.instances += 1
             if completeness_number_finite(conv) != 0:
                 r.fail("finite completeness number must be 0")
     # image of compact at 2x2, all relations, all spaces, all selectors
     c2 = default_carrier(2)
-    d2 = Carrier(("p", "q"))
+    d2 = target_carrier(2)
     universe2 = all_convergences(c2)
     targets2 = all_convergences(d2)
     for rows in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2),
@@ -763,7 +774,7 @@ def suite_graph_closedness() -> LawResult:
     inversion; continuous maps into Hausdorff targets are graph-closed."""
     r = LawResult("graph-closedness (product, symmetry, Hausdorff)")
     c2 = default_carrier(2)
-    d2 = Carrier(("p", "q"))
+    d2 = target_carrier(2)
     universe2 = all_convergences(c2)
     targets2 = all_convergences(d2)
     from .maps import is_hausdorff
@@ -911,7 +922,7 @@ def suite_family_algebra() -> LawResult:
         rel_image_family, rel_preimage_family, filter_meet, ultrafilters_of)
     r = LawResult("family algebra: transport, duality, rel-map")
     for n, m in ((2, 2), (3, 2), (3, 3), (2, 3)):
-        src, dst = default_carrier(n), Carrier(tuple("pqrs"[:m]))
+        src, dst = default_carrier(n), target_carrier(m)
         for f in surjections(src, dst):
             for g in range(1, src.full + 1):
                 r.instances += 1
@@ -924,7 +935,7 @@ def suite_family_algebra() -> LawResult:
                 if f.image_mask(f.preimage_mask(h)) != h:
                     r.fail("image-of-preimage not identity (surjection)")
     c2 = default_carrier(2)
-    d2 = Carrier(("p", "q"))
+    d2 = target_carrier(2)
     fams2 = [SetFamily(c2, frozenset(ms))
              for pick in range(16)
              for ms in [tuple(m for m in range(4) if pick >> m & 1)]]
@@ -968,20 +979,25 @@ def suite_family_algebra() -> LawResult:
 # runner
 # ---------------------------------------------------------------------------
 
-def run_laws(max_size: int = 3, functor_samples: int = 10_000,
-             duality_samples: int = 10_000, seed: int = 0) -> LawSuiteReport:
-    """Run every suite; max_size trims the universes (2 for a smoke run,
-    3 for the full acceptance surface)."""
+def _maps_domain(max_size: int) -> str:
+    """The surjections onto 2 points that the preservation grid and the
+    tables read: from 3 points for the full surface, from 2 for a smoke
+    run."""
+    return "3to2" if max_size >= 3 else "2to2"
+
+
+def run_laws(max_size: int = 3) -> LawSuiteReport:
+    """Run every suite; max_size trims the universes and the samples (2 for
+    a smoke run, 3 for the full acceptance surface)."""
     t0 = time.perf_counter()
+    full = max_size >= 3
     results: list[LawResult] = []
     results.append(suite_axioms_and_lattice())
     results.append(suite_family_algebra())
     results.append(suite_finite_collapse(min(max_size, 3)))
     results.append(suite_reflector_ordering(min(max_size, 3)))
-    results.append(suite_functor_laws(
-        functor_samples if max_size >= 3 else 200, seed))
-    results.append(suite_cover_duality(
-        duality_samples if max_size >= 3 else 500, seed))
+    results.append(suite_functor_laws(10_000 if full else 200, seed=0))
+    results.append(suite_cover_duality(10_000 if full else 500, seed=0))
     results.append(suite_enumeration_counts())
     results.append(suite_compactness_extras(min(max_size, 3)))
     results.append(suite_graph_closedness())
@@ -991,30 +1007,10 @@ def run_laws(max_size: int = 3, functor_samples: int = 10_000,
     results.append(suite_strictness_witnesses())
 
     stats = SweepStats()
-    domains = [(2, 2)]
-    if max_size >= 3:
-        domains.append((3, 2))
-    for src_n, dst_n in domains:
-        src_c = default_carrier(src_n)
-        dst_c = Carrier(tuple("pqrs"[:dst_n]))
-        sweep_domain(surjections(src_c, dst_c), all_convergences(src_c),
-                     all_convergences(dst_c), stats)
-    if max_size >= 3:
-        # bijection sweep at n=3 over the pretopology universe
-        c3 = default_carrier(3)
-        pre3 = all_pretopologies(c3)
-        bijections = [f for f in surjections(c3, c3) if f.is_bijective()]
-        sweep_domain(bijections, pre3, pre3, stats)
-        # sampled general bijection pairs
-        sample = sample_convergences(c3, 200, seed)
-        sweep_domain(bijections, sample,
-                     tuple(sample_convergences(c3, 20, seed + 1)), stats)
+    for name in LAW_DOMAINS if full else LAW_DOMAINS[:1]:
+        sweep_domain(*domain(name), stats)
     results.extend(stats.merged())
-    grid_n = 3 if max_size >= 3 else 2
-    results.append(suite_preservation_grid(
-        surjections(default_carrier(grid_n), Carrier(("p", "q"))),
-        all_convergences(default_carrier(grid_n)),
-        all_convergences(Carrier(("p", "q")))))
+    results.append(suite_preservation_grid(*domain(_maps_domain(max_size))))
     return LawSuiteReport(results, time.perf_counter() - t0)
 
 
@@ -1066,10 +1062,7 @@ def emit_tables(max_size: int = 3) -> dict:
     witness = cache(lambda pred: search(SearchTask(pred)).witness)
 
     stats = SweepStats()
-    src_c = default_carrier(min(max_size, 3))
-    dst_c = Carrier(("p", "q"))
-    sweep_domain(surjections(src_c, dst_c), all_convergences(src_c),
-                 all_convergences(dst_c), stats)
+    sweep_domain(*domain(_maps_domain(max_size)), stats)
     vectors = []
     for key, count in stats.vector_counts.items():
         vectors.append((dict(key), count))

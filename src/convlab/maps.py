@@ -590,22 +590,6 @@ def is_JE(conv: Convergence, j: FunctorHandle, e: FunctorHandle) -> bool:
     return by_order
 
 
-@dataclass(frozen=True, slots=True)
-class PreservationReport:
-    applicable: bool  # f continuous J-quotient and the source is JE
-    holds: bool       # target is JE (vacuously True when not applicable)
-
-
-def check_preservation(ctx: MapContext, j: FunctorHandle,
-                       e: FunctorHandle) -> PreservationReport:
-    """Continuous J-quotient images of JE-spaces are JE."""
-    _require_kinds(j, e)
-    applicable = (continuous(ctx) and _quotient_for_handle(ctx, j)
-                  and is_JE(ctx.source, j, e))
-    holds = is_JE(ctx.target, j, e) if applicable else True
-    return PreservationReport(applicable, holds)
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

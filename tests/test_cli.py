@@ -209,6 +209,18 @@ class TestCLI:
         emitted = json.loads(out.read_text())
         assert set(emitted) == {"map", "source", "target"}
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_search_limit_below_one_exits_2(self, limit, capsys):
+        assert main(["search", "--predicate", "closed_not_adherent",
+                     "--limit", limit]) == 2
+        assert "limit" in capsys.readouterr().err
+
+    def test_search_cut_at_its_limit_is_not_exhausted(self, capsys):
+        assert main(["search", "--predicate", "closed_not_adherent",
+                     "--limit", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["examined"] == 1 and doc["exhausted"] is False
+
     def test_exemplar_fan_and_prime(self, capsys):
         assert main(["exemplar", "fan", "--check"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -1,22 +1,26 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 from convlab.enumerate import (
+    DOMAINS,
     EnumerationSpec,
     SearchTask,
     all_convergences,
     all_maps,
     all_pretopologies,
-    all_pseudotopologies,
     all_topologies,
-    count_spaces,
     default_carrier,
+    domain,
     enumerate_spaces,
     point_downsets,
     sample_convergences,
     search,
     surjections,
+    target_carrier,
 )
 from convlab.families import CapExceeded, Carrier, CarrierMap, ValidationError
 
@@ -35,8 +39,8 @@ class TestUniverses:
 
     def test_pseudotopologies_coincide_with_pretopologies(self):
         from convlab.functors import is_pseudotopology
-        ps = all_pseudotopologies(default_carrier(3))
-        assert ps == all_pretopologies(default_carrier(3))
+        ps = all_pretopologies(default_carrier(3))
+        assert enumerate_spaces(EnumerationSpec(3, "pseudotopology")) == ps
         assert all(is_pseudotopology(c) for c in ps[::7])
 
     def test_vicinity_count_formula(self):
@@ -65,6 +69,61 @@ class TestUniverses:
             all_convergences(default_carrier(4))
         with pytest.raises(CapExceeded):
             all_pretopologies(Carrier(tuple(f"x{i}" for i in range(5))))
+
+
+class TestDomains:
+    def test_each_domain_is_the_construction_it_replaced(self):
+        c2, c3, d2 = default_carrier(2), default_carrier(3), Carrier.of("p", "q")
+        bijections = tuple(f for f in all_maps(c3, c3) if f.is_bijective())
+        pre3 = all_pretopologies(c3)
+        want = {
+            "2to2": (surjections(c2, d2), all_convergences(c2),
+                     all_convergences(d2)),
+            "3to2": (surjections(c3, d2), all_convergences(c3),
+                     all_convergences(d2)),
+            "3to3 pretopologies": (bijections, pre3, pre3),
+            "3to3 pretopologies onto topologies":
+                (bijections, pre3, all_topologies(c3)),
+            "3to3 sampled": (bijections, sample_convergences(c3, 200, 0),
+                             sample_convergences(c3, 20, 1)),
+        }
+        assert sorted(DOMAINS) == sorted(want)
+        for name in DOMAINS:
+            assert domain(name) == want[name], name
+        assert len(bijections) == 6
+        assert target_carrier(3) == Carrier.of("p", "q", "r")
+
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValidationError):
+            domain("4to4")
+
+
+def _fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports convlab from the same
+    sources as this one; its standard output."""
+    import convlab
+    src = os.path.dirname(os.path.dirname(convlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestBuiltOnFirstUse:
+    def test_import_builds_no_universe(self):
+        out = _fresh(
+            "import convlab.laws\n"
+            "from convlab import enumerate as e\n"
+            "print(*[f.cache_info().currsize for f in (e.all_convergences,"
+            " e.all_pretopologies, e.all_topologies, e.point_downsets)])")
+        assert out.split() == ["0", "0", "0", "0"]
+
+    def test_final_topology_hunt_builds_only_what_it_examines(self):
+        out = _fresh(
+            "from convlab import enumerate as e\n"
+            "res = e.search(e.SearchTask('topology_final_not_topology'))\n"
+            "print(res.examined, res.witness is not None,"
+            " e.all_topologies.cache_info().currsize)")
+        assert out.split() == ["9", "True", "0"]
 
 
 def stream_digest(stream) -> str:
@@ -123,9 +182,6 @@ class TestDeterminism:
     def test_spec_sampling_requires_seed(self):
         with pytest.raises(ValidationError):
             enumerate_spaces(EnumerationSpec(3, "convergence", count=5))
-
-    def test_count_spaces(self):
-        assert count_spaces(EnumerationSpec(2, "convergence")) == 9
 
 
 class TestSearch:
@@ -192,6 +248,20 @@ class TestSearch:
     def test_limit_cuts_off(self):
         res = search(SearchTask("closed_not_adherent", limit=10))
         assert res.examined == 10 and res.witness is None
+        assert not res.exhausted
+
+    def test_exhausted_only_when_the_stream_runs_out(self):
+        # the 2 -> 2 stream has 162 candidates and no witness
+        cut = search(SearchTask("perfect_not_closed", limit=161))
+        assert cut.examined == 161 and not cut.exhausted
+        for limit in (162, 163, None):
+            res = search(SearchTask("perfect_not_closed", limit=limit))
+            assert res.examined == 162 and res.exhausted
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValidationError):
+            SearchTask("closed_not_adherent", limit=limit)
 
     def test_surjections_count(self):
         assert len(surjections(default_carrier(3), Carrier.of("p", "q"))) == 6

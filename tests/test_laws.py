@@ -1,12 +1,7 @@
 import pytest
 
 from convlab import laws, maps
-from convlab.enumerate import (
-    all_convergences,
-    all_pretopologies,
-    default_carrier,
-    surjections,
-)
+from convlab.enumerate import default_carrier, domain
 from convlab.families import Carrier, CarrierMap, InvariantViolation
 from convlab.functors import Selector
 from convlab.laws import LawResult, emit_tables, run_laws
@@ -75,17 +70,6 @@ class TestErrorsPropagate:
         assert len(calls) == 1
 
 
-def _domain(name):
-    """(maps, sources, targets) of a sweep domain of run_laws."""
-    c2, c3, d2 = default_carrier(2), default_carrier(3), Carrier(("p", "q"))
-    if name in ("2to2", "3to2"):
-        src = c2 if name == "2to2" else c3
-        return (surjections(src, d2), all_convergences(src),
-                all_convergences(d2))
-    pre3 = all_pretopologies(c3)
-    return ([f for f in surjections(c3, c3) if f.is_bijective()], pre3, pre3)
-
-
 def _first_fault_by_scan(maps_, sources, targets) -> str:
     """The message classify raises first, one context at a time."""
     for f in maps_:
@@ -103,10 +87,8 @@ class TestRouteDisagreement:
         # without triggers the cover routes hold wherever the others fail
         monkeypatch.setattr(maps.MapFacts, "_cover_triggers",
                             lambda self, pairs: ())
-        c2, d2 = default_carrier(2), Carrier(("p", "q"))
         with pytest.raises(InvariantViolation, match="routes disagree"):
-            laws.sweep_domain(surjections(c2, d2), all_convergences(c2),
-                              all_convergences(d2), laws.SweepStats())
+            laws.sweep_domain(*domain("2to2"), laws.SweepStats())
 
     @staticmethod
     def _broken_covers(self, sel, build=maps.MapFacts._build_routes):
@@ -129,7 +111,7 @@ class TestRouteDisagreement:
         else:
             monkeypatch.setattr(maps.MapFacts, "_build_routes",
                                 self._broken_covers)
-        maps_, sources, targets = _domain("2to2")
+        maps_, sources, targets = domain("2to2")
         targets = targets[::order]
         with pytest.raises(InvariantViolation) as swept:
             laws.sweep_domain(maps_, sources, targets, laws.SweepStats())
@@ -172,7 +154,7 @@ PINNED_SWEEPS = {
         "bijections: quotient <-> perfect per class": 162,
         "fused sweep vs reference implementations": 0,
     }),
-    "3to3 pretopology bijections": (24576, {
+    "3to3 pretopologies": (24576, {
         "route agreement (quotient x3, perfect x2)": 122880,
         "continuity equivalences (adherence forms)": 24576,
         "final/initial adjunction + adherence transport": 24960,
@@ -186,10 +168,15 @@ PINNED_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+# keeps the test ids stable
+_IDS = {"3to3 pretopologies": "3to3 pretopology bijections"}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, id=_IDS.get(name, name)) for name in PINNED_SWEEPS])
 def test_sweep_counts_are_pinned(name):
     stats = laws.SweepStats()
-    laws.sweep_domain(*_domain(name), stats)
+    laws.sweep_domain(*domain(name), stats)
     contexts, instances = PINNED_SWEEPS[name]
     assert stats.contexts == contexts
     assert {r.name: r.instances for r in stats.merged()} == instances
@@ -197,12 +184,13 @@ def test_sweep_counts_are_pinned(name):
 
 
 @pytest.mark.parametrize("name, step", [
-    ("2to2", 1), ("3to2", 5), ("3to3 pretopology bijections", 7)])
+    pytest.param(name, step, id=f"{_IDS.get(name, name)}-{step}")
+    for name, step in [("2to2", 1), ("3to2", 5), ("3to3 pretopologies", 7)]])
 def test_universe_kernel_and_sweep_agree_with_classify(name, step):
     """On every step-th (map, source) pair, bit i of every flag bitset is
     classify on target i, and the sweep's flag-vector histogram is the
     histogram of those classify results."""
-    maps_, sources, targets = _domain(name)
+    maps_, sources, targets = domain(name)
     pairs = [(f, xi) for f in maps_ for xi in sources][::step]
     universe = maps.TargetUniverse(targets)
     stats = laws.SweepStats()

@@ -18,7 +18,6 @@ from convlab.maps import (
     is_open_map_topological,
     is_perfect_like,
     is_quotient_like,
-    check_preservation,
 )
 from convlab.spaces import Convergence, adherence_table, discrete, pretopology_from_vicinities
 from convlab.enumerate import all_convergences, all_topologies, default_carrier, surjections
@@ -280,12 +279,6 @@ class TestMixedProperties:
         for conv in all_convergences(default_carrier(2)):
             for e in ("Seq", "I1", "K"):
                 assert is_JE(conv, HANDLES["T"], HANDLES[e])
-
-    def test_preservation_instance(self, p3, tp3):
-        from convlab.functors import HANDLES
-        ctx = MapContext(identity_map(ABC), p3, tp3)
-        rep = check_preservation(ctx, HANDLES["T"], HANDLES["I1"])
-        assert rep.applicable and rep.holds
 
     def test_rejects_wrong_kinds(self, p3):
         from convlab.families import ValidationError
