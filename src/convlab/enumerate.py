@@ -200,16 +200,9 @@ def enumerate_spaces(spec: EnumerationSpec) -> tuple[Convergence, ...]:
 def all_maps(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:
     """All maps, ordered by mapping tuple read with the first point as the
     least significant digit."""
-    out = []
-    n, m = source.size, target.size
-    for code in range(m ** n):
-        mapping = []
-        c = code
-        for _ in range(n):
-            mapping.append(c % m)
-            c //= m
-        out.append(CarrierMap(source, target, tuple(mapping)))
-    return tuple(out)
+    return tuple(
+        CarrierMap(source, target, tuple(reversed(p)))
+        for p in product(range(target.size), repeat=source.size))
 
 
 def surjections(source: Carrier, target: Carrier) -> tuple[CarrierMap, ...]:

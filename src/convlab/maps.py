@@ -36,6 +36,14 @@ must agree bit-for-bit; a disagreement raises InvariantViolation:
   almost open: target >= final convergence, and the filter form (some
   fiber point lifts every converging principal filter).
 
+Not every comparison can fail.  Both cover forms restate their adherence
+forms: the perfect cover constraints are the grouped perfect adherence
+constraints by construction (a fiber misses adh ^G exactly off f(adh ^G)),
+and the quotient cover constraints, OR-ed per entry k, equal the quotient
+adherence constraints on every (map, source, class) of the sweep domains.
+So the reflector form against the adherence form is the only quotient
+comparison that can fail, and the perfect comparison cannot.
+
 The blunt preimage inclusion f^-(adh ^H) <= adh ^(f^-H) is deliberately
 NOT the implemented quotient test: it demands the whole fiber, not a fiber
 point, and is strictly stronger than (b) on non-topological instances (a

@@ -259,7 +259,6 @@ def _least_opens(carrier: Carrier, opens: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def min_open_table(conv: Convergence) -> tuple[int, ...]:
     """Per point, the smallest open set containing it (opens are cap-closed)."""
     return _least_opens(conv.carrier, open_masks(conv))

@@ -13,17 +13,20 @@ Two small decidable set algebras:
 The spoke carrier ("prime") is {apex} + N, its representable sets are a
 PeriodicSet plus an apex flag.  The fan carrier is {apex} + rows x
 positions; a representable set fixes a FinCof slice for finitely many rows
-and one uniform FinCof slice for all remaining rows.  All classes are
-closed under union, intersection, difference and complement; membership,
-emptiness, finiteness and inclusion are decidable, and every set reports a
-stability bound beyond which the finite-truncation harness can confirm its
-verdicts inside a window.
+and one uniform FinCof slice for all remaining rows.
+
+Each class states only its primitives: membership, emptiness,
+infiniteness, a stability bound beyond which the finite-truncation harness
+can confirm its verdicts inside a window, intersection, complement, the
+window of carrier points and the set of finitely many points.
+``RepresentableSet`` derives finiteness, inclusion, meeting, union,
+difference and truncation from those, once for all four classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 APEX = -1  # the distinguished point x_infinity on either carrier
 
@@ -32,8 +35,46 @@ class UnrepresentableSet(ValueError):
     """A construction left the representable class."""
 
 
+class RepresentableSet:
+    """The queries every class derives from its primitives.
+
+    A subclass defines its fields and constructors, ``contains``,
+    ``is_empty``, ``is_infinite``, ``stability_bound``, ``&``, ``~`` and
+    ``of_points``, and ``window`` when its carrier is not N.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def window(k: int) -> Iterable:
+        """The carrier points inspected at window size k: 0..k on N."""
+        return range(k + 1)
+
+    @property
+    def is_finite(self) -> bool:
+        return not self.is_infinite
+
+    def subset_of(self, other) -> bool:
+        return (self - other).is_empty
+
+    def meets(self, other) -> bool:
+        return not (self & other).is_empty
+
+    def infinitely_meets(self, other) -> bool:
+        return (self & other).is_infinite
+
+    def truncate(self, k: int) -> frozenset:
+        return frozenset(p for p in self.window(k) if self.contains(p))
+
+    def __or__(self, other):
+        return ~(~self & ~other)
+
+    def __sub__(self, other):
+        return self & ~other
+
+
 @dataclass(frozen=True, slots=True)
-class PeriodicSet:
+class PeriodicSet(RepresentableSet):
     """Eventually period-2 subset of N: beyond the finite ``diff``,
     membership of x depends only on the parity tail flags."""
 
@@ -57,6 +98,8 @@ class PeriodicSet:
     @classmethod
     def of(cls, *xs: int) -> "PeriodicSet":
         return cls(False, False, frozenset(xs))
+
+    of_points = of
 
     @classmethod
     def cofinite_without(cls, *xs: int) -> "PeriodicSet":
@@ -82,54 +125,29 @@ class PeriodicSet:
         return self.even_tail or self.odd_tail
 
     @property
-    def is_finite(self) -> bool:
-        return not self.is_infinite
-
-    @property
     def is_empty(self) -> bool:
         return self.is_finite and not self.diff
-
-    def subset_of(self, other: "PeriodicSet") -> bool:
-        return (self - other).is_empty
-
-    def meets(self, other: "PeriodicSet") -> bool:
-        return not (self & other).is_empty
-
-    def infinitely_meets(self, other: "PeriodicSet") -> bool:
-        return (self & other).is_infinite
 
     def stability_bound(self) -> int:
         return max(self.diff, default=-1) + 1
 
-    def truncate(self, k: int) -> frozenset[int]:
-        return frozenset(x for x in range(k + 1) if self.contains(x))
-
     # -- algebra -----------------------------------------------------------
-    def _binop(self, other: "PeriodicSet", op) -> "PeriodicSet":
-        et = op(self.even_tail, other.even_tail)
-        ot = op(self.odd_tail, other.odd_tail)
+    def __and__(self, other: "PeriodicSet") -> "PeriodicSet":
+        et = self.even_tail and other.even_tail
+        ot = self.odd_tail and other.odd_tail
         bound = max(self.stability_bound(), other.stability_bound())
         diff = frozenset(
             x for x in range(bound)
-            if op(self.contains(x), other.contains(x))
+            if (self.contains(x) and other.contains(x))
             != (et if x % 2 == 0 else ot))
         return PeriodicSet(et, ot, diff)
 
-    def __and__(self, other):
-        return self._binop(other, lambda a, b: a and b)
-
-    def __or__(self, other):
-        return self._binop(other, lambda a, b: a or b)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a and not b)
-
-    def __invert__(self):
+    def __invert__(self) -> "PeriodicSet":
         return PeriodicSet(not self.even_tail, not self.odd_tail, self.diff)
 
 
 @dataclass(frozen=True, slots=True)
-class FinCof:
+class FinCof(RepresentableSet):
     """A finite or cofinite subset of N (per-row slices of the fan)."""
 
     cofinite: bool
@@ -151,6 +169,8 @@ class FinCof:
     def of(cls, *xs: int) -> "FinCof":
         return cls(False, frozenset(xs))
 
+    of_points = of
+
     @classmethod
     def tail(cls, start: int) -> "FinCof":
         return cls(True, frozenset(range(start)))
@@ -163,27 +183,11 @@ class FinCof:
         return not self.cofinite and not self.core
 
     @property
-    def is_finite(self) -> bool:
-        return not self.cofinite
-
-    @property
     def is_infinite(self) -> bool:
         return self.cofinite
 
-    def subset_of(self, other: "FinCof") -> bool:
-        return (self - other).is_empty
-
-    def meets(self, other: "FinCof") -> bool:
-        return not (self & other).is_empty
-
-    def infinitely_meets(self, other: "FinCof") -> bool:
-        return (self & other).is_infinite
-
     def stability_bound(self) -> int:
         return max(self.core, default=-1) + 1
-
-    def truncate(self, k: int) -> frozenset[int]:
-        return frozenset(x for x in range(k + 1) if self.contains(x))
 
     def __and__(self, other: "FinCof") -> "FinCof":
         if not self.cofinite and not other.cofinite:
@@ -194,18 +198,12 @@ class FinCof:
             return FinCof(False, other.core - self.core)
         return FinCof(False, self.core - other.core)
 
-    def __or__(self, other: "FinCof") -> "FinCof":
-        return ~((~self) & (~other))
-
-    def __sub__(self, other: "FinCof") -> "FinCof":
-        return self & ~other
-
     def __invert__(self) -> "FinCof":
         return FinCof(not self.cofinite, self.core)
 
 
 @dataclass(frozen=True, slots=True)
-class PrimeSet:
+class PrimeSet(RepresentableSet):
     """Representable subset of the spoke carrier {apex} + N."""
 
     apex: bool
@@ -238,6 +236,11 @@ class PrimeSet:
     def odd_half(cls) -> "PrimeSet":
         return cls(False, PeriodicSet.odds())
 
+    @staticmethod
+    def window(k: int) -> Iterator[int]:
+        yield APEX
+        yield from range(k + 1)
+
     def contains(self, p: int) -> bool:
         return self.apex if p == APEX else self.part.contains(p)
 
@@ -246,46 +249,21 @@ class PrimeSet:
         return not self.apex and self.part.is_empty
 
     @property
-    def is_finite(self) -> bool:
-        return self.part.is_finite
-
-    @property
     def is_infinite(self) -> bool:
         return self.part.is_infinite
-
-    def subset_of(self, other: "PrimeSet") -> bool:
-        return (not self.apex or other.apex) and self.part.subset_of(other.part)
-
-    def meets(self, other: "PrimeSet") -> bool:
-        return (self.apex and other.apex) or self.part.meets(other.part)
-
-    def infinitely_meets(self, other: "PrimeSet") -> bool:
-        return self.part.infinitely_meets(other.part)
 
     def stability_bound(self) -> int:
         return self.part.stability_bound()
 
-    def truncate(self, k: int) -> frozenset[int]:
-        out = set(self.part.truncate(k))
-        if self.apex:
-            out.add(APEX)
-        return frozenset(out)
-
-    def __and__(self, other):
+    def __and__(self, other: "PrimeSet") -> "PrimeSet":
         return PrimeSet(self.apex and other.apex, self.part & other.part)
 
-    def __or__(self, other):
-        return PrimeSet(self.apex or other.apex, self.part | other.part)
-
-    def __sub__(self, other):
-        return PrimeSet(self.apex and not other.apex, self.part - other.part)
-
-    def __invert__(self):
+    def __invert__(self) -> "PrimeSet":
         return PrimeSet(not self.apex, ~self.part)
 
 
 @dataclass(frozen=True, slots=True)
-class FanSet:
+class FanSet(RepresentableSet):
     """Representable subset of the fan carrier {apex} + rows x positions.
 
     ``overrides`` pins a FinCof slice for finitely many rows; every other
@@ -316,6 +294,22 @@ class FanSet:
     def full(cls) -> "FanSet":
         return cls.build(True, FinCof.full(), {})
 
+    @classmethod
+    def of_points(cls, *points) -> "FanSet":
+        rows: dict[int, set[int]] = {}
+        for p in points:
+            if p != APEX:
+                rows.setdefault(p[0], set()).add(p[1])
+        return cls.build(APEX in points, FinCof.empty(),
+                         {r: FinCof.of(*ps) for r, ps in rows.items()})
+
+    @staticmethod
+    def window(k: int) -> Iterator:
+        yield APEX
+        for n in range(k + 1):
+            for j in range(k + 1):
+                yield (n, j)
+
     def slice_of(self, row: int) -> FinCof:
         for r, s in self.overrides:
             if r == row:
@@ -341,65 +335,25 @@ class FanSet:
         return (not self.default.is_empty
                 or any(s.is_infinite for _, s in self.overrides))
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.is_infinite
-
-    def subset_of(self, other: "FanSet") -> bool:
-        if self.apex and not other.apex:
-            return False
-        if not self.default.subset_of(other.default):
-            return False
-        rows = {r for r, _ in self.overrides} | {r for r, _ in other.overrides}
-        return all(self.slice_of(r).subset_of(other.slice_of(r))
-                   for r in rows)
-
-    def meets(self, other: "FanSet") -> bool:
-        return not (self & other).is_empty
-
-    def infinitely_meets(self, other: "FanSet") -> bool:
-        return (self & other).is_infinite
-
     def stability_bound(self) -> int:
         bound = self.default.stability_bound()
         for r, s in self.overrides:
             bound = max(bound, r + 1, s.stability_bound())
         return bound
 
-    def truncate(self, k: int) -> frozenset:
-        out = set()
-        if self.apex:
-            out.add(APEX)
-        for n in range(k + 1):
-            s = self.slice_of(n)
-            for j in range(k + 1):
-                if s.contains(j):
-                    out.add((n, j))
-        return frozenset(out)
-
-    def _zip_slices(self, other: "FanSet", slice_op, flag_op) -> "FanSet":
-        rows = {r for r, _ in self.overrides} | {r for r, _ in other.overrides}
+    def __and__(self, other: "FanSet") -> "FanSet":
+        rows = set(self.override_rows()) | set(other.override_rows())
         return FanSet.build(
-            flag_op(self.apex, other.apex),
-            slice_op(self.default, other.default),
-            {r: slice_op(self.slice_of(r), other.slice_of(r)) for r in rows})
+            self.apex and other.apex, self.default & other.default,
+            {r: self.slice_of(r) & other.slice_of(r) for r in rows})
 
-    def __and__(self, other):
-        return self._zip_slices(other, lambda a, b: a & b,
-                                lambda a, b: a and b)
-
-    def __or__(self, other):
-        return self._zip_slices(other, lambda a, b: a | b,
-                                lambda a, b: a or b)
-
-    def __sub__(self, other):
-        return self._zip_slices(other, lambda a, b: a - b,
-                                lambda a, b: a and not b)
-
-    def __invert__(self):
+    def __invert__(self) -> "FanSet":
         return FanSet.build(
             not self.apex, ~self.default,
             {r: ~s for r, s in self.overrides})
+
+
+fan_points = FanSet.of_points
 
 
 def fan_row(n: int) -> FanSet:
@@ -419,28 +373,3 @@ def fan_apex() -> FanSet:
 def fan_spine() -> FanSet:
     """X_infinity = {apex} + all anchors: the uniform slice {0}."""
     return FanSet.build(True, FinCof.of(0), {})
-
-
-def fan_points(*points) -> FanSet:
-    rows: dict[int, set[int]] = {}
-    apex = False
-    for p in points:
-        if p == APEX:
-            apex = True
-        else:
-            rows.setdefault(p[0], set()).add(p[1])
-    return FanSet.build(apex, FinCof.empty(),
-                        {r: FinCof(False, frozenset(ps))
-                         for r, ps in rows.items()})
-
-
-def window_points_prime(k: int) -> Iterator[int]:
-    yield APEX
-    yield from range(k + 1)
-
-
-def window_points_fan(k: int) -> Iterator:
-    yield APEX
-    for n in range(k + 1):
-        for j in range(k + 1):
-            yield (n, j)

@@ -23,25 +23,21 @@ from __future__ import annotations
 from itertools import combinations
 
 from .filters import SymbolicFilter, mesh_disjoint_members, symbolic_leq, symbolic_mesh
-from .sets import APEX, FanSet, PrimeSet, window_points_fan, window_points_prime
+from .sets import APEX
 
 MAX_WINDOW = 6
 
 
-def _window_points(s, k: int):
-    if isinstance(s, PrimeSet):
-        return list(window_points_prime(k))
-    if isinstance(s, FanSet):
-        return list(window_points_fan(k))
-    return list(range(k + 1))
+def _window_members(s, k: int) -> list:
+    """The points of the set inside window k, in window order."""
+    return [p for p in s.window(k) if s.contains(p)]
 
 
 def check_set_ops(s1, s2, k: int = MAX_WINDOW) -> bool:
     """Union/intersection/difference/complement agree with pointwise
     membership on every window point."""
-    pts = _window_points(s1, k)
     u, i, d, c = s1 | s2, s1 & s2, s1 - s2, ~s1
-    for p in pts:
+    for p in s1.window(k):
         a, b = s1.contains(p), s2.contains(p)
         if u.contains(p) != (a or b):
             return False
@@ -77,16 +73,11 @@ def check_infiniteness(s, k_max: int = MAX_WINDOW) -> bool:
 
 def _sample_members(f: SymbolicFilter, k: int):
     """Members of the form core + (wide minus E) for small window E."""
-    pts = [p for p in _window_points(f.wide, k) if f.wide.contains(p)]
+    singles = _window_members(f.wide, k)[:4]
     out = [f.core | f.wide]
-    singles = pts[:4]
     for r in range(1, min(3, len(singles)) + 1):
         for combo in combinations(singles, r):
-            if isinstance(f.wide, PrimeSet):
-                e = PrimeSet.of_points(*combo)
-            else:
-                from .sets import fan_points
-                e = fan_points(*combo)
+            e = type(f.wide).of_points(*combo)
             out.append(f.core | (f.wide - e))
     return out
 
@@ -99,13 +90,9 @@ def check_member_semantics(f: SymbolicFilter, k: int = MAX_WINDOW) -> bool:
             return False
     if not f.core.is_empty:
         # dropping a core point must leave the filter
-        pts = [p for p in _window_points(f.core, k) if f.core.contains(p)]
+        pts = _window_members(f.core, k)
         if pts:
-            if isinstance(f.core, PrimeSet):
-                gone = PrimeSet.of_points(pts[0])
-            else:
-                from .sets import fan_points
-                gone = fan_points(pts[0])
+            gone = type(f.core).of_points(pts[0])
             if f.member((f.core | f.wide) - gone):
                 return False
     return True
@@ -123,8 +110,8 @@ def check_mesh(f1: SymbolicFilter, f2: SymbolicFilter,
             return False
         if not (m1 & m2).is_empty:
             return False
-        pts = _window_points(m1, k)
-        return not any(m1.contains(p) and m2.contains(p) for p in pts)
+        return not any(m1.contains(p) and m2.contains(p)
+                       for p in m1.window(k))
     # meshing: every sampled member pair intersects
     for m1 in _sample_members(f1, k):
         for m2 in _sample_members(f2, k):
@@ -143,13 +130,6 @@ def _some_point(s):
     return min(p for p in pts)
 
 
-def _singleton_like(s, point):
-    if isinstance(s, PrimeSet):
-        return PrimeSet.of_points(point)
-    from .sets import fan_points
-    return fan_points(point)
-
-
 def check_leq(f1: SymbolicFilter, f2: SymbolicFilter,
               k: int = MAX_WINDOW) -> bool:
     """Cross-check the order decision member-wise on the window."""
@@ -161,7 +141,7 @@ def check_leq(f1: SymbolicFilter, f2: SymbolicFilter,
         point = _some_point(f2.core - f1.core)
         if point is None:
             return False
-        witness = (f1.core | f1.wide) - _singleton_like(f1.wide, point)
+        witness = (f1.core | f1.wide) - type(f1.wide).of_points(point)
     else:
         witness = f1.core | f1.wide
     return f1.member(witness) and not f2.member(witness)

@@ -123,6 +123,24 @@ class TestSetAlgebra:
             FinCof(False, frozenset({-2}))
 
 
+@pytest.mark.parametrize("sets", [periodic_sets, fincofs],
+                         ids=["PeriodicSet", "FinCof"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_harness_on_natural_carriers(sets, data):
+    """The harness checks sets and filters on the plain N-carrier classes
+    as it does on the spoke and fan carriers."""
+    s1, s2, c1, c2 = data.draw(st.tuples(sets, sets, sets, sets))
+    assert check_set_ops(s1, s2)
+    assert check_emptiness(s1)
+    assert check_infiniteness(s1)
+    f1 = cofinite_filter(s1, s1 & c1)
+    f2 = cofinite_filter(s2, s2 & c2)
+    assert check_mesh(f1, f2)
+    assert check_leq(f1, f2)
+    assert check_member_semantics(f1)
+
+
 # ---------------------------------------------------------------------------
 # filters
 # ---------------------------------------------------------------------------
