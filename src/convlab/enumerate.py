@@ -67,6 +67,9 @@ class EnumerationSpec:
         if self.klass not in CLASSES:
             raise ValidationError(
                 [f"unknown class {self.klass!r}; choose from {CLASSES}"])
+        if self.count is not None and self.count < 0:
+            raise ValidationError(
+                [f"enumeration count must not be negative, got {self.count}"])
 
 
 def default_carrier(n: int) -> Carrier:

@@ -425,10 +425,20 @@ class CarrierMap:
     @classmethod
     def of(cls, source: Carrier, target: Carrier,
            assignment: Mapping[str, str]) -> "CarrierMap":
-        missing = set(source.labels) - set(assignment)
+        """Build from labels; raises ValidationError with one entry per
+        unknown source point, value that is not a target label, and the
+        missing points."""
+        points, images = set(source.labels), set(target.labels)
+        problems = [f"map names unknown source point {p!r}"
+                    for p in assignment if p not in points]
+        problems += [f"map value for {p!r} must be a target label, got {v!r}"
+                     for p, v in assignment.items()
+                     if not (isinstance(v, str) and v in images)]
+        missing = points - set(assignment)
         if missing:
-            raise ValidationError(
-                [f"map must be total; missing {sorted(missing)}"])
+            problems.append(f"map must be total; missing {sorted(missing)}")
+        if problems:
+            raise ValidationError(problems)
         mapping = tuple(
             target.index(assignment[lab]) for lab in source.labels)
         return cls(source, target, mapping)

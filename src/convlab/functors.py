@@ -17,21 +17,18 @@ That function is the closed form the antitone axiom gives: every class
 filter meshing ^F contains a point filter of F, so the operator sends
 lim ^F to the intersection of lim ^{x} over x in F (the ultrafilter
 formula, one families.meet_table of the singleton limits), which is
-already a fixed point.  The literal operator
-_adh_determined_step, iterated by reflect_by_steps, is the independent
-construction the law sweep compares it with on every enumerated space.
+already a fixed point.  The closed-principal class mentions the space's
+own closed sets; its closed form is topologize(), the pretopology
+(spaces.pretopology_table) whose vicinities are the least open sets.  The
+literal operator _adh_determined_step, iterated to a fixed point by
+reflect_by_steps, is the O(4^n) oracle the law sweep compares both with.
 
-The closed-principal class mentions the space's own closed sets, so T is
-iterated to a fixed point (one application already lands on the topology;
-the loop is the honest formulation).  topologize() is the independent
-open-set construction used as an oracle against reflect(F0_CLOSED, .): the
-pretopology (spaces.pretopology_table) whose vicinities are the least open
-sets of the argument.
-
-The coreflectors Seq (sequentially based) and I1 (countable character) are
-likewise one definition-based construction over the principal class; K
-(locally compactoid) is built from compactoid members.  That all three
-equal the identity on finite carriers is a tested theorem.
+The coreflectors Seq (sequentially based), I1 (countable character) and K
+(locally compactoid) are the identity on a finite convergence: antitony
+makes Seq's union over coarser principal filters the entry itself, and
+every nonempty set is compactoid.  Their handles return the argument;
+seq_coreflect (= I1) and locally_compactoid_coreflect are the definitions,
+the oracle the finite-collapse suite compares with the identity.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ def _adh_determined_step(sel: Selector, conv: Convergence) -> Convergence:
 
 def reflect_by_steps(sel: Selector, conv: Convergence) -> Convergence:
     """The adherence-determined operator iterated to a fixed point: the
-    production path for F0_CLOSED, the oracle for the other selectors."""
+    oracle of reflect for every selector."""
     cur = conv
     while True:
         nxt = _adh_determined_step(sel, cur)
@@ -107,15 +104,14 @@ def reflect_by_steps(sel: Selector, conv: Convergence) -> Convergence:
 
 
 def reflect(sel: Selector, conv: Convergence) -> Convergence:
-    """The reflection of ``conv`` under the selector's operator; F0, F1 and
-    F_ALL share one cache entry per space."""
-    return _reflect(sel if sel is Selector.F0_CLOSED else Selector.F0, conv)
+    """The reflection of ``conv`` under the selector's operator: the
+    topologizer for F0_CLOSED; F0, F1 and F_ALL share one cache entry per
+    space."""
+    return topologize(conv) if sel is Selector.F0_CLOSED else _reflect(conv)
 
 
 @lru_cache(maxsize=None)
-def _reflect(sel: Selector, conv: Convergence) -> Convergence:
-    if sel is Selector.F0_CLOSED:
-        return reflect_by_steps(sel, conv)
+def _reflect(conv: Convergence) -> Convergence:
     # the ultrafilter formula: lim' ^A = intersection of lim ^{x}, x in A
     carrier = conv.carrier
     return Convergence(carrier, meet_table(
@@ -127,7 +123,7 @@ def topologize(conv: Convergence) -> Convergence:
     """Topological reflection via open sets: x is a limit of ^A exactly when
     every open set containing x includes A, i.e. the pretopology whose
     vicinities are the least open sets.  Must agree with
-    reflect(F0_CLOSED, .) bit-exactly."""
+    reflect_by_steps(F0_CLOSED, .) bit-exactly."""
     return Convergence(conv.carrier, pretopology_table(min_open_table(conv)))
 
 
@@ -141,7 +137,7 @@ paratopologize = pseudotopologize = pretopologize
 
 
 # ---------------------------------------------------------------------------
-# coreflectors
+# coreflector oracles: the definitions, which the handles' identity must equal
 # ---------------------------------------------------------------------------
 
 def _is_compactoid_mask(conv: Convergence, k: int) -> bool:
@@ -153,7 +149,6 @@ def _is_compactoid_mask(conv: Convergence, k: int) -> bool:
     return all(adh[h] for h in range(1, conv.carrier.full + 1) if h & k)
 
 
-@lru_cache(maxsize=None)
 def seq_coreflect(conv: Convergence) -> Convergence:
     """Coarsest sequentially based (equivalently, countable character)
     convergence finer than the input: limits through class subfilters only.
@@ -176,7 +171,6 @@ def seq_coreflect(conv: Convergence) -> Convergence:
 countable_character_coreflect = seq_coreflect
 
 
-@lru_cache(maxsize=None)
 def locally_compactoid_coreflect(conv: Convergence) -> Convergence:
     """Keep a limit only when the filter contains a compactoid member."""
     carrier = conv.carrier
@@ -215,10 +209,8 @@ _APPLY = {
     "S0": pretopologize,
     "S1": paratopologize,
     "S": pseudotopologize,
-    "I": lambda conv: conv,
-    "Seq": seq_coreflect,
-    "I1": countable_character_coreflect,
-    "K": locally_compactoid_coreflect,
+    # the coreflectors' closed form on a finite carrier (module docstring)
+    **dict.fromkeys(("I", "Seq", "I1", "K"), lambda conv: conv),
 }
 
 _REFLECTOR_SELECTOR = {

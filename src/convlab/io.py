@@ -124,8 +124,15 @@ def map_from_doc(doc: dict, source: Carrier, target: Carrier) -> CarrierMap:
 
 
 def family_from_doc(doc: Any, carrier: Carrier) -> SetFamily:
+    """Parse an array of label arrays; raises ValidationError with one entry
+    per member that is not a list of point labels."""
     if not isinstance(doc, list) or not all(isinstance(x, list) for x in doc):
         raise ValidationError(["family document must be an array of arrays"])
+    known = set(carrier.labels)
+    problems = [f"family member {m!r} must be a list of point labels"
+                for m in doc if not _is_label_list(m, known)]
+    if problems:
+        raise ValidationError(problems)
     return SetFamily.of(carrier, *[tuple(x) for x in doc])
 
 

@@ -92,6 +92,7 @@ from .maps import (
     classify,
     closed_in_product,
     continuous,
+    final_convergence_scan,
     graph_closed,
     identity_map,
     initial_convergence,
@@ -291,13 +292,15 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             key = tuple(flags.items())
             flag_sets[key] = flag_sets.get(key, 0) + 1
 
+            # the final convergence equals its antitone-closure scan, and
             # adherence transport: adh in the final convergence equals the
             # pushed source adherence of the preimage filter
             stats.adjunction.instances += 1
-            if not all(adh_fxi[h] == img_a[adh_s[pre_b[h]]]
-                       for h in tgt_sets):
+            if fxi != final_convergence_scan(f, xi) or not all(
+                    adh_fxi[h] == img_a[adh_s[pre_b[h]]] for h in tgt_sets):
                 stats.adjunction.fail(
-                    f"final-adherence transport failed: {f.mapping} {xi!r}")
+                    f"final convergence or its adherence transport failed: "
+                    f"{f.mapping} {xi!r}")
 
             # implication ladder ---------------------------------------
             stats.implications.instances += n
@@ -560,7 +563,7 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
 def suite_finite_collapse(max_size: int) -> LawResult:
     """The shared S0 = S1 = S reflection (the ultrafilter formula) equals the
     literal adherence-determined operator iterated over the principal class,
-    and the coreflectors Seq = I1 and K are the identity, on every
+    and the definitions of Seq = I1 and K give the identity, on every
     enumerated convergence up to the cap."""
     r = LawResult("finite collapse (selector classes + coreflectors)")
     for n in range(1, max_size + 1):
@@ -577,8 +580,8 @@ def suite_finite_collapse(max_size: int) -> LawResult:
 
 def suite_reflector_ordering(max_size: int) -> LawResult:
     """T <= S0 (= S1 = S) pointwise; the open-set topologizer agrees
-    bit-exactly with the closed-class reflection; reflection leaves the
-    adherence of class filters (and the open sets) unchanged; the closed
+    bit-exactly with the iterated closed-class operator; reflection leaves
+    the adherence of class filters (and the open sets) unchanged; the closed
     forms for adherence, open sets and antitone validation agree with their
     literal scans."""
     r = LawResult("reflector ordering + topologizer agreement")
@@ -589,7 +592,7 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
             s0 = pretopologize(conv)
             if not (finer(s0, t) and finer(conv, s0)):
                 r.fail(f"ordering broken on {conv!r}")
-            if reflect(Selector.F0_CLOSED, conv).table != t.table:
+            if reflect_by_steps(Selector.F0_CLOSED, conv).table != t.table:
                 r.fail(f"closed-class reflection != topologizer on {conv!r}")
             if is_topology(conv) and not (
                     is_pretopology(conv) and is_pseudotopology(conv)):

@@ -3,11 +3,12 @@ into quotient-like and perfect-like classes.
 
 Classification has one kernel.  MapFacts gathers, once per (map, source)
 pair, everything the routes read that does not depend on the target: the
-image, preimage and fiber tables, the source adherence, the final
-convergence with its adherence and reflections, the filter classes, the
-cover-route triggers, the lift sets of the open and almost-open forms and
-the graph-closedness constraints.  Each route is a tuple of (k, bad)
-constraints that hold when table[k] & bad == 0 on a target table.
+image, preimage and fiber tables, the source adherence, the lift table and
+the final convergence read off it, with its adherence and reflections, the
+filter classes, the cover-route triggers, the open and almost-open
+constraints and the graph-closedness constraints.  Each route is a tuple
+of (k, bad) constraints that hold when table[k] & bad == 0 on a target
+table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
@@ -33,8 +34,8 @@ must agree bit-for-bit; a disagreement raises InvariantViolation:
     (a) adh f[^G] on the target is inside the image of adh ^G;
     (b) the cover form through inherence duality.
 
-  almost open: target >= final convergence, and the filter form (some
-  fiber point lifts every converging principal filter).
+  almost open: target >= final convergence, whose exact-image form the
+  law sweep compares with final_convergence_scan once per (map, source).
 
 Not every comparison can fail.  Both cover forms restate their adherence
 forms: the perfect cover constraints are the grouped perfect adherence
@@ -68,7 +69,6 @@ maps that are not surjective, the second any relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import NamedTuple
 
 from .families import (
@@ -139,19 +139,35 @@ def initial_convergence(f: CarrierMap, tau: Convergence) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
-@lru_cache(maxsize=None)
-def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
-    """Finest convergence on the target making f continuous.
-
-    Computed as the antitone closure of the image constraints:
-    lim ^B = union of f(lim ^A) over A with f(A) >= B.  For surjective f
-    this equals the exact-image form (shrink A to A through the preimage of
-    B) and needs no extra centering.
-    """
+def _lifts(f: CarrierMap, xi: Convergence) -> list:
+    """lifts[B]: the source points in lim ^A for some A with f(A) = B, for
+    a surjection f from xi's carrier."""
     if f.source != xi.carrier:
         raise CarrierMismatch("final convergence needs xi on the source")
     if not f.is_surjective():
         raise NotSurjective("the final convergence needs a surjection")
+    img = f.image_table
+    lifts = [0] * (f.target.full + 1)
+    for a in range(1, f.source.full + 1):
+        lifts[img[a]] |= xi.table[a]
+    return lifts
+
+
+def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
+    """Finest convergence on the target making f continuous, in the
+    exact-image form: lim ^B = union of f(lim ^A) over A with f(A) = B.
+    It equals the antitone closure over A with f(A) >= B
+    (final_convergence_scan): for surjective f, such an A shrinks to
+    A & f^-B, whose image is B and whose limits include those of A;
+    surjectivity also makes it centered."""
+    img = f.image_table
+    return Convergence(f.target, tuple(img[x] for x in _lifts(f, xi)))
+
+
+def final_convergence_scan(f: CarrierMap, xi: Convergence) -> Convergence:
+    """The final convergence of a surjection as the literal antitone
+    closure, O(2^|X| * 2^|Y|): lim ^B = union of f(lim ^A) over A with
+    f(A) >= B.  The law sweep's oracle for final_convergence."""
     carrier = f.target
     table = [0] * (carrier.full + 1)
     imgs = [(f.image_mask(a), f.image_mask(xi.table[a]))
@@ -271,15 +287,17 @@ class MapFacts:
 
     __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "fibers",
                  "adh_s", "misses", "fxi", "adh_fxi", "lifts", "pushed",
-                 "order", "lift_some", "lift_every", "graph", "_routes")
+                 "order", "lift_every", "graph", "_routes")
 
     def __init__(self, f: CarrierMap, xi: Convergence):
-        fxi = final_convergence(f, xi)  # checks the carrier and surjectivity
+        lifts = self.lifts = _lifts(f, xi)
         img = self.img = f.image_table
+        # the final convergence, as final_convergence builds it
+        fxi = self.fxi = Convergence(f.target, tuple(img[x] for x in lifts))
         self.pre = f.preimage_table
         full_s = self.full_s = f.source.full
         full_t = self.full_t = f.target.full
-        self.f, self.xi, self.fxi = f, xi, fxi
+        self.f, self.xi = f, xi
         self.fibers = [self.pre[1 << y] for y in range(f.target.size)]
         self.adh_s = adherence_table(xi)
         # misses[j]: the target points whose fiber misses adh ^J
@@ -289,28 +307,21 @@ class MapFacts:
                       for m, adh_j in zip(misses, self.adh_s)]
         self.misses = misses
         self.adh_fxi = adherence_table(fxi)
-        # lifts[b]: the source points in lim ^A for some A with f(A) = B
-        lifts = [0] * (full_t + 1)
+        # graph-closedness: adh f(A) lies in the common image of the limits
+        # of ^A (empty unless they share one image)
         graph: dict[int, int] = {}
         for a in range(1, full_s + 1):
             lim = xi.table[a]
             if lim:
-                lifts[img[a]] |= lim
-                # graph-closedness: adh f(A) lies in the common image of
-                # the limits of ^A (empty unless they share one image)
                 common = img[lim]
                 if common & (common - 1):
                     common = 0
                 graph[img[a]] = graph.get(img[a], full_t) & common
-        self.lifts = lifts
         targets = range(1, full_t + 1)
-        pushed = [img[x] for x in lifts]  # f(lim ^A) over the A with f(A) = B
         # continuity: f(lim ^A) within lim ^f(A), on the co_lim tables
-        self.pushed = tuple((b, pushed[b]) for b in targets if pushed[b])
-        # almost open: the order form (target finer than the final
-        # convergence) and the filter form (some fiber point lifts ^B)
+        self.pushed = tuple((b, fxi.table[b]) for b in targets if fxi.table[b])
+        # almost open: the target is finer than the final convergence
         self.order = _forbidden(((b, fxi.table[b]) for b in targets), full_t)
-        self.lift_some = _forbidden(((b, pushed[b]) for b in targets), full_t)
         # open: every fiber point lifts ^B
         self.lift_every = _forbidden(
             ((b, full_t & ~img[full_s & ~lifts[b]]) for b in targets), full_t)
@@ -419,17 +430,6 @@ def _perfect(sel: Selector, facts: MapFacts, universe: TargetUniverse,
     return adh
 
 
-def _almost_open(facts: MapFacts, universe: TargetUniverse,
-                 faults: list) -> int:
-    """I-quotient: the order form against the existential filter form."""
-    by_order = universe.holding("lim", facts.order)
-    by_filters = universe.holding("lim", facts.lift_some)
-    if by_order != by_filters:
-        _disagree(faults, "almost-open forms", None,
-                  order=by_order, filter=by_filters)
-    return by_order
-
-
 def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
     """The twelve classification flags of f: (xi) -> (tau) for every target
     tau of the universe, each a bitset over the universe; every route runs
@@ -438,7 +438,7 @@ def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
     flags = {
         "continuous": universe.holding("co_lim", facts.pushed),
         "open": universe.holding("lim", facts.lift_every),
-        "almost_open": _almost_open(facts, universe, faults),
+        "almost_open": universe.holding("lim", facts.order),
         "graph_closed": universe.holding("adh", facts.graph),
     }
     for decide, classes in ((_quotient, _QUOTIENT_CLASSES),
@@ -474,7 +474,9 @@ def is_perfect_like(ctx: MapContext, sel: Selector) -> bool:
 
 
 def is_almost_open(ctx: MapContext) -> bool:
-    return _decide(_almost_open, ctx)
+    """I-quotient: the target is finer than the final convergence."""
+    facts, universe = _evaluate(ctx)
+    return bool(universe.holding("lim", facts.order))
 
 
 def is_open_map(ctx: MapContext) -> bool:
@@ -673,8 +675,9 @@ def classification_witnesses(ctx: MapContext,
                 out["continuous"] = {
                     "set": list(src.carrier.labels_of(a))}
                 break
+    # the ladder makes a map that is not almost open not open either
+    facts = None if report.open else MapFacts(f, src)
     if not report.open:
-        facts = MapFacts(f, src)
         for b, bad in facts.lift_every:
             y_bits = dst.table[b] & bad
             if y_bits:
@@ -687,13 +690,12 @@ def classification_witnesses(ctx: MapContext,
                         (x_bits & -x_bits).bit_length() - 1]}
                 break
     if not report.almost_open:
-        fxi = final_convergence(f, src)
-        for b in range(1, dst.carrier.full + 1):
-            bad = dst.table[b] & ~fxi.table[b]
-            if bad:
+        for b, bad in facts.order:
+            y_bits = dst.table[b] & bad
+            if y_bits:
                 out["almost_open"] = {
                     "target_set": list(dst.carrier.labels_of(b)),
-                    "point": dst.carrier.labels[bad.bit_length() - 1]}
+                    "point": dst.carrier.labels[y_bits.bit_length() - 1]}
                 break
     for witness, classes in ((quotient_witness, _QUOTIENT_CLASSES),
                              (perfect_witness, _PERFECT_CLASSES)):

@@ -4,7 +4,7 @@ import pytest
 
 from convlab import io
 from convlab.cli import main
-from convlab.families import ValidationError
+from convlab.families import Carrier, ValidationError
 from convlab.functors import topologize
 from convlab.zoo import chain_pretopology, sierpinski
 
@@ -26,6 +26,36 @@ MALFORMED_DOCS = {
     "vicinity-unknown-point": (
         {"points": ["a"], "vicinity": {"a": ["a"], "z": ["a"]}},
         "vicinity names unknown point 'z'"),
+}
+
+# malformed map documents on the source a, b onto p, q, with their messages
+MALFORMED_MAPS = {
+    "unknown-target": (
+        {"map": {"a": "p", "b": "z"}},
+        ["map value for 'b' must be a target label, got 'z'"]),
+    "non-string-value": (
+        {"map": {"a": "p", "b": 1}},
+        ["map value for 'b' must be a target label, got 1"]),
+    "unknown-source": (
+        {"map": {"a": "p", "b": "q", "c": "p"}},
+        ["map names unknown source point 'c'"]),
+    "every-problem": (
+        {"map": {"a": ["p"], "c": "q"}},
+        ["map names unknown source point 'c'",
+         "map value for 'a' must be a target label, got ['p']",
+         "map must be total; missing ['b']"]),
+}
+
+# malformed family documents on the carrier a, b, with their messages
+MALFORMED_FAMILIES = {
+    "unknown-label": (
+        [["a"], ["z"]], ["family member ['z'] must be a list of point labels"]),
+    "non-string-label": (
+        [["a"], [1]], ["family member [1] must be a list of point labels"]),
+    "every-problem": (
+        [["a", "y"], [None], ["b"]],
+        ["family member ['a', 'y'] must be a list of point labels",
+         "family member [None] must be a list of point labels"]),
 }
 
 
@@ -86,6 +116,20 @@ class TestIO:
         with pytest.raises(ValidationError) as exc:
             io.convergence_from_doc(doc)
         assert message in exc.value.violations
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+    def test_malformed_map_rejected(self, case):
+        doc, messages = MALFORMED_MAPS[case]
+        with pytest.raises(ValidationError) as exc:
+            io.map_from_doc(doc, Carrier(("a", "b")), Carrier(("p", "q")))
+        assert exc.value.violations == messages
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+    def test_malformed_family_rejected(self, case):
+        doc, messages = MALFORMED_FAMILIES[case]
+        with pytest.raises(ValidationError) as exc:
+            io.family_from_doc(doc, Carrier(("a", "b")))
+        assert exc.value.violations == messages
 
     def test_family_doc(self):
         conv = chain_pretopology()
@@ -157,6 +201,49 @@ class TestCLI:
         assert c["continuous"] and c["quotient"] and c["closed"]
         assert not c["hereditarily_quotient"] and not c["adherent"]
         assert not c["open"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+    def test_classify_malformed_map_exits_2(self, case, tmp_path, capsys):
+        doc, messages = MALFORMED_MAPS[case]
+        files = {"map": doc, "source": {"vicinity": {"a": ["a"], "b": ["b"]}},
+                 "target": {"vicinity": {"p": ["p"], "q": ["q"]}}}
+        args = ["classify-map"]
+        for name, content in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(content))
+            args += [f"--{name}", str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {m}" for m in messages]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+    def test_check_compact_malformed_family_exits_2(self, case, tmp_path,
+                                                    capsys):
+        doc, messages = MALFORMED_FAMILIES[case]
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"vicinity": {"a": ["a"], "b": ["b"]}}))
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(doc))
+        assert main(["check-compact", "--space", str(space),
+                     "--family", str(fam)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {m}" for m in messages]
+
+    @pytest.mark.parametrize("command", [
+        ["reflect", "--functor", "T", "--input", "{dir}"],
+        ["search", "--predicate", "almost_open_not_open", "--emit", "{dir}"],
+    ])
+    def test_directory_for_a_file_exits_2(self, command, tmp_path, capsys):
+        args = [a.format(dir=tmp_path) for a in command]
+        assert main(args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and str(tmp_path) in line
+
+    def test_enumerate_negative_count_exits_2(self, capsys):
+        assert main(["enumerate", "--size", "2", "--class", "convergence",
+                     "--seed", "1", "--count", "-5"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: enumeration count must not be negative, got -5"]
 
     def test_classify_map_witnesses(self, p3_file, tp3_file, ident_file,
                                     capsys):

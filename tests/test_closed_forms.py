@@ -1,19 +1,32 @@
 """The O(n * 2^n) closed forms on the query path against their literal
 O(4^n) oracles, on random spaces of 4 to 8 points (the pretopology table
 against the vicinity formula written out, the topologizer against the
-iterated closed-class operator); and the shared
-principal-class evaluation in classify() against per-selector calls, on
-random surjections of 4 to 6 points onto 2 or 3."""
+iterated closed-class operator); the shared principal-class evaluation in
+classify() and the exact-image final convergence against per-selector
+calls and the antitone-closure scan, on random surjections of 4 to 6
+points onto 2 or 3; and no query on 10 points running an oracle."""
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from convlab import functors, maps
 from convlab.families import Carrier, CarrierMap
-from convlab.functors import Selector, reflect, reflect_by_steps, topologize
+from convlab.functors import (
+    HANDLES,
+    Selector,
+    reflect,
+    reflect_by_steps,
+    topologize,
+)
 from convlab.maps import (
     MapContext,
     classification_witnesses,
     classify,
     final_convergence,
+    final_convergence_scan,
+    identity_map,
     is_perfect_like,
     is_quotient_like,
     perfect_witness,
@@ -190,6 +203,8 @@ LADDER_FLAGS = {
 @given(surjection_contexts())
 @SETTINGS
 def test_classify_matches_per_selector_calls(ctx):
+    assert final_convergence(ctx.f, ctx.source) == \
+        final_convergence_scan(ctx.f, ctx.source)
     report = classify(ctx)
     witnesses = classification_witnesses(ctx, report)
     for sel, (q_name, p_name) in LADDER_FLAGS.items():
@@ -199,3 +214,34 @@ def test_classify_matches_per_selector_calls(ctx):
                               (p_name, perfect_witness)):
             want = None if getattr(report, name) else witness(ctx, sel)
             assert witnesses.get(name) == want
+
+
+ORACLES = ((functors, "reflect_by_steps"), (maps, "final_convergence_scan"),
+           (functors, "seq_coreflect"),
+           (functors, "countable_character_coreflect"),
+           (functors, "locally_compactoid_coreflect"))
+
+
+@pytest.fixture()
+def oracles_raise(monkeypatch):
+    """Every O(4^n) oracle raises when production looks it up."""
+    def oracle(*args):
+        raise AssertionError("a query ran an oracle")
+    for module, name in ORACLES:
+        monkeypatch.setattr(module, name, oracle)
+
+
+def test_no_query_runs_an_oracle(oracles_raise):
+    n, rng = 10, random.Random(9)
+    carrier = Carrier(tuple("abcdefghij"))
+    xi = Convergence(carrier, table_from_generators(n, [
+        [rng.getrandbits(n) for _ in range(2)] for _ in range(n)]))
+    for h in HANDLES.values():
+        assert h(xi) is xi or h.kind == "reflector"
+    onto3 = CarrierMap(carrier, Carrier(("p", "q", "r")),
+                       tuple(i % 3 for i in range(n)))
+    tau3 = Convergence(onto3.target, table_from_generators(
+        3, [[rng.getrandbits(3)] for _ in range(3)]))
+    for ctx in (MapContext(identity_map(carrier), xi, topologize(xi)),
+                MapContext(onto3, xi, tau3)):
+        classification_witnesses(ctx, classify(ctx))
