@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .families import Carrier, InvariantViolation, ValidationError, meet_table
+from .families import Carrier, ValidationError, meet_table
 from .spaces import (
     Convergence,
     adherence_table,
@@ -255,17 +255,7 @@ def is_pretopology(conv: Convergence) -> bool:
 
 
 def is_pseudotopology(conv: Convergence) -> bool:
-    """Fixed point of one literal adherence-determined step over all
-    filters; cross-checked against the ultrafilter formula
-    lim F = intersection of lim U over ultrafilters U above F."""
-    by_fixed_point = (
-        _adh_determined_step(Selector.F_ALL, conv).table == conv.table)
-    by_ultrafilters = pseudotopologize(conv).table == conv.table
-    if by_fixed_point != by_ultrafilters:
-        raise InvariantViolation(
-            "pseudotopology tests disagree: "
-            f"fixed-point {by_fixed_point}, ultrafilter {by_ultrafilters}")
-    return by_fixed_point
+    return pseudotopologize(conv).table == conv.table
 
 
 # ---------------------------------------------------------------------------

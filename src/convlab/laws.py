@@ -42,11 +42,11 @@ from functools import cache, partial
 from .compactness import (
     CompactnessQuery,
     characteristic,
+    compact_at_masks,
     compact_at_sets,
     completeness_number_finite,
     image_of_compact,
-    is_compact_at,
-    is_compactoid_filter,
+    is_compact_at_scan,
     is_relation_compact,
 )
 from .enumerate import (
@@ -709,39 +709,48 @@ def suite_enumeration_counts() -> LawResult:
 def suite_compactness_extras(max_size: int) -> LawResult:
     """Pseudotopology limits = compactness at points; convergent filters
     are compactoid; compactoid <=> reflected characteristic limit nonempty;
-    image of compact under compact relation; completeness number 0."""
+    image of compact under compact relation; completeness number 0.  On
+    every space the closed form is compared with the class-filter scan for
+    each distinct class, on the sets holding the first point at all
+    singletons, inside the characteristic-detection instances."""
     r = LawResult("compactness: characteristic, images, completeness")
     for n in range(1, max_size + 1):
         carrier = default_carrier(n)
+        full = carrier.full
+        points = [1 << x for x in carrier.points()]
+        # the odd masks: the sets holding the first point
+        odd = SetFamily(carrier, frozenset(range(1, full + 1, 2)))
+        singletons = SetFamily(carrier, frozenset(points))
         for conv in all_convergences(carrier):
-            adh = adherence_table(conv)
             s = pseudotopologize(conv)
             chi = characteristic(conv)
             if validate_table(carrier, chi.table):
                 r.fail(f"characteristic table invalid for {conv!r}")
             for sel in Selector:
+                if sel in (Selector.F_ALL, Selector.F0_CLOSED):
+                    scan = is_compact_at_scan(
+                        CompactnessQuery(conv, odd, singletons, sel))
+                    if compact_at_masks(conv, odd.masks, singletons.masks,
+                                        sel) != scan:
+                        r.fail(f"compactness closed form and scan disagree "
+                               f"({sel}) on {conv!r}")
                 jchi = reflect(sel, chi)
-                for h in range(1, carrier.full + 1):
+                for h in range(1, full + 1):
                     r.instances += 1
-                    compactoid = is_compactoid_filter(
-                        conv, FiniteFilter(carrier, h), sel)
-                    if compactoid != bool(jchi.table[h]):
+                    if (compact_at_masks(conv, (h,), (full,), sel)
+                            != bool(jchi.table[h])):
                         r.fail(
                             f"characteristic detection fails ({sel}) on {conv!r}")
-            for h in range(1, carrier.full + 1):
+            for h in range(1, full + 1):
                 r.instances += 1
                 # S-limits are exactly the points the filter is compact at
-                for x in carrier.points():
-                    at_x = is_compact_at(CompactnessQuery(
-                        conv,
-                        SetFamily(carrier, frozenset({h})),
-                        SetFamily(carrier, frozenset({1 << x})),
-                        Selector.F_ALL))
-                    if at_x != bool(s.table[h] >> x & 1):
+                for x, point in enumerate(points):
+                    if (compact_at_masks(conv, (h,), (point,), Selector.F_ALL)
+                            != bool(s.table[h] >> x & 1)):
                         r.fail(f"S-limit/compact-at gap on {conv!r}")
                 # every convergent filter is compactoid
-                if conv.table[h] and not is_compactoid_filter(
-                        conv, FiniteFilter(carrier, h)):
+                if conv.table[h] and not compact_at_masks(
+                        conv, (h,), (full,), Selector.F_ALL):
                     r.fail(f"convergent filter not compactoid on {conv!r}")
             r.instances += 1
             if completeness_number_finite(conv) != 0:
@@ -751,24 +760,24 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     d2 = target_carrier(2)
     universe2 = all_convergences(c2)
     targets2 = all_convergences(d2)
+    fams = [SetFamily(c2, frozenset(m)) for m in ({1}, {2}, {3}, {1, 2})]
+    ats = [Subset(c2, at) for at in range(1, 4)]
     for rows in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2),
                  (3, 0), (0, 3), (1, 2), (2, 1), (3, 3), (1, 1), (1, 3),
                  (3, 1), (2, 3), (3, 2)):
         rel = FiniteRelation(c2, d2, rows)
         for theta in universe2:
             for sigma in targets2:
-                for fam_masks in ({1}, {2}, {3}, {1, 2}):
-                    fam = SetFamily(c2, frozenset(fam_masks))
-                    for at in range(1, 4):
+                for fam in fams:
+                    for at in ats:
                         for sel in (Selector.F0, Selector.F_ALL):
                             r.instances += 1
                             res = image_of_compact(
-                                rel, theta, sigma, fam,
-                                Subset(c2, at), sel)
+                                rel, theta, sigma, fam, at, sel)
                             if not res.holds:
                                 r.fail(
                                     f"compact image failed: rel={rows} "
-                                    f"fam={sorted(fam_masks)} at={at}")
+                                    f"fam={sorted(fam.masks)} at={at.bits}")
     return r
 
 

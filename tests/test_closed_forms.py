@@ -4,18 +4,35 @@ against the vicinity formula written out, the topologizer against the
 iterated closed-class operator); the shared principal-class evaluation in
 classify() and the exact-image final convergence against per-selector
 calls and the antitone-closure scan, on random surjections of 4 to 6
-points onto 2 or 3; and no query on 10 points running an oracle."""
+points onto 2 or 3; the hull form of compactness against the class-filter
+scan, for families and for relations; and no query on 10 points running
+an oracle."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convlab import functors, maps
-from convlab.families import Carrier, CarrierMap
+from convlab import compactness, functors, maps
+from convlab.compactness import (
+    CompactnessQuery,
+    image_of_compact,
+    is_compact_at,
+    is_compact_at_scan,
+    is_relation_compact,
+)
+from convlab.families import (
+    Carrier,
+    CarrierMap,
+    FiniteRelation,
+    SetFamily,
+    Subset,
+    bits_of,
+)
 from convlab.functors import (
     HANDLES,
     Selector,
+    is_pseudotopology,
     reflect,
     reflect_by_steps,
     topologize,
@@ -216,10 +233,67 @@ def test_classify_matches_per_selector_calls(ctx):
             assert witnesses.get(name) == want
 
 
+def families_of(draw, n: int) -> SetFamily:
+    """0 to 3 members, the empty set drawn often."""
+    member = st.one_of(st.just(0), st.integers(0, (1 << n) - 1))
+    return SetFamily(carrier_of(n), frozenset(
+        draw(st.lists(member, max_size=3))))
+
+
+@st.composite
+def compactness_queries(draw):
+    carrier, table = draw(valid_tables())
+    n = carrier.size
+    return Convergence(carrier, table), families_of(draw, n), \
+        families_of(draw, n)
+
+
+@given(compactness_queries())
+@SETTINGS
+def test_compact_at_matches_class_filter_scan(query):
+    conv, fam, at = query
+    for sel in Selector:
+        q = CompactnessQuery(conv, fam, at, sel)
+        assert is_compact_at(q) == is_compact_at_scan(q)
+
+
+@st.composite
+def relation_contexts(draw):
+    """A relation of 4..8 points into 2..5, and a space on each end."""
+    (source, theta_table), m = draw(valid_tables()), draw(st.integers(2, 5))
+    target = Carrier(tuple("pqrst"[:m]))
+    rows = draw(st.lists(st.integers(0, target.full),
+                         min_size=source.size, max_size=source.size))
+    return (FiniteRelation(source, target, tuple(rows)),
+            Convergence(source, theta_table),
+            Convergence(target, draw_table(draw, m)))
+
+
+def relation_compact_by_scan(rel, theta, sigma, sel) -> bool:
+    # {R(a)} compact at {R(w)} for every w in lim ^a
+    def members(mask):
+        return SetFamily(sigma.carrier, frozenset({mask}))
+    return all(
+        is_compact_at_scan(CompactnessQuery(
+            sigma, members(rel.image_mask(a)), members(rel.rows[w]), sel))
+        for a in range(1, theta.carrier.full + 1)
+        for w in bits_of(theta.table[a]))
+
+
+@given(relation_contexts())
+@SETTINGS
+def test_relation_compact_matches_class_filter_scan(ctx):
+    for sel in Selector:
+        assert is_relation_compact(*ctx, sel) == \
+            relation_compact_by_scan(*ctx, sel)
+
+
 ORACLES = ((functors, "reflect_by_steps"), (maps, "final_convergence_scan"),
            (functors, "seq_coreflect"),
            (functors, "countable_character_coreflect"),
-           (functors, "locally_compactoid_coreflect"))
+           (functors, "locally_compactoid_coreflect"),
+           (functors, "_adh_determined_step"),
+           (compactness, "is_compact_at_scan"))
 
 
 @pytest.fixture()
@@ -245,3 +319,11 @@ def test_no_query_runs_an_oracle(oracles_raise):
     for ctx in (MapContext(identity_map(carrier), xi, topologize(xi)),
                 MapContext(onto3, xi, tau3)):
         classification_witnesses(ctx, classify(ctx))
+    is_pseudotopology(xi)
+    fam = SetFamily(carrier, frozenset({0b1111, 0b110000, 0b1010101010}))
+    at = SetFamily(carrier, frozenset({0b11, 0b1100000000}))
+    rel = onto3.as_relation()
+    for sel in Selector:
+        is_compact_at(CompactnessQuery(xi, fam, at, sel))
+        is_relation_compact(rel, xi, tau3, sel)
+        image_of_compact(rel, xi, tau3, fam, Subset(carrier, 0b111), sel)
