@@ -29,6 +29,14 @@ search runs over; domain(name) builds each named one from the cached
 universes, and the targets of a domain live on target_carrier.  Nothing is
 built at import: each search stream builds its domain when it is first
 read, so a command pays only for the universes it uses.
+
+A flag search reads the classification kernel as the law sweep does: the
+targets of its domain form one maps.TargetUniverse, and each (map, source)
+pair builds one MapFacts and runs map_flags once, so no context is
+classified on its own.  The witness is the first context, in (map, source,
+target) order, whose flag bits match; examined counts the contexts read.
+A route disagreement raises InvariantViolation (exit code 3) when its pair
+is decided, so also at a target that follows the witness in that pair.
 """
 
 from __future__ import annotations
@@ -266,18 +274,26 @@ class SearchEntry:
     serialize: Callable[[object], dict]
 
 
-def _contexts(domain_name: str):
-    """Factory of the deterministic (map, source, target) stream of a named
-    domain, built when the stream is first read: the maps outermost, the
-    targets fastest."""
-    from .maps import MapContext
+def _flagged(domain_name: str, want: dict[str, bool]):
+    """Factory of the deterministic (context, hit) stream of a named domain,
+    built when the stream is first read: the maps outermost, the targets
+    fastest.  Each (map, source) pair runs the classification kernel once
+    over the domain's targets, as the law sweep does, and hit says that the
+    context's flags have the wanted values."""
+    from .maps import MapContext, MapFacts, TargetUniverse, map_flags
 
     def gen():
         maps, sources, targets = domain(domain_name)
+        universe = TargetUniverse(targets)
         for f in maps:
             for xi in sources:
+                flags = map_flags(MapFacts(f, xi), universe)
+                hits = universe.full
+                for k, v in want.items():
+                    hits &= flags[k] if v else ~flags[k]
                 for tau in targets:
-                    yield MapContext(f, xi, tau)
+                    yield MapContext(f, xi, tau), bool(hits & 1)
+                    hits >>= 1
     return gen
 
 
@@ -290,13 +306,12 @@ def _serialize_context(ctx) -> dict:
     }
 
 
-def _flag_test(want: dict[str, bool]) -> Callable:
-    from .maps import classify
+def _hit(cand) -> bool:
+    return cand[1]
 
-    def test(ctx) -> bool:
-        report = classify(ctx)
-        return all(getattr(report, k) == v for k, v in want.items())
-    return test
+
+def _serialize_flagged(cand) -> dict:
+    return _serialize_context(cand[0])
 
 
 def _topology_final_candidates(src_n: int, dst_n: int):
@@ -329,13 +344,11 @@ def _serialize_final(cand) -> dict:
 
 
 def _closed_image_candidates():
-    from .maps import continuous
-    gen0 = _contexts("3to2")
+    """Factory of the continuous contexts of 3to2, in domain order."""
+    flagged = _flagged("3to2", {"continuous": True})
 
     def gen():
-        for ctx in gen0():
-            if continuous(ctx):
-                yield ctx
+        return (ctx for ctx, hit in flagged() if hit)
     return gen
 
 
@@ -346,7 +359,7 @@ def _closed_image_not_closed(ctx) -> bool:
                for c in closed_masks(ctx.source))
 
 
-# (description, domain, wanted flags) of every search over classify's
+# (description, domain, wanted flags) of every search over the kernel's
 # flags.  The quotient-but-not-hereditarily-quotient pattern needs equal
 # 3-point carriers: on a 2-point target the two classes provably coincide
 # (a 2-point pretopology is a topology and openness is a pretopological
@@ -380,8 +393,8 @@ _FLAG_PREDICATES = {
 }
 
 PREDICATES: dict[str, SearchEntry] = {
-    name: SearchEntry(description, _contexts(domain_name), _flag_test(want),
-                      _serialize_context)
+    name: SearchEntry(description, _flagged(domain_name, want), _hit,
+                      _serialize_flagged)
     for name, (description, domain_name, want) in _FLAG_PREDICATES.items()}
 PREDICATES["topology_final_not_topology"] = SearchEntry(
     "topology whose final convergence is not a topology (4 -> 3)",

@@ -36,14 +36,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .families import Carrier, ValidationError, meet_table
 from .spaces import (
     Convergence,
     adherence_table,
     closed_masks,
-    finer,
     min_open_table,
     pretopology_table,
 )
@@ -256,61 +254,3 @@ def is_pretopology(conv: Convergence) -> bool:
 
 def is_pseudotopology(conv: Convergence) -> bool:
     return pseudotopologize(conv).table == conv.table
-
-
-# ---------------------------------------------------------------------------
-# law checking
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class LawReport:
-    functor: str
-    checked: int = 0
-    failures: list[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_functor_laws(h: FunctorHandle, convs: list[Convergence],
-                       maps: Iterable = ()) -> LawReport:
-    """Verify isotone, idempotent, contractive/expansive, and (when maps are
-    supplied) functoriality on the given sample."""
-    report = LawReport(h.tag)
-    maps = list(maps)
-    for c in convs:
-        hc = h(c)
-        report.checked += 1
-        if h(hc).table != hc.table:
-            report.failures.append(f"{h.tag} not idempotent on {c!r}")
-        if h.kind in ("reflector", "identity") and not finer(c, hc):
-            report.failures.append(f"{h.tag} not contractive on {c!r}")
-        if h.kind in ("coreflector", "identity") and not finer(hc, c):
-            report.failures.append(f"{h.tag} not expansive on {c!r}")
-    for c1 in convs:
-        for c2 in convs:
-            if c1.carrier != c2.carrier:
-                continue
-            report.checked += 1
-            if finer(c1, c2) and not finer(h(c1), h(c2)):
-                report.failures.append(
-                    f"{h.tag} not isotone on a pair over {c1.carrier.labels}")
-    if maps:
-        from .maps import MapContext, continuous
-        for c1 in convs:
-            for c2 in convs:
-                for f in maps:
-                    if (f.source != c1.carrier or f.target != c2.carrier):
-                        continue
-                    report.checked += 1
-                    if continuous(MapContext(f, c1, c2)) and not continuous(
-                            MapContext(f, h(c1), h(c2))):
-                        report.failures.append(
-                            f"{h.tag} not functorial on a map "
-                            f"{c1.carrier.labels}->{c2.carrier.labels}")
-    return report

@@ -6,12 +6,14 @@ filters as their base subset.  A convergence document is
     {"points": ["a", "b"], "lim": {"a": ["a"], "b": ["b"], "a,b": []}}
 
 with one entry per nonempty subset, keyed by the comma-joined sorted label
-list.  The pretopology shorthand
+list, so a point label is nonempty and holds no comma.  The pretopology
+shorthand
 
     {"vicinity": {"a": ["a", "b"], ...}}
 
-is accepted and expanded through lim ^A = {x : A <= V(x)}.  A map document
-is {"map": {"<source label>": "<target label>"}}.
+is accepted in place of "lim" and expanded through
+lim ^A = {x : A <= V(x)}.  A map document is
+{"map": {"<source label>": "<target label>"}}.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def _carrier_from_doc(doc: dict) -> Carrier:
     if not isinstance(points, list) or not all(
             isinstance(p, str) for p in points):
         raise ValidationError(['"points" must be a list of strings'])
+    # a lim key is a comma-joined label list, so such a label cannot
+    # round-trip through convergence_to_doc
+    bad = [f"point label {p!r} must be nonempty and free of ','"
+           for p in points if not p or "," in p]
+    if bad:
+        raise ValidationError(bad)
     return Carrier(tuple(points))
 
 
@@ -63,6 +71,9 @@ def convergence_from_doc(doc: dict) -> Convergence:
     problem (schema first, then every violated axiom instance)."""
     if not isinstance(doc, dict):
         raise ValidationError(["document must be a JSON object"])
+    if "vicinity" in doc and "lim" in doc:
+        raise ValidationError(
+            ['document has both a "lim" table and a "vicinity" map'])
     if "vicinity" in doc and not isinstance(doc["vicinity"], dict):
         raise ValidationError(
             ['"vicinity" must map each point to a list of labels'])

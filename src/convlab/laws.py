@@ -7,7 +7,9 @@ over the targets: the targets of a domain form one maps.TargetUniverse, a
 MapFacts record is built once per (map, source), and map_flags decides all
 targets of the pair at once, each flag a bitset over the targets.  A route
 disagreement inside the kernel raises InvariantViolation at the first
-failing context, the one a scan of one context at a time would meet.
+failing context, the one a scan of one context at a time would meet.  The
+flag searches of enumerate, which suite_strictness_witnesses and
+emit_tables run, read the same kernel the same way.
 
 What the sweep adds are the laws about the flags, decided the same way per
 pair: the implication ladder, bijections and preservation are masks over
@@ -15,8 +17,9 @@ the flag bitsets; the final/initial adjunction and the continuity
 equivalences are "need inside table[k]" lookups on the universe's
 complement tables; the relation-compactness characterizations are (k, bad)
 constraints on the limit tables, built from one bad-points mask per filter
-base; the flag-vector histogram refines the universe by the flag bitsets
-and counts each cell by popcount.  The topological closure forms still run
+base.  The ladder check also counts, per arrow, the contexts that breach
+it (a popcount per pair), and emit_tables reads its implication rows'
+violations from those counts.  The topological closure forms still run
 per context, on the pairs of topologies only, together with the open-set
 form of openness.  On the contexts whose number is a multiple of
 CROSSCHECK_STRIDE, the kernel's graph-closedness flag and the
@@ -71,7 +74,6 @@ from .functors import (
     COREFLECTORS,
     REFLECTORS,
     Selector,
-    check_functor_laws,
     class_filter_masks,
     is_pretopology,
     is_pseudotopology,
@@ -198,7 +200,8 @@ class SweepStats:
         default_factory=lambda: LawResult("bijections: quotient <-> perfect per class"))
     crosscheck: LawResult = field(
         default_factory=lambda: LawResult("fused sweep vs reference implementations"))
-    vector_counts: dict[tuple, int] = field(default_factory=dict)
+    # contexts breaching each arrow (stronger, weaker) of the ladder
+    breaches: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def merged(self) -> list[LawResult]:
         return [self.agreement, self.continuity_eq, self.adjunction,
@@ -222,21 +225,6 @@ def _fail_at(result: LawResult, n: int, checks) -> None:
         for bad, message in checks:
             if bad >> i & 1:
                 result.fail(message(i))
-
-
-def _count_vectors(counts: dict, flags: dict[str, int], full: int,
-                   pairs: int) -> None:
-    """Add to the histogram the flag vector of every target, once for each
-    of the pairs that had these flag bitsets: the bitsets refine the
-    universe into cells of equal vectors, each counted by popcount."""
-    names = sorted(flags)
-    cells = [full] if full else []
-    for bits in {flags[name] for name in names}:
-        cells = [c for cell in cells for c in (cell & bits, cell & ~bits) if c]
-    for cell in sorted(cells, key=lambda c: c & -c):
-        low = cell & -cell
-        key = tuple((name, bool(flags[name] & low)) for name in names)
-        counts[key] = counts.get(key, 0) + pairs * popcount(cell)
 
 
 def _at(bits: int, i: int) -> bool:
@@ -267,13 +255,11 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     topological-pairs closure forms and the sampled cross-check against the
     reference implementations run per context."""
     universe = TargetUniverse(targets)
-    targets, n, every = universe.targets, len(universe.targets), universe.full
+    targets, n = universe.targets, len(universe.targets)
     tgt_facts = [_space_facts(tau) for tau in targets]
     sources = [(xi, _space_facts(xi)) for xi in sources]
     tau_top = sum(1 << i for i, facts in enumerate(tgt_facts) if facts[3])
     tau_pre = sum(1 << i for i, facts in enumerate(tgt_facts) if facts[4])
-    # pairs per distinct set of flag bitsets, for the vector histogram
-    flag_sets: dict[tuple, int] = {}
     node = 0
     for f in maps:
         img_a, pre_b = f.image_table, f.preimage_table
@@ -289,8 +275,6 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             cont = flags["continuous"]
             q_gen, q_closed = flags["biquotient"], flags["quotient"]
             p_gen, p_closed = flags["perfect"], flags["closed"]
-            key = tuple(flags.items())
-            flag_sets[key] = flag_sets.get(key, 0) + 1
 
             # the final convergence equals its antitone-closure scan, and
             # adherence transport: adh in the final convergence equals the
@@ -305,8 +289,12 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # implication ladder ---------------------------------------
             stats.implications.instances += n
             breached = 0
-            for stronger, weaker in _LADDER:
-                breached |= flags[stronger] & ~flags[weaker]
+            for arrow in _LADDER:
+                bad = flags[arrow[0]] & ~flags[arrow[1]]
+                if bad:
+                    breached |= bad
+                    stats.breaches[arrow] = (stats.breaches.get(arrow, 0)
+                                             + popcount(bad))
             if breached:
                 _fail_at(stats.implications, n, [(breached, lambda i: (
                     f"ladder breached at {f.mapping}: "
@@ -476,8 +464,6 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                         stats.crosscheck.fail(
                             f"quotient compactness diverges at {f.mapping}")
             node += n
-    for key, pairs in flag_sets.items():
-        _count_vectors(stats.vector_counts, dict(key), every, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +507,36 @@ def suite_axioms_and_lattice() -> LawResult:
     return r
 
 
+def check_functor_laws(r: LawResult, h, convs, maps) -> None:
+    """Idempotent, contractive (reflectors) or expansive (coreflectors),
+    isotone on every pair, and functorial along every map, for the handle h
+    on convergences of one carrier and self-maps of it; the identity is
+    both contractive and expansive."""
+    for c in convs:
+        hc = h(c)
+        r.instances += 1
+        if h(hc).table != hc.table:
+            r.fail(f"{h.tag} not idempotent on {c!r}")
+        if h.kind in ("reflector", "identity") and not finer(c, hc):
+            r.fail(f"{h.tag} not contractive on {c!r}")
+        if h.kind in ("coreflector", "identity") and not finer(hc, c):
+            r.fail(f"{h.tag} not expansive on {c!r}")
+    for c1 in convs:
+        for c2 in convs:
+            r.instances += 1
+            if finer(c1, c2) and not finer(h(c1), h(c2)):
+                r.fail(
+                    f"{h.tag} not isotone on a pair over {c1.carrier.labels}")
+    for c1 in convs:
+        for c2 in convs:
+            for f in maps:
+                r.instances += 1
+                if continuous(MapContext(f, c1, c2)) and not continuous(
+                        MapContext(f, h(c1), h(c2))):
+                    r.fail(f"{h.tag} not functorial on a map "
+                           f"{c1.carrier.labels}->{c2.carrier.labels}")
+
+
 def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
     """Contractive/expansive, idempotent, isotone, functorial for the four
     reflectors, three coreflectors and the identity; exhaustive at n=2 and
@@ -531,10 +547,7 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
     maps2 = all_maps(c2, c2)
     from .functors import HANDLES
     for h in HANDLES.values():
-        rep = check_functor_laws(h, universe2, maps2)
-        r.instances += rep.checked
-        for fmsg in rep.failures:
-            r.fail(fmsg)
+        check_functor_laws(r, h, universe2, maps2)
     c3 = default_carrier(3)
     rng = random.Random(seed)
     universe3 = all_convergences(c3)
@@ -1075,23 +1088,17 @@ def emit_tables(max_size: int = 3) -> dict:
 
     stats = SweepStats()
     sweep_domain(*domain(_maps_domain(max_size)), stats)
-    vectors = []
-    for key, count in stats.vector_counts.items():
-        vectors.append((dict(key), count))
     impl_rows = []
     for left, right in PERFECT_TO_QUOTIENT_ROWS:
         if left is None:
             impl_rows.append({"perfect_like": None, "quotient_like": right,
                               "verified_instances": stats.contexts})
             continue
-        violations = sum(
-            count for flags, count in vectors
-            if flags[left] and not flags[right])
         row = {
             "perfect_like": left,
             "quotient_like": right,
             "verified_instances": stats.contexts,
-            "violations": violations,
+            "violations": stats.breaches.get((left, right), 0),
         }
         key = (left, right)
         if key in _ARROW_WITNESS:

@@ -26,6 +26,16 @@ MALFORMED_DOCS = {
     "vicinity-unknown-point": (
         {"points": ["a"], "vicinity": {"a": ["a"], "z": ["a"]}},
         "vicinity names unknown point 'z'"),
+    # labels that a lim key, a comma-joined label list, cannot spell
+    "comma-label": (
+        {"vicinity": {"a,b": ["a,b"], "c": ["c"]}},
+        "point label 'a,b' must be nonempty and free of ','"),
+    "empty-label": (
+        {"vicinity": {"": [""], "a": ["a", ""]}},
+        "point label '' must be nonempty and free of ','"),
+    "lim-and-vicinity": (
+        {"points": ["a"], "lim": {"a": ["a"]}, "vicinity": {"a": ["a"]}},
+        'document has both a "lim" table and a "vicinity" map'),
 }
 
 # malformed map documents on the source a, b onto p, q, with their messages

@@ -1,12 +1,15 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from convlab.enumerate import (
     DOMAINS,
+    PREDICATES,
     EnumerationSpec,
     SearchTask,
     all_convergences,
@@ -23,6 +26,11 @@ from convlab.enumerate import (
     target_carrier,
 )
 from convlab.families import CapExceeded, Carrier, CarrierMap, ValidationError
+
+# the search documents the benchmark checks its tables workload against
+RECORDED_SEARCHES = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected" / "tables.json")
+    .read_text())["search"]
 
 
 class TestUniverses:
@@ -211,6 +219,21 @@ class TestSearch:
             rep = classify(MapContext(f, src, dst))
             for k, v in want.items():
                 assert getattr(rep, k) == v
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_search_reads_the_kernel_and_matches_the_record(self, name,
+                                                            monkeypatch):
+        """No search classifies one context at a time, and every search
+        document is the recorded one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search classified a single context")
+        # classify builds one report per call, whoever holds a reference
+        monkeypatch.setattr("convlab.maps.classify", refuse)
+        monkeypatch.setattr("convlab.maps.ClassificationReport", refuse)
+        res = search(SearchTask(name))
+        assert {"predicate": res.predicate, "examined": res.examined,
+                "witness": res.witness, "exhausted": res.exhausted} == \
+            RECORDED_SEARCHES[name]
 
     def test_search_deterministic(self):
         r1 = search(SearchTask("closed_not_adherent"))

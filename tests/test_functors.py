@@ -6,7 +6,6 @@ from convlab.functors import (
     HANDLES,
     REFLECTORS,
     Selector,
-    check_functor_laws,
     class_filter_masks,
     countable_character_coreflect,
     handle,
@@ -21,7 +20,9 @@ from convlab.functors import (
     topologize,
 )
 from convlab.spaces import discrete, finer
-from convlab.enumerate import all_convergences, all_topologies, default_carrier
+from convlab.enumerate import (
+    all_convergences, all_maps, all_topologies, default_carrier)
+from convlab.laws import LawResult, check_functor_laws
 from convlab.zoo import ABC, chain_pretopology, two_point_non_pseudo
 
 
@@ -126,9 +127,12 @@ class TestHandles:
             handle("Q")
 
     def test_identity_functor_trivially_lawful(self):
-        rep = check_functor_laws(
-            HANDLES["I"], list(all_convergences(default_carrier(2))))
-        assert rep.ok
+        c2 = default_carrier(2)
+        r = LawResult("I")
+        check_functor_laws(r, HANDLES["I"], all_convergences(c2),
+                           all_maps(c2, c2))
+        assert r.ok
+        assert r.instances == 9 + 9 * 9 + 9 * 9 * 4
 
     def test_selector_of_coreflector_raises(self):
         with pytest.raises(ValidationError):
