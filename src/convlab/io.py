@@ -151,7 +151,8 @@ def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # not UTF-8, not JSON, an over-long integer, or too deeply nested
+        except (ValueError, RecursionError) as exc:
             raise ValidationError([f"{path}: malformed JSON ({exc})"]) from None
 
 

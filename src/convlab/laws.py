@@ -17,7 +17,9 @@ the flag bitsets; the final/initial adjunction and the continuity
 equivalences are "need inside table[k]" lookups on the universe's
 complement tables; the relation-compactness characterizations are (k, bad)
 constraints on the limit tables, built from one bad-points mask per filter
-base.  The ladder check also counts, per arrow, the contexts that breach
+base, and memoized per map, as in map_flags, when they read the source
+only through its (adherence, S0) tables, which fix its closed sets, or
+through its final convergence.  The ladder check also counts, per arrow, the contexts that breach
 it (a popcount per pair), and emit_tables reads its implication rows'
 violations from those counts.  The topological closure forms still run
 per context, on the pairs of topologies only, together with the open-set
@@ -88,6 +90,7 @@ from .functors import (
 )
 from .maps import (
     _LADDER,
+    _memoized,
     MapContext,
     MapFacts,
     TargetUniverse,
@@ -245,6 +248,43 @@ def _rc_constraints(bad_of, within, meet_of, full: int) -> tuple:
     return tuple((k, bad) for k, bad in enumerate(out) if bad)
 
 
+def _source_forms(facts: MapFacts, universe: TargetUniverse, s0_s: tuple,
+                  closed_s: tuple) -> tuple:
+    """The continuity forms, f(S0 lim ^A) in S0 lim ^f(A), f(adh ^(f^-H)) in
+    adh ^H and f(adh ^G) in adh ^f(G), and the relation compactness of the
+    fibers from (Y, tau) to (X, xi): a limit point y of ^B is bad when some
+    class filter ^J meeting f^-B has no adherent point in its fiber."""
+    img_a, pre_b, adh_s = facts.img, facts.pre, facts.adh_s
+    src_sets, tgt_sets = range(1, facts.full_s + 1), range(1, facts.full_t + 1)
+    cont_refl = universe.holding("co_s0", (
+        (img_a[a], img_a[s0_s[a]]) for a in src_sets))
+    incl2 = universe.holding("co_adh", (
+        (h, img_a[adh_s[pre_b[h]]]) for h in tgt_sets))
+    incl3 = universe.holding("co_adh", (
+        (img_a[g], img_a[adh_s[g]]) for g in src_sets))
+    rc_perf_gen = universe.holding("lim", _rc_constraints(
+        facts.misses, src_sets, img_a, facts.full_t))
+    rc_perf_closed = universe.holding("lim", _rc_constraints(
+        facts.misses, [g for g in closed_s if g], img_a, facts.full_t))
+    return cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed
+
+
+def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
+    """The final side of the adjunction, and the relation compactness of f
+    from (X, initial) to (Y, final): a limit point z of ^f(A) is bad when
+    some class filter ^J meeting f(A) does not adhere to z there."""
+    fxi, adh_fxi, full_t = facts.fxi, facts.adh_fxi, facts.full_t
+    final_ok = universe.holding("co_lim", (
+        (b, fxi.table[b]) for b in range(1, full_t + 1)))
+    limit_misses = [full_t & ~adh_fxi[j] for j in range(full_t + 1)]
+    closed_fxi_ne = [h for h in closed_masks(fxi) if h]
+    rc_quot_gen = universe.holding("lim", _rc_constraints(
+        limit_misses, range(1, full_t + 1), range(full_t + 1), full_t))
+    rc_quot_closed = universe.holding("lim", _rc_constraints(
+        limit_misses, closed_fxi_ne, range(full_t + 1), full_t))
+    return final_ok, rc_quot_gen, rc_quot_closed
+
+
 def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     """One fused pass, transposed over the targets: they form one
     maps.TargetUniverse, and each (map, source) pair builds one MapFacts
@@ -266,10 +306,16 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
         full_s, full_t = f.source.full, f.target.full
         src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
         bijective = f.is_bijective()
+        by_source, by_fxi = {}, {}
         for xi, (adh_s, s0_s, closed_s, xi_is_top, xi_is_pre) in sources:
             facts = MapFacts(f, xi)
             flags = map_flags(facts, universe)
             fxi, adh_fxi = facts.fxi, facts.adh_fxi
+            cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = _memoized(
+                by_source, (adh_s, s0_s),
+                partial(_source_forms, facts, universe, s0_s, closed_s))
+            final_ok, rc_quot_gen, rc_quot_closed = _memoized(
+                by_fxi, fxi.table, partial(_final_forms, facts, universe))
             stats.contexts += n
             stats.agreement.instances += 5 * n
             cont = flags["continuous"]
@@ -311,15 +357,6 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                         f"q={_at(q_gen, i)}/{_at(q_closed, i)} "
                         f"p={_at(p_gen, i)}/{_at(p_closed, i)}"))])
 
-            # continuity equivalences (transferable classes): f(S0 lim ^A)
-            # inside S0 lim ^f(A), f(adh ^(f^-H)) inside adh ^H, f(adh ^G)
-            # inside adh ^f(G)
-            cont_refl = universe.holding("co_s0", (
-                (img_a[a], img_a[s0_s[a]]) for a in src_sets))
-            incl2 = universe.holding("co_adh", (
-                (h, img_a[adh_s[pre_b[h]]]) for h in tgt_sets))
-            incl3 = universe.holding("co_adh", (
-                (img_a[g], img_a[adh_s[g]]) for g in src_sets))
             stats.continuity_eq.instances += n
             gap = (cont_refl ^ incl2) | (cont_refl ^ incl3)
             if gap:
@@ -330,8 +367,6 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # adjunction: f xi >= tau <=> continuous <=> xi >= f- tau, the
             # last read one A at a time: f(lim ^A) inside lim ^f(A)
             stats.adjunction.instances += n
-            final_ok = universe.holding("co_lim", (
-                (b, fxi.table[b]) for b in tgt_sets))
             init_ok = universe.holding("co_lim", (
                 (img_a[a], img_a[xi.table[a]]) for a in src_sets))
             gap = (final_ok ^ cont) | (cont ^ init_ok)
@@ -341,22 +376,6 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                     f"{_at(final_ok, i)}/{_at(cont, i)}/{_at(init_ok, i)}"))])
 
             # relation compactness ---------------------------------------
-            # (i) the fibers of f as a relation from (Y, tau) to (X, xi): a
-            #     limit point y of ^B is bad when some class filter ^J
-            #     meeting f^-B has no adherent point in the fiber of y
-            rc_perf_gen = universe.holding("lim", _rc_constraints(
-                facts.misses, src_sets, img_a, full_t))
-            rc_perf_closed = universe.holding("lim", _rc_constraints(
-                facts.misses, [g for g in closed_s if g], img_a, full_t))
-            # (ii) f as a relation from (X, initial) to (Y, final): a limit
-            #      point z of ^f(A) is bad when some class filter ^J meeting
-            #      f(A) does not adhere to z in the final convergence
-            limit_misses = [full_t & ~adh_fxi[j] for j in range(full_t + 1)]
-            closed_fxi_ne = [h for h in closed_masks(fxi) if h]
-            rc_quot_gen = universe.holding("lim", _rc_constraints(
-                limit_misses, tgt_sets, range(full_t + 1), full_t))
-            rc_quot_closed = universe.holding("lim", _rc_constraints(
-                limit_misses, closed_fxi_ne, range(full_t + 1), full_t))
             stats.compact_thms.instances += 2 * n
             perf_gap = (rc_perf_gen ^ p_gen) | (rc_perf_closed ^ p_closed)
             quot_gap = (rc_quot_gen ^ q_gen) | (rc_quot_closed ^ q_closed)
@@ -781,12 +800,14 @@ def suite_compactness_extras(max_size: int) -> LawResult:
         rel = FiniteRelation(c2, d2, rows)
         for theta in universe2:
             for sigma in targets2:
+                rel_compact = {sel: is_relation_compact(rel, theta, sigma, sel)
+                               for sel in (Selector.F0, Selector.F_ALL)}
                 for fam in fams:
                     for at in ats:
-                        for sel in (Selector.F0, Selector.F_ALL):
+                        for sel, compact in rel_compact.items():
                             r.instances += 1
                             res = image_of_compact(
-                                rel, theta, sigma, fam, at, sel)
+                                rel, theta, sigma, fam, at, sel, compact)
                             if not res.holds:
                                 r.fail(
                                     f"compact image failed: rel={rows} "

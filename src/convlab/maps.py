@@ -19,7 +19,13 @@ flags of one (map, source) pair for every target at once, as bitsets, and
 route agreement is equality of bitsets; on a disagreement the lowest
 differing bit names the first failing target.  classify, the is_*
 predicates and the law sweep all call it: classify is the one-target case,
-so each route exists once.
+so each route exists once.  As f is J-quotient iff tau >= J(fxi), the
+reflector route reads the source only through fxi, the other class routes
+through its adherence and closed sets, and the closed sets are fixed by
+the singleton limits, which the adherence table holds (C is closed iff
+lim ^{c} lies in C for every c in C, as lim ^A lies in lim ^{a}): a
+universe of several targets memoizes, for one map at a time, the class
+verdicts with their route faults per (adh_s, fxi.table).
 
 Each inverse-continuity class is decided through independent routes that
 must agree bit-for-bit; a disagreement raises InvariantViolation:
@@ -69,6 +75,7 @@ maps that are not surjective, the second any relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 from .families import (
@@ -229,7 +236,7 @@ class TargetUniverse:
     (kind, k, m) of its targets once; a one-target universe has nothing to
     share and tests the entry directly."""
 
-    __slots__ = ("targets", "full", "_shift", "_tables", "_memo")
+    __slots__ = ("targets", "full", "_shift", "_tables", "_memo", "_flags")
 
     def __init__(self, targets):
         self.targets = tuple(targets)
@@ -237,6 +244,14 @@ class TargetUniverse:
         self._shift = self.targets[0].carrier.size if self.targets else 0
         self._tables: dict[str, list] = {}
         self._memo: dict[str, dict[int, int]] = {}
+        self._flags: tuple = (None, None)
+
+    def flag_memo(self, f: CarrierMap) -> dict | None:
+        """map_flags' class verdicts for the map f alone, by source key;
+        None in a one-target universe, which has nothing to share."""
+        if f is not self._flags[0]:
+            self._flags = (f, None if self.full == 1 else {})
+        return self._flags[1]
 
     def tables(self, kind: str) -> list:
         """The kind's table of every target, in target order."""
@@ -286,7 +301,7 @@ class MapFacts:
     enter through a TargetUniverse alone (map_flags)."""
 
     __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "fibers",
-                 "adh_s", "misses", "fxi", "adh_fxi", "lifts", "pushed",
+                 "adh_s", "_misses", "fxi", "adh_fxi", "lifts", "pushed",
                  "order", "lift_every", "graph", "_routes")
 
     def __init__(self, f: CarrierMap, xi: Convergence):
@@ -300,12 +315,7 @@ class MapFacts:
         self.f, self.xi = f, xi
         self.fibers = [self.pre[1 << y] for y in range(f.target.size)]
         self.adh_s = adherence_table(xi)
-        # misses[j]: the target points whose fiber misses adh ^J
-        misses = [0] * (full_s + 1)
-        for y, fy in enumerate(self.fibers):
-            misses = [m if fy & adh_j else m | 1 << y
-                      for m, adh_j in zip(misses, self.adh_s)]
-        self.misses = misses
+        self._misses = None
         self.adh_fxi = adherence_table(fxi)
         # graph-closedness: adh f(A) lies in the common image of the limits
         # of ^A (empty unless they share one image)
@@ -328,6 +338,17 @@ class MapFacts:
         self.graph = _forbidden(graph.items(), full_t)
         self._routes: dict[Selector, _Routes] = {}
 
+    @property
+    def misses(self) -> list:
+        """misses[j]: the target points whose fiber misses adh ^J."""
+        if self._misses is None:
+            misses = [0] * (self.full_s + 1)
+            for y, fy in enumerate(self.fibers):
+                misses = [m if fy & adh_j else m | 1 << y
+                          for m, adh_j in zip(misses, self.adh_s)]
+            self._misses = misses
+        return self._misses
+
     def routes(self, sel: Selector) -> _Routes:
         got = self._routes.get(sel)
         if got is None:
@@ -338,8 +359,9 @@ class MapFacts:
         """For each (k, g): the points y whose fiber lies in the inherence of
         the complement family of ^G (misses adh ^G) must miss entry k."""
         out: dict[int, int] = {}
+        misses = self.misses
         for k, g in pairs:
-            ys = self.misses[g]
+            ys = misses[g]
             if k and ys:
                 out[k] = out.get(k, 0) | ys
         return tuple(out.items())
@@ -430,22 +452,41 @@ def _perfect(sel: Selector, facts: MapFacts, universe: TargetUniverse,
     return adh
 
 
-def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
-    """The twelve classification flags of f: (xi) -> (tau) for every target
-    tau of the universe, each a bitset over the universe; every route runs
-    once per class, as an OR of memoized meets over its constraints."""
-    faults: list = []
-    flags = {
-        "continuous": universe.holding("co_lim", facts.pushed),
-        "open": universe.holding("lim", facts.lift_every),
-        "almost_open": universe.holding("lim", facts.order),
-        "graph_closed": universe.holding("adh", facts.graph),
-    }
+def _memoized(memo: dict, key, build):
+    """build() once per key of the memo."""
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build()
+    return got
+
+
+def _class_flags(facts: MapFacts, universe: TargetUniverse) -> tuple:
+    """The ladders' flags, one verdict per class, and their route faults."""
+    faults, flags = [], {}
     for decide, classes in ((_quotient, _QUOTIENT_CLASSES),
                             (_perfect, _PERFECT_CLASSES)):
         for names, sel in classes:
             verdict = decide(sel, facts, universe, faults)
             flags.update(dict.fromkeys(names, verdict))
+    return flags, faults
+
+
+def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
+    """The twelve classification flags of f: (xi) -> (tau) for every target
+    tau of the universe, each a bitset over the universe; every route runs
+    once per class, as an OR of memoized meets over its constraints.  A
+    memo hit raises its faults again, naming the pair at hand."""
+    memo = universe.flag_memo(facts.f)
+    build = partial(_class_flags, facts, universe)
+    classes, faults = build() if memo is None else _memoized(
+        memo, (facts.adh_s, facts.fxi.table), build)
+    flags = {
+        "continuous": universe.holding("co_lim", facts.pushed),
+        "open": universe.holding("lim", facts.lift_every),
+        "almost_open": universe.holding("lim", facts.order),
+        "graph_closed": universe.holding("adh", facts.graph),
+        **classes,
+    }
     _raise_first(facts, universe, faults)
     return flags
 

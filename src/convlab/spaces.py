@@ -92,7 +92,7 @@ class Convergence:
         missing = [m for m in range(1, carrier.full + 1) if m not in seen]
         if missing:
             raise ValidationError(
-                [f"missing limit entry for {set(carrier.labels_of(m))}"
+                [f"missing limit entry for {_label_set(carrier, m)}"
                  for m in missing])
         return cls.make(carrier, table)
 
@@ -108,10 +108,15 @@ class Convergence:
 
     def __repr__(self):
         cells = ", ".join(
-            f"{set(self.carrier.labels_of(m)) or '{}'}->"
-            f"{set(self.carrier.labels_of(self.table[m])) or '{}'}"
+            f"{_label_set(self.carrier, m)}->"
+            f"{_label_set(self.carrier, self.table[m])}"
             for m in range(1, self.carrier.full + 1))
         return f"Convergence[{cells}]"
+
+
+def _label_set(carrier: Carrier, mask: int) -> str:
+    """The mask's labels as a set literal, in carrier order, not hash order."""
+    return "{%s}" % ", ".join(map(repr, carrier.labels_of(mask)))
 
 
 def validate_table(carrier: Carrier, table: tuple[int, ...]) -> list[str]:
@@ -127,7 +132,7 @@ def validate_table(carrier: Carrier, table: tuple[int, ...]) -> list[str]:
     for m in range(1, full + 1):
         if not 0 <= table[m] <= full:
             out.append(
-                f"limit of {set(carrier.labels_of(m))} is not a subset")
+                f"limit of {_label_set(carrier, m)} is not a subset")
     if out:
         return out
     for i in carrier.points():
@@ -163,8 +168,8 @@ def antitone_scan(carrier: Carrier, table: tuple[int, ...]) -> list[str]:
             if b & ~a == 0 and b != a and table[a] & ~table[b]:
                 out.append(
                     "antitone axiom violated: "
-                    f"lim^{set(carrier.labels_of(a))} exceeds "
-                    f"lim^{set(carrier.labels_of(b))}")
+                    f"lim^{_label_set(carrier, a)} exceeds "
+                    f"lim^{_label_set(carrier, b)}")
     return out
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -169,6 +172,41 @@ class TestCLI:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
         assert "malformed JSON" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "reflect"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 200_000, b"[" + b"1" * 5000 + b"]",
+    ], ids=["not-utf8", "deep-nesting", "long-integer"])
+    def test_unreadable_json_exits_2(self, command, content, tmp_path,
+                                     capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = (["validate", str(bad)] if command == "validate"
+                else ["reflect", "--functor", "T", "--input", str(bad)])
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert "malformed JSON" in printed.out + printed.err
+
+    def test_validate_output_is_the_same_under_every_hash_seed(self,
+                                                               tmp_path):
+        # every nonempty set of a, b, c except the singletons breaks
+        # antitony, so the messages render two- and three-label sets
+        doc = {"points": ["a", "b", "c"],
+               "lim": {",".join(labels): list(labels)
+                       for labels in ("a", "b", "c", "ab", "ac", "bc",
+                                      "abc")}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        import convlab
+        src = os.path.dirname(os.path.dirname(convlab.__file__))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-m", "convlab.cli", "validate", str(bad)],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True).stdout
+            for seed in ("1", "2")}
+        assert len(outputs) == 1
+        assert "lim^{'a', 'b', 'c'} exceeds lim^{'b', 'c'}" in outputs.pop()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
     def test_validate_malformed_document_exits_2(self, case, tmp_path,

@@ -325,5 +325,5 @@ def test_no_query_runs_an_oracle(oracles_raise):
     rel = onto3.as_relation()
     for sel in Selector:
         is_compact_at(CompactnessQuery(xi, fam, at, sel))
-        is_relation_compact(rel, xi, tau3, sel)
-        image_of_compact(rel, xi, tau3, fam, Subset(carrier, 0b111), sel)
+        image_of_compact(rel, xi, tau3, fam, Subset(carrier, 0b111), sel,
+                         is_relation_compact(rel, xi, tau3, sel))

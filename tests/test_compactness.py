@@ -112,8 +112,10 @@ class TestImageOfCompact:
         conv = chain_pretopology()
         rel = identity_map(ABC).as_relation()
         fam = SetFamily(ABC, frozenset({ABC.mask_of("c")}))
-        res = image_of_compact(rel, conv, conv, fam,
-                               Subset(ABC, ABC.mask_of("c")), Selector.F_ALL)
+        res = image_of_compact(
+            rel, conv, conv, fam, Subset(ABC, ABC.mask_of("c")),
+            Selector.F_ALL,
+            is_relation_compact(rel, conv, conv, Selector.F_ALL))
         assert res.holds and res.witness is None
 
 

@@ -6,7 +6,12 @@ from convlab.families import Carrier, CarrierMap, InvariantViolation
 from convlab.functors import Selector
 from convlab.laws import LawResult, emit_tables, run_laws
 from convlab.maps import MapContext, classify
-from convlab.spaces import indiscrete, topology_from_opens
+from convlab.spaces import (
+    adherence_table,
+    closed_masks,
+    indiscrete,
+    topology_from_opens,
+)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +233,54 @@ def test_universe_kernel_and_sweep_agree_with_classify(name, step):
         laws.sweep_domain([f], [xi for g, xi in pairs if g is f], targets,
                           stats)
     assert all(r.ok for r in stats.merged())
+
+
+@pytest.mark.parametrize("name", ["3to2", "3to3 pretopologies"])
+def test_shared_universe_flags_equal_a_fresh_universe(name):
+    """The memos of map_flags change no flag: on every (map, source) pair
+    the domain's one universe gives the flags of a fresh universe."""
+    maps_, sources, targets = domain(name)
+    shared = maps.TargetUniverse(targets)
+    for f in maps_:
+        for xi in sources:
+            fresh = maps.TargetUniverse(targets)
+            assert (maps.map_flags(maps.MapFacts(f, xi), shared)
+                    == maps.map_flags(maps.MapFacts(f, xi), fresh))
+
+
+def test_map_flags_returns_a_fresh_dict():
+    """Mutating the flags of one pair leaves a later pair with the same
+    memo key, decided without building its routes, unchanged; a one-target
+    universe keeps no memo."""
+    maps_, sources, targets = domain("3to2")
+    f = maps_[0]
+    by_key: dict = {}
+    for xi in sources:
+        fxi = maps.final_convergence(f, xi)
+        key = (adherence_table(xi), fxi.table)
+        by_key.setdefault(key, []).append(xi)
+    first, later = next(xis for xis in by_key.values() if len(xis) > 1)[:2]
+    universe = maps.TargetUniverse(targets)
+    want = maps.map_flags(maps.MapFacts(f, later),
+                          maps.TargetUniverse(targets))
+    flags = maps.map_flags(maps.MapFacts(f, first), universe)
+    for name in flags:
+        flags[name] ^= universe.full
+    facts = maps.MapFacts(f, later)
+    assert maps.map_flags(facts, universe) == want
+    assert not facts._routes
+    assert maps.TargetUniverse(targets[:1]).flag_memo(f) is None
+
+
+def test_adherence_fixes_the_closed_sets():
+    """The memo keys leave out the closed sets: on every source of 3to2
+    they are a function of the adherence table."""
+    _, sources, _ = domain("3to2")
+    closed_of: dict = {}
+    for xi in sources:
+        assert closed_of.setdefault(adherence_table(xi),
+                                    closed_masks(xi)) == closed_masks(xi)
+    assert len(closed_of) < len(sources)
 
 
 def test_closure_form_characterizes_hereditarily_quotient_maps():
