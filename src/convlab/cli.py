@@ -51,26 +51,31 @@ def _print_table(doc, indent: int = 0) -> None:
         print(f"{pad}{doc}")
 
 
+def _load(path: str):
+    """The JSON document at path; the error of a malformed one names it."""
+    try:
+        return io.load_json(path)
+    except ValidationError as exc:
+        raise ValidationError([f"{path}: {v}" for v in exc.violations])
+
+
 def cmd_validate(args) -> int:
+    # one line per problem, led by the path; a bad file stops no other file
     status = 0
     for path in args.files:
         try:
             conv = io.convergence_from_doc(io.load_json(path))
-        except ValidationError as exc:
+        except (ValidationError, CapExceeded, OSError) as exc:
             status = 2
-            for v in exc.violations:
-                print(f"{path}: {v}")
-            continue
-        except OSError as exc:
-            status = 2
-            print(f"{path}: {exc}")
+            for problem in getattr(exc, "violations", [exc]):
+                print(f"{path}: {problem}")
             continue
         print(f"{path}: ok ({conv.carrier.size} points)")
     return status
 
 
 def cmd_reflect(args) -> int:
-    conv = io.convergence_from_doc(io.load_json(args.input))
+    conv = io.convergence_from_doc(_load(args.input))
     out = handle(args.functor)(conv)
     _print(io.convergence_to_doc(out), args.format)
     return 0
@@ -79,9 +84,9 @@ def cmd_reflect(args) -> int:
 def cmd_classify_map(args) -> int:
     from .maps import MapContext, classification_witnesses, classify
 
-    source = io.convergence_from_doc(io.load_json(args.source))
-    target = io.convergence_from_doc(io.load_json(args.target))
-    f = io.map_from_doc(io.load_json(args.map), source.carrier, target.carrier)
+    source = io.convergence_from_doc(_load(args.source))
+    target = io.convergence_from_doc(_load(args.target))
+    f = io.map_from_doc(_load(args.map), source.carrier, target.carrier)
     ctx = MapContext(f, source, target)
     report = classify(ctx)
     doc: dict = {"classification": report.as_dict()}
@@ -94,10 +99,10 @@ def cmd_classify_map(args) -> int:
 def cmd_check_compact(args) -> int:
     from .compactness import CompactnessQuery, is_compact_at
 
-    conv = io.convergence_from_doc(io.load_json(args.space))
-    fam = io.family_from_doc(io.load_json(args.family), conv.carrier)
+    conv = io.convergence_from_doc(_load(args.space))
+    fam = io.family_from_doc(_load(args.family), conv.carrier)
     if args.at:
-        at = io.family_from_doc(io.load_json(args.at), conv.carrier)
+        at = io.family_from_doc(_load(args.at), conv.carrier)
     else:
         at = SetFamily(conv.carrier, frozenset({conv.carrier.full}))
     sel = SELECTOR_FLAGS[args.klass]

@@ -153,7 +153,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
         # not UTF-8, not JSON, an over-long integer, or too deeply nested
         except (ValueError, RecursionError) as exc:
-            raise ValidationError([f"{path}: malformed JSON ({exc})"]) from None
+            raise ValidationError([f"malformed JSON ({exc})"]) from None
 
 
 def dump_json(obj: Any) -> str:

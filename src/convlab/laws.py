@@ -17,16 +17,16 @@ the flag bitsets; the final/initial adjunction and the continuity
 equivalences are "need inside table[k]" lookups on the universe's
 complement tables; the relation-compactness characterizations are (k, bad)
 constraints on the limit tables, built from one bad-points mask per filter
-base, and memoized per map, as in map_flags, when they read the source
-only through its (adherence, S0) tables, which fix its closed sets, or
-through its final convergence.  The ladder check also counts, per arrow, the contexts that breach
-it (a popcount per pair), and emit_tables reads its implication rows'
-violations from those counts.  The topological closure forms still run
-per context, on the pairs of topologies only, together with the open-set
-form of openness.  On the contexts whose number is a multiple of
-CROSSCHECK_STRIDE, the kernel's graph-closedness flag and the
-relation-compactness verdicts are compared with the relation-level
-implementations in maps and compactness.
+base; between topologies, the closure forms, closedness reflection and open
+images of open sets are constraints on the adherence tables, which are the
+closure tables of topologies.  The forms that read the source only through
+its (adherence, S0) tables, which fix its closed sets, or through its final
+convergence share the per-map memo of map_flags.  The ladder check also
+counts, per arrow, the contexts that breach it (a popcount per pair), and
+emit_tables reads its implication rows' violations from those counts.  On
+the contexts whose number is a multiple of CROSSCHECK_STRIDE, the kernel's
+graph-closedness flag and the relation-compactness verdicts are compared
+with the relation-level implementations in maps and compactness.
 
 run_laws sweeps the enumerate domains named in LAW_DOMAINS, in that order
 (a smoke run, max_size 2, only the first); the preservation grid and
@@ -42,7 +42,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import or_
 
 from .compactness import (
     CompactnessQuery,
@@ -90,7 +91,6 @@ from .functors import (
 )
 from .maps import (
     _LADDER,
-    _memoized,
     MapContext,
     MapFacts,
     TargetUniverse,
@@ -102,13 +102,11 @@ from .maps import (
     identity_map,
     initial_convergence,
     is_JE,
-    is_open_map_topological,
     is_quotient_like,
     map_flags,
 )
 from .spaces import (
     Convergence,
-    adherence_closure,
     adherence_scan,
     adherence_table,
     antitone_scan,
@@ -213,11 +211,9 @@ class SweepStats:
 
 
 def _space_facts(conv: Convergence) -> tuple:
-    """(adh table, S0 table, closed set tuple, is_topology, is_pretopology)
-    cached per space by the callers' caches."""
-    s0 = pretopologize(conv).table
-    return (adherence_table(conv), s0, closed_masks(conv),
-            topologize(conv).table == conv.table, s0 == conv.table)
+    """(adh table, S0 table, closed set tuple, is_topology, is_pretopology)."""
+    return (adherence_table(conv), pretopologize(conv).table,
+            closed_masks(conv), is_topology(conv), is_pretopology(conv))
 
 
 def _fail_at(result: LawResult, n: int, checks) -> None:
@@ -270,19 +266,58 @@ def _source_forms(facts: MapFacts, universe: TargetUniverse, s0_s: tuple,
 
 
 def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
-    """The final side of the adjunction, and the relation compactness of f
-    from (X, initial) to (Y, final): a limit point z of ^f(A) is bad when
-    some class filter ^J meeting f(A) does not adhere to z there."""
+    """The relation compactness of f from (X, initial) to (Y, final): a
+    limit point z of ^f(A) is bad when some class filter ^J meeting f(A)
+    does not adhere to z there."""
     fxi, adh_fxi, full_t = facts.fxi, facts.adh_fxi, facts.full_t
-    final_ok = universe.holding("co_lim", (
-        (b, fxi.table[b]) for b in range(1, full_t + 1)))
     limit_misses = [full_t & ~adh_fxi[j] for j in range(full_t + 1)]
     closed_fxi_ne = [h for h in closed_masks(fxi) if h]
     rc_quot_gen = universe.holding("lim", _rc_constraints(
         limit_misses, range(1, full_t + 1), range(full_t + 1), full_t))
     rc_quot_closed = universe.holding("lim", _rc_constraints(
         limit_misses, closed_fxi_ne, range(full_t + 1), full_t))
-    return final_ok, rc_quot_gen, rc_quot_closed
+    return rc_quot_gen, rc_quot_closed
+
+
+def _topological_gaps(facts: MapFacts, flags: dict,
+                      universe: TargetUniverse) -> tuple:
+    """(what, the targets where it differs from its flag) for each form that
+    characterizes a flag between topologies, read on topologies only.  On a
+    topology the adherence of ^A is the closure of A, so the adherence
+    tables are the closure tables here."""
+    img, pre, cl_s, full_t = facts.img, facts.pre, facts.adh_s, facts.full_t
+    tgt_sets = range(1, full_t + 1)
+    pulled = [(b, img[cl_s[pre[b]]]) for b in tgt_sets]  # f(cl f^-B)
+    pushed = [(img[a], img[cl_s[a]]) for a in range(1, facts.full_s + 1)]
+
+    def cl_within(pairs):  # cl k inside m for every (k, m)
+        return universe.holding("adh", ((k, full_t & ~m) for k, m in pairs))
+
+    # continuity: f(cl f^-B) in cl B, f(cl A) in cl f(A), and no closed set
+    # with a preimage that is not closed
+    cont = flags["continuous"]
+    cont_pre = universe.holding("co_adh", pulled)
+    cont_img = universe.holding("co_adh", pushed)
+    closed_cont = universe.full
+    for h in tgt_sets:
+        if cl_s[pre[h]] & ~pre[h]:
+            closed_cont &= universe.meets("adh", h, full_t & ~h)
+    # f(O) is open iff the closure of its complement stays off it
+    shut = (full_t & ~img[o] for o in open_masks(facts.xi))
+    return (
+        ("closed/adherent/perfect split", flags["closed"] ^ flags["perfect"]),
+        ("open-set form of openness",
+         flags["open"] ^ cl_within((c, c) for c in shut)),
+        ("closure continuity forms",
+         ((cont_pre & cont_img) ^ cont) | (cont_pre ^ cont_img)),
+        # cl B in f(cl f^-B) characterizes hereditarily quotient
+        # (pseudo-open) maps; the quotient form is closedness reflection
+        ("closure hereditarily-quotient form",
+         flags["biquotient"] ^ cl_within(pulled)),
+        ("closure closed-map form", flags["closed"] ^ cl_within(pushed)),
+        ("closedness-reflecting form", flags["quotient"] ^ cl_within(
+            (b, b) for b in tgt_sets if cl_s[pre[b]] == pre[b])),
+        ("closed-class continuity form", closed_cont ^ cont))
 
 
 def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
@@ -292,30 +327,29 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     bitset over the targets and raises InvariantViolation at the first
     target where two routes disagree; each law about the flags is a few
     bitset operations or "need inside table[k]" lookups per pair.  Only the
-    topological-pairs closure forms and the sampled cross-check against the
-    reference implementations run per context."""
+    sampled cross-check against the reference implementations runs per
+    context."""
     universe = TargetUniverse(targets)
     targets, n = universe.targets, len(universe.targets)
-    tgt_facts = [_space_facts(tau) for tau in targets]
     sources = [(xi, _space_facts(xi)) for xi in sources]
-    tau_top = sum(1 << i for i, facts in enumerate(tgt_facts) if facts[3])
-    tau_pre = sum(1 << i for i, facts in enumerate(tgt_facts) if facts[4])
+    tau_top, tau_pre = (sum(1 << i for i, t in enumerate(targets) if is_a(t))
+                        for is_a in (is_topology, is_pretopology))
     node = 0
     for f in maps:
         img_a, pre_b = f.image_table, f.preimage_table
         full_s, full_t = f.source.full, f.target.full
         src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
         bijective = f.is_bijective()
-        by_source, by_fxi = {}, {}
         for xi, (adh_s, s0_s, closed_s, xi_is_top, xi_is_pre) in sources:
             facts = MapFacts(f, xi)
             flags = map_flags(facts, universe)
             fxi, adh_fxi = facts.fxi, facts.adh_fxi
-            cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = _memoized(
-                by_source, (adh_s, s0_s),
-                partial(_source_forms, facts, universe, s0_s, closed_s))
-            final_ok, rc_quot_gen, rc_quot_closed = _memoized(
-                by_fxi, fxi.table, partial(_final_forms, facts, universe))
+            cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = (
+                universe.memoized(f, ("source", adh_s, s0_s), partial(
+                    _source_forms, facts, universe, s0_s, closed_s)))
+            rc_quot_gen, rc_quot_closed = universe.memoized(
+                f, ("final", fxi.table),
+                partial(_final_forms, facts, universe))
             stats.contexts += n
             stats.agreement.instances += 5 * n
             cont = flags["continuous"]
@@ -364,16 +398,17 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                     f"cont-in-conv forms disagree at {f.mapping}: "
                     f"{_at(cont_refl, i)}/{_at(incl2, i)}/{_at(incl3, i)}"))])
 
-            # adjunction: f xi >= tau <=> continuous <=> xi >= f- tau, the
-            # last read one A at a time: f(lim ^A) inside lim ^f(A)
+            # adjunction: f xi >= tau (the kernel's continuity flag, read
+            # on the final convergence) <=> xi >= f- tau, read one A at a
+            # time: f(lim ^A) inside lim ^f(A)
             stats.adjunction.instances += n
             init_ok = universe.holding("co_lim", (
                 (img_a[a], img_a[xi.table[a]]) for a in src_sets))
-            gap = (final_ok ^ cont) | (cont ^ init_ok)
+            gap = cont ^ init_ok
             if gap:
                 _fail_at(stats.adjunction, n, [(gap, lambda i: (
                     f"adjunction broken at {f.mapping}: "
-                    f"{_at(final_ok, i)}/{_at(cont, i)}/{_at(init_ok, i)}"))])
+                    f"{_at(cont, i)}/{_at(init_ok, i)}"))])
 
             # relation compactness ---------------------------------------
             stats.compact_thms.instances += 2 * n
@@ -390,56 +425,14 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                         f"rc={_at(rc_quot_gen, i)}/{_at(rc_quot_closed, i)} "
                         f"q={_at(q_gen, i)}/{_at(q_closed, i)}"))])
 
-            # topological pairs, one context at a time ---------------------
-            for i in range(n) if xi_is_top else ():
-                if not tau_top >> i & 1:
-                    continue
-                adh_t, _, closed_t, _, _ = tgt_facts[i]
-                stats.topo_props.instances += 1
-                probs = []
-                if _at(p_closed, i) != _at(p_gen, i):
-                    probs.append("closed/adherent/perfect split")
-                # between topologies, open images of open sets is openness
-                if (is_open_map_topological(MapContext(f, xi, targets[i]))
-                        != _at(flags["open"], i)):
-                    probs.append("open-set form of openness")
-                # closure-form propositions
-                cl_s = partial(adherence_closure, adh_s)
-                cl_t = partial(adherence_closure, adh_t)
-                eq2 = all(
-                    cl_s(pre_b[b]) & ~pre_b[cl_t(b)] == 0
-                    for b in range(full_t + 1))
-                eq3 = all(
-                    img_a[cl_s(a)] & ~cl_t(img_a[a]) == 0
-                    for a in range(full_s + 1))
-                if (eq2 and eq3) != _at(cont, i) or eq2 != eq3:
-                    probs.append("closure continuity forms")
-                # cl B <= f(cl f^-1 B) for all B characterizes hereditarily
-                # quotient (pseudo-open) maps, q_gen at finite scale; the
-                # quotient form is the closedness-reflecting one below
-                eq4 = all(
-                    cl_t(b) & ~img_a[cl_s(pre_b[b])] == 0
-                    for b in tgt_sets)
-                if eq4 != _at(q_gen, i):
-                    probs.append("closure hereditarily-quotient form")
-                eq5 = all(
-                    cl_t(img_a[a]) & ~img_a[cl_s(a)] == 0
-                    for a in range(full_s + 1))
-                if eq5 != _at(p_closed, i):
-                    probs.append("closure closed-map form")
-                refl = all(
-                    b in closed_t
-                    for b in range(full_t + 1) if pre_b[b] in closed_s)
-                if refl != _at(q_closed, i):
-                    probs.append("closedness-reflecting form")
-                closed_class_incl2 = all(
-                    adh_s[pre_b[h]] & ~pre_b[h] == 0 for h in closed_t if h)
-                if closed_class_incl2 != _at(cont, i):
-                    probs.append("closed-class continuity form")
-                if probs:
-                    stats.topo_props.fail(
-                        f"{probs} at {f.mapping} xi={xi!r} "
-                        f"tau={targets[i]!r}")
+            # topological pairs: one failure per context, naming its gaps
+            if xi_is_top and tau_top:
+                stats.topo_props.instances += popcount(tau_top)
+                gaps = _topological_gaps(facts, flags, universe)
+                bad = reduce(or_, (gap for _, gap in gaps))
+                _fail_at(stats.topo_props, n, [(bad & tau_top, lambda i: (
+                    f"{[what for what, gap in gaps if gap >> i & 1]} at "
+                    f"{f.mapping} xi={xi!r} tau={targets[i]!r}"))])
 
             # preservation grid: with the coreflectors equal to the
             # identity on finite carriers (a separately proved suite), a

@@ -12,20 +12,21 @@ table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
-the bitset of targets whose lim / adh / S0 table (or its complement) has an
-entry k meeting m, memoized per (kind, k, m), so a route over a whole
-universe is an OR of a few memoized lookups.  map_flags decides the twelve
-flags of one (map, source) pair for every target at once, as bitsets, and
-route agreement is equality of bitsets; on a disagreement the lowest
-differing bit names the first failing target.  classify, the is_*
-predicates and the law sweep all call it: classify is the one-target case,
-so each route exists once.  As f is J-quotient iff tau >= J(fxi), the
-reflector route reads the source only through fxi, the other class routes
-through its adherence and closed sets, and the closed sets are fixed by
-the singleton limits, which the adherence table holds (C is closed iff
-lim ^{c} lies in C for every c in C, as lim ^A lies in lim ^{a}): a
-universe of several targets memoizes, for one map at a time, the class
-verdicts with their route faults per (adh_s, fxi.table).
+the bitset of targets whose lim / adh / S0 table (or its complement) has
+an entry k meeting m, memoized per (kind, k, m), so a route over a whole
+universe is an OR of a few memoized lookups.  map_flags
+decides the twelve flags of one (map, source) pair for every target at
+once, as bitsets, and route agreement is equality of bitsets; on a
+disagreement the lowest differing bit names the first failing target.
+classify, the is_* predicates and the law sweep all call it: classify is
+the one-target case, so each route exists once.  As f is J-quotient iff
+tau >= J(fxi), the reflector route reads the source only through fxi, the
+other class routes through its adherence and closed sets, and the closed
+sets are fixed by the singleton limits, which the adherence table holds (C
+is closed iff lim ^{c} lies in C for every c in C, as lim ^A lies in
+lim ^{a}): the universe memoizes, for one map at a time, the class
+verdicts with their route faults per (adh_s, fxi.table), and the law
+sweep keeps its own per-map forms in the same memo.
 
 Each inverse-continuity class is decided through independent routes that
 must agree bit-for-bit; a disagreement raises InvariantViolation:
@@ -75,7 +76,6 @@ maps that are not surjective, the second any relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import NamedTuple
 
 from .families import (
@@ -234,9 +234,10 @@ class TargetUniverse:
     mask m.  Each kind's tables are built on its first use and, when there
     are several targets, each answer is memoized, so a sweep asks each
     (kind, k, m) of its targets once; a one-target universe has nothing to
-    share and tests the entry directly."""
+    share and tests the entry directly.  memoized keeps, for one map at a
+    time, what the map decides over the universe."""
 
-    __slots__ = ("targets", "full", "_shift", "_tables", "_memo", "_flags")
+    __slots__ = ("targets", "full", "_shift", "_tables", "_memo", "_per_map")
 
     def __init__(self, targets):
         self.targets = tuple(targets)
@@ -244,14 +245,18 @@ class TargetUniverse:
         self._shift = self.targets[0].carrier.size if self.targets else 0
         self._tables: dict[str, list] = {}
         self._memo: dict[str, dict[int, int]] = {}
-        self._flags: tuple = (None, None)
+        self._per_map: tuple = (None, {})
 
-    def flag_memo(self, f: CarrierMap) -> dict | None:
-        """map_flags' class verdicts for the map f alone, by source key;
-        None in a one-target universe, which has nothing to share."""
-        if f is not self._flags[0]:
-            self._flags = (f, None if self.full == 1 else {})
-        return self._flags[1]
+    def memoized(self, f: CarrierMap, key, build):
+        """build() once per key while f is the map at hand; a new map drops
+        the entries.  Callers tag their keys apart."""
+        if f is not self._per_map[0]:
+            self._per_map = (f, {})
+        memo = self._per_map[1]
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = build()
+        return got
 
     def tables(self, kind: str) -> list:
         """The kind's table of every target, in target order."""
@@ -452,14 +457,6 @@ def _perfect(sel: Selector, facts: MapFacts, universe: TargetUniverse,
     return adh
 
 
-def _memoized(memo: dict, key, build):
-    """build() once per key of the memo."""
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = build()
-    return got
-
-
 def _class_flags(facts: MapFacts, universe: TargetUniverse) -> tuple:
     """The ladders' flags, one verdict per class, and their route faults."""
     faults, flags = [], {}
@@ -476,10 +473,9 @@ def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
     tau of the universe, each a bitset over the universe; every route runs
     once per class, as an OR of memoized meets over its constraints.  A
     memo hit raises its faults again, naming the pair at hand."""
-    memo = universe.flag_memo(facts.f)
-    build = partial(_class_flags, facts, universe)
-    classes, faults = build() if memo is None else _memoized(
-        memo, (facts.adh_s, facts.fxi.table), build)
+    classes, faults = universe.memoized(
+        facts.f, ("classes", facts.adh_s, facts.fxi.table),
+        lambda: _class_flags(facts, universe))
     flags = {
         "continuous": universe.holding("co_lim", facts.pushed),
         "open": universe.holding("lim", facts.lift_every),

@@ -185,7 +185,11 @@ class TestCLI:
                 else ["reflect", "--functor", "T", "--input", str(bad)])
         assert main(argv) == 2
         printed = capsys.readouterr()
-        assert "malformed JSON" in printed.out + printed.err
+        # validate leads its line with the path, the others their error line
+        lead = "" if command == "validate" else "error: "
+        line = printed.out + printed.err
+        assert line.startswith(f"{lead}{bad}: malformed JSON (")
+        assert line.count(str(bad)) == 1
 
     def test_validate_output_is_the_same_under_every_hash_seed(self,
                                                                tmp_path):
@@ -224,11 +228,20 @@ class TestCLI:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_oversized_carrier_capped(self, tmp_path, capsys):
-        doc = {"vicinity": {f"p{i}": [f"p{i}"] for i in range(17)}}
-        bad = tmp_path / "big.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["validate", str(bad)]) == 2
+    def test_oversized_carrier_capped(self, tmp_path, p3_file, capsys):
+        """A carrier outside the cap is reported against its file, and the
+        files after it are still validated."""
+        docs = {"big": {"vicinity": {f"p{i}": [f"p{i}"] for i in range(17)}},
+                "empty": {"points": []}}
+        paths = []
+        for name, doc in docs.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        assert main(["validate", *map(str, paths), p3_file]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{paths[0]}: carrier size 17 outside 1..16",
+            f"{paths[1]}: carrier size 0 outside 1..16",
+            f"{p3_file}: ok (3 points)"]
 
     def test_reflect_golden(self, p3_file, capsys):
         assert main(["reflect", "--functor", "T", "--input", p3_file]) == 0

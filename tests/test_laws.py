@@ -1,7 +1,13 @@
 import pytest
 
 from convlab import laws, maps
-from convlab.enumerate import default_carrier, domain
+from convlab.enumerate import (
+    all_topologies,
+    default_carrier,
+    domain,
+    surjections,
+    target_carrier,
+)
 from convlab.families import Carrier, CarrierMap, InvariantViolation
 from convlab.functors import Selector
 from convlab.laws import LawResult, emit_tables, run_laws
@@ -250,8 +256,7 @@ def test_shared_universe_flags_equal_a_fresh_universe(name):
 
 def test_map_flags_returns_a_fresh_dict():
     """Mutating the flags of one pair leaves a later pair with the same
-    memo key, decided without building its routes, unchanged; a one-target
-    universe keeps no memo."""
+    memo key, decided without building its routes, unchanged."""
     maps_, sources, targets = domain("3to2")
     f = maps_[0]
     by_key: dict = {}
@@ -269,7 +274,6 @@ def test_map_flags_returns_a_fresh_dict():
     facts = maps.MapFacts(f, later)
     assert maps.map_flags(facts, universe) == want
     assert not facts._routes
-    assert maps.TargetUniverse(targets[:1]).flag_memo(f) is None
 
 
 def test_adherence_fixes_the_closed_sets():
@@ -299,3 +303,41 @@ def test_closure_form_characterizes_hereditarily_quotient_maps():
     laws.sweep_domain([f], [xi], [tau], stats)
     assert stats.topo_props.instances == 1
     assert stats.topo_props.ok, stats.topo_props.failures
+
+
+def test_topological_pairs_fail_where_the_flags_are_flipped(monkeypatch):
+    """With the biquotient and closed flags negated, every topological
+    context of 3to2 fails the perfect collapse and the two closure forms
+    that read those flags, once per context, in target order."""
+    kernel = maps.map_flags
+
+    def flipped(facts, universe):
+        flags = kernel(facts, universe)
+        for name in ("biquotient", "closed"):
+            flags[name] ^= universe.full
+        return flags
+
+    monkeypatch.setattr(laws, "map_flags", flipped)
+    stats = laws.SweepStats()
+    laws.sweep_domain(*domain("3to2"), stats)
+    result = stats.topo_props
+    assert result.instances == result.failures_total == 696
+    assert len(result.failures) == laws.MAX_REPORTED_FAILURES
+    assert all(message.startswith(
+        "['closed/adherent/perfect split', "
+        "'closure hereditarily-quotient form', 'closure closed-map form'] "
+        "at (1, 0, 0) xi=Convergence[{'a'}->{'a'")
+        for message in result.failures)
+    assert result.failures[0].endswith(
+        "tau=Convergence[{'p'}->{'p'}, {'q'}->{'q'}, {'p', 'q'}->{}]")
+
+
+def test_four_point_topologies_onto_three_point_topologies_are_green():
+    """Every surjection between every 4-point topology and every 3-point
+    topology is a topological pair, and every merged suite holds."""
+    stats = laws.SweepStats()
+    laws.sweep_domain(surjections(default_carrier(4), target_carrier(3)),
+                      all_topologies(default_carrier(4)),
+                      all_topologies(target_carrier(3)), stats)
+    assert stats.contexts == stats.topo_props.instances == 370_620
+    assert all(r.ok for r in stats.merged())
