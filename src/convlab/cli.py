@@ -65,12 +65,16 @@ def cmd_validate(args) -> int:
     for path in args.files:
         try:
             conv = io.convergence_from_doc(io.load_json(path))
-        except (ValidationError, CapExceeded, OSError) as exc:
-            status = 2
-            for problem in getattr(exc, "violations", [exc]):
-                print(f"{path}: {problem}")
+        except (ValidationError, CapExceeded) as exc:
+            problems = getattr(exc, "violations", [exc])
+        except OSError as exc:  # its own text names the path again
+            problems = [exc.strerror]
+        else:
+            print(f"{path}: ok ({conv.carrier.size} points)")
             continue
-        print(f"{path}: ok ({conv.carrier.size} points)")
+        status = 2
+        for problem in problems:
+            print(f"{path}: {problem}")
     return status
 
 

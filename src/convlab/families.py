@@ -63,6 +63,8 @@ class Carrier:
     """A labelled ground set.  Points are indexed 0..size-1."""
 
     labels: tuple[str, ...]
+    # mask of the whole carrier
+    full: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= len(self.labels) <= MAX_CARRIER:
@@ -70,6 +72,7 @@ class Carrier:
                 f"carrier size {len(self.labels)} outside 1..{MAX_CARRIER}")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError(["carrier labels are not distinct"])
+        object.__setattr__(self, "full", (1 << len(self.labels)) - 1)
 
     @classmethod
     def of(cls, *labels: str) -> "Carrier":
@@ -78,11 +81,6 @@ class Carrier:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def full(self) -> int:
-        """Mask of the whole carrier."""
-        return (1 << len(self.labels)) - 1
 
     def points(self) -> range:
         return range(len(self.labels))
@@ -463,9 +461,6 @@ class CarrierMap:
 
     def preimage_mask(self, mask: int) -> int:
         return self.preimage_table[mask]
-
-    def fiber_mask(self, j: int) -> int:
-        return self.preimage_table[1 << j]
 
     def image(self, subset: Subset) -> Subset:
         return Subset(self.target, self.image_mask(subset.bits))

@@ -20,8 +20,9 @@ constraints on the limit tables, built from one bad-points mask per filter
 base; between topologies, the closure forms, closedness reflection and open
 images of open sets are constraints on the adherence tables, which are the
 closure tables of topologies.  The forms that read the source only through
-its (adherence, S0) tables, which fix its closed sets, or through its final
-convergence share the per-map memo of map_flags.  The ladder check also
+its adherence table, whose singleton limits fix its S0 table and its closed
+sets, or only through its final convergence share the per-map memo of
+map_flags, keyed by that table.  The ladder check also
 counts, per arrow, the contexts that breach it (a popcount per pair), and
 emit_tables reads its implication rows' violations from those counts.  On
 the contexts whose number is a multiple of CROSSCHECK_STRIDE, the kernel's
@@ -210,12 +211,6 @@ class SweepStats:
                 self.preservation, self.bijections, self.crosscheck]
 
 
-def _space_facts(conv: Convergence) -> tuple:
-    """(adh table, S0 table, closed set tuple, is_topology, is_pretopology)."""
-    return (adherence_table(conv), pretopologize(conv).table,
-            closed_masks(conv), is_topology(conv), is_pretopology(conv))
-
-
 def _fail_at(result: LawResult, n: int, checks) -> None:
     """For each (bad, message) check, one failure per target in the bitset
     bad, recorded in target order as a scan of one target at a time would
@@ -244,13 +239,15 @@ def _rc_constraints(bad_of, within, meet_of, full: int) -> tuple:
     return tuple((k, bad) for k, bad in enumerate(out) if bad)
 
 
-def _source_forms(facts: MapFacts, universe: TargetUniverse, s0_s: tuple,
-                  closed_s: tuple) -> tuple:
+def _source_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
     """The continuity forms, f(S0 lim ^A) in S0 lim ^f(A), f(adh ^(f^-H)) in
     adh ^H and f(adh ^G) in adh ^f(G), and the relation compactness of the
     fibers from (Y, tau) to (X, xi): a limit point y of ^B is bad when some
-    class filter ^J meeting f^-B has no adherent point in its fiber."""
+    class filter ^J meeting f^-B has no adherent point in its fiber.  They
+    read xi through its adherence table alone: its singleton limits fix S0
+    (their meet table) and the closed sets."""
     img_a, pre_b, adh_s = facts.img, facts.pre, facts.adh_s
+    s0_s = pretopologize(facts.xi).table
     src_sets, tgt_sets = range(1, facts.full_s + 1), range(1, facts.full_t + 1)
     cont_refl = universe.holding("co_s0", (
         (img_a[a], img_a[s0_s[a]]) for a in src_sets))
@@ -261,7 +258,8 @@ def _source_forms(facts: MapFacts, universe: TargetUniverse, s0_s: tuple,
     rc_perf_gen = universe.holding("lim", _rc_constraints(
         facts.misses, src_sets, img_a, facts.full_t))
     rc_perf_closed = universe.holding("lim", _rc_constraints(
-        facts.misses, [g for g in closed_s if g], img_a, facts.full_t))
+        facts.misses, class_filter_masks(Selector.F0_CLOSED, facts.xi),
+        img_a, facts.full_t))
     return cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed
 
 
@@ -271,20 +269,22 @@ def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
     does not adhere to z there."""
     fxi, adh_fxi, full_t = facts.fxi, facts.adh_fxi, facts.full_t
     limit_misses = [full_t & ~adh_fxi[j] for j in range(full_t + 1)]
-    closed_fxi_ne = [h for h in closed_masks(fxi) if h]
     rc_quot_gen = universe.holding("lim", _rc_constraints(
         limit_misses, range(1, full_t + 1), range(full_t + 1), full_t))
     rc_quot_closed = universe.holding("lim", _rc_constraints(
-        limit_misses, closed_fxi_ne, range(full_t + 1), full_t))
+        limit_misses, class_filter_masks(Selector.F0_CLOSED, fxi),
+        range(full_t + 1), full_t))
     return rc_quot_gen, rc_quot_closed
 
 
-def _topological_gaps(facts: MapFacts, flags: dict,
-                      universe: TargetUniverse) -> tuple:
+def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
+                      cont_pre: int, cont_img: int) -> tuple:
     """(what, the targets where it differs from its flag) for each form that
     characterizes a flag between topologies, read on topologies only.  On a
     topology the adherence of ^A is the closure of A, so the adherence
-    tables are the closure tables here."""
+    tables are the closure tables here, and the two closure forms of
+    continuity, f(cl f^-B) in cl B and f(cl A) in cl f(A), are the source
+    forms incl2 and incl3, passed in as cont_pre and cont_img."""
     img, pre, cl_s, full_t = facts.img, facts.pre, facts.adh_s, facts.full_t
     tgt_sets = range(1, full_t + 1)
     pulled = [(b, img[cl_s[pre[b]]]) for b in tgt_sets]  # f(cl f^-B)
@@ -293,11 +293,8 @@ def _topological_gaps(facts: MapFacts, flags: dict,
     def cl_within(pairs):  # cl k inside m for every (k, m)
         return universe.holding("adh", ((k, full_t & ~m) for k, m in pairs))
 
-    # continuity: f(cl f^-B) in cl B, f(cl A) in cl f(A), and no closed set
-    # with a preimage that is not closed
+    # continuity: no closed set with a preimage that is not closed
     cont = flags["continuous"]
-    cont_pre = universe.holding("co_adh", pulled)
-    cont_img = universe.holding("co_adh", pushed)
     closed_cont = universe.full
     for h in tgt_sets:
         if cl_s[pre[h]] & ~pre[h]:
@@ -331,7 +328,8 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     context."""
     universe = TargetUniverse(targets)
     targets, n = universe.targets, len(universe.targets)
-    sources = [(xi, _space_facts(xi)) for xi in sources]
+    sources = [(xi, adherence_table(xi), is_topology(xi), is_pretopology(xi))
+               for xi in sources]
     tau_top, tau_pre = (sum(1 << i for i, t in enumerate(targets) if is_a(t))
                         for is_a in (is_topology, is_pretopology))
     node = 0
@@ -340,13 +338,13 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
         full_s, full_t = f.source.full, f.target.full
         src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
         bijective = f.is_bijective()
-        for xi, (adh_s, s0_s, closed_s, xi_is_top, xi_is_pre) in sources:
+        for xi, adh_s, xi_is_top, xi_is_pre in sources:
             facts = MapFacts(f, xi)
             flags = map_flags(facts, universe)
             fxi, adh_fxi = facts.fxi, facts.adh_fxi
             cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = (
-                universe.memoized(f, ("source", adh_s, s0_s), partial(
-                    _source_forms, facts, universe, s0_s, closed_s)))
+                universe.memoized(f, ("source", adh_s),
+                                  partial(_source_forms, facts, universe)))
             rc_quot_gen, rc_quot_closed = universe.memoized(
                 f, ("final", fxi.table),
                 partial(_final_forms, facts, universe))
@@ -428,7 +426,7 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # topological pairs: one failure per context, naming its gaps
             if xi_is_top and tau_top:
                 stats.topo_props.instances += popcount(tau_top)
-                gaps = _topological_gaps(facts, flags, universe)
+                gaps = _topological_gaps(facts, flags, universe, incl2, incl3)
                 bad = reduce(or_, (gap for _, gap in gaps))
                 _fail_at(stats.topo_props, n, [(bad & tau_top, lambda i: (
                     f"{[what for what, gap in gaps if gap >> i & 1]} at "

@@ -96,9 +96,6 @@ class Convergence:
                  for m in missing])
         return cls.make(carrier, table)
 
-    def lim(self, mask: int) -> int:
-        return self.table[mask]
-
     def limit(self, f: FiniteFilter) -> Subset:
         if f.carrier != self.carrier:
             raise CarrierMismatch("filter lives on a different carrier")
@@ -328,14 +325,18 @@ def adherence(conv: Convergence, fam: SetFamily | Subset) -> Subset:
 
 
 def inherence(conv: Convergence, fam: SetFamily) -> Subset:
-    """Complement-dual of adherence: inh P = (adh P_c)^c."""
-    comp = complement_family(fam)
-    return ~adherence(conv, comp)
+    """Complement-dual of adherence: inh P = (adh P_c)^c.  is_cover reads
+    it off the same adherence pass."""
+    return ~adherence(conv, complement_family(fam))
 
 
 def is_cover(conv: Convergence, fam: SetFamily, target: Subset) -> bool:
-    """Cover test; the three equivalent clauses are each computed and must
-    agree (filter clause, inherence clause, complement-adherence clause)."""
+    """Cover test.  The filter clause (every filter converging into the
+    target holds a member of the family) is computed on its own; one
+    adherence pass over the complement family P_c serves the other two,
+    the inherence clause (target inside inh P, the complement of adh P_c)
+    and the complement-adherence clause (adh P_c misses the target).  The
+    three must agree."""
     if fam.carrier != conv.carrier or target.carrier != conv.carrier:
         raise CarrierMismatch("cover query parts on different carriers")
     full = conv.carrier.full
@@ -343,9 +344,9 @@ def is_cover(conv: Convergence, fam: SetFamily, target: Subset) -> bool:
         any(h & ~p == 0 for p in fam.masks)
         for h in range(1, full + 1)
         if target.bits & conv.table[h])
-    inh = inherence(conv, fam)
-    by_inherence = target.bits & ~inh.bits == 0
     adh_c = adherence_mask(conv, complement_family(fam).masks)
+    inh = full & ~adh_c  # inherence(conv, fam), from the same pass
+    by_inherence = target.bits & ~inh == 0
     by_adherence = adh_c & target.bits == 0
     if not by_filters == by_inherence == by_adherence:
         raise InvariantViolation(

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -242,6 +243,22 @@ class TestCLI:
             f"{paths[0]}: carrier size 17 outside 1..16",
             f"{paths[1]}: carrier size 0 outside 1..16",
             f"{p3_file}: ok (3 points)"]
+
+    @pytest.mark.parametrize("directory, code", [
+        (False, errno.ENOENT), (True, errno.EISDIR)],
+        ids=["missing", "directory"])
+    def test_validate_unopenable_file_named_once(self, directory, code,
+                                                 tmp_path, p3_file, capsys):
+        """A file that cannot be opened is reported once against its path,
+        and the files after it are still validated."""
+        path = tmp_path / "unopenable.json"
+        if directory:
+            path.mkdir()
+        assert main(["validate", str(path), p3_file]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"{path}: {os.strerror(code)}", f"{p3_file}: ok (3 points)"]
+        assert out.count(str(path)) == 1
 
     def test_reflect_golden(self, p3_file, capsys):
         assert main(["reflect", "--functor", "T", "--input", p3_file]) == 0

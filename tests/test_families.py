@@ -261,6 +261,13 @@ class TestCarrierValidation:
         with pytest.raises(ValidationError):
             Carrier(("a", "a"))
 
+    def test_full_is_a_stored_mask_outside_equality(self):
+        one, two = Carrier.of("a", "b"), Carrier(("a", "b"))
+        assert one.full == 3 and two.full == 3
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == repr(two) == "Carrier(labels=('a', 'b'))"
+        assert one != Carrier.of("a", "c")
+
     def test_degenerate_filter_is_representable(self):
         f = FiniteFilter(AB, 0)
         assert f.degenerate

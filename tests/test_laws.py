@@ -9,7 +9,7 @@ from convlab.enumerate import (
     target_carrier,
 )
 from convlab.families import Carrier, CarrierMap, InvariantViolation
-from convlab.functors import Selector
+from convlab.functors import Selector, pretopologize
 from convlab.laws import LawResult, emit_tables, run_laws
 from convlab.maps import MapContext, classify
 from convlab.spaces import (
@@ -277,14 +277,14 @@ def test_map_flags_returns_a_fresh_dict():
 
 
 def test_adherence_fixes_the_closed_sets():
-    """The memo keys leave out the closed sets: on every source of 3to2
-    they are a function of the adherence table."""
+    """The memo keys leave out the closed sets and the S0 table: on every
+    source of 3to2 both are a function of the adherence table."""
     _, sources, _ = domain("3to2")
-    closed_of: dict = {}
+    facts_of: dict = {}
     for xi in sources:
-        assert closed_of.setdefault(adherence_table(xi),
-                                    closed_masks(xi)) == closed_masks(xi)
-    assert len(closed_of) < len(sources)
+        facts = closed_masks(xi), pretopologize(xi).table
+        assert facts_of.setdefault(adherence_table(xi), facts) == facts
+    assert len(facts_of) < len(sources)
 
 
 def test_closure_form_characterizes_hereditarily_quotient_maps():

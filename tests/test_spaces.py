@@ -5,6 +5,7 @@ from convlab.families import Carrier, FiniteFilter, SetFamily, Subset, Validatio
 from convlab.spaces import (
     Convergence,
     adherence,
+    adherence_mask,
     closure,
     discrete,
     finer,
@@ -170,6 +171,25 @@ class TestCovers:
 
     def test_chain_cover_example(self, p3):
         assert is_cover(p3, SetFamily.of(ABC, ("b", "c")), ABC.subset("b", "c"))
+
+    @pytest.mark.parametrize("members", [
+        (), (("b", "c"),), (("a",), ("b", "c"), ("a", "c"))],
+        ids=["empty", "one-member", "three-member"])
+    def test_one_adherence_pass_per_query(self, p3, members, monkeypatch):
+        """The inherence and complement-adherence clauses share one
+        adherence pass over the complement family."""
+        import convlab.spaces as spaces
+        calls = []
+
+        def counted(conv, fam_masks):
+            calls.append(fam_masks)
+            return adherence_mask(conv, fam_masks)
+
+        monkeypatch.setattr(spaces, "adherence_mask", counted)
+        for m in range(8):
+            calls.clear()
+            is_cover(p3, SetFamily.of(ABC, *members), Subset(ABC, m))
+            assert len(calls) == 1
 
 
 class TestNeighborhoodAndVicinity:
