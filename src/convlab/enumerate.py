@@ -287,7 +287,7 @@ def _flagged(domain_name: str, want: dict[str, bool]):
         universe = TargetUniverse(targets)
         for f in maps:
             for xi in sources:
-                flags = map_flags(MapFacts(f, xi), universe)
+                flags = map_flags(MapFacts(f, xi, universe), universe)
                 hits = universe.full
                 for k, v in want.items():
                     hits &= flags[k] if v else ~flags[k]

@@ -404,11 +404,13 @@ class CarrierMap:
     source: Carrier
     target: Carrier
     mapping: tuple[int, ...]
-    # image_mask for every source mask, preimage_mask for every target mask
+    # image_mask for every source mask, preimage_mask for every target mask,
+    # and the fiber of every target point
     image_table: tuple[int, ...] = field(
         init=False, compare=False, repr=False)
     preimage_table: tuple[int, ...] = field(
         init=False, compare=False, repr=False)
+    fibers: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.mapping) != self.source.size:
@@ -416,9 +418,10 @@ class CarrierMap:
         if any(not 0 <= j < self.target.size for j in self.mapping):
             raise ValidationError(["map value outside the target carrier"])
         points = [1 << j for j in self.mapping]
+        fibers = transpose(points, self.target.size)
         object.__setattr__(self, "image_table", union_table(points))
-        object.__setattr__(self, "preimage_table", union_table(
-            transpose(points, self.target.size)))
+        object.__setattr__(self, "preimage_table", union_table(fibers))
+        object.__setattr__(self, "fibers", fibers)
 
     @classmethod
     def of(cls, source: Carrier, target: Carrier,

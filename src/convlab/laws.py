@@ -4,8 +4,9 @@ scale, in one fused pass per map domain.
 The fused sweep classifies every (map, source, target) context through the
 classification kernel of maps, the same code classify() runs, transposed
 over the targets: the targets of a domain form one maps.TargetUniverse, a
-MapFacts record is built once per (map, source), and map_flags decides all
-targets of the pair at once, each flag a bitset over the targets.  A route
+MapFacts record holds each (map, source) pair's parts, each built once per
+distinct value of what it reads, and map_flags decides all targets of the
+pair at once, each flag a bitset over the targets.  A route
 disagreement inside the kernel raises InvariantViolation at the first
 failing context, the one a scan of one context at a time would meet.  The
 flag searches of enumerate, which suite_strictness_witnesses and
@@ -21,8 +22,9 @@ base; between topologies, the closure forms, closedness reflection and open
 images of open sets are constraints on the adherence tables, which are the
 closure tables of topologies.  The forms that read the source only through
 its adherence table, whose singleton limits fix its S0 table and its closed
-sets, or only through its final convergence share the per-map memo of
-map_flags, keyed by that table.  The ladder check also
+sets, only through its final convergence, or only through its pushed
+limits f(lim ^A) share the per-map memo of map_flags, keyed by that table
+(sweep_domain lists each part with its key).  The ladder check also
 counts, per arrow, the contexts that breach it (a popcount per pair), and
 emit_tables reads its implication rows' violations from those counts.  On
 the contexts whose number is a multiple of CROSSCHECK_STRIDE, the kernel's
@@ -319,11 +321,34 @@ def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
 
 def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     """One fused pass, transposed over the targets: they form one
-    maps.TargetUniverse, and each (map, source) pair builds one MapFacts
-    and decides every target at once.  map_flags returns each flag as a
-    bitset over the targets and raises InvariantViolation at the first
-    target where two routes disagree; each law about the flags is a few
-    bitset operations or "need inside table[k]" lookups per pair.  Only the
+    maps.TargetUniverse, and each (map, source) pair decides every target
+    at once.  map_flags returns each flag as a bitset over the targets and
+    raises InvariantViolation at the first target where two routes
+    disagree; each law about the flags is a few bitset operations or "need
+    inside table[k]" lookups per pair.
+
+    Every part is built once per distinct value of what it reads, in the
+    universe's per-map memo, each source's adherence table adh_s once per
+    source:
+
+      per pair:          the MapFacts record, given adh_s, with its lift
+                         table and pushed limits lims (the keys); the
+                         final_convergence_scan oracle; instance counts;
+                         the ladder, bijection and compactness bitset
+                         comparisons; and every failure message, naming
+                         its own pair;
+      per fxi:           the final convergence's MapFacts parts and the
+                         continuity and almost-open flags (maps), and the
+                         quotient relation compactness (_final_forms);
+      per lift table:    the open constraints and flag (maps);
+      per lims:          the graph constraints and flag (maps), and the
+                         adjunction's initial-side continuity init_ok;
+      per adh_s:         the continuity forms and fiber relation
+                         compactness (_source_forms);
+      per (adh_s, fxi):  the class verdicts with their route faults
+                         (maps), and the adherence-transport check.
+
+    A memo hit still reports its verdict at the pair in hand.  Only the
     sampled cross-check against the reference implementations runs per
     context."""
     universe = TargetUniverse(targets)
@@ -339,9 +364,9 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
         src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
         bijective = f.is_bijective()
         for xi, adh_s, xi_is_top, xi_is_pre in sources:
-            facts = MapFacts(f, xi)
+            facts = MapFacts(f, xi, universe, adh_s)
             flags = map_flags(facts, universe)
-            fxi, adh_fxi = facts.fxi, facts.adh_fxi
+            fxi, lims = facts.fxi, facts.lims
             cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = (
                 universe.memoized(f, ("source", adh_s),
                                   partial(_source_forms, facts, universe)))
@@ -358,8 +383,10 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # adherence transport: adh in the final convergence equals the
             # pushed source adherence of the preimage filter
             stats.adjunction.instances += 1
-            if fxi != final_convergence_scan(f, xi) or not all(
-                    adh_fxi[h] == img_a[adh_s[pre_b[h]]] for h in tgt_sets):
+            if fxi != final_convergence_scan(f, xi) or not universe.memoized(
+                    f, ("transport", adh_s, fxi.table), lambda: all(
+                        facts.adh_fxi[h] == img_a[adh_s[pre_b[h]]]
+                        for h in tgt_sets)):
                 stats.adjunction.fail(
                     f"final convergence or its adherence transport failed: "
                     f"{f.mapping} {xi!r}")
@@ -400,8 +427,9 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # on the final convergence) <=> xi >= f- tau, read one A at a
             # time: f(lim ^A) inside lim ^f(A)
             stats.adjunction.instances += n
-            init_ok = universe.holding("co_lim", (
-                (img_a[a], img_a[xi.table[a]]) for a in src_sets))
+            init_ok = universe.memoized(f, ("init", lims), lambda: (
+                universe.holding("co_lim", (
+                    (img_a[a], lims[a]) for a in src_sets))))
             gap = cont ^ init_ok
             if gap:
                 _fail_at(stats.adjunction, n, [(gap, lambda i: (
@@ -644,9 +672,11 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
 
 
 def suite_cover_duality(samples: int, seed: int) -> LawResult:
-    """Cover <=> inherence inclusion <=> empty adherence of complements;
-    exhaustive at n<=2, sampled at n=3; open-cover comparison on
-    topologies."""
+    """The filter clause of a cover against the one adherence pass over
+    the complement family, which is_cover reads both as inherence
+    inclusion and as empty adherence of the complements (the same test, so
+    only the filter clause can disagree with it); exhaustive at n<=2,
+    sampled at n=3; open-cover comparison on topologies."""
     r = LawResult("cover duality (three clauses) + open-cover remark")
     for n in (1, 2):
         carrier = default_carrier(n)

@@ -1,14 +1,19 @@
 """Continuity, initial/final convergences, and classification of surjections
 into quotient-like and perfect-like classes.
 
-Classification has one kernel.  MapFacts gathers, once per (map, source)
-pair, everything the routes read that does not depend on the target: the
-image, preimage and fiber tables, the source adherence, the lift table and
-the final convergence read off it, with its adherence and reflections, the
-filter classes, the cover-route triggers, the open and almost-open
-constraints and the graph-closedness constraints.  Each route is a tuple
-of (k, bad) constraints that hold when table[k] & bad == 0 on a target
-table.
+Classification has one kernel.  MapFacts holds what the routes read of a
+(map, source) pair that does not depend on the target, each part built
+once per distinct value of what it reads, through the universe's per-map
+memo: the image, preimage and fiber tables once per map (CarrierMap
+stores them); the lift table and the pushed limits f(lim ^A), the keys,
+per pair; the final convergence read off the lift table, with its
+adherence and the continuity and almost-open constraints, per final
+convergence; the open constraints per lift table; the graph-closedness
+constraints per pushed-limit table; and the filter classes, reflections,
+cover-route triggers and class routes per (source adherence, final
+convergence), built only where map_flags misses its memo of the class
+verdicts.  Each route is a tuple of (k, bad) constraints that hold when
+table[k] & bad == 0 on a target table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
@@ -25,8 +30,10 @@ other class routes through its adherence and closed sets, and the closed
 sets are fixed by the singleton limits, which the adherence table holds (C
 is closed iff lim ^{c} lies in C for every c in C, as lim ^A lies in
 lim ^{a}): the universe memoizes, for one map at a time, the class
-verdicts with their route faults per (adh_s, fxi.table), and the law
-sweep keeps its own per-map forms in the same memo.
+verdicts with their route faults per (adh_s, fxi.table), the continuity
+and almost-open flags per fxi, the open flag per lift table and the
+graph-closedness flag per pushed-limit table, and the law sweep keeps its
+own per-map forms in the same memo.
 
 Each inverse-continuity class is decided through independent routes that
 must agree bit-for-bit; a disagreement raises InvariantViolation:
@@ -76,6 +83,7 @@ maps that are not surjective, the second any relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 from .families import (
@@ -146,7 +154,7 @@ def initial_convergence(f: CarrierMap, tau: Convergence) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
-def _lifts(f: CarrierMap, xi: Convergence) -> list:
+def _lifts(f: CarrierMap, xi: Convergence) -> tuple:
     """lifts[B]: the source points in lim ^A for some A with f(A) = B, for
     a surjection f from xi's carrier."""
     if f.source != xi.carrier:
@@ -157,7 +165,7 @@ def _lifts(f: CarrierMap, xi: Convergence) -> list:
     lifts = [0] * (f.target.full + 1)
     for a in range(1, f.source.full + 1):
         lifts[img[a]] |= xi.table[a]
-    return lifts
+    return tuple(lifts)
 
 
 def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
@@ -175,10 +183,9 @@ def final_convergence_scan(f: CarrierMap, xi: Convergence) -> Convergence:
     """The final convergence of a surjection as the literal antitone
     closure, O(2^|X| * 2^|Y|): lim ^B = union of f(lim ^A) over A with
     f(A) >= B.  The law sweep's oracle for final_convergence."""
-    carrier = f.target
+    carrier, img = f.target, f.image_table
     table = [0] * (carrier.full + 1)
-    imgs = [(f.image_mask(a), f.image_mask(xi.table[a]))
-            for a in range(1, xi.carrier.full + 1)]
+    imgs = [(img[a], img[xi.table[a]]) for a in range(1, xi.carrier.full + 1)]
     for b in range(1, carrier.full + 1):
         acc = 0
         for ia, il in imgs:
@@ -235,9 +242,11 @@ class TargetUniverse:
     are several targets, each answer is memoized, so a sweep asks each
     (kind, k, m) of its targets once; a one-target universe has nothing to
     share and tests the entry directly.  memoized keeps, for one map at a
-    time, what the map decides over the universe."""
+    time, what the map decides over the universe; a one-target universe
+    keeps nothing there either."""
 
-    __slots__ = ("targets", "full", "_shift", "_tables", "_memo", "_per_map")
+    __slots__ = ("targets", "full", "_shift", "_tables", "_memo", "_map",
+                 "_per_map")
 
     def __init__(self, targets):
         self.targets = tuple(targets)
@@ -245,17 +254,19 @@ class TargetUniverse:
         self._shift = self.targets[0].carrier.size if self.targets else 0
         self._tables: dict[str, list] = {}
         self._memo: dict[str, dict[int, int]] = {}
-        self._per_map: tuple = (None, {})
+        self._map: CarrierMap | None = None
+        self._per_map: dict = {}
 
     def memoized(self, f: CarrierMap, key, build):
         """build() once per key while f is the map at hand; a new map drops
         the entries.  Callers tag their keys apart."""
-        if f is not self._per_map[0]:
-            self._per_map = (f, {})
-        memo = self._per_map[1]
-        got = memo.get(key)
+        if self.full == 1:
+            return build()
+        if f is not self._map:
+            self._map, self._per_map = f, {}
+        got = self._per_map.get(key)
         if got is None:
-            got = memo[key] = build()
+            got = self._per_map[key] = build()
         return got
 
     def tables(self, kind: str) -> list:
@@ -300,55 +311,89 @@ class TargetUniverse:
         return full & ~failing
 
 
-class MapFacts:
-    """Everything the classification routes read that depends only on the
-    surjection f and the source xi, built once per (f, xi) pair; the targets
-    enter through a TargetUniverse alone (map_flags)."""
+def _final_parts(f: CarrierMap, fxi_table: tuple) -> tuple:
+    """What the routes read off the final convergence: fxi itself, its
+    adherence, the continuity constraints (f(lim ^A) within lim ^f(A), on
+    the co_lim tables) and the almost-open ones (the target is finer than
+    fxi)."""
+    fxi = Convergence(f.target, fxi_table)
+    full_t = f.target.full
+    targets = range(1, full_t + 1)
+    return (fxi, adherence_table(fxi),
+            tuple((b, fxi_table[b]) for b in targets if fxi_table[b]),
+            _forbidden(((b, fxi_table[b]) for b in targets), full_t))
 
-    __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "fibers",
-                 "adh_s", "_misses", "fxi", "adh_fxi", "lifts", "pushed",
+
+def _lift_every(f: CarrierMap, lifts: tuple) -> tuple:
+    """The open constraints: every fiber point lifts ^B."""
+    img, full_s, full_t = f.image_table, f.source.full, f.target.full
+    return _forbidden(((b, full_t & ~img[full_s & ~lifts[b]])
+                       for b in range(1, full_t + 1)), full_t)
+
+
+def _graph(f: CarrierMap, lims: tuple) -> tuple:
+    """The graph-closedness constraints: adh f(A) lies in the common image
+    of the limits of ^A (empty unless they share one image)."""
+    img, full_t = f.image_table, f.target.full
+    graph: dict[int, int] = {}
+    for a in range(1, f.source.full + 1):
+        common = lims[a]
+        if common:
+            if common & (common - 1):
+                common = 0
+            graph[img[a]] = graph.get(img[a], full_t) & common
+    return _forbidden(graph.items(), full_t)
+
+
+class MapFacts:
+    """What the classification routes read of the surjection f and the
+    source xi; the targets enter through a TargetUniverse alone
+    (map_flags).  Each part is built once per distinct value of what it
+    reads, the per-map tables by CarrierMap, the rest through the
+    universe's per-map memo:
+
+      per map:               the image, preimage and fiber tables;
+      per pair:              the lift table lifts[B] and the pushed limits
+                             lims[A] = f(lim ^A), the keys below;
+      per final convergence: fxi (the image of the lift table), its
+                             adherence adh_fxi, and the continuity and
+                             almost-open constraints pushed and order;
+      per lift table:        the open constraints lift_every;
+      per pushed limits:     the graph-closedness constraints graph;
+      per (adh_s, fxi):      the class routes, built only when map_flags
+                             misses its memo of the class verdicts.
+
+    adh_s is the source adherence, passed in by a caller that holds it."""
+
+    __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "adh_s",
+                 "_misses", "fxi", "adh_fxi", "lifts", "lims", "pushed",
                  "order", "lift_every", "graph", "_routes")
 
-    def __init__(self, f: CarrierMap, xi: Convergence):
-        lifts = self.lifts = _lifts(f, xi)
-        img = self.img = f.image_table
-        # the final convergence, as final_convergence builds it
-        fxi = self.fxi = Convergence(f.target, tuple(img[x] for x in lifts))
-        self.pre = f.preimage_table
-        full_s = self.full_s = f.source.full
-        full_t = self.full_t = f.target.full
+    def __init__(self, f: CarrierMap, xi: Convergence,
+                 universe: TargetUniverse, adh_s: tuple | None = None):
+        memoized = universe.memoized
         self.f, self.xi = f, xi
-        self.fibers = [self.pre[1 << y] for y in range(f.target.size)]
-        self.adh_s = adherence_table(xi)
+        img = self.img = f.image_table
+        self.pre = f.preimage_table
+        self.full_s, self.full_t = f.source.full, f.target.full
+        self.adh_s = adherence_table(xi) if adh_s is None else adh_s
         self._misses = None
-        self.adh_fxi = adherence_table(fxi)
-        # graph-closedness: adh f(A) lies in the common image of the limits
-        # of ^A (empty unless they share one image)
-        graph: dict[int, int] = {}
-        for a in range(1, full_s + 1):
-            lim = xi.table[a]
-            if lim:
-                common = img[lim]
-                if common & (common - 1):
-                    common = 0
-                graph[img[a]] = graph.get(img[a], full_t) & common
-        targets = range(1, full_t + 1)
-        # continuity: f(lim ^A) within lim ^f(A), on the co_lim tables
-        self.pushed = tuple((b, fxi.table[b]) for b in targets if fxi.table[b])
-        # almost open: the target is finer than the final convergence
-        self.order = _forbidden(((b, fxi.table[b]) for b in targets), full_t)
-        # open: every fiber point lifts ^B
-        self.lift_every = _forbidden(
-            ((b, full_t & ~img[full_s & ~lifts[b]]) for b in targets), full_t)
-        self.graph = _forbidden(graph.items(), full_t)
         self._routes: dict[Selector, _Routes] = {}
+        lifts = self.lifts = _lifts(f, xi)
+        fxi_table = tuple(map(img.__getitem__, lifts))
+        self.fxi, self.adh_fxi, self.pushed, self.order = memoized(
+            f, ("fxi", fxi_table), partial(_final_parts, f, fxi_table))
+        self.lift_every = memoized(f, ("lifts", lifts),
+                                   partial(_lift_every, f, lifts))
+        lims = self.lims = tuple(map(img.__getitem__, xi.table))
+        self.graph = memoized(f, ("lims", lims), partial(_graph, f, lims))
 
     @property
     def misses(self) -> list:
         """misses[j]: the target points whose fiber misses adh ^J."""
         if self._misses is None:
             misses = [0] * (self.full_s + 1)
-            for y, fy in enumerate(self.fibers):
+            for y, fy in enumerate(self.f.fibers):
                 misses = [m if fy & adh_j else m | 1 << y
                           for m, adh_j in zip(misses, self.adh_s)]
             self._misses = misses
@@ -472,15 +517,23 @@ def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
     """The twelve classification flags of f: (xi) -> (tau) for every target
     tau of the universe, each a bitset over the universe; every route runs
     once per class, as an OR of memoized meets over its constraints.  A
-    memo hit raises its faults again, naming the pair at hand."""
-    classes, faults = universe.memoized(
-        facts.f, ("classes", facts.adh_s, facts.fxi.table),
-        lambda: _class_flags(facts, universe))
+    memo hit raises its faults again, naming the pair at hand.  Each flag
+    is decided once per value of the part of MapFacts it reads."""
+    f, memoized, holding = facts.f, universe.memoized, universe.holding
+    fxi_table = facts.fxi.table
+    classes, faults = memoized(f, ("classes", facts.adh_s, fxi_table),
+                               lambda: _class_flags(facts, universe))
+    continuous, almost_open = memoized(
+        f, ("fxi flags", fxi_table),
+        lambda: (holding("co_lim", facts.pushed),
+                 holding("lim", facts.order)))
     flags = {
-        "continuous": universe.holding("co_lim", facts.pushed),
-        "open": universe.holding("lim", facts.lift_every),
-        "almost_open": universe.holding("lim", facts.order),
-        "graph_closed": universe.holding("adh", facts.graph),
+        "continuous": continuous,
+        "open": memoized(f, ("open", facts.lifts),
+                         lambda: holding("lim", facts.lift_every)),
+        "almost_open": almost_open,
+        "graph_closed": memoized(f, ("graph_closed", facts.lims),
+                                 lambda: holding("adh", facts.graph)),
         **classes,
     }
     _raise_first(facts, universe, faults)
@@ -491,7 +544,8 @@ def _evaluate(ctx: MapContext) -> tuple:
     """The kernel's view of one context: its MapFacts and the one-target
     universe of its target."""
     ctx.require_surjective()
-    return MapFacts(ctx.f, ctx.source), TargetUniverse((ctx.target,))
+    universe = TargetUniverse((ctx.target,))
+    return MapFacts(ctx.f, ctx.source, universe), universe
 
 
 def _decide(route, ctx: MapContext, *args) -> bool:
@@ -713,13 +767,13 @@ def classification_witnesses(ctx: MapContext,
                     "set": list(src.carrier.labels_of(a))}
                 break
     # the ladder makes a map that is not almost open not open either
-    facts = None if report.open else MapFacts(f, src)
+    facts = None if report.open else _evaluate(ctx)[0]
     if not report.open:
         for b, bad in facts.lift_every:
             y_bits = dst.table[b] & bad
             if y_bits:
                 y = (y_bits & -y_bits).bit_length() - 1
-                x_bits = facts.fibers[y] & ~facts.lifts[b]
+                x_bits = f.fibers[y] & ~facts.lifts[b]
                 out["open"] = {
                     "target_set": list(dst.carrier.labels_of(b)),
                     "target_point": dst.carrier.labels[y],

@@ -335,8 +335,11 @@ def is_cover(conv: Convergence, fam: SetFamily, target: Subset) -> bool:
     target holds a member of the family) is computed on its own; one
     adherence pass over the complement family P_c serves the other two,
     the inherence clause (target inside inh P, the complement of adh P_c)
-    and the complement-adherence clause (adh P_c misses the target).  The
-    three must agree."""
+    and the complement-adherence clause (adh P_c misses the target).  Read
+    off one pass, those two are the same test, so the InvariantViolation
+    catches a disagreement between the filter clause and that pass alone;
+    the duality inh P = (adh P_c)^c is pinned separately, as the round
+    trip of inherence and adherence."""
     if fam.carrier != conv.carrier or target.carrier != conv.carrier:
         raise CarrierMismatch("cover query parts on different carriers")
     full = conv.carrier.full

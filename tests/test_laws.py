@@ -177,8 +177,8 @@ class TestTables:
         assert stats.implications.failures_total == breaching
 
 
-# contexts and per-suite instance counts of two whole sweep domains; a
-# drift fails here, not only against the benchmark's instance record
+# contexts and per-suite instance counts of whole sweep domains; a drift
+# fails here, not only against the benchmark's instance record
 PINNED_SWEEPS = {
     "2to2": (162, {
         "route agreement (quotient x3, perfect x2)": 810,
@@ -190,6 +190,17 @@ PINNED_SWEEPS = {
         "mixed-property preservation grid": 162,
         "bijections: quotient <-> perfect per class": 162,
         "fused sweep vs reference implementations": 0,
+    }),
+    "3to2": (148176, {
+        "route agreement (quotient x3, perfect x2)": 740880,
+        "continuity equivalences (adherence forms)": 148176,
+        "final/initial adjunction + adherence transport": 164640,
+        "implication ladder on classified instances": 148176,
+        "perfect<->compact fiber relation, quotient<->compact": 296352,
+        "topological pairs: closure forms + perfect collapse": 696,
+        "mixed-property preservation grid": 148176,
+        "bijections: quotient <-> perfect per class": 0,
+        "fused sweep vs reference implementations": 148,
     }),
     "3to3 pretopologies": (24576, {
         "route agreement (quotient x3, perfect x2)": 122880,
@@ -218,6 +229,7 @@ def test_sweep_counts_are_pinned(name):
     assert stats.contexts == contexts
     assert {r.name: r.instances for r in stats.merged()} == instances
     assert all(r.ok for r in stats.merged())
+    assert sum(stats.breaches.values()) == 0
 
 
 @pytest.mark.parametrize("name, step", [
@@ -231,7 +243,7 @@ def test_universe_kernel_and_sweep_agree_with_classify(name, step):
     universe = maps.TargetUniverse(targets)
     stats = laws.SweepStats()
     for f, xi in pairs:
-        flags = maps.map_flags(maps.MapFacts(f, xi), universe)
+        flags = maps.map_flags(maps.MapFacts(f, xi, universe), universe)
         for i, tau in enumerate(targets):
             report = classify(MapContext(f, xi, tau)).as_dict()
             assert {k: bool(v >> i & 1) for k, v in flags.items()} == report
@@ -250,8 +262,8 @@ def test_shared_universe_flags_equal_a_fresh_universe(name):
     for f in maps_:
         for xi in sources:
             fresh = maps.TargetUniverse(targets)
-            assert (maps.map_flags(maps.MapFacts(f, xi), shared)
-                    == maps.map_flags(maps.MapFacts(f, xi), fresh))
+            assert (maps.map_flags(maps.MapFacts(f, xi, shared), shared)
+                    == maps.map_flags(maps.MapFacts(f, xi, fresh), fresh))
 
 
 def test_map_flags_returns_a_fresh_dict():
@@ -265,13 +277,12 @@ def test_map_flags_returns_a_fresh_dict():
         key = (adherence_table(xi), fxi.table)
         by_key.setdefault(key, []).append(xi)
     first, later = next(xis for xis in by_key.values() if len(xis) > 1)[:2]
-    universe = maps.TargetUniverse(targets)
-    want = maps.map_flags(maps.MapFacts(f, later),
-                          maps.TargetUniverse(targets))
-    flags = maps.map_flags(maps.MapFacts(f, first), universe)
+    universe, fresh = (maps.TargetUniverse(targets) for _ in range(2))
+    want = maps.map_flags(maps.MapFacts(f, later, fresh), fresh)
+    flags = maps.map_flags(maps.MapFacts(f, first, universe), universe)
     for name in flags:
         flags[name] ^= universe.full
-    facts = maps.MapFacts(f, later)
+    facts = maps.MapFacts(f, later, universe)
     assert maps.map_flags(facts, universe) == want
     assert not facts._routes
 
@@ -305,19 +316,23 @@ def test_closure_form_characterizes_hereditarily_quotient_maps():
     assert stats.topo_props.ok, stats.topo_props.failures
 
 
-def test_topological_pairs_fail_where_the_flags_are_flipped(monkeypatch):
-    """With the biquotient and closed flags negated, every topological
-    context of 3to2 fails the perfect collapse and the two closure forms
-    that read those flags, once per context, in target order."""
+def _flipped(*names):
+    """map_flags with the named flags negated on every target."""
     kernel = maps.map_flags
 
     def flipped(facts, universe):
         flags = kernel(facts, universe)
-        for name in ("biquotient", "closed"):
+        for name in names:
             flags[name] ^= universe.full
         return flags
+    return flipped
 
-    monkeypatch.setattr(laws, "map_flags", flipped)
+
+def test_topological_pairs_fail_where_the_flags_are_flipped(monkeypatch):
+    """With the biquotient and closed flags negated, every topological
+    context of 3to2 fails the perfect collapse and the two closure forms
+    that read those flags, once per context, in target order."""
+    monkeypatch.setattr(laws, "map_flags", _flipped("biquotient", "closed"))
     stats = laws.SweepStats()
     laws.sweep_domain(*domain("3to2"), stats)
     result = stats.topo_props
@@ -341,3 +356,58 @@ def test_four_point_topologies_onto_three_point_topologies_are_green():
                       all_topologies(target_carrier(3)), stats)
     assert stats.contexts == stats.topo_props.instances == 370_620
     assert all(r.ok for r in stats.merged())
+
+
+def test_memo_changes_no_message(monkeypatch):
+    """Under the flipped biquotient and closed flags, one map of 3to2 swept
+    over every 5th source in one call, where the sources share the per-map
+    memo, records the counts and messages of one call per source, each
+    with a memo of its own; every message is kept.  The cross-check
+    numbers the contexts within a call, so only its failures are
+    compared."""
+    monkeypatch.setattr(laws, "map_flags", _flipped("biquotient", "closed"))
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    maps_, sources, targets = domain("3to2")
+    f, sources = maps_[0], sources[::5]
+    shared, apart = laws.SweepStats(), laws.SweepStats()
+    laws.sweep_domain([f], sources, targets, shared)
+    for xi in sources:
+        laws.sweep_domain([f], [xi], targets, apart)
+    assert shared.topo_props.failures_total
+    for one, each in zip(shared.merged(), apart.merged()):
+        if one is not shared.crosscheck:
+            assert one.instances == each.instances, one.name
+        assert one.failures_total == each.failures_total, one.name
+        assert one.failures == each.failures, one.name
+    assert shared.breaches == apart.breaches
+
+
+def test_the_final_convergence_oracle_runs_per_pair(monkeypatch):
+    """final_convergence_scan stays outside every memo: wrong for the last
+    source xi0 of 3to2 alone, it fails the adjunction suite once per map,
+    naming xi0, although every map meets xi0's source adherence and final
+    convergence at an earlier source."""
+    maps_, sources, targets = domain("3to2")
+    xi0 = sources[-1]
+    for f in maps_:
+        key = adherence_table(xi0), maps.final_convergence(f, xi0)
+        assert any((adherence_table(xi), maps.final_convergence(f, xi)) == key
+                   for xi in sources[:-1])
+    scan = laws.final_convergence_scan
+
+    def wrong_at_xi0(f, xi):
+        got = scan(f, xi)
+        if xi is not xi0:
+            return got
+        return type(got)(got.carrier, got.table[:-1] + (got.table[-1] ^ 1,))
+
+    monkeypatch.setattr(laws, "final_convergence_scan", wrong_at_xi0)
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10)
+    stats = laws.SweepStats()
+    laws.sweep_domain(maps_, sources, targets, stats)
+    result = stats.adjunction
+    assert result.failures_total == len(result.failures) == len(maps_) == 6
+    assert result.failures == [
+        f"final convergence or its adherence transport failed: "
+        f"{f.mapping} {xi0!r}" for f in maps_]
+    assert all(r.ok for r in stats.merged() if r is not result)
