@@ -13,14 +13,16 @@ flag searches of enumerate, which suite_strictness_witnesses and
 emit_tables run, read the same kernel the same way.
 
 What the sweep adds are the laws about the flags, decided the same way per
-pair: the implication ladder, bijections and preservation are masks over
-the flag bitsets; the final/initial adjunction and the continuity
+pair: the implication ladder and bijections are masks over the flag
+bitsets; preservation compares the T and S0 flags with the targets whose
+reflection equals that of the final convergence, read on the universe's T
+and S0 tables; the final/initial adjunction and the continuity
 equivalences are "need inside table[k]" lookups on the universe's
 complement tables; the relation-compactness characterizations are (k, bad)
 constraints on the limit tables, built from one bad-points mask per filter
-base; between topologies, the closure forms, closedness reflection and open
-images of open sets are constraints on the adherence tables, which are the
-closure tables of topologies.  The forms that read the source only through
+base; between topologies, the closure forms and open images of open sets
+are constraints on the adherence tables, which are the closure tables of
+topologies.  The forms that read the source only through
 its adherence table, whose singleton limits fix its S0 table and its closed
 sets, only through its final convergence, or only through its pushed
 limits f(lim ^A) share the per-map memo of map_flags, keyed by that table
@@ -75,6 +77,7 @@ from .families import (
     SetFamily,
     Subset,
     popcount,
+    union_table,
 )
 from .functors import (
     COREFLECTORS,
@@ -97,6 +100,7 @@ from .maps import (
     MapContext,
     MapFacts,
     TargetUniverse,
+    _forbidden,
     classify,
     closed_in_product,
     continuous,
@@ -230,15 +234,11 @@ def _at(bits: int, i: int) -> bool:
 def _rc_constraints(bad_of, within, meet_of, full: int) -> tuple:
     """(k, the OR of bad_of[j] over the j in within with meet_of[j] meeting
     k) for every k up to full, empty ones dropped: a limit point of ^K in
-    that mask violates relation compactness."""
-    out = [0] * (full + 1)
-    for j in within:
-        bad, m = bad_of[j], meet_of[j]
-        if bad:
-            for k in range(1, full + 1):
-                if k & m:
-                    out[k] |= bad
-    return tuple((k, bad) for k, bad in enumerate(out) if bad)
+    that mask violates relation compactness: the union_table of the ORs
+    cols[y] over the j whose meet_of[j] holds the point y."""
+    cols = [reduce(or_, (bad_of[j] for j in within if meet_of[j] >> y & 1), 0)
+            for y in range(full.bit_length())]
+    return tuple((k, bad) for k, bad in enumerate(union_table(cols)) if bad)
 
 
 def _source_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
@@ -268,7 +268,8 @@ def _source_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
 def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
     """The relation compactness of f from (X, initial) to (Y, final): a
     limit point z of ^f(A) is bad when some class filter ^J meeting f(A)
-    does not adhere to z there."""
+    does not adhere to z there; and the targets tau with T tau = T(fxi)
+    and with S0 tau = S0(fxi), each an entrywise inclusion both ways."""
     fxi, adh_fxi, full_t = facts.fxi, facts.adh_fxi, facts.full_t
     limit_misses = [full_t & ~adh_fxi[j] for j in range(full_t + 1)]
     rc_quot_gen = universe.holding("lim", _rc_constraints(
@@ -276,7 +277,13 @@ def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
     rc_quot_closed = universe.holding("lim", _rc_constraints(
         limit_misses, class_filter_masks(Selector.F0_CLOSED, fxi),
         range(full_t + 1), full_t))
-    return rc_quot_gen, rc_quot_closed
+
+    def equal(kind, table):  # entry b of J tau within table[b] and back
+        return (universe.holding(kind, _forbidden(enumerate(table), full_t))
+                & universe.holding("co_" + kind, enumerate(table)))
+    return (rc_quot_gen, rc_quot_closed,
+            equal("t", topologize(fxi).table),
+            equal("s0", pretopologize(fxi).table))
 
 
 def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
@@ -286,10 +293,12 @@ def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
     topology the adherence of ^A is the closure of A, so the adherence
     tables are the closure tables here, and the two closure forms of
     continuity, f(cl f^-B) in cl B and f(cl A) in cl f(A), are the source
-    forms incl2 and incl3, passed in as cont_pre and cont_img."""
+    forms incl2 and incl3, passed in as cont_pre and cont_img.  cl B in
+    f(cl f^-B) (hereditarily quotient) and closedness reflection (quotient)
+    are left out: on a topological source they are the kernel's quotient
+    adherence routes of the principal and the closed class."""
     img, pre, cl_s, full_t = facts.img, facts.pre, facts.adh_s, facts.full_t
     tgt_sets = range(1, full_t + 1)
-    pulled = [(b, img[cl_s[pre[b]]]) for b in tgt_sets]  # f(cl f^-B)
     pushed = [(img[a], img[cl_s[a]]) for a in range(1, facts.full_s + 1)]
 
     def cl_within(pairs):  # cl k inside m for every (k, m)
@@ -309,13 +318,7 @@ def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
          flags["open"] ^ cl_within((c, c) for c in shut)),
         ("closure continuity forms",
          ((cont_pre & cont_img) ^ cont) | (cont_pre ^ cont_img)),
-        # cl B in f(cl f^-B) characterizes hereditarily quotient
-        # (pseudo-open) maps; the quotient form is closedness reflection
-        ("closure hereditarily-quotient form",
-         flags["biquotient"] ^ cl_within(pulled)),
         ("closure closed-map form", flags["closed"] ^ cl_within(pushed)),
-        ("closedness-reflecting form", flags["quotient"] ^ cl_within(
-            (b, b) for b in tgt_sets if cl_s[pre[b]] == pre[b])),
         ("closed-class continuity form", closed_cont ^ cont))
 
 
@@ -339,7 +342,8 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                          its own pair;
       per fxi:           the final convergence's MapFacts parts and the
                          continuity and almost-open flags (maps), and the
-                         quotient relation compactness (_final_forms);
+                         quotient relation compactness and the targets
+                         with J tau = J(fxi) (_final_forms);
       per lift table:    the open constraints and flag (maps);
       per lims:          the graph constraints and flag (maps), and the
                          adjunction's initial-side continuity init_ok;
@@ -353,24 +357,22 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     context."""
     universe = TargetUniverse(targets)
     targets, n = universe.targets, len(universe.targets)
-    sources = [(xi, adherence_table(xi), is_topology(xi), is_pretopology(xi))
-               for xi in sources]
-    tau_top, tau_pre = (sum(1 << i for i, t in enumerate(targets) if is_a(t))
-                        for is_a in (is_topology, is_pretopology))
+    sources = [(xi, adherence_table(xi), is_topology(xi)) for xi in sources]
+    tau_top = sum(1 << i for i, t in enumerate(targets) if is_topology(t))
     node = 0
     for f in maps:
         img_a, pre_b = f.image_table, f.preimage_table
         full_s, full_t = f.source.full, f.target.full
         src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
         bijective = f.is_bijective()
-        for xi, adh_s, xi_is_top, xi_is_pre in sources:
+        for xi, adh_s, xi_is_top in sources:
             facts = MapFacts(f, xi, universe, adh_s)
             flags = map_flags(facts, universe)
             fxi, lims = facts.fxi, facts.lims
             cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = (
                 universe.memoized(f, ("source", adh_s),
                                   partial(_source_forms, facts, universe)))
-            rc_quot_gen, rc_quot_closed = universe.memoized(
+            rc_quot_gen, rc_quot_closed, t_eq, s0_eq = universe.memoized(
                 f, ("final", fxi.table),
                 partial(_final_forms, facts, universe))
             stats.contexts += n
@@ -460,21 +462,17 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                     f"{[what for what, gap in gaps if gap >> i & 1]} at "
                     f"{f.mapping} xi={xi!r} tau={targets[i]!r}"))])
 
-            # preservation grid: with the coreflectors equal to the
-            # identity on finite carriers (a separately proved suite), a
-            # JE-space is exactly a J-fixed one, so the grid reduces to:
-            # continuous J-quotient images of J-fixed spaces are J-fixed.
-            # S0, S1 and S share the reflection table.
+            # the quotient variants are the quotient maps of the reflective
+            # subcategories: for continuous f (f xi >= tau), tau >= J(f xi)
+            # iff J tau = J(f xi), by isotony, idempotence and
+            # contractivity of J.  S0, S1 and S share the reflection table.
             stats.preservation.instances += n
-            t_gap = cont & q_closed & ~tau_top if xi_is_top else 0
-            s0_gap = cont & q_gen & ~tau_pre if xi_is_pre else 0
-            if t_gap or s0_gap:
-                _fail_at(stats.preservation, n, [
-                    (t_gap, lambda i: (f"T-quotient image of a topology not "
-                                       f"a topology at {f.mapping}")),
-                    (s0_gap, lambda i: (f"S0/S1/S-quotient image of a "
-                                        f"pretopology not a pretopology at "
-                                        f"{f.mapping}"))])
+            gap = cont & ((q_closed ^ t_eq) | (q_gen ^ s0_eq))
+            if gap:
+                _fail_at(stats.preservation, n, [(gap, lambda i: (
+                    f"T/S0-quotient {_at(q_closed, i)}/{_at(q_gen, i)} but "
+                    f"J tau = J(f xi) {_at(t_eq, i)}/{_at(s0_eq, i)} at "
+                    f"{f.mapping}"))])
 
             # sampled cross-check against reference implementations, at
             # the contexts numbered by a multiple of the stride
@@ -672,11 +670,11 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
 
 
 def suite_cover_duality(samples: int, seed: int) -> LawResult:
-    """The filter clause of a cover against the one adherence pass over
-    the complement family, which is_cover reads both as inherence
-    inclusion and as empty adherence of the complements (the same test, so
-    only the filter clause can disagree with it); exhaustive at n<=2,
-    sampled at n=3; open-cover comparison on topologies."""
+    """The filter clause of a cover against its adherence clause, one
+    adherence pass over the complement family (the target lies in the
+    inherence of the family exactly where it misses that adherence);
+    exhaustive at n<=2, sampled at n=3; open-cover comparison on
+    topologies."""
     r = LawResult("cover duality (three clauses) + open-cover remark")
     for n in (1, 2):
         carrier = default_carrier(n)

@@ -17,12 +17,13 @@ table[k] & bad == 0 on a target table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
-the bitset of targets whose lim / adh / S0 table (or its complement) has
-an entry k meeting m, memoized per (kind, k, m), so a route over a whole
-universe is an OR of a few memoized lookups.  map_flags
-decides the twelve flags of one (map, source) pair for every target at
-once, as bitsets, and route agreement is equality of bitsets; on a
-disagreement the lowest differing bit names the first failing target.
+the bitset of targets whose lim / adh / S0 / T table (or its complement)
+has an entry k meeting m: entry m of one row per (kind, k), the
+union_table of the per-point columns, so a route over a whole universe is
+an OR of a few row lookups.  map_flags decides the twelve flags of one
+(map, source) pair for every target at once, as bitsets, and route
+agreement is equality of bitsets; on a disagreement the lowest differing
+bit names the first failing target.
 classify, the is_* predicates and the law sweep all call it: classify is
 the one-target case, so each route exists once.  As f is J-quotient iff
 tau >= J(fxi), the reflector route reads the source only through fxi, the
@@ -95,6 +96,8 @@ from .families import (
     NotSurjective,
     bits_of,
     popcount,
+    transpose,
+    union_table,
 )
 from .functors import (
     FunctorHandle,
@@ -102,6 +105,7 @@ from .functors import (
     class_filter_masks,
     pretopologize,
     reflect,
+    topologize,
 )
 from .spaces import (
     Convergence,
@@ -228,6 +232,7 @@ _TABLES = {
     "lim": lambda tau: tau.table,
     "adh": adherence_table,
     "s0": lambda tau: pretopologize(tau).table,
+    "t": lambda tau: topologize(tau).table,
 }
 _TABLES.update({"co_" + kind: _complement(table_of)
                 for kind, table_of in list(_TABLES.items())})
@@ -238,22 +243,21 @@ class TargetUniverse:
     universe holds one fact for every target at once (bit i: targets[i]).
 
     meets(kind, k, m) is the set of targets whose table entry k meets the
-    mask m.  Each kind's tables are built on its first use and, when there
-    are several targets, each answer is memoized, so a sweep asks each
-    (kind, k, m) of its targets once; a one-target universe has nothing to
-    share and tests the entry directly.  memoized keeps, for one map at a
-    time, what the map decides over the universe; a one-target universe
-    keeps nothing there either."""
+    mask m: entry m of the (kind, k) row, the union_table of the per-point
+    columns (column y: the targets whose entry k holds y), built on the
+    first question about (kind, k); holding ORs those entries.  A row has
+    an entry per mask of the carrier, so a one-target universe, which has
+    nothing to share, tests the entry directly instead.  memoized keeps,
+    for one map at a time, what the map decides over the universe; a
+    one-target universe keeps nothing there either."""
 
-    __slots__ = ("targets", "full", "_shift", "_tables", "_memo", "_map",
-                 "_per_map")
+    __slots__ = ("targets", "full", "_tables", "_rows", "_map", "_per_map")
 
     def __init__(self, targets):
         self.targets = tuple(targets)
         self.full = (1 << len(self.targets)) - 1
-        self._shift = self.targets[0].carrier.size if self.targets else 0
         self._tables: dict[str, list] = {}
-        self._memo: dict[str, dict[int, int]] = {}
+        self._rows: dict[str, list] = {}
         self._map: CarrierMap | None = None
         self._per_map: dict = {}
 
@@ -274,38 +278,31 @@ class TargetUniverse:
         got = self._tables.get(kind)
         if got is None:
             got = self._tables[kind] = [_TABLES[kind](t) for t in self.targets]
-            self._memo[kind] = {}
         return got
 
     def meets(self, kind: str, k: int, m: int) -> int:
-        tables = self.tables(kind)
-        memo = self._memo[kind]
-        key = k << self._shift | m
-        got = memo.get(key)
-        if got is None:
-            got, bit = 0, 1
-            for table in tables:
-                if table[k] & m:
-                    got |= bit
-                bit <<= 1
-            memo[key] = got
-        return got
+        return self.full & ~self.holding(kind, ((k, m),))
 
     def holding(self, kind: str, constraints) -> int:
         """The targets meeting every (k, bad) constraint: table[k] & bad
         == 0 for each."""
-        tables = self._tables.get(kind) or self.tables(kind)
-        if self.full == 1:
-            table = tables[0]
-            for k, bad in constraints:
-                if table[k] & bad:
-                    return 0
-            return 1
-        memo, shift, full = self._memo[kind], self._shift, self.full
+        full, tables = self.full, self._tables.get(kind) or self.tables(kind)
+        if full <= 1:
+            for table in tables:
+                for k, bad in constraints:
+                    if table[k] & bad:
+                        return 0
+            return full
+        rows = self._rows.get(kind) or self._rows.setdefault(
+            kind, [None] * len(tables[0]))
         failing = 0
         for k, bad in constraints:
-            got = memo.get(k << shift | bad)
-            failing |= self.meets(kind, k, bad) if got is None else got
+            row = rows[k]
+            if row is None:
+                row = rows[k] = union_table(transpose(
+                    [table[k] for table in tables],
+                    self.targets[0].carrier.size))
+            failing |= row[bad]
             if failing == full:
                 break
         return full & ~failing
@@ -360,14 +357,15 @@ class MapFacts:
                              almost-open constraints pushed and order;
       per lift table:        the open constraints lift_every;
       per pushed limits:     the graph-closedness constraints graph;
-      per (adh_s, fxi):      the class routes, built only when map_flags
+      per (adh_s, fxi):      the class routes, each selector's built once
+                             by _class_flags, and only when map_flags
                              misses its memo of the class verdicts.
 
     adh_s is the source adherence, passed in by a caller that holds it."""
 
     __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "adh_s",
-                 "_misses", "fxi", "adh_fxi", "lifts", "lims", "pushed",
-                 "order", "lift_every", "graph", "_routes")
+                 "fxi", "adh_fxi", "lifts", "lims", "pushed", "order",
+                 "lift_every", "graph")
 
     def __init__(self, f: CarrierMap, xi: Convergence,
                  universe: TargetUniverse, adh_s: tuple | None = None):
@@ -377,8 +375,6 @@ class MapFacts:
         self.pre = f.preimage_table
         self.full_s, self.full_t = f.source.full, f.target.full
         self.adh_s = adherence_table(xi) if adh_s is None else adh_s
-        self._misses = None
-        self._routes: dict[Selector, _Routes] = {}
         lifts = self.lifts = _lifts(f, xi)
         fxi_table = tuple(map(img.__getitem__, lifts))
         self.fxi, self.adh_fxi, self.pushed, self.order = memoized(
@@ -390,20 +386,10 @@ class MapFacts:
 
     @property
     def misses(self) -> list:
-        """misses[j]: the target points whose fiber misses adh ^J."""
-        if self._misses is None:
-            misses = [0] * (self.full_s + 1)
-            for y, fy in enumerate(self.f.fibers):
-                misses = [m if fy & adh_j else m | 1 << y
-                          for m, adh_j in zip(misses, self.adh_s)]
-            self._misses = misses
-        return self._misses
-
-    def routes(self, sel: Selector) -> _Routes:
-        got = self._routes.get(sel)
-        if got is None:
-            got = self._routes[sel] = self._build_routes(sel)
-        return got
+        """misses[j]: the target points whose fiber misses adh ^J, which
+        are those off f(adh ^J)."""
+        img, full_t = self.img, self.full_t
+        return [full_t & ~img[adh_j] for adh_j in self.adh_s]
 
     def _cover_triggers(self, pairs) -> tuple:
         """For each (k, g): the points y whose fiber lies in the inherence of
@@ -474,12 +460,11 @@ def _raise_first(facts: MapFacts, universe: TargetUniverse,
         f"tau={universe.targets[i]!r}")
 
 
-def _quotient(sel: Selector, facts: MapFacts, universe: TargetUniverse,
+def _quotient(sel: Selector, r: _Routes, universe: TargetUniverse,
               faults: list) -> int:
     """Quotient-like for the class: (a) every point of adh ^H has a fiber
     point adhering to ^(f^-H); (b) the target is finer than the reflected
     final convergence; (c) images of class covers of fibers are covers."""
-    r = facts.routes(sel)
     adh = universe.holding("adh", r.quotient_adh)
     refl = universe.holding("lim", r.quotient_refl)
     cover = universe.holding("adh", r.quotient_cover)
@@ -489,12 +474,11 @@ def _quotient(sel: Selector, facts: MapFacts, universe: TargetUniverse,
     return adh
 
 
-def _perfect(sel: Selector, facts: MapFacts, universe: TargetUniverse,
+def _perfect(sel: Selector, r: _Routes, universe: TargetUniverse,
              faults: list) -> int:
     """Perfect-like for the class: (a) adh f[^G] lies in f(adh ^G); (b) when
     the complement family of ^G covers a fiber, its pushed-forward
     complement family covers the point."""
-    r = facts.routes(sel)
     adh = universe.holding("adh", r.perfect_adh)
     cover = universe.holding("adh", r.perfect_cover)
     if adh != cover:
@@ -505,10 +489,11 @@ def _perfect(sel: Selector, facts: MapFacts, universe: TargetUniverse,
 def _class_flags(facts: MapFacts, universe: TargetUniverse) -> tuple:
     """The ladders' flags, one verdict per class, and their route faults."""
     faults, flags = [], {}
+    routes = {sel: facts._build_routes(sel) for _, sel in _QUOTIENT_CLASSES}
     for decide, classes in ((_quotient, _QUOTIENT_CLASSES),
                             (_perfect, _PERFECT_CLASSES)):
         for names, sel in classes:
-            verdict = decide(sel, facts, universe, faults)
+            verdict = decide(sel, routes[sel], universe, faults)
             flags.update(dict.fromkeys(names, verdict))
     return flags, faults
 
@@ -548,10 +533,10 @@ def _evaluate(ctx: MapContext) -> tuple:
     return MapFacts(ctx.f, ctx.source, universe), universe
 
 
-def _decide(route, ctx: MapContext, *args) -> bool:
+def _decide(decide, ctx: MapContext, sel: Selector) -> bool:
     facts, universe = _evaluate(ctx)
     faults: list = []
-    verdict = route(*args, facts, universe, faults)
+    verdict = decide(sel, facts._build_routes(sel), universe, faults)
     _raise_first(facts, universe, faults)
     return bool(verdict)
 

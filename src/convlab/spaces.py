@@ -331,29 +331,25 @@ def inherence(conv: Convergence, fam: SetFamily) -> Subset:
 
 
 def is_cover(conv: Convergence, fam: SetFamily, target: Subset) -> bool:
-    """Cover test.  The filter clause (every filter converging into the
-    target holds a member of the family) is computed on its own; one
-    adherence pass over the complement family P_c serves the other two,
-    the inherence clause (target inside inh P, the complement of adh P_c)
-    and the complement-adherence clause (adh P_c misses the target).  Read
-    off one pass, those two are the same test, so the InvariantViolation
-    catches a disagreement between the filter clause and that pass alone;
-    the duality inh P = (adh P_c)^c is pinned separately, as the round
-    trip of inherence and adherence."""
+    """Cover test, by two clauses that must agree.  The filter clause:
+    every filter converging into the target holds a member of the family.
+    The adherence clause, one adherence pass over the complement family
+    P_c: adh P_c misses the target, i.e. the target lies inside inh P, the
+    complement of adh P_c.  A disagreement raises InvariantViolation; the
+    duality inh P = (adh P_c)^c is pinned separately, as the round trip of
+    inherence and adherence."""
     if fam.carrier != conv.carrier or target.carrier != conv.carrier:
         raise CarrierMismatch("cover query parts on different carriers")
-    full = conv.carrier.full
     by_filters = all(
         any(h & ~p == 0 for p in fam.masks)
-        for h in range(1, full + 1)
+        for h in range(1, conv.carrier.full + 1)
         if target.bits & conv.table[h])
     adh_c = adherence_mask(conv, complement_family(fam).masks)
-    inh = full & ~adh_c  # inherence(conv, fam), from the same pass
-    by_inherence = target.bits & ~inh == 0
     by_adherence = adh_c & target.bits == 0
-    if not by_filters == by_inherence == by_adherence:
+    if by_filters != by_adherence:
         raise InvariantViolation(
-            f"cover clauses disagree: {by_filters}/{by_inherence}/{by_adherence}")
+            f"cover clauses disagree: filters={by_filters} "
+            f"adherence={by_adherence}")
     return by_filters
 
 

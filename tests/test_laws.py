@@ -2,17 +2,20 @@ import pytest
 
 from convlab import laws, maps
 from convlab.enumerate import (
+    all_convergences,
+    all_pretopologies,
     all_topologies,
     default_carrier,
     domain,
     surjections,
     target_carrier,
 )
-from convlab.families import Carrier, CarrierMap, InvariantViolation
-from convlab.functors import Selector, pretopologize
+from convlab.families import Carrier, CarrierMap, InvariantViolation, popcount
+from convlab.functors import Selector, is_topology, pretopologize, topologize
 from convlab.laws import LawResult, emit_tables, run_laws
 from convlab.maps import MapContext, classify
 from convlab.spaces import (
+    Convergence,
     adherence_table,
     closed_masks,
     indiscrete,
@@ -266,7 +269,7 @@ def test_shared_universe_flags_equal_a_fresh_universe(name):
                     == maps.map_flags(maps.MapFacts(f, xi, fresh), fresh))
 
 
-def test_map_flags_returns_a_fresh_dict():
+def test_map_flags_returns_a_fresh_dict(monkeypatch):
     """Mutating the flags of one pair leaves a later pair with the same
     memo key, decided without building its routes, unchanged."""
     maps_, sources, targets = domain("3to2")
@@ -282,9 +285,14 @@ def test_map_flags_returns_a_fresh_dict():
     flags = maps.map_flags(maps.MapFacts(f, first, universe), universe)
     for name in flags:
         flags[name] ^= universe.full
-    facts = maps.MapFacts(f, later, universe)
-    assert maps.map_flags(facts, universe) == want
-    assert not facts._routes
+    build, built = maps.MapFacts._build_routes, []
+
+    def counted(facts, sel):
+        built.append(sel)
+        return build(facts, sel)
+    monkeypatch.setattr(maps.MapFacts, "_build_routes", counted)
+    assert maps.map_flags(maps.MapFacts(f, later, universe), universe) == want
+    assert not built
 
 
 def test_adherence_fixes_the_closed_sets():
@@ -300,9 +308,11 @@ def test_adherence_fixes_the_closed_sets():
 
 def test_closure_form_characterizes_hereditarily_quotient_maps():
     """cl B <= f(cl f^-1 B) for every B holds exactly for the hereditarily
-    quotient maps.  Here f: abcd -> pqr from the topology with opens
-    {}, {a,c}, X onto the indiscrete space is continuous and quotient but
-    not hereditarily quotient, and the closure form fails with it."""
+    quotient maps, and on a topological source it is the kernel's quotient
+    adherence route of the principal class.  Here f: abcd -> pqr from the
+    topology with opens {}, {a,c}, X onto the indiscrete space is
+    continuous and quotient but not hereditarily quotient, and the closure
+    form fails with it."""
     src, dst = default_carrier(4), Carrier.of("p", "q", "r")
     f = CarrierMap(src, dst, (2, 1, 0, 0))
     xi = topology_from_opens(src, [0, 0b0101, src.full])
@@ -310,6 +320,9 @@ def test_closure_form_characterizes_hereditarily_quotient_maps():
     report = classify(MapContext(f, xi, tau))
     assert report.continuous and report.quotient
     assert not report.hereditarily_quotient
+    cl_s, cl_t = adherence_table(xi), adherence_table(tau)
+    assert any(cl_t[b] & ~f.image_mask(cl_s[f.preimage_mask(b)])
+               for b in range(1, dst.full + 1))
     stats = laws.SweepStats()
     laws.sweep_domain([f], [xi], [tau], stats)
     assert stats.topo_props.instances == 1
@@ -330,8 +343,8 @@ def _flipped(*names):
 
 def test_topological_pairs_fail_where_the_flags_are_flipped(monkeypatch):
     """With the biquotient and closed flags negated, every topological
-    context of 3to2 fails the perfect collapse and the two closure forms
-    that read those flags, once per context, in target order."""
+    context of 3to2 fails the perfect collapse and the closed-map closure
+    form, once per context, in target order."""
     monkeypatch.setattr(laws, "map_flags", _flipped("biquotient", "closed"))
     stats = laws.SweepStats()
     laws.sweep_domain(*domain("3to2"), stats)
@@ -339,8 +352,7 @@ def test_topological_pairs_fail_where_the_flags_are_flipped(monkeypatch):
     assert result.instances == result.failures_total == 696
     assert len(result.failures) == laws.MAX_REPORTED_FAILURES
     assert all(message.startswith(
-        "['closed/adherent/perfect split', "
-        "'closure hereditarily-quotient form', 'closure closed-map form'] "
+        "['closed/adherent/perfect split', 'closure closed-map form'] "
         "at (1, 0, 0) xi=Convergence[{'a'}->{'a'")
         for message in result.failures)
     assert result.failures[0].endswith(
@@ -356,6 +368,56 @@ def test_four_point_topologies_onto_three_point_topologies_are_green():
                       all_topologies(target_carrier(3)), stats)
     assert stats.contexts == stats.topo_props.instances == 370_620
     assert all(r.ok for r in stats.merged())
+
+
+def test_a_quotient_image_of_a_topology_need_not_be_a_topology():
+    """Every finite space is JE, so the preservation theorem does not say
+    that J-quotient images of J-fixed spaces are J-fixed, and they need
+    not be: f = (2, 1, 0, 0) from the topology with opens {}, {a,c}, X is
+    continuous and quotient onto a convergence that is not a topology.
+    What holds is T tau = T(f xi)."""
+    src, dst = default_carrier(4), target_carrier(3)
+    f = CarrierMap(src, dst, (2, 1, 0, 0))
+    xi = topology_from_opens(src, [0, 0b0101, src.full])
+    tau = Convergence(dst, (0, 7, 3, 3, 7, 7, 3, 3))
+    report = classify(MapContext(f, xi, tau))
+    assert report.continuous and report.quotient and not is_topology(tau)
+    assert topologize(tau) == topologize(maps.final_convergence(f, xi))
+
+
+@pytest.mark.parametrize("sources, targets, contexts", [
+    pytest.param(all_topologies, all_convergences, 974_120,
+                 id="topologies onto convergences"),
+    pytest.param(all_pretopologies, all_pretopologies, 262_144,
+                 id="pretopologies onto pretopologies")])
+def test_quotient_variants_are_the_quotient_maps_of_the_reflections(
+        sources, targets, contexts):
+    """For continuous f, f is T-quotient iff T tau = T(f xi), and S0-quotient
+    iff S0 tau = S0(f xi): every merged suite holds on every context of
+    (2, 1, 0, 0) from 4-point spaces onto 3-point ones."""
+    f = CarrierMap(default_carrier(4), target_carrier(3), (2, 1, 0, 0))
+    stats = laws.SweepStats()
+    laws.sweep_domain([f], sources(default_carrier(4)),
+                      targets(target_carrier(3)), stats)
+    assert stats.contexts == stats.preservation.instances == contexts
+    assert all(r.ok for r in stats.merged())
+
+
+def test_preservation_fails_where_the_quotient_flag_is_flipped(monkeypatch):
+    """With the quotient flag negated, the preservation law fails once on
+    every continuous context of 3to2, and nowhere else."""
+    maps_, sources, targets = domain("3to2")
+    universe = maps.TargetUniverse(targets)
+    continuous = sum(
+        popcount(maps.map_flags(maps.MapFacts(f, xi, universe),
+                                universe)["continuous"])
+        for f in maps_ for xi in sources)
+    monkeypatch.setattr(laws, "map_flags", _flipped("quotient"))
+    stats = laws.SweepStats()
+    laws.sweep_domain(maps_, sources, targets, stats)
+    assert stats.preservation.failures_total == continuous > 0
+    assert all(message.startswith("T/S0-quotient ")
+               for message in stats.preservation.failures)
 
 
 def test_memo_changes_no_message(monkeypatch):

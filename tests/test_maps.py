@@ -3,7 +3,9 @@ import pytest
 from convlab.families import Carrier, CarrierMap, NotSurjective
 from convlab.functors import Selector, topologize
 from convlab.maps import (
+    _TABLES,
     MapContext,
+    TargetUniverse,
     classification_witnesses,
     classify,
     closed_in_product,
@@ -20,7 +22,13 @@ from convlab.maps import (
     is_quotient_like,
 )
 from convlab.spaces import Convergence, adherence_table, discrete, pretopology_from_vicinities
-from convlab.enumerate import all_convergences, all_topologies, default_carrier, surjections
+from convlab.enumerate import (
+    all_convergences,
+    all_topologies,
+    default_carrier,
+    domain,
+    surjections,
+)
 from convlab.zoo import AB, ABC, chain_pretopology
 
 PQ = Carrier.of("p", "q")
@@ -287,3 +295,27 @@ class TestMixedProperties:
             is_JE(p3, HANDLES["Seq"], HANDLES["I1"])
         with pytest.raises(ValidationError):
             is_JE(p3, HANDLES["T"], HANDLES["S0"])
+
+
+class TestTargetUniverse:
+    @pytest.mark.parametrize("name", ["3to2", "3to3 pretopologies"])
+    def test_rows_are_scans_over_the_targets(self, name):
+        """For every table kind and every (k, m), the row entry meets reads
+        is the scan of the targets' entry k against m."""
+        targets = domain(name)[2]
+        universe = TargetUniverse(targets)
+        full = targets[0].carrier.full
+        for kind, table_of in _TABLES.items():
+            tables = [table_of(tau) for tau in targets]
+            for k in range(full + 1):
+                for m in range(full + 1):
+                    assert universe.meets(kind, k, m) == sum(
+                        1 << i for i, table in enumerate(tables)
+                        if table[k] & m)
+
+    def test_an_empty_universe_answers_nothing(self):
+        universe = TargetUniverse(())
+        assert universe.full == 0
+        assert universe.meets("adh", 1, 1) == 0
+        assert universe.holding("adh", ((1, 1),)) == 0
+        assert universe.holding("lim", ()) == 0

@@ -176,8 +176,8 @@ class TestCovers:
         (), (("b", "c"),), (("a",), ("b", "c"), ("a", "c"))],
         ids=["empty", "one-member", "three-member"])
     def test_one_adherence_pass_per_query(self, p3, members, monkeypatch):
-        """The inherence and complement-adherence clauses share one
-        adherence pass over the complement family."""
+        """The adherence clause, which is also the inherence test, makes
+        one adherence pass over the complement family."""
         import convlab.spaces as spaces
         calls = []
 
