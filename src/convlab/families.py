@@ -60,19 +60,27 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class Carrier:
-    """A labelled ground set.  Points are indexed 0..size-1."""
+    """A labelled ground set.  Points are indexed 0..size-1.
+
+    Beside the labels it stores the mask of the whole carrier and a
+    label -> index dict, through which index and mask_of resolve a label
+    in O(1); an unknown or unhashable label raises KeyError."""
 
     labels: tuple[str, ...]
     # mask of the whole carrier
     full: int = field(init=False, compare=False, repr=False)
+    # label -> point index
+    positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= len(self.labels) <= MAX_CARRIER:
             raise CapExceeded(
                 f"carrier size {len(self.labels)} outside 1..{MAX_CARRIER}")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {lab: i for i, lab in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise ValidationError(["carrier labels are not distinct"])
         object.__setattr__(self, "full", (1 << len(self.labels)) - 1)
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
     def of(cls, *labels: str) -> "Carrier":
@@ -87,14 +95,17 @@ class Carrier:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.positions[label]
+        except (KeyError, TypeError):
             raise KeyError(f"no point labelled {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        mask = 0
+        positions, mask = self.positions, 0
         for lab in labels:
-            mask |= 1 << self.index(lab)
+            try:
+                mask |= 1 << positions[lab]
+            except (KeyError, TypeError):
+                raise KeyError(f"no point labelled {lab!r}") from None
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:

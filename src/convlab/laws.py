@@ -220,8 +220,15 @@ class SweepStats:
 def _fail_at(result: LawResult, n: int, checks) -> None:
     """For each (bad, message) check, one failure per target in the bitset
     bad, recorded in target order as a scan of one target at a time would
-    record them; message(i) describes target i."""
+    record them; message(i) describes target i.  Once the result keeps
+    MAX_REPORTED_FAILURES messages, the failures left are counted, not
+    formatted."""
     for i in range(n):
+        if len(result.failures) >= MAX_REPORTED_FAILURES:
+            rest = (1 << n) - (1 << i)
+            result.failures_total += sum(
+                popcount(bad & rest) for bad, _ in checks)
+            return
         for bad, message in checks:
             if bad >> i & 1:
                 result.fail(message(i))

@@ -60,6 +60,19 @@ MALFORMED_MAPS = {
          "map must be total; missing ['b']"]),
 }
 
+# documents that name an unknown point z, with every message they raise
+UNKNOWN_LABEL_DOCS = {
+    "lim-key": (
+        {"points": ["a", "b"], "lim": {"a": ["a"], "b": ["b"], "a,z": []}},
+        ["lim key 'a,z': no point labelled 'z'", "missing lim entry for a,b"]),
+    "lim-value": (
+        {"points": ["a", "b"], "lim": {"a": ["a"], "b": ["b", "z"], "a,b": []}},
+        ["lim value for 'b' must be a list of labels"]),
+    "vicinity": (
+        {"vicinity": {"a": ["a", "z"], "b": ["b"]}},
+        ["vicinity of 'a' must be a list of labels"]),
+}
+
 # malformed family documents on the carrier a, b, with their messages
 MALFORMED_FAMILIES = {
     "unknown-label": (
@@ -130,6 +143,21 @@ class TestIO:
         with pytest.raises(ValidationError) as exc:
             io.convergence_from_doc(doc)
         assert message in exc.value.violations
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_LABEL_DOCS))
+    def test_unknown_label_messages(self, case):
+        doc, messages = UNKNOWN_LABEL_DOCS[case]
+        with pytest.raises(ValidationError) as exc:
+            io.convergence_from_doc(doc)
+        assert exc.value.violations == messages
+
+    def test_unknown_map_label_messages(self):
+        with pytest.raises(ValidationError) as exc:
+            io.map_from_doc({"map": {"a": "p", "z": "q"}},
+                            Carrier(("a", "b")), Carrier(("p", "q")))
+        assert exc.value.violations == [
+            "map names unknown source point 'z'",
+            "map must be total; missing ['b']"]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
     def test_malformed_map_rejected(self, case):

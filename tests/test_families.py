@@ -268,6 +268,18 @@ class TestCarrierValidation:
         assert repr(one) == repr(two) == "Carrier(labels=('a', 'b'))"
         assert one != Carrier.of("a", "c")
 
+    @pytest.mark.parametrize("label", ["z", ["a"]])
+    def test_unknown_or_unhashable_label_is_a_key_error(self, label):
+        carrier = Carrier.of("a", "b")
+        message = f"no point labelled {label!r}"
+        with pytest.raises(KeyError) as exc:
+            carrier.index(label)
+        assert exc.value.args == (message,)
+        with pytest.raises(KeyError) as exc:
+            carrier.mask_of(["b", label])
+        assert exc.value.args == (message,)
+        assert carrier.index("b") == 1 and carrier.mask_of(["b", "a"]) == 3
+
     def test_degenerate_filter_is_representable(self):
         f = FiniteFilter(AB, 0)
         assert f.degenerate

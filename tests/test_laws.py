@@ -444,6 +444,22 @@ def test_memo_changes_no_message(monkeypatch):
     assert shared.breaches == apart.breaches
 
 
+def test_the_cap_changes_no_total(monkeypatch):
+    """Under the flipped biquotient and closed flags, a 3to2 sweep that
+    keeps five messages per suite counts the failures of one that keeps
+    them all, and keeps its first five messages."""
+    monkeypatch.setattr(laws, "map_flags", _flipped("biquotient", "closed"))
+    capped, kept = laws.SweepStats(), laws.SweepStats()
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 5)
+    laws.sweep_domain(*domain("3to2"), capped)
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    laws.sweep_domain(*domain("3to2"), kept)
+    assert sum(len(r.failures) > 5 for r in kept.merged()) >= 2
+    for one, every in zip(capped.merged(), kept.merged()):
+        assert one.failures_total == every.failures_total, one.name
+        assert one.failures == every.failures[:5], one.name
+
+
 def test_the_final_convergence_oracle_runs_per_pair(monkeypatch):
     """final_convergence_scan stays outside every memo: wrong for the last
     source xi0 of 3to2 alone, it fails the adjunction suite once per map,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from convlab.spaces import (
     Convergence,
     adherence,
     adherence_mask,
+    antitone_scan,
     closure,
     discrete,
     finer,
@@ -45,6 +48,37 @@ class TestValidation:
         table[0b11] = 0b11  # bigger set converges more than its subsets
         msgs = validate_table(AB, tuple(table))
         assert any("antitone" in m for m in msgs)
+
+    def test_antitone_scan_lists_the_pairs_of_a_double_loop(self):
+        """The submask walk gives the messages of a literal loop over all
+        mask pairs (a, b) with b a proper nonempty subset of a, in its
+        order, on seeded random tables of 1-6 points."""
+        rng = random.Random(17)
+        for n in [1, 2, 3, 4, 5, 6] * 10:
+            carrier = Carrier(tuple(f"x{i}" for i in range(n)))
+            table = (0,) + tuple(rng.randrange(1 << n) if rng.random() < 0.8
+                                 else 0 for _ in range(carrier.full))
+            named = ["{%s}" % ", ".join(map(repr, carrier.labels_of(m)))
+                     for m in range(carrier.full + 1)]
+            literal = [
+                f"antitone axiom violated: lim^{named[a]} exceeds "
+                f"lim^{named[b]}"
+                for a in range(1, carrier.full + 1)
+                for b in range(1, carrier.full + 1)
+                if b & ~a == 0 and b != a and table[a] & ~table[b]]
+            assert antitone_scan(carrier, table) == literal
+
+    def test_antitone_scan_on_a_dense_ten_point_table(self):
+        """Every limit is the whole carrier but lim ^{x0} = {x0}: each of
+        the 511 sets holding x0 and another point exceeds {x0}."""
+        carrier = Carrier(tuple(f"x{i}" for i in range(10)))
+        table = [carrier.full] * (carrier.full + 1)
+        table[1] = 1
+        got = antitone_scan(carrier, tuple(table))
+        assert len(got) == 511
+        assert got[0] == ("antitone axiom violated: lim^{'x0', 'x1'} "
+                          "exceeds lim^{'x0'}")
+        assert validate_table(carrier, tuple(table)) == got
 
     def test_chain_pretopology_is_valid(self, p3):
         assert validate_table(ABC, p3.table) == []
