@@ -13,7 +13,8 @@ shorthand
 
 is accepted in place of "lim" and expanded through
 lim ^A = {x : A <= V(x)}.  A map document is
-{"map": {"<source label>": "<target label>"}}.
+{"map": {"<source label>": "<target label>"}}.  Every label list (lim value,
+vicinity, family member) resolves once, through Carrier.mask_of.
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ def _carrier_from_doc(doc: dict) -> Carrier:
     return Carrier(tuple(points))
 
 
-def _is_label_list(val: Any, known: set[str]) -> bool:
-    return isinstance(val, list) and all(
-        isinstance(s, str) and s in known for s in val)
+def _label_mask(carrier: Carrier, val: Any) -> int | None:
+    """The mask of a list of point labels; None for anything else."""
+    try:
+        return carrier.mask_of(val) if isinstance(val, list) else None
+    except KeyError:
+        return None
 
 
 def convergence_from_doc(doc: dict) -> Convergence:
@@ -78,19 +82,15 @@ def convergence_from_doc(doc: dict) -> Convergence:
         raise ValidationError(
             ['"vicinity" must map each point to a list of labels'])
     carrier = _carrier_from_doc(doc)
-    known = set(carrier.labels)
     if "vicinity" in doc:
-        vic = doc["vicinity"]
-        problems = [
-            f"vicinity names unknown point {p!r}" for p in vic if p not in known]
-        problems += [
-            f"vicinity of {p!r} must be a list of labels"
-            for p, v in vic.items()
-            if not _is_label_list(v, known)]
+        vic = {p: _label_mask(carrier, v) for p, v in doc["vicinity"].items()}
+        problems = [f"vicinity names unknown point {p!r}"
+                    for p in vic if p not in carrier.positions]
+        problems += [f"vicinity of {p!r} must be a list of labels"
+                     for p, v in vic.items() if v is None]
         if problems:
             raise ValidationError(problems)
-        return pretopology_from_vicinities(
-            carrier, {p: tuple(v) for p, v in vic.items()})
+        return pretopology_from_vicinities(carrier, vic)
     lim = doc.get("lim")
     if not isinstance(lim, dict):
         raise ValidationError(['document needs a "lim" table or "vicinity" map'])
@@ -112,10 +112,11 @@ def convergence_from_doc(doc: dict) -> Convergence:
                 f"lim keys {seen[mask]!r} and {key!r} name the same subset")
             continue
         seen[mask] = key
-        if not _is_label_list(val, known):
+        limit = _label_mask(carrier, val)
+        if limit is None:
             problems.append(f"lim value for {key!r} must be a list of labels")
             continue
-        table[mask] = carrier.mask_of(val)
+        table[mask] = limit
     for m in range(1, carrier.full + 1):
         if m not in seen:
             problems.append(
@@ -139,12 +140,12 @@ def family_from_doc(doc: Any, carrier: Carrier) -> SetFamily:
     per member that is not a list of point labels."""
     if not isinstance(doc, list) or not all(isinstance(x, list) for x in doc):
         raise ValidationError(["family document must be an array of arrays"])
-    known = set(carrier.labels)
+    masks = [_label_mask(carrier, m) for m in doc]
     problems = [f"family member {m!r} must be a list of point labels"
-                for m in doc if not _is_label_list(m, known)]
+                for m, mask in zip(doc, masks) if mask is None]
     if problems:
         raise ValidationError(problems)
-    return SetFamily.of(carrier, *[tuple(x) for x in doc])
+    return SetFamily(carrier, frozenset(masks))
 
 
 def load_json(path: str) -> Any:

@@ -113,7 +113,6 @@ from .maps import (
     map_flags,
 )
 from .spaces import (
-    Convergence,
     adherence_scan,
     adherence_table,
     antitone_scan,
@@ -249,12 +248,13 @@ def _rc_constraints(bad_of, within, meet_of, full: int) -> tuple:
 
 
 def _source_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
-    """The continuity forms, f(S0 lim ^A) in S0 lim ^f(A), f(adh ^(f^-H)) in
-    adh ^H and f(adh ^G) in adh ^f(G), and the relation compactness of the
-    fibers from (Y, tau) to (X, xi): a limit point y of ^B is bad when some
-    class filter ^J meeting f^-B has no adherent point in its fiber.  They
-    read xi through its adherence table alone: its singleton limits fix S0
-    (their meet table) and the closed sets."""
+    """The continuity forms, f(S0 lim ^A) in S0 lim ^f(A) and
+    f(adh ^(f^-H)) in adh ^H, and the relation compactness of the fibers
+    from (Y, tau) to (X, xi): a limit point y of ^B is bad when some class
+    filter ^J meeting f^-B has no adherent point in its fiber.  They read xi
+    through its adherence table alone: its singleton limits fix S0 (their
+    meet table) and the closed sets.  f(adh ^G) in adh ^f(G) is incl2
+    again: grouped by H = f(G), its constraints OR to incl2's."""
     img_a, pre_b, adh_s = facts.img, facts.pre, facts.adh_s
     s0_s = pretopologize(facts.xi).table
     src_sets, tgt_sets = range(1, facts.full_s + 1), range(1, facts.full_t + 1)
@@ -262,14 +262,12 @@ def _source_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
         (img_a[a], img_a[s0_s[a]]) for a in src_sets))
     incl2 = universe.holding("co_adh", (
         (h, img_a[adh_s[pre_b[h]]]) for h in tgt_sets))
-    incl3 = universe.holding("co_adh", (
-        (img_a[g], img_a[adh_s[g]]) for g in src_sets))
     rc_perf_gen = universe.holding("lim", _rc_constraints(
         facts.misses, src_sets, img_a, facts.full_t))
     rc_perf_closed = universe.holding("lim", _rc_constraints(
         facts.misses, class_filter_masks(Selector.F0_CLOSED, facts.xi),
         img_a, facts.full_t))
-    return cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed
+    return cont_refl, incl2, rc_perf_gen, rc_perf_closed
 
 
 def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
@@ -294,22 +292,20 @@ def _final_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
 
 
 def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
-                      cont_pre: int, cont_img: int) -> tuple:
+                      cont_pre: int) -> tuple:
     """(what, the targets where it differs from its flag) for each form that
     characterizes a flag between topologies, read on topologies only.  On a
     topology the adherence of ^A is the closure of A, so the adherence
-    tables are the closure tables here, and the two closure forms of
-    continuity, f(cl f^-B) in cl B and f(cl A) in cl f(A), are the source
-    forms incl2 and incl3, passed in as cont_pre and cont_img.  cl B in
-    f(cl f^-B) (hereditarily quotient) and closedness reflection (quotient)
-    are left out: on a topological source they are the kernel's quotient
-    adherence routes of the principal and the closed class."""
+    tables are the closure tables here, and the closure form of continuity,
+    f(cl f^-B) in cl B, is the source form incl2, passed in as cont_pre.
+    Three classical forms are left out, because on a topological source
+    they are kernel routes constraint for constraint: cl B in f(cl f^-B)
+    (hereditarily quotient) and closedness reflection (quotient) are the
+    quotient adherence routes of the principal and the closed class, and
+    cl f(A) in f(cl A) (closed maps) is the perfect adherence route of the
+    principal class, which the closed/adherent/perfect split compares."""
     img, pre, cl_s, full_t = facts.img, facts.pre, facts.adh_s, facts.full_t
     tgt_sets = range(1, full_t + 1)
-    pushed = [(img[a], img[cl_s[a]]) for a in range(1, facts.full_s + 1)]
-
-    def cl_within(pairs):  # cl k inside m for every (k, m)
-        return universe.holding("adh", ((k, full_t & ~m) for k, m in pairs))
 
     # continuity: no closed set with a preimage that is not closed
     cont = flags["continuous"]
@@ -319,13 +315,11 @@ def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
             closed_cont &= universe.meets("adh", h, full_t & ~h)
     # f(O) is open iff the closure of its complement stays off it
     shut = (full_t & ~img[o] for o in open_masks(facts.xi))
+    open_form = universe.holding("adh", ((c, full_t & ~c) for c in shut))
     return (
         ("closed/adherent/perfect split", flags["closed"] ^ flags["perfect"]),
-        ("open-set form of openness",
-         flags["open"] ^ cl_within((c, c) for c in shut)),
-        ("closure continuity forms",
-         ((cont_pre & cont_img) ^ cont) | (cont_pre ^ cont_img)),
-        ("closure closed-map form", flags["closed"] ^ cl_within(pushed)),
+        ("open-set form of openness", flags["open"] ^ open_form),
+        ("closure continuity forms", cont_pre ^ cont),
         ("closed-class continuity form", closed_cont ^ cont))
 
 
@@ -376,7 +370,7 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             facts = MapFacts(f, xi, universe, adh_s)
             flags = map_flags(facts, universe)
             fxi, lims = facts.fxi, facts.lims
-            cont_refl, incl2, incl3, rc_perf_gen, rc_perf_closed = (
+            cont_refl, incl2, rc_perf_gen, rc_perf_closed = (
                 universe.memoized(f, ("source", adh_s),
                                   partial(_source_forms, facts, universe)))
             rc_quot_gen, rc_quot_closed, t_eq, s0_eq = universe.memoized(
@@ -426,11 +420,11 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                         f"p={_at(p_gen, i)}/{_at(p_closed, i)}"))])
 
             stats.continuity_eq.instances += n
-            gap = (cont_refl ^ incl2) | (cont_refl ^ incl3)
+            gap = cont_refl ^ incl2
             if gap:
                 _fail_at(stats.continuity_eq, n, [(gap, lambda i: (
                     f"cont-in-conv forms disagree at {f.mapping}: "
-                    f"{_at(cont_refl, i)}/{_at(incl2, i)}/{_at(incl3, i)}"))])
+                    f"{_at(cont_refl, i)}/{_at(incl2, i)}"))])
 
             # adjunction: f xi >= tau (the kernel's continuity flag, read
             # on the final convergence) <=> xi >= f- tau, read one A at a
@@ -463,7 +457,7 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # topological pairs: one failure per context, naming its gaps
             if xi_is_top and tau_top:
                 stats.topo_props.instances += popcount(tau_top)
-                gaps = _topological_gaps(facts, flags, universe, incl2, incl3)
+                gaps = _topological_gaps(facts, flags, universe, incl2)
                 bad = reduce(or_, (gap for _, gap in gaps))
                 _fail_at(stats.topo_props, n, [(bad & tau_top, lambda i: (
                     f"{[what for what, gap in gaps if gap >> i & 1]} at "
@@ -990,7 +984,7 @@ def suite_family_algebra() -> LawResult:
     image-mesh duality for relations, and the map characterization of
     relations, exhaustively on small carriers."""
     from .families import (
-        FiniteFilter, grill, isotonize, mesh,
+        grill, isotonize, mesh,
         rel_image_family, rel_preimage_family, filter_meet, ultrafilters_of)
     r = LawResult("family algebra: transport, duality, rel-map")
     for n, m in ((2, 2), (3, 2), (3, 3), (2, 3)):

@@ -137,13 +137,17 @@ def identity_map(carrier: Carrier) -> CarrierMap:
     return CarrierMap(carrier, carrier, tuple(carrier.points()))
 
 
-def continuous(ctx: MapContext) -> bool:
-    """f(lim ^A) <= lim ^f(A) for every nonempty A (any map, surjective or
-    not)."""
+def _continuity_violation(ctx: MapContext) -> int:
+    """The first nonempty A, in mask order, with f(lim ^A) not inside
+    lim ^f(A) (any map, surjective or not); 0 if there is none."""
     f, src, dst = ctx.f, ctx.source, ctx.target
-    return all(
-        f.image_mask(src.table[a]) & ~dst.table[f.image_mask(a)] == 0
-        for a in range(1, src.carrier.full + 1))
+    return next((
+        a for a in range(1, src.carrier.full + 1)
+        if f.image_mask(src.table[a]) & ~dst.table[f.image_mask(a)]), 0)
+
+
+def continuous(ctx: MapContext) -> bool:
+    return not _continuity_violation(ctx)
 
 
 def initial_convergence(f: CarrierMap, tau: Convergence) -> Convergence:
@@ -745,12 +749,9 @@ def classification_witnesses(ctx: MapContext,
     """A violating instance for each false flag, where one is extractable."""
     out: dict[str, dict] = {}
     f, src, dst = ctx.f, ctx.source, ctx.target
-    if not report.continuous:
-        for a in range(1, src.carrier.full + 1):
-            if f.image_mask(src.table[a]) & ~dst.table[f.image_mask(a)]:
-                out["continuous"] = {
-                    "set": list(src.carrier.labels_of(a))}
-                break
+    a = 0 if report.continuous else _continuity_violation(ctx)
+    if a:
+        out["continuous"] = {"set": list(src.carrier.labels_of(a))}
     # the ladder makes a map that is not almost open not open either
     facts = None if report.open else _evaluate(ctx)[0]
     if not report.open:

@@ -17,6 +17,7 @@ definitions mention, so the query path runs in O(n * 2^n), not O(4^n):
   validate_table   antitony checked on covering pairs (b = a minus a point)
   adherence_table  adh ^H = union of lim ^{x} over the points x of H
   open_masks       O is open iff it contains the vicinity of each point of O
+  closure_mask     cl A is the least fixed point of set adherence above A
 
 Both are families.union_table of per-point masks, and so is every
 pretopology: pretopology_table gives lim ^A = {x : A <= V(x)} as the
@@ -79,24 +80,6 @@ class Convergence:
         if violations:
             raise ValidationError(violations)
         return cls(carrier, table)
-
-    @classmethod
-    def from_limits(cls, carrier: Carrier,
-                    limits: Mapping[frozenset[str] | tuple[str, ...], Iterable[str]]
-                    ) -> "Convergence":
-        """Build from a {subset-of-labels: limit-labels} mapping."""
-        table = [0] * (1 << carrier.size)
-        seen = set()
-        for key, val in limits.items():
-            mask = carrier.mask_of(key)
-            table[mask] = carrier.mask_of(val)
-            seen.add(mask)
-        missing = [m for m in range(1, carrier.full + 1) if m not in seen]
-        if missing:
-            raise ValidationError(
-                [f"missing limit entry for {_label_set(carrier, m)}"
-                 for m in missing])
-        return cls.make(carrier, table)
 
     def limit(self, f: FiniteFilter) -> Subset:
         if f.carrier != self.carrier:
@@ -275,29 +258,13 @@ def min_open_table(conv: Convergence) -> tuple[int, ...]:
     return _least_opens(conv.carrier, open_masks(conv))
 
 
-def adherence_closure(adh: tuple[int, ...], mask: int) -> int:
-    """Least fixed point of set adherence above the mask, on a raw
-    adherence table."""
-    cur = mask
-    while True:
-        nxt = adh[cur] | cur if cur else cur
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def closure_mask(conv: Convergence, mask: int) -> int:
-    """Least closed superset; computed two ways and cross-checked."""
-    best = conv.carrier.full
-    for c in closed_masks(conv):
-        if mask & ~c == 0 and c & ~best == 0:
-            best = c
-    # independent route: least fixed point of set adherence above `mask`
-    cur = adherence_closure(adherence_table(conv), mask)
-    if cur != best:
-        raise InvariantViolation(
-            f"closure mismatch: scan {best:#x} vs adherence lfp {cur:#x}")
-    return best
+    """Least closed superset: the least fixed point of set adherence above
+    the mask (a set C is closed iff adh ^C lies in C)."""
+    adh, cur = adherence_table(conv), mask
+    while adh[cur] & ~cur:
+        cur |= adh[cur]
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +453,14 @@ def pretopology_table(vmasks: Sequence[int]) -> tuple[int, ...]:
 
 
 def pretopology_from_vicinities(carrier: Carrier,
-                                vicinity: Mapping[str, Iterable[str]]
+                                vicinity: Mapping[str, int | Iterable[str]]
                                 ) -> Convergence:
-    """lim ^A = {x : A <= V(x)}.  Requires x in V(x) for every point."""
+    """lim ^A = {x : A <= V(x)}, each vicinity a mask or its labels.
+    Requires x in V(x) for every point."""
     vmasks = [0] * carrier.size
     for label, vs in vicinity.items():
-        vmasks[carrier.index(label)] = carrier.mask_of(vs)
+        vmasks[carrier.index(label)] = (
+            vs if isinstance(vs, int) else carrier.mask_of(vs))
     violations = [
         f"centered axiom violated at point {carrier.labels[i]}"
         for i in carrier.points() if not vmasks[i] >> i & 1]

@@ -1,4 +1,6 @@
-"""Canonical small spaces used throughout the tests and docs."""
+"""Canonical small spaces used throughout the tests and docs, each built
+through a validating constructor: a vicinity map, an open-set system or,
+for a space that is neither, a limit table given to Convergence.make."""
 
 from __future__ import annotations
 
@@ -33,6 +35,6 @@ def sierpinski() -> Convergence:
 
 
 def two_point_non_pseudo() -> Convergence:
-    """lim^{a}={a,b}, lim^{b}={b}, lim^{a,b}={}: not a pseudotopology."""
-    return Convergence.from_limits(
-        AB, {("a",): ("a", "b"), ("b",): ("b",), ("a", "b"): ()})
+    """lim^{a}={a,b}, lim^{b}={b}, lim^{a,b}={}: not a pseudotopology.
+    The table is indexed by subset mask, a being bit 0."""
+    return Convergence.make(AB, (0, 0b11, 0b10, 0))

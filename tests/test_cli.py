@@ -40,6 +40,33 @@ MALFORMED_DOCS = {
     "lim-and-vicinity": (
         {"points": ["a"], "lim": {"a": ["a"]}, "vicinity": {"a": ["a"]}},
         'document has both a "lim" table and a "vicinity" map'),
+    # labels that are not point labels: a nested list, a number, null
+    "nested-lim-value": (
+        {"points": ["a"], "lim": {"a": [["a"]]}},
+        "lim value for 'a' must be a list of labels"),
+    "number-lim-value": (
+        {"points": ["a"], "lim": {"a": [1]}},
+        "lim value for 'a' must be a list of labels"),
+    "null-lim-value": (
+        {"points": ["a"], "lim": {"a": [None]}},
+        "lim value for 'a' must be a list of labels"),
+    "nested-vicinity": (
+        {"vicinity": {"a": [["a"]]}},
+        "vicinity of 'a' must be a list of labels"),
+    "number-vicinity": (
+        {"vicinity": {"a": [1]}}, "vicinity of 'a' must be a list of labels"),
+    "null-vicinity": (
+        {"vicinity": {"a": [None]}},
+        "vicinity of 'a' must be a list of labels"),
+    "list-document": ([["a"]], "document must be a JSON object"),
+    "no-table": (
+        {"points": ["a"]}, 'document needs a "lim" table or "vicinity" map'),
+    "empty-set-key": (
+        {"points": ["a"], "lim": {"a": ["a"], "": []}},
+        "lim key for the empty set is not allowed"),
+    "uncentered-lim": (
+        {"points": ["a", "b"], "lim": {"a": [], "b": ["b"], "a,b": []}},
+        "centered axiom violated at point a"),
 }
 
 # malformed map documents on the source a, b onto p, q, with their messages

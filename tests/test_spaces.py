@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,9 @@ from convlab.spaces import (
     adherence,
     adherence_mask,
     antitone_scan,
+    closed_masks,
     closure,
+    closure_mask,
     discrete,
     finer,
     indiscrete,
@@ -177,6 +181,16 @@ class TestAdherenceVsClosure:
                     assert adh[m] & ~cl == 0
                     if topo:
                         assert adh[m] == cl
+
+    def test_closure_is_the_least_closed_superset(self):
+        """closure_mask is the meet of the closed supersets of the mask in
+        closed_masks; exhaustive n <= 3."""
+        for n in (1, 2, 3):
+            for conv in all_convergences(default_carrier(n)):
+                closed = closed_masks(conv)
+                for m in range(conv.carrier.full + 1):
+                    assert closure_mask(conv, m) == reduce(
+                        and_, (c for c in closed if m & ~c == 0))
 
 
 class TestInherence:
