@@ -16,10 +16,16 @@ union of the least opens of its points) the hull.  The largest class set
 whose adherence misses b is then full - hull (closed sets are closed under
 finite unions), and meshing is upward closed, so A is compact at B exactly
 when, for every b in B, the hull is the whole carrier or some member of A
-lies inside the hull.  compact_at_masks reads one hull per member of B, in
-O(|B| * (n + |A|)) instead of a scan over up to 2^n class filters, and
-is_relation_compact reads one hull per row R(w).  The scan,
-is_compact_at_scan, is the oracle the compactness suite compares with.
+lies inside the hull (hull_holds).  compact_at_masks reads one hull per
+member of B, in O(|B| * (n + |A|)) instead of a scan over up to 2^n class
+filters, and is_relation_compact reads one hull per row R(w); neither
+builds a table over the 2^n masks.  hull_table holds the hull of every
+mask, one table for the principal selectors and one for the closed class;
+a caller that asks many questions of one small space builds it once, as
+the compactness suite of laws does per enumerated space and class, and
+image_of_compact reads its conclusion off the target's table when given
+one.  The scan, is_compact_at_scan, is the oracle the compactness suite
+compares with.
 
 On a finite carrier every filter has adherent points, so every space is
 compact and the completeness number is 0; completeness_number_finite
@@ -81,15 +87,27 @@ def _hulls(conv: Convergence, b_masks, sel: Selector) -> list[int]:
     return hulls
 
 
+def hull_table(conv: Convergence, sel: Selector) -> list[int]:
+    """The hull of every mask, indexed by mask: one table serves the
+    principal selectors F0, F1 and F_ALL, another the closed class.  A
+    caller that asks many compactness questions of one space builds it
+    once; compact_at_masks builds only the hulls it reads."""
+    return _hulls(conv, range(conv.carrier.full + 1), sel)
+
+
+def hull_holds(hull: int, a_masks, full: int) -> bool:
+    """Compactness at one member b, read off its hull: the hull is the
+    whole carrier or holds some member of the first family."""
+    return hull == full or any(a & ~hull == 0 for a in a_masks)
+
+
 def compact_at_masks(conv: Convergence, a_masks, b_masks,
                      sel: Selector) -> bool:
     """The family of a_masks is compact at the family of b_masks: for
     every b, the hull is full or holds some member of the first family."""
     full = conv.carrier.full
-    for hull in _hulls(conv, b_masks, sel):
-        if hull != full and not any(a & ~hull == 0 for a in a_masks):
-            return False
-    return True
+    return all(hull_holds(hull, a_masks, full)
+               for hull in _hulls(conv, b_masks, sel))
 
 
 def is_compact_at(q: CompactnessQuery) -> bool:
@@ -149,18 +167,31 @@ class CheckedProposition:
 
 def image_of_compact(rel: FiniteRelation, theta: Convergence,
                      sigma: Convergence, fam: SetFamily, at: Subset,
-                     sel: Selector, rel_compact: bool) -> CheckedProposition:
+                     sel: Selector, rel_compact: bool,
+                     fam_compact: bool | None = None,
+                     sigma_hulls: list[int] | None = None
+                     ) -> CheckedProposition:
     """If the relation is class-compact (rel_compact: is_relation_compact)
-    and the family is class-compact at the set, the image family must be
-    class-compact at the relational image.  Returns the hypothesis record;
-    a witness signals a failed implication (none is expected)."""
+    and the family is class-compact at the set (fam_compact, decided here
+    when not given), the image family must be class-compact at the
+    relational image, read on sigma_hulls (sigma's hull_table for the
+    class) when given.  Returns the hypothesis record; a witness signals a
+    failed implication (none is expected)."""
     if fam.carrier != theta.carrier or at.carrier != theta.carrier:
         raise CarrierMismatch("family and base set live on the source")
-    if not (rel_compact
-            and compact_at_masks(theta, fam.masks, (at.bits,), sel)):
+    if not rel_compact:
         return CheckedProposition(True, None)  # hypothesis empty
-    if compact_at_masks(sigma, [rel.image_mask(m) for m in fam.masks],
-                        (rel.image_mask(at.bits),), sel):
+    if fam_compact is None:
+        fam_compact = compact_at_masks(theta, fam.masks, (at.bits,), sel)
+    if not fam_compact:
+        return CheckedProposition(True, None)
+    images = [rel.image_mask(m) for m in fam.masks]
+    image_at = rel.image_mask(at.bits)
+    if sigma_hulls is None:
+        holds = compact_at_masks(sigma, images, (image_at,), sel)
+    else:
+        holds = hull_holds(sigma_hulls[image_at], images, sigma.carrier.full)
+    if holds:
         return CheckedProposition(True, None)
     return CheckedProposition(False, {
         "family": [list(s) for s in fam],

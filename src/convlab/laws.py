@@ -38,8 +38,15 @@ run_laws sweeps the enumerate domains named in LAW_DOMAINS, in that order
 emit_tables read the surjections onto 2 points.  Sample sizes and the seed
 are fixed, so a run is determined by max_size alone.
 
+The standalone suites build each per-space fact once, in the loop that
+reads it, and keep no table past it: suite_compactness_extras one hull
+table per (space, class), suite_cover_duality one cover_clauses pair per
+(space, family) whose targets run innermost, and suite_functor_laws one
+continuity verdict per distinct (h xi, h zeta) table pair of a sample.
+
 LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
-counts every failure in failures_total.
+counts every failure in failures_total; run_laws records each standalone
+suite's wall time in its seconds.
 """
 
 from __future__ import annotations
@@ -56,17 +63,21 @@ from .compactness import (
     compact_at_masks,
     compact_at_sets,
     completeness_number_finite,
+    hull_holds,
+    hull_table,
     image_of_compact,
     is_compact_at_scan,
     is_relation_compact,
 )
 from .enumerate import (
+    SearchTask,
     all_convergences,
     all_maps,
     all_pretopologies,
     all_topologies,
     default_carrier,
     domain,
+    search,
     surjections,
     target_carrier,
 )
@@ -76,12 +87,21 @@ from .families import (
     InvariantViolation,
     SetFamily,
     Subset,
+    filter_meet,
+    grill,
+    isotonize,
+    mesh,
     popcount,
+    rel_image_family,
+    rel_preimage_family,
+    ultrafilters_of,
     union_table,
 )
 from .functors import (
     COREFLECTORS,
+    HANDLES,
     REFLECTORS,
+    I,
     Selector,
     class_filter_masks,
     is_pretopology,
@@ -108,6 +128,7 @@ from .maps import (
     graph_closed,
     identity_map,
     initial_convergence,
+    is_hausdorff,
     is_JE,
     is_quotient_like,
     map_flags,
@@ -117,6 +138,7 @@ from .spaces import (
     adherence_table,
     antitone_scan,
     closed_masks,
+    cover_clauses,
     finer,
     inf,
     interior_mask,
@@ -137,13 +159,16 @@ LAW_DOMAINS = ("2to2", "3to2", "3to3 pretopologies", "3to3 sampled")
 
 @dataclass(slots=True)
 class LawResult:
-    """Instances checked, the true failure total, and the first
-    MAX_REPORTED_FAILURES failure messages."""
+    """Instances checked, the true failure total, the first
+    MAX_REPORTED_FAILURES failure messages, and the wall time run_laws
+    measured for a standalone suite (None for the results the sweep fills
+    across domains)."""
 
     name: str
     instances: int = 0
     failures: list[str] = field(default_factory=list)
     failures_total: int = 0
+    seconds: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -177,7 +202,9 @@ class LawSuiteReport:
             "suites": [
                 {"name": r.name, "instances": r.instances,
                  "ok": r.ok, "failures_total": r.failures_total,
-                 "failures": r.failures}
+                 "failures": r.failures,
+                 "seconds": (None if r.seconds is None
+                             else round(r.seconds, 4))}
                 for r in self.results],
         }
 
@@ -337,17 +364,19 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
 
       per pair:          the MapFacts record, given adh_s, with its lift
                          table and pushed limits lims (the keys); the
-                         final_convergence_scan oracle; instance counts;
-                         the ladder, bijection and compactness bitset
-                         comparisons; and every failure message, naming
-                         its own pair;
+                         comparison of fxi with the final_convergence_scan
+                         oracle; instance counts; the ladder, bijection
+                         and compactness bitset comparisons; and every
+                         failure message, naming its own pair;
       per fxi:           the final convergence's MapFacts parts and the
                          continuity and almost-open flags (maps), and the
                          quotient relation compactness and the targets
                          with J tau = J(fxi) (_final_forms);
       per lift table:    the open constraints and flag (maps);
-      per lims:          the graph constraints and flag (maps), and the
-                         adjunction's initial-side continuity init_ok;
+      per lims:          the graph constraints and flag (maps), the
+                         adjunction's initial-side continuity init_ok, and
+                         the final_convergence_scan oracle, which reads xi
+                         only through f(lim ^A);
       per adh_s:         the continuity forms and fiber relation
                          compactness (_source_forms);
       per (adh_s, fxi):  the class verdicts with their route faults
@@ -386,7 +415,11 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # adherence transport: adh in the final convergence equals the
             # pushed source adherence of the preimage filter
             stats.adjunction.instances += 1
-            if fxi != final_convergence_scan(f, xi) or not universe.memoized(
+            init_ok, scan = universe.memoized(f, ("init", lims), lambda: (
+                universe.holding("co_lim", (
+                    (img_a[a], lims[a]) for a in src_sets)),
+                final_convergence_scan(f, xi)))
+            if fxi != scan or not universe.memoized(
                     f, ("transport", adh_s, fxi.table), lambda: all(
                         facts.adh_fxi[h] == img_a[adh_s[pre_b[h]]]
                         for h in tgt_sets)):
@@ -430,9 +463,6 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             # on the final convergence) <=> xi >= f- tau, read one A at a
             # time: f(lim ^A) inside lim ^f(A)
             stats.adjunction.instances += n
-            init_ok = universe.memoized(f, ("init", lims), lambda: (
-                universe.holding("co_lim", (
-                    (img_a[a], lims[a]) for a in src_sets))))
             gap = cont ^ init_ok
             if gap:
                 _fail_at(stats.adjunction, n, [(gap, lambda i: (
@@ -577,12 +607,15 @@ def check_functor_laws(r: LawResult, h, convs, maps) -> None:
 def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
     """Contractive/expansive, idempotent, isotone, functorial for the four
     reflectors, three coreflectors and the identity; exhaustive at n=2 and
-    sampled at n=3."""
+    sampled at n=3.  At n=3 each sample decides "zeta finer than xi" once,
+    and the continuity of f once per distinct (h xi, h zeta) table pair,
+    seeded with the guard's verdict on (xi, zeta): handles that share a
+    table, such as the identity coreflectors, share the decision, and
+    every handle is still applied and counted."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
     maps2 = all_maps(c2, c2)
-    from .functors import HANDLES
     for h in HANDLES.values():
         check_functor_laws(r, h, universe2, maps2)
     c3 = default_carrier(3)
@@ -592,6 +625,7 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
     for _ in range(sample_pairs):
         xi = universe3[rng.randrange(len(universe3))]
         zeta = universe3[rng.randrange(len(universe3))]
+        zeta_finer = finer(zeta, xi)
         for h in REFLECTORS:
             hx, hz = h(xi), h(zeta)
             r.instances += 1
@@ -599,13 +633,19 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
                 r.fail(f"{h.tag} not idempotent at n=3")
             if not finer(xi, hx):
                 r.fail(f"{h.tag} not contractive at n=3")
-            if finer(zeta, xi) and not finer(hz, hx):
+            if zeta_finer and not finer(hz, hx):
                 r.fail(f"{h.tag} not isotone at n=3")
         f = maps3[rng.randrange(len(maps3))]
         if continuous(MapContext(f, xi, zeta)):
+            decided = {(xi.table, zeta.table): True}
             for h in REFLECTORS + COREFLECTORS:
+                hx, hz = h(xi), h(zeta)
                 r.instances += 1
-                if not continuous(MapContext(f, h(xi), h(zeta))):
+                key = hx.table, hz.table
+                ok = decided.get(key)
+                if ok is None:
+                    ok = decided[key] = continuous(MapContext(f, hx, hz))
+                if not ok:
                     r.fail(f"{h.tag} not functorial at n=3")
     return r
 
@@ -675,7 +715,9 @@ def suite_cover_duality(samples: int, seed: int) -> LawResult:
     adherence pass over the complement family (the target lies in the
     inherence of the family exactly where it misses that adherence);
     exhaustive at n<=2, sampled at n=3; open-cover comparison on
-    topologies."""
+    topologies.  Every instance is one is_cover call; where the targets of
+    one (space, family) run innermost, its cover_clauses are built once,
+    before them."""
     r = LawResult("cover duality (three clauses) + open-cover remark")
     for n in (1, 2):
         carrier = default_carrier(n)
@@ -684,10 +726,11 @@ def suite_cover_duality(samples: int, seed: int) -> LawResult:
                 masks = frozenset(
                     m for m in range(carrier.full + 1) if fam_pick >> m & 1)
                 fam = SetFamily(carrier, masks)
+                clauses = cover_clauses(conv, fam)
                 for a in range(carrier.full + 1):
                     r.instances += 1
                     try:
-                        is_cover(conv, fam, Subset(carrier, a))
+                        is_cover(conv, fam, Subset(carrier, a), clauses)
                     except InvariantViolation as exc:
                         r.fail(f"duality broke: {exc}")
     carrier = default_carrier(3)
@@ -712,12 +755,14 @@ def suite_cover_duality(samples: int, seed: int) -> LawResult:
             masks = frozenset(
                 m for m in range(cr.full + 1) if fam_pick >> m & 1)
             fam = SetFamily(cr, masks)
+            clauses = cover_clauses(conv, fam)
             union_int = 0
             for m in masks:
                 union_int |= interior_mask(conv, m)
             for a in range(cr.full + 1):
                 r.instances += 1
-                if is_cover(conv, fam, Subset(cr, a)) != (a & ~union_int == 0):
+                if (is_cover(conv, fam, Subset(cr, a), clauses)
+                        != (a & ~union_int == 0)):
                     r.fail(f"open-cover remark fails on {conv!r}")
     return r
 
@@ -764,7 +809,14 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     image of compact under compact relation; completeness number 0.  On
     every space the closed form is compared with the class-filter scan for
     each distinct class, on the sets holding the first point at all
-    singletons, inside the characteristic-detection instances."""
+    singletons, inside the characteristic-detection instances.
+
+    Every other question reads a hull table built once per (space, class)
+    in the loop that asks it: per enumerated space one table for the
+    principal selectors and one for the closed class; in the 2x2 relation
+    block, per source theta and class the hypothesis "fam is compact at
+    the set", and per target sigma and class the rows the image family is
+    read against."""
     r = LawResult("compactness: characteristic, images, completeness")
     for n in range(1, max_size + 1):
         carrier = default_carrier(n)
@@ -778,6 +830,8 @@ def suite_compactness_extras(max_size: int) -> LawResult:
             chi = characteristic(conv)
             if validate_table(carrier, chi.table):
                 r.fail(f"characteristic table invalid for {conv!r}")
+            principal = hull_table(conv, Selector.F_ALL)
+            closed = hull_table(conv, Selector.F0_CLOSED)
             for sel in Selector:
                 if sel in (Selector.F_ALL, Selector.F0_CLOSED):
                     scan = is_compact_at_scan(
@@ -787,22 +841,23 @@ def suite_compactness_extras(max_size: int) -> LawResult:
                         r.fail(f"compactness closed form and scan disagree "
                                f"({sel}) on {conv!r}")
                 jchi = reflect(sel, chi)
+                whole = (closed if sel is Selector.F0_CLOSED
+                         else principal)[full]
                 for h in range(1, full + 1):
                     r.instances += 1
-                    if (compact_at_masks(conv, (h,), (full,), sel)
-                            != bool(jchi.table[h])):
+                    if hull_holds(whole, (h,), full) != bool(jchi.table[h]):
                         r.fail(
                             f"characteristic detection fails ({sel}) on {conv!r}")
             for h in range(1, full + 1):
                 r.instances += 1
                 # S-limits are exactly the points the filter is compact at
                 for x, point in enumerate(points):
-                    if (compact_at_masks(conv, (h,), (point,), Selector.F_ALL)
+                    if (hull_holds(principal[point], (h,), full)
                             != bool(s.table[h] >> x & 1)):
                         r.fail(f"S-limit/compact-at gap on {conv!r}")
                 # every convergent filter is compactoid
-                if conv.table[h] and not compact_at_masks(
-                        conv, (h,), (full,), Selector.F_ALL):
+                if conv.table[h] and not hull_holds(principal[full], (h,),
+                                                    full):
                     r.fail(f"convergent filter not compactoid on {conv!r}")
             r.instances += 1
             if completeness_number_finite(conv) != 0:
@@ -810,24 +865,32 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     # image of compact at 2x2, all relations, all spaces, all selectors
     c2 = default_carrier(2)
     d2 = target_carrier(2)
-    universe2 = all_convergences(c2)
-    targets2 = all_convergences(d2)
     fams = [SetFamily(c2, frozenset(m)) for m in ({1}, {2}, {3}, {1, 2})]
     ats = [Subset(c2, at) for at in range(1, 4)]
+    sels = (Selector.F0, Selector.F_ALL)
+
+    def hypotheses(theta):  # per family and set, per class
+        tables = {sel: hull_table(theta, sel) for sel in sels}
+        return [[{sel: hull_holds(tables[sel][at.bits], fam.masks, c2.full)
+                  for sel in sels} for at in ats] for fam in fams]
+    sources = [(theta, hypotheses(theta)) for theta in all_convergences(c2)]
+    targets = [(sigma, {sel: hull_table(sigma, sel) for sel in sels})
+               for sigma in all_convergences(d2)]
     for rows in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2),
                  (3, 0), (0, 3), (1, 2), (2, 1), (3, 3), (1, 1), (1, 3),
                  (3, 1), (2, 3), (3, 2)):
         rel = FiniteRelation(c2, d2, rows)
-        for theta in universe2:
-            for sigma in targets2:
+        for theta, fam_compact in sources:
+            for sigma, sigma_hulls in targets:
                 rel_compact = {sel: is_relation_compact(rel, theta, sigma, sel)
-                               for sel in (Selector.F0, Selector.F_ALL)}
-                for fam in fams:
-                    for at in ats:
+                               for sel in sels}
+                for fam, fam_row in zip(fams, fam_compact):
+                    for at, at_compact in zip(ats, fam_row):
                         for sel, compact in rel_compact.items():
                             r.instances += 1
                             res = image_of_compact(
-                                rel, theta, sigma, fam, at, sel, compact)
+                                rel, theta, sigma, fam, at, sel, compact,
+                                at_compact[sel], sigma_hulls[sel])
                             if not res.holds:
                                 r.fail(
                                     f"compact image failed: rel={rows} "
@@ -843,7 +906,6 @@ def suite_graph_closedness() -> LawResult:
     d2 = target_carrier(2)
     universe2 = all_convergences(c2)
     targets2 = all_convergences(d2)
-    from .maps import is_hausdorff
     for rows in [(a, b) for a in range(4) for b in range(4)]:
         rel = FiniteRelation(c2, d2, rows)
         inv = rel.inverse()
@@ -934,7 +996,6 @@ def suite_prop_JE(max_size: int) -> LawResult:
     """is_JE's two routes agree for every convergence and every
     (reflector-or-identity, coreflector) pair up to the cap."""
     r = LawResult("JE two-route agreement (exhaustive)")
-    from .functors import I
     for n in range(1, max_size + 1):
         for conv in all_convergences(default_carrier(n)):
             for j in REFLECTORS + (I,):
@@ -950,7 +1011,6 @@ def suite_prop_JE(max_size: int) -> LawResult:
 def suite_strictness_witnesses() -> LawResult:
     """Every non-reversible arrow that survives the finite collapse has a
     search witness; collapsing or impossible arrows exhaust."""
-    from .enumerate import SearchTask, search
     r = LawResult("strictness witnesses via search")
     expect_witness = [
         "quotient_not_hereditarily_quotient",
@@ -983,9 +1043,6 @@ def suite_family_algebra() -> LawResult:
     """Image/preimage transport of filters under surjections, the
     image-mesh duality for relations, and the map characterization of
     relations, exhaustively on small carriers."""
-    from .families import (
-        grill, isotonize, mesh,
-        rel_image_family, rel_preimage_family, filter_meet, ultrafilters_of)
     r = LawResult("family algebra: transport, duality, rel-map")
     for n, m in ((2, 2), (3, 2), (3, 3), (2, 3)):
         src, dst = default_carrier(n), target_carrier(m)
@@ -1052,31 +1109,43 @@ def _maps_domain(max_size: int) -> str:
     return "3to2" if max_size >= 3 else "2to2"
 
 
+def _timed(suite, *args, **kwargs) -> LawResult:
+    """Run one standalone suite and record its wall time on its result."""
+    t0 = time.perf_counter()
+    result = suite(*args, **kwargs)
+    result.seconds = time.perf_counter() - t0
+    return result
+
+
 def run_laws(max_size: int = 3) -> LawSuiteReport:
     """Run every suite; max_size trims the universes and the samples (2 for
-    a smoke run, 3 for the full acceptance surface)."""
+    a smoke run, 3 for the full acceptance surface).  Each standalone suite
+    reports its wall time; the results the sweep fills across domains
+    report none."""
     t0 = time.perf_counter()
     full = max_size >= 3
-    results: list[LawResult] = []
-    results.append(suite_axioms_and_lattice())
-    results.append(suite_family_algebra())
-    results.append(suite_finite_collapse(min(max_size, 3)))
-    results.append(suite_reflector_ordering(min(max_size, 3)))
-    results.append(suite_functor_laws(10_000 if full else 200, seed=0))
-    results.append(suite_cover_duality(10_000 if full else 500, seed=0))
-    results.append(suite_enumeration_counts())
-    results.append(suite_compactness_extras(min(max_size, 3)))
-    results.append(suite_graph_closedness())
-    results.append(suite_chain_identity_example())
-    results.append(suite_sierpinski())
-    results.append(suite_prop_JE(min(max_size, 2)))
-    results.append(suite_strictness_witnesses())
+    results = [
+        _timed(suite_axioms_and_lattice),
+        _timed(suite_family_algebra),
+        _timed(suite_finite_collapse, min(max_size, 3)),
+        _timed(suite_reflector_ordering, min(max_size, 3)),
+        _timed(suite_functor_laws, 10_000 if full else 200, seed=0),
+        _timed(suite_cover_duality, 10_000 if full else 500, seed=0),
+        _timed(suite_enumeration_counts),
+        _timed(suite_compactness_extras, min(max_size, 3)),
+        _timed(suite_graph_closedness),
+        _timed(suite_chain_identity_example),
+        _timed(suite_sierpinski),
+        _timed(suite_prop_JE, min(max_size, 2)),
+        _timed(suite_strictness_witnesses),
+    ]
 
     stats = SweepStats()
     for name in LAW_DOMAINS if full else LAW_DOMAINS[:1]:
         sweep_domain(*domain(name), stats)
     results.extend(stats.merged())
-    results.append(suite_preservation_grid(*domain(_maps_domain(max_size))))
+    results.append(_timed(suite_preservation_grid,
+                          *domain(_maps_domain(max_size))))
     return LawSuiteReport(results, time.perf_counter() - t0)
 
 
@@ -1123,7 +1192,6 @@ def emit_tables(max_size: int = 3) -> dict:
     """Re-derive the implication and preservation tables from sweeps; each
     arrow cell carries its verification count, and each non-reversal either
     a stored witness or a finite-collapse annotation."""
-    from .enumerate import SearchTask, search
     # several rows share a predicate: run each search once
     witness = cache(lambda pred: search(SearchTask(pred)).witness)
 

@@ -301,26 +301,38 @@ def adherence(conv: Convergence, fam: SetFamily | Subset) -> Subset:
 
 
 def inherence(conv: Convergence, fam: SetFamily) -> Subset:
-    """Complement-dual of adherence: inh P = (adh P_c)^c.  is_cover reads
-    it off the same adherence pass."""
+    """Complement-dual of adherence: inh P = (adh P_c)^c.  cover_clauses
+    reads it off one adherence pass."""
     return ~adherence(conv, complement_family(fam))
 
 
-def is_cover(conv: Convergence, fam: SetFamily, target: Subset) -> bool:
-    """Cover test, by two clauses that must agree.  The filter clause:
-    every filter converging into the target holds a member of the family.
-    The adherence clause, one adherence pass over the complement family
-    P_c: adh P_c misses the target, i.e. the target lies inside inh P, the
-    complement of adh P_c.  A disagreement raises InvariantViolation; the
-    duality inh P = (adh P_c)^c is pinned separately, as the round trip of
+def cover_clauses(conv: Convergence, fam: SetFamily) -> tuple[int, int]:
+    """The two sets a target of the family must miss to be covered, one per
+    clause of is_cover; neither depends on the target, so a caller that
+    asks about many targets of one (space, family) builds them once.  The
+    filter clause: the union U of lim ^H over the H that lie inside no
+    member of the family (every filter converging into the target holds a
+    member exactly when the target misses U).  The adherence clause, one
+    adherence pass over the complement family P_c: adh P_c, the complement
+    of inh P."""
+    outside = 0
+    for h in range(1, conv.carrier.full + 1):
+        if not any(h & ~p == 0 for p in fam.masks):
+            outside |= conv.table[h]
+    return outside, adherence_mask(conv, complement_family(fam).masks)
+
+
+def is_cover(conv: Convergence, fam: SetFamily, target: Subset,
+             clauses: tuple[int, int] | None = None) -> bool:
+    """Cover test, by two clauses that must agree, each a set the target
+    must miss (cover_clauses, built here unless the caller passes them).
+    A disagreement raises InvariantViolation; the duality
+    inh P = (adh P_c)^c is pinned separately, as the round trip of
     inherence and adherence."""
     if fam.carrier != conv.carrier or target.carrier != conv.carrier:
         raise CarrierMismatch("cover query parts on different carriers")
-    by_filters = all(
-        any(h & ~p == 0 for p in fam.masks)
-        for h in range(1, conv.carrier.full + 1)
-        if target.bits & conv.table[h])
-    adh_c = adherence_mask(conv, complement_family(fam).masks)
+    outside, adh_c = cover_clauses(conv, fam) if clauses is None else clauses
+    by_filters = outside & target.bits == 0
     by_adherence = adh_c & target.bits == 0
     if by_filters != by_adherence:
         raise InvariantViolation(

@@ -3,8 +3,11 @@ import pytest
 from convlab.compactness import (
     CompactnessQuery,
     characteristic,
+    compact_at_masks,
     compact_at_sets,
     completeness_number_finite,
+    hull_holds,
+    hull_table,
     image_of_compact,
     is_compactoid_filter,
     is_relation_compact,
@@ -55,6 +58,45 @@ class TestCompactAt:
         zero, one = s.carrier.subset("0"), s.carrier.subset("1")
         assert compact_at_sets(s, zero, one, Selector.F0)
         assert not (zero <= one)
+
+
+class TestHullTables:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_give_every_singleton_verdict(self, n):
+        """For every space up to 3 points and every selector, entry b of
+        the space's hull table decides compactness of {a} at {b} as
+        compact_at_masks does, for every pair of masks."""
+        masks = range(default_carrier(n).full + 1)
+        for conv in all_convergences(default_carrier(n)):
+            full = conv.carrier.full
+            for sel in Selector:
+                hulls = hull_table(conv, sel)
+                for b in masks:
+                    for a in masks:
+                        assert (hull_holds(hulls[b], (a,), full)
+                                == compact_at_masks(conv, (a,), (b,), sel))
+
+    def test_passed_facts_give_the_computed_verdict(self):
+        """image_of_compact given the hypothesis and the target's hull
+        table answers as it does deciding them itself."""
+        rel = identity_map(default_carrier(2)).as_relation()
+        for theta in all_convergences(default_carrier(2)):
+            for sel in Selector:
+                hulls = hull_table(theta, sel)
+                rel_compact = is_relation_compact(rel, theta, theta, sel)
+                for pick in range(1, 16):
+                    fam = SetFamily(theta.carrier, frozenset(
+                        m for m in range(4) if pick >> m & 1))
+                    for at in range(1, 4):
+                        at_set = Subset(theta.carrier, at)
+                        fam_compact = hull_holds(hulls[at], fam.masks, 3)
+                        assert fam_compact == compact_at_masks(
+                            theta, fam.masks, (at,), sel)
+                        given = image_of_compact(
+                            rel, theta, theta, fam, at_set, sel, rel_compact,
+                            fam_compact, hulls)
+                        assert given == image_of_compact(
+                            rel, theta, theta, fam, at_set, sel, rel_compact)
 
 
 class TestRelationCompact:

@@ -1,6 +1,6 @@
 import pytest
 
-from convlab import laws, maps
+from convlab import compactness, functors, laws, maps, spaces
 from convlab.enumerate import (
     all_convergences,
     all_pretopologies,
@@ -11,7 +11,13 @@ from convlab.enumerate import (
     target_carrier,
 )
 from convlab.families import Carrier, CarrierMap, InvariantViolation, popcount
-from convlab.functors import Selector, is_topology, pretopologize, topologize
+from convlab.functors import (
+    Selector,
+    is_pretopology,
+    is_topology,
+    pretopologize,
+    topologize,
+)
 from convlab.laws import LawResult, emit_tables, run_laws
 from convlab.maps import MapContext, classify
 from convlab.spaces import (
@@ -43,6 +49,14 @@ class TestRunner:
         assert doc["ok"] is True
         assert {"name", "instances", "ok", "failures_total",
                 "failures"} <= set(doc["suites"][0])
+
+    def test_standalone_suites_report_their_seconds(self, small_report):
+        swept = {r.name for r in laws.SweepStats().merged()}
+        for suite in small_report.as_dict()["suites"]:
+            if suite["name"] in swept:
+                assert suite["seconds"] is None
+            else:
+                assert isinstance(suite["seconds"], float)
 
     def test_failure_capping(self):
         r = LawResult("x")
@@ -478,32 +492,79 @@ def test_the_cap_changes_no_total(monkeypatch):
         assert one.failures == every.failures[:5], one.name
 
 
-def test_the_final_convergence_oracle_runs_per_pair(monkeypatch):
-    """final_convergence_scan stays outside every memo: wrong for the last
-    source xi0 of 3to2 alone, it fails the adjunction suite once per map,
-    naming xi0, although every map meets xi0's source adherence and final
-    convergence at an earlier source."""
+def test_the_final_convergence_oracle_runs_per_pushed_limit_table(
+        monkeypatch):
+    """final_convergence_scan reads xi only through its pushed limits
+    f(lim ^A), so the sweep runs it once per distinct pushed-limit table
+    of a map, in the memo entry of the adjunction's initial side, and
+    compares it with fxi at every pair: wrong for the pushed limits of the
+    last source xi0 of 3to2 alone, it fails the adjunction suite at every
+    pair that shares them, each failure naming its own source."""
     maps_, sources, targets = domain("3to2")
     xi0 = sources[-1]
-    for f in maps_:
-        key = adherence_table(xi0), maps.final_convergence(f, xi0)
-        assert any((adherence_table(xi), maps.final_convergence(f, xi)) == key
-                   for xi in sources[:-1])
-    scan = laws.final_convergence_scan
+
+    def pushed(f, xi):
+        return tuple(map(f.image_table.__getitem__, xi.table))
+
+    scan, calls = laws.final_convergence_scan, []
 
     def wrong_at_xi0(f, xi):
+        calls.append((f, pushed(f, xi)))
         got = scan(f, xi)
-        if xi is not xi0:
+        if pushed(f, xi) != pushed(f, xi0):
             return got
         return type(got)(got.carrier, got.table[:-1] + (got.table[-1] ^ 1,))
 
     monkeypatch.setattr(laws, "final_convergence_scan", wrong_at_xi0)
-    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10)
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
     stats = laws.SweepStats()
     laws.sweep_domain(maps_, sources, targets, stats)
+    assert len(calls) == len(set(calls)) == sum(
+        len({pushed(f, xi) for xi in sources}) for f in maps_)
     result = stats.adjunction
-    assert result.failures_total == len(result.failures) == len(maps_) == 6
-    assert result.failures == [
-        f"final convergence or its adherence transport failed: "
-        f"{f.mapping} {xi0!r}" for f in maps_]
+    want = [f"final convergence or its adherence transport failed: "
+            f"{f.mapping} {xi!r}"
+            for f in maps_ for xi in sources if pushed(f, xi) == pushed(f, xi0)]
+    assert len(want) > len(maps_)
+    assert result.failures_total == len(result.failures)
+    assert result.failures == want
     assert all(r.ok for r in stats.merged() if r is not result)
+
+
+def test_compactness_suite_fails_without_the_closed_class_opening(
+        monkeypatch):
+    """With the closed-class hulls left unopened, the closed form leaves
+    the class-filter scan on the closed class; the per-space hull tables
+    read the same _hulls, and the failures are those of a suite that asks
+    compact_at_masks every question."""
+    hulls = compactness._hulls
+    monkeypatch.setattr(compactness, "_hulls",
+                        lambda conv, b, sel: hulls(conv, b, Selector.F0))
+    r = laws.suite_compactness_extras(3)
+    assert (r.instances, r.failures_total) == (131_982, 616)
+    assert all(m.startswith("compactness closed form and scan disagree "
+                            "(Selector.F0_CLOSED)") for m in r.failures)
+
+
+def test_cover_duality_fails_on_a_wrong_complement_adherence(monkeypatch):
+    """adh P_c read in the topologization is wrong off topologies only, so
+    the clause sets built once per (space, family) disagree at the same
+    instances as clauses built per target would."""
+    adherence_mask = spaces.adherence_mask
+    monkeypatch.setattr(spaces, "adherence_mask", lambda conv, masks: (
+        adherence_mask(topologize(conv), masks)))
+    r = laws.suite_cover_duality(samples=10_000, seed=0)
+    assert (r.instances, r.failures_total) == (30_632, 824)
+    assert all(m.startswith("duality broke: cover clauses disagree")
+               for m in r.failures)
+
+
+def test_functor_laws_decide_every_handle_with_its_own_tables(monkeypatch):
+    """An S1 that differs from S0 (it topologizes pretopologies and keeps
+    the rest) and is not functorial fails at n=3: the functoriality memo,
+    keyed by the (h xi, h zeta) tables, hides no handle."""
+    monkeypatch.setitem(functors._APPLY, "S1", lambda c: (
+        topologize(c) if is_pretopology(c) else c))
+    r = laws.suite_functor_laws(10_000, seed=0)
+    assert (r.instances, r.failures_total) == (65_824, 7)
+    assert "S1 not functorial at n=3" in r.failures

@@ -14,6 +14,7 @@ from convlab.spaces import (
     closed_masks,
     closure,
     closure_mask,
+    cover_clauses,
     discrete,
     finer,
     indiscrete,
@@ -238,6 +239,29 @@ class TestCovers:
             calls.clear()
             is_cover(p3, SetFamily.of(ABC, *members), Subset(ABC, m))
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 197)])
+    def test_clause_sets_give_the_cover_verdict(self, n, stride):
+        """Both sets of cover_clauses, built once per (space, family), give
+        the literal filter clause for every target, and is_cover reads
+        them as it reads its own: every space up to 2 points, every 197th
+        on 3."""
+        carrier = default_carrier(n)
+        full = carrier.full
+        for conv in all_convergences(carrier)[::stride]:
+            for pick in range(1 << (full + 1)):
+                fam = SetFamily(carrier, frozenset(
+                    m for m in range(full + 1) if pick >> m & 1))
+                clauses = cover_clauses(conv, fam)
+                for t in range(full + 1):
+                    literal = all(
+                        any(h & ~p == 0 for p in fam.masks)
+                        for h in range(1, full + 1) if t & conv.table[h])
+                    assert (clauses[0] & t == 0) == literal
+                    assert (clauses[1] & t == 0) == literal
+                    target = Subset(carrier, t)
+                    assert (is_cover(conv, fam, target, clauses)
+                            == is_cover(conv, fam, target) == literal)
 
 
 class TestNeighborhoodAndVicinity:
