@@ -23,9 +23,9 @@ builds a table over the 2^n masks.  hull_table holds the hull of every
 mask, one table for the principal selectors and one for the closed class;
 a caller that asks many questions of one small space builds it once, as
 the compactness suite of laws does per enumerated space and class, and
-image_of_compact reads its conclusion off the target's table when given
-one.  The scan, is_compact_at_scan, is the oracle the compactness suite
-compares with.
+image_of_compact takes its hypothesis as a verdict and reads its
+conclusion off the target's table.  The scan, is_compact_at_scan, is the
+oracle the compactness suite compares with.
 
 On a finite carrier every filter has adherent points, so every space is
 compact and the completeness number is 0; completeness_number_finite
@@ -167,31 +167,20 @@ class CheckedProposition:
 
 def image_of_compact(rel: FiniteRelation, theta: Convergence,
                      sigma: Convergence, fam: SetFamily, at: Subset,
-                     sel: Selector, rel_compact: bool,
-                     fam_compact: bool | None = None,
-                     sigma_hulls: list[int] | None = None
-                     ) -> CheckedProposition:
+                     rel_compact: bool, fam_compact: bool,
+                     sigma_hulls: list[int]) -> CheckedProposition:
     """If the relation is class-compact (rel_compact: is_relation_compact)
-    and the family is class-compact at the set (fam_compact, decided here
-    when not given), the image family must be class-compact at the
-    relational image, read on sigma_hulls (sigma's hull_table for the
-    class) when given.  Returns the hypothesis record; a witness signals a
-    failed implication (none is expected)."""
+    and the family is class-compact at the set (fam_compact), the image
+    family must be class-compact at the relational image, read on
+    sigma_hulls (sigma's hull_table for the class).  Returns the hypothesis
+    record; a witness signals a failed implication (none is expected)."""
     if fam.carrier != theta.carrier or at.carrier != theta.carrier:
         raise CarrierMismatch("family and base set live on the source")
-    if not rel_compact:
+    if not (rel_compact and fam_compact):
         return CheckedProposition(True, None)  # hypothesis empty
-    if fam_compact is None:
-        fam_compact = compact_at_masks(theta, fam.masks, (at.bits,), sel)
-    if not fam_compact:
-        return CheckedProposition(True, None)
     images = [rel.image_mask(m) for m in fam.masks]
-    image_at = rel.image_mask(at.bits)
-    if sigma_hulls is None:
-        holds = compact_at_masks(sigma, images, (image_at,), sel)
-    else:
-        holds = hull_holds(sigma_hulls[image_at], images, sigma.carrier.full)
-    if holds:
+    if hull_holds(sigma_hulls[rel.image_mask(at.bits)], images,
+                  sigma.carrier.full):
         return CheckedProposition(True, None)
     return CheckedProposition(False, {
         "family": [list(s) for s in fam],

@@ -6,8 +6,8 @@ filters as their base subset.  A convergence document is
     {"points": ["a", "b"], "lim": {"a": ["a"], "b": ["b"], "a,b": []}}
 
 with one entry per nonempty subset, keyed by the comma-joined sorted label
-list, so a point label is nonempty and holds no comma.  The pretopology
-shorthand
+list, so a point label is nonempty and holds no comma, and every part of
+a key between commas must name a point.  The pretopology shorthand
 
     {"vicinity": {"a": ["a", "b"], ...}}
 
@@ -98,7 +98,8 @@ def convergence_from_doc(doc: dict) -> Convergence:
     seen: dict[int, str] = {}
     problems = []
     for key, val in lim.items():
-        labels = [s for s in key.split(",") if s]
+        # an empty part, as in "a,,b", names no point; only "" is empty
+        labels = key.split(",") if key else []
         try:
             mask = carrier.mask_of(labels)
         except KeyError as exc:

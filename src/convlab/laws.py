@@ -282,13 +282,13 @@ def _source_forms(facts: MapFacts, universe: TargetUniverse) -> tuple:
     through its adherence table alone: its singleton limits fix S0 (their
     meet table) and the closed sets.  f(adh ^G) in adh ^f(G) is incl2
     again: grouped by H = f(G), its constraints OR to incl2's."""
-    img_a, pre_b, adh_s = facts.img, facts.pre, facts.adh_s
+    img_a, pre_adh = facts.img, facts.pre_adh
     s0_s = pretopologize(facts.xi).table
-    src_sets, tgt_sets = range(1, facts.full_s + 1), range(1, facts.full_t + 1)
+    src_sets = range(1, facts.full_s + 1)
     cont_refl = universe.holding("co_s0", (
         (img_a[a], img_a[s0_s[a]]) for a in src_sets))
     incl2 = universe.holding("co_adh", (
-        (h, img_a[adh_s[pre_b[h]]]) for h in tgt_sets))
+        (h, pre_adh[h]) for h in range(1, facts.full_t + 1)))
     rc_perf_gen = universe.holding("lim", _rc_constraints(
         facts.misses, src_sets, img_a, facts.full_t))
     rc_perf_closed = universe.holding("lim", _rc_constraints(
@@ -358,29 +358,28 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     disagree; each law about the flags is a few bitset operations or "need
     inside table[k]" lookups per pair.
 
-    Every part is built once per distinct value of what it reads, in the
-    universe's per-map memo, each source's adherence table adh_s once per
-    source:
+    Per pair it builds the MapFacts record, given the source adherence
+    adh_s (built once per source), whose pushed adherence holds the
+    adherence-transport table pre_adh, and it makes every comparison: fxi
+    with the final_convergence_scan oracle, adh_fxi with pre_adh, the
+    ladder, bijection and compactness bitsets; it counts the instances and
+    writes every failure message, naming its own pair.  The rest is one
+    record per key in the universe's per-map memo, seven keys in all:
 
-      per pair:          the MapFacts record, given adh_s, with its lift
-                         table and pushed limits lims (the keys); the
-                         comparison of fxi with the final_convergence_scan
-                         oracle; instance counts; the ladder, bijection
-                         and compactness bitset comparisons; and every
-                         failure message, naming its own pair;
-      per fxi:           the final convergence's MapFacts parts and the
-                         continuity and almost-open flags (maps), and the
-                         quotient relation compactness and the targets
-                         with J tau = J(fxi) (_final_forms);
-      per lift table:    the open constraints and flag (maps);
-      per lims:          the graph constraints and flag (maps), the
-                         adjunction's initial-side continuity init_ok, and
-                         the final_convergence_scan oracle, which reads xi
-                         only through f(lim ^A);
-      per adh_s:         the continuity forms and fiber relation
-                         compactness (_source_forms);
-      per (adh_s, fxi):  the class verdicts with their route faults
-                         (maps), and the adherence-transport check.
+      ("fxi", fxi):           the final convergence, its adherence, and the
+                              continuity and almost-open flags (maps);
+      ("lifts", lifts):       the open constraints and flag (maps);
+      ("lims", lims):         the graph-closedness flag (maps);
+      ("classes", adh_s, fxi): the class verdicts with their route faults
+                              (maps);
+      ("source", adh_s):      the continuity forms and fiber relation
+                              compactness (_source_forms);
+      ("final", fxi):         the quotient relation compactness and the
+                              targets with J tau = J(fxi) (_final_forms);
+      ("init", lims):         the adjunction's initial-side continuity
+                              init_ok and the final_convergence_scan
+                              oracle, which reads xi only through
+                              f(lim ^A).
 
     A memo hit still reports its verdict at the pair in hand.  Only the
     sampled cross-check against the reference implementations runs per
@@ -391,9 +390,7 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     tau_top = sum(1 << i for i, t in enumerate(targets) if is_topology(t))
     node = 0
     for f in maps:
-        img_a, pre_b = f.image_table, f.preimage_table
-        full_s, full_t = f.source.full, f.target.full
-        src_sets, tgt_sets = range(1, full_s + 1), range(1, full_t + 1)
+        img_a, src_sets = f.image_table, range(1, f.source.full + 1)
         bijective = f.is_bijective()
         for xi, adh_s, xi_is_top in sources:
             facts = MapFacts(f, xi, universe, adh_s)
@@ -419,10 +416,7 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
                 universe.holding("co_lim", (
                     (img_a[a], lims[a]) for a in src_sets)),
                 final_convergence_scan(f, xi)))
-            if fxi != scan or not universe.memoized(
-                    f, ("transport", adh_s, fxi.table), lambda: all(
-                        facts.adh_fxi[h] == img_a[adh_s[pre_b[h]]]
-                        for h in tgt_sets)):
+            if fxi != scan or facts.adh_fxi != facts.pre_adh:
                 stats.adjunction.fail(
                     f"final convergence or its adherence transport failed: "
                     f"{f.mapping} {xi!r}")
@@ -608,10 +602,12 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
     """Contractive/expansive, idempotent, isotone, functorial for the four
     reflectors, three coreflectors and the identity; exhaustive at n=2 and
     sampled at n=3.  At n=3 each sample decides "zeta finer than xi" once,
-    and the continuity of f once per distinct (h xi, h zeta) table pair,
-    seeded with the guard's verdict on (xi, zeta): handles that share a
-    table, such as the identity coreflectors, share the decision, and
-    every handle is still applied and counted."""
+    applies each reflector to xi and zeta once, for the laws and for
+    functoriality, and decides the continuity of f once per distinct
+    (h xi, h zeta) table pair, seeded with the guard's verdict on
+    (xi, zeta): handles that share a table, such as the identity
+    coreflectors, share the decision, and every handle is still applied
+    and counted."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
@@ -626,8 +622,8 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
         xi = universe3[rng.randrange(len(universe3))]
         zeta = universe3[rng.randrange(len(universe3))]
         zeta_finer = finer(zeta, xi)
-        for h in REFLECTORS:
-            hx, hz = h(xi), h(zeta)
+        applied = [(h, h(xi), h(zeta)) for h in REFLECTORS]
+        for h, hx, hz in applied:
             r.instances += 1
             if h(hx).table != hx.table:
                 r.fail(f"{h.tag} not idempotent at n=3")
@@ -638,8 +634,8 @@ def suite_functor_laws(sample_pairs: int, seed: int) -> LawResult:
         f = maps3[rng.randrange(len(maps3))]
         if continuous(MapContext(f, xi, zeta)):
             decided = {(xi.table, zeta.table): True}
-            for h in REFLECTORS + COREFLECTORS:
-                hx, hz = h(xi), h(zeta)
+            applied += [(h, h(xi), h(zeta)) for h in COREFLECTORS]
+            for h, hx, hz in applied:
                 r.instances += 1
                 key = hx.table, hz.table
                 ok = decided.get(key)
@@ -889,7 +885,7 @@ def suite_compactness_extras(max_size: int) -> LawResult:
                         for sel, compact in rel_compact.items():
                             r.instances += 1
                             res = image_of_compact(
-                                rel, theta, sigma, fam, at, sel, compact,
+                                rel, theta, sigma, fam, at, compact,
                                 at_compact[sel], sigma_hulls[sel])
                             if not res.holds:
                                 r.fail(

@@ -1,19 +1,16 @@
 """Continuity, initial/final convergences, and classification of surjections
 into quotient-like and perfect-like classes.
 
-Classification has one kernel.  MapFacts holds what the routes read of a
-(map, source) pair that does not depend on the target, each part built
-once per distinct value of what it reads, through the universe's per-map
-memo: the image, preimage and fiber tables once per map (CarrierMap
-stores them); the lift table and the pushed limits f(lim ^A), the keys,
-per pair; the final convergence read off the lift table, with its
-adherence and the continuity and almost-open constraints, per final
-convergence; the open constraints per lift table; the graph-closedness
-constraints per pushed-limit table; and the filter classes, reflections,
-cover-route triggers and class routes per (source adherence, final
-convergence), built only where map_flags misses its memo of the class
-verdicts.  Each route is a tuple of (k, bad) constraints that hold when
-table[k] & bad == 0 on a target table.
+Classification has one kernel.  MapFacts is the one record of a (map,
+source) pair: what the routes read of it that does not depend on the
+target, the pushed adherence f(adh ^A) built once per pair, and the rest,
+with each flag that needs no class route, one record per key in the
+universe's per-map memo (MapFacts lists them).  map_flags adds the class
+verdicts with their route faults per (source adherence, final
+convergence), and builds the filter classes, reflections, cover-route
+triggers and routes only where it misses that entry.  Each route is a
+tuple of (k, bad) constraints that hold when table[k] & bad == 0 on a
+target table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
@@ -30,11 +27,8 @@ tau >= J(fxi), the reflector route reads the source only through fxi, the
 other class routes through its adherence and closed sets, and the closed
 sets are fixed by the singleton limits, which the adherence table holds (C
 is closed iff lim ^{c} lies in C for every c in C, as lim ^A lies in
-lim ^{a}): the universe memoizes, for one map at a time, the class
-verdicts with their route faults per (adh_s, fxi.table), the continuity
-and almost-open flags per fxi, the open flag per lift table and the
-graph-closedness flag per pushed-limit table, and the law sweep keeps its
-own per-map forms in the same memo.
+lim ^{a}), so (adh_s, fxi.table) keys the class verdicts.  The law sweep
+keeps its own per-map forms in the same memo.
 
 Each inverse-continuity class is decided through independent routes that
 must agree bit-for-bit; a disagreement raises InvariantViolation:
@@ -312,29 +306,37 @@ class TargetUniverse:
         return full & ~failing
 
 
-def _final_parts(f: CarrierMap, fxi_table: tuple) -> tuple:
-    """What the routes read off the final convergence: fxi itself, its
-    adherence, the continuity constraints (f(lim ^A) within lim ^f(A), on
-    the co_lim tables) and the almost-open ones (the target is finer than
-    fxi)."""
+def _final_parts(f: CarrierMap, fxi_table: tuple,
+                 universe: TargetUniverse) -> tuple:
+    """The record of one final convergence: fxi itself, its adherence, the
+    almost-open constraints order (the target is finer than fxi), and the
+    continuity flag (f(lim ^A) within lim ^f(A), on the co_lim tables) and
+    the almost-open flag."""
     fxi = Convergence(f.target, fxi_table)
     full_t = f.target.full
     targets = range(1, full_t + 1)
-    return (fxi, adherence_table(fxi),
-            tuple((b, fxi_table[b]) for b in targets if fxi_table[b]),
-            _forbidden(((b, fxi_table[b]) for b in targets), full_t))
+    order = _forbidden(((b, fxi_table[b]) for b in targets), full_t)
+    return (fxi, adherence_table(fxi), order,
+            universe.holding("co_lim", ((b, fxi_table[b]) for b in targets
+                                        if fxi_table[b])),
+            universe.holding("lim", order))
 
 
-def _lift_every(f: CarrierMap, lifts: tuple) -> tuple:
-    """The open constraints: every fiber point lifts ^B."""
+def _lift_parts(f: CarrierMap, lifts: tuple,
+                universe: TargetUniverse) -> tuple:
+    """The record of one lift table: the open constraints, every fiber point
+    lifts ^B, and the open flag."""
     img, full_s, full_t = f.image_table, f.source.full, f.target.full
-    return _forbidden(((b, full_t & ~img[full_s & ~lifts[b]])
-                       for b in range(1, full_t + 1)), full_t)
+    lift_every = _forbidden(((b, full_t & ~img[full_s & ~lifts[b]])
+                             for b in range(1, full_t + 1)), full_t)
+    return lift_every, universe.holding("lim", lift_every)
 
 
-def _graph(f: CarrierMap, lims: tuple) -> tuple:
-    """The graph-closedness constraints: adh f(A) lies in the common image
-    of the limits of ^A (empty unless they share one image)."""
+def _graph_closed(f: CarrierMap, lims: tuple,
+                  universe: TargetUniverse) -> int:
+    """The graph-closedness flag of one pushed-limit table: adh f(A) lies in
+    the common image of the limits of ^A (empty unless they share one
+    image)."""
     img, full_t = f.image_table, f.target.full
     graph: dict[int, int] = {}
     for a in range(1, f.source.full + 1):
@@ -343,24 +345,31 @@ def _graph(f: CarrierMap, lims: tuple) -> tuple:
             if common & (common - 1):
                 common = 0
             graph[img[a]] = graph.get(img[a], full_t) & common
-    return _forbidden(graph.items(), full_t)
+    return universe.holding("adh", _forbidden(graph.items(), full_t))
 
 
 class MapFacts:
-    """What the classification routes read of the surjection f and the
-    source xi; the targets enter through a TargetUniverse alone
-    (map_flags).  Each part is built once per distinct value of what it
-    reads, the per-map tables by CarrierMap, the rest through the
-    universe's per-map memo:
+    """The one record of the surjection f and the source xi: what the
+    classification routes and the law sweep read of the pair, and the
+    flags that need no class route.  The targets enter through a
+    TargetUniverse alone.  Each part is built once per distinct value of
+    what it reads, the per-map tables by CarrierMap, the rest through the
+    universe's per-map memo, one entry per key:
 
       per map:               the image, preimage and fiber tables;
       per pair:              the lift table lifts[B] and the pushed limits
-                             lims[A] = f(lim ^A), the keys below;
+                             lims[A] = f(lim ^A), the keys below; the
+                             pushed adherence pushed_adh[A] = f(adh ^A) and,
+                             read off it, pre_adh[H] = f(adh ^(f^-H)) and
+                             the fiber misses misses[A], the target points
+                             whose fiber misses adh ^A;
       per final convergence: fxi (the image of the lift table), its
-                             adherence adh_fxi, and the continuity and
-                             almost-open constraints pushed and order;
-      per lift table:        the open constraints lift_every;
-      per pushed limits:     the graph-closedness constraints graph;
+                             adherence adh_fxi, the almost-open constraints
+                             order, and the continuous and almost_open
+                             flags;
+      per lift table:        the open constraints lift_every and the open
+                             flag;
+      per pushed limits:     the graph_closed flag;
       per (adh_s, fxi):      the class routes, each selector's built once
                              by _class_flags, and only when map_flags
                              misses its memo of the class verdicts.
@@ -368,8 +377,9 @@ class MapFacts:
     adh_s is the source adherence, passed in by a caller that holds it."""
 
     __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "adh_s",
-                 "fxi", "adh_fxi", "lifts", "lims", "pushed", "order",
-                 "lift_every", "graph")
+                 "lifts", "lims", "pushed_adh", "pre_adh", "misses",
+                 "fxi", "adh_fxi", "order", "continuous", "almost_open",
+                 "lift_every", "open", "graph_closed")
 
     def __init__(self, f: CarrierMap, xi: Convergence,
                  universe: TargetUniverse, adh_s: tuple | None = None):
@@ -377,23 +387,23 @@ class MapFacts:
         self.f, self.xi = f, xi
         img = self.img = f.image_table
         self.pre = f.preimage_table
-        self.full_s, self.full_t = f.source.full, f.target.full
+        full_t = self.full_t = f.target.full
+        self.full_s = f.source.full
         self.adh_s = adherence_table(xi) if adh_s is None else adh_s
+        pushed = self.pushed_adh = tuple(map(img.__getitem__, self.adh_s))
+        self.pre_adh = tuple(map(pushed.__getitem__, self.pre))
+        self.misses = tuple(full_t & ~adh for adh in pushed)
         lifts = self.lifts = _lifts(f, xi)
         fxi_table = tuple(map(img.__getitem__, lifts))
-        self.fxi, self.adh_fxi, self.pushed, self.order = memoized(
-            f, ("fxi", fxi_table), partial(_final_parts, f, fxi_table))
-        self.lift_every = memoized(f, ("lifts", lifts),
-                                   partial(_lift_every, f, lifts))
+        (self.fxi, self.adh_fxi, self.order, self.continuous,
+         self.almost_open) = memoized(
+            f, ("fxi", fxi_table),
+            partial(_final_parts, f, fxi_table, universe))
+        self.lift_every, self.open = memoized(
+            f, ("lifts", lifts), partial(_lift_parts, f, lifts, universe))
         lims = self.lims = tuple(map(img.__getitem__, xi.table))
-        self.graph = memoized(f, ("lims", lims), partial(_graph, f, lims))
-
-    @property
-    def misses(self) -> list:
-        """misses[j]: the target points whose fiber misses adh ^J, which
-        are those off f(adh ^J)."""
-        img, full_t = self.img, self.full_t
-        return [full_t & ~img[adh_j] for adh_j in self.adh_s]
+        self.graph_closed = memoized(
+            f, ("lims", lims), partial(_graph_closed, f, lims, universe))
 
     def _cover_triggers(self, pairs) -> tuple:
         """For each (k, g): the points y whose fiber lies in the inherence of
@@ -407,8 +417,8 @@ class MapFacts:
         return tuple(out.items())
 
     def _build_routes(self, sel: Selector) -> _Routes:
-        img, pre, adh_s = self.img, self.pre, self.adh_s
-        full_s, full_t = self.full_s, self.full_t
+        img, pre, pushed = self.img, self.pre, self.pushed_adh
+        pre_adh, full_s, full_t = self.pre_adh, self.full_s, self.full_t
         # the quotient ladder reads its class on the final convergence, the
         # perfect ladder on the source
         target_class = class_filter_masks(sel, self.fxi)
@@ -423,10 +433,9 @@ class MapFacts:
         perfect_adh: dict[int, int] = {}
         for g in source_class:
             ig = img[g]
-            perfect_adh[ig] = perfect_adh.get(ig, full_t) & img[adh_s[g]]
+            perfect_adh[ig] = perfect_adh.get(ig, full_t) & pushed[g]
         return _Routes(
-            _forbidden(((h, img[adh_s[pre[h]]]) for h in target_class),
-                       full_t),
+            _forbidden(((h, pre_adh[h]) for h in target_class), full_t),
             _forbidden(((b, refl[b]) for b in range(1, full_t + 1)), full_t),
             self._cover_triggers(
                 (full_t & ~img[full_s & ~g], g) for g in covers),
@@ -504,25 +513,19 @@ def _class_flags(facts: MapFacts, universe: TargetUniverse) -> tuple:
 
 def map_flags(facts: MapFacts, universe: TargetUniverse) -> dict[str, int]:
     """The twelve classification flags of f: (xi) -> (tau) for every target
-    tau of the universe, each a bitset over the universe; every route runs
-    once per class, as an OR of memoized meets over its constraints.  A
-    memo hit raises its faults again, naming the pair at hand.  Each flag
-    is decided once per value of the part of MapFacts it reads."""
-    f, memoized, holding = facts.f, universe.memoized, universe.holding
-    fxi_table = facts.fxi.table
-    classes, faults = memoized(f, ("classes", facts.adh_s, fxi_table),
-                               lambda: _class_flags(facts, universe))
-    continuous, almost_open = memoized(
-        f, ("fxi flags", fxi_table),
-        lambda: (holding("co_lim", facts.pushed),
-                 holding("lim", facts.order)))
+    tau of the universe, each a bitset over the universe.  Four are read
+    off the MapFacts record; the class verdicts run every route once per
+    class, as an OR of memoized meets over its constraints, memoized per
+    (adh_s, fxi) with their route faults.  A memo hit raises its faults
+    again, naming the pair at hand."""
+    classes, faults = universe.memoized(
+        facts.f, ("classes", facts.adh_s, facts.fxi.table),
+        lambda: _class_flags(facts, universe))
     flags = {
-        "continuous": continuous,
-        "open": memoized(f, ("open", facts.lifts),
-                         lambda: holding("lim", facts.lift_every)),
-        "almost_open": almost_open,
-        "graph_closed": memoized(f, ("graph_closed", facts.lims),
-                                 lambda: holding("adh", facts.graph)),
+        "continuous": facts.continuous,
+        "open": facts.open,
+        "almost_open": facts.almost_open,
+        "graph_closed": facts.graph_closed,
         **classes,
     }
     _raise_first(facts, universe, faults)
@@ -555,15 +558,13 @@ def is_perfect_like(ctx: MapContext, sel: Selector) -> bool:
 
 def is_almost_open(ctx: MapContext) -> bool:
     """I-quotient: the target is finer than the final convergence."""
-    facts, universe = _evaluate(ctx)
-    return bool(universe.holding("lim", facts.order))
+    return bool(_evaluate(ctx)[0].almost_open)
 
 
 def is_open_map(ctx: MapContext) -> bool:
     """Filter form: every fiber point of every limit point lifts the
     converging principal filter exactly."""
-    facts, universe = _evaluate(ctx)
-    return bool(universe.holding("lim", facts.lift_every))
+    return bool(_evaluate(ctx)[0].open)
 
 
 def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:

@@ -64,6 +64,14 @@ MALFORMED_DOCS = {
     "empty-set-key": (
         {"points": ["a"], "lim": {"a": ["a"], "": []}},
         "lim key for the empty set is not allowed"),
+    # a lim key with an empty label part names no point, so it spells no
+    # subset, not even the one its other parts name
+    "empty-inner-key-part": (
+        {"points": ["a", "b"], "lim": {"a": ["a"], "b": ["b"], "a,,b": []}},
+        "lim key 'a,,b': no point labelled ''"),
+    "empty-outer-key-parts": (
+        {"points": ["a"], "lim": {",a,": ["a"]}},
+        "lim key ',a,': no point labelled ''"),
     "uncentered-lim": (
         {"points": ["a", "b"], "lim": {"a": [], "b": ["b"], "a,b": []}},
         "centered axiom violated at point a"),

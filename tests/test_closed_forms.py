@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from convlab import compactness, functors, maps
 from convlab.compactness import (
     CompactnessQuery,
+    hull_holds,
+    hull_table,
     image_of_compact,
     is_compact_at,
     is_compact_at_scan,
@@ -325,5 +327,8 @@ def test_no_query_runs_an_oracle(oracles_raise):
     rel = onto3.as_relation()
     for sel in Selector:
         is_compact_at(CompactnessQuery(xi, fam, at, sel))
-        image_of_compact(rel, xi, tau3, fam, Subset(carrier, 0b111), sel,
-                         is_relation_compact(rel, xi, tau3, sel))
+        image_of_compact(rel, xi, tau3, fam, Subset(carrier, 0b111),
+                         is_relation_compact(rel, xi, tau3, sel),
+                         hull_holds(hull_table(xi, sel)[0b111], fam.masks,
+                                    carrier.full),
+                         hull_table(tau3, sel))

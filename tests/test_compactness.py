@@ -12,7 +12,13 @@ from convlab.compactness import (
     is_compactoid_filter,
     is_relation_compact,
 )
-from convlab.families import Carrier, FiniteFilter, SetFamily, Subset
+from convlab.families import (
+    Carrier,
+    FiniteFilter,
+    FiniteRelation,
+    SetFamily,
+    Subset,
+)
 from convlab.functors import Selector, topologize
 from convlab.maps import MapContext, identity_map, is_perfect_like
 from convlab.spaces import closed_masks, discrete, validate_table
@@ -77,26 +83,33 @@ class TestHullTables:
                                 == compact_at_masks(conv, (a,), (b,), sel))
 
     def test_passed_facts_give_the_computed_verdict(self):
-        """image_of_compact given the hypothesis and the target's hull
-        table answers as it does deciding them itself."""
-        rel = identity_map(default_carrier(2)).as_relation()
-        for theta in all_convergences(default_carrier(2)):
+        """image_of_compact, given the hypothesis read off the source's hull
+        table and the target's hull table, answers as compact_at_masks
+        decides the implication, for every relation on 2 points."""
+        c2 = default_carrier(2)
+        rels = [FiniteRelation(c2, c2, (a, b))
+                for a in range(4) for b in range(4)]
+        for theta in all_convergences(c2):
             for sel in Selector:
                 hulls = hull_table(theta, sel)
-                rel_compact = is_relation_compact(rel, theta, theta, sel)
-                for pick in range(1, 16):
-                    fam = SetFamily(theta.carrier, frozenset(
-                        m for m in range(4) if pick >> m & 1))
-                    for at in range(1, 4):
-                        at_set = Subset(theta.carrier, at)
-                        fam_compact = hull_holds(hulls[at], fam.masks, 3)
-                        assert fam_compact == compact_at_masks(
-                            theta, fam.masks, (at,), sel)
-                        given = image_of_compact(
-                            rel, theta, theta, fam, at_set, sel, rel_compact,
-                            fam_compact, hulls)
-                        assert given == image_of_compact(
-                            rel, theta, theta, fam, at_set, sel, rel_compact)
+                for rel in rels:
+                    rel_compact = is_relation_compact(rel, theta, theta, sel)
+                    for pick in range(1, 16):
+                        fam = SetFamily(c2, frozenset(
+                            m for m in range(4) if pick >> m & 1))
+                        images = [rel.image_mask(m) for m in fam.masks]
+                        for at in range(1, 4):
+                            fam_compact = hull_holds(hulls[at], fam.masks, 3)
+                            assert fam_compact == compact_at_masks(
+                                theta, fam.masks, (at,), sel)
+                            got = image_of_compact(
+                                rel, theta, theta, fam, Subset(c2, at),
+                                rel_compact, fam_compact, hulls)
+                            want = not (rel_compact and fam_compact) or (
+                                compact_at_masks(theta, images,
+                                                 (rel.image_mask(at),), sel))
+                            assert got.holds == want
+                            assert (got.witness is None) == want
 
 
 class TestRelationCompact:
@@ -154,10 +167,12 @@ class TestImageOfCompact:
         conv = chain_pretopology()
         rel = identity_map(ABC).as_relation()
         fam = SetFamily(ABC, frozenset({ABC.mask_of("c")}))
+        c = ABC.mask_of("c")
+        hulls = hull_table(conv, Selector.F_ALL)
         res = image_of_compact(
-            rel, conv, conv, fam, Subset(ABC, ABC.mask_of("c")),
-            Selector.F_ALL,
-            is_relation_compact(rel, conv, conv, Selector.F_ALL))
+            rel, conv, conv, fam, Subset(ABC, c),
+            is_relation_compact(rel, conv, conv, Selector.F_ALL),
+            hull_holds(hulls[c], fam.masks, ABC.full), hulls)
         assert res.holds and res.witness is None
 
 

@@ -309,6 +309,43 @@ def test_map_flags_returns_a_fresh_dict(monkeypatch):
     assert not built
 
 
+def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
+    """A sweep keeps seven kinds of record in the per-map memo, one per key:
+    each flag sits in the record of the key it reads, and the adherence
+    transport is a comparison per pair, not a record."""
+    memoized, tags = maps.TargetUniverse.memoized, set()
+
+    def tagged(universe, f, key, build):
+        tags.add(key[0])
+        return memoized(universe, f, key, build)
+    monkeypatch.setattr(maps.TargetUniverse, "memoized", tagged)
+    laws.sweep_domain(*domain("3to2"), laws.SweepStats())
+    assert tags == {"classes", "final", "fxi", "init", "lifts", "lims",
+                    "source"}
+
+
+def test_the_quotient_routes_read_the_pushed_preimage_adherence(
+        monkeypatch):
+    """The quotient adherence route reads f(adh ^(f^-H)) off the MapFacts
+    record, from the table the pushed adherence gives once per pair: with
+    its entry for the whole target planted empty for one source of 2to2,
+    that route fails on every target while the reflector route does not,
+    and the sweep raises at that source."""
+    maps_, sources, targets = domain("2to2")
+    xi0, record = sources[4], maps.MapFacts
+
+    def planted(f, xi, universe, adh_s=None):
+        facts = record(f, xi, universe, adh_s)
+        if xi is xi0:
+            facts.pre_adh = facts.pre_adh[:-1] + (0,)
+        return facts
+    monkeypatch.setattr(laws, "MapFacts", planted)
+    with pytest.raises(InvariantViolation,
+                       match="quotient routes disagree") as raised:
+        laws.sweep_domain(maps_, sources, targets, laws.SweepStats())
+    assert f"xi={xi0!r}" in str(raised.value)
+
+
 def test_adherence_fixes_the_closed_sets():
     """The memo keys leave out the closed sets and the S0 table: on every
     source of 3to2 both are a function of the adherence table."""
