@@ -92,10 +92,11 @@ def cmd_classify_map(args) -> int:
     target = io.convergence_from_doc(_load(args.target))
     f = io.map_from_doc(_load(args.map), source.carrier, target.carrier)
     ctx = MapContext(f, source, target)
-    report = classify(ctx)
-    doc: dict = {"classification": report.as_dict()}
     if args.witness:
-        doc["witnesses"] = classification_witnesses(ctx, report)
+        report, witnesses = classification_witnesses(ctx)
+        doc = {"classification": report.as_dict(), "witnesses": witnesses}
+    else:
+        doc = {"classification": classify(ctx).as_dict()}
     _print(doc, args.format)
     return 0
 

@@ -55,7 +55,12 @@ from .families import (
     ValidationError,
     transpose,
 )
-from .spaces import Convergence, pretopology_table, topology_from_opens
+from .spaces import (
+    Convergence,
+    closed_masks,
+    pretopology_table,
+    topology_from_opens,
+)
 
 CONVERGENCE_CAP = 3
 PRETOPOLOGY_CAP = 4
@@ -72,12 +77,20 @@ class EnumerationSpec:
     count: int | None = None
 
     def __post_init__(self):
-        if self.klass not in CLASSES:
-            raise ValidationError(
-                [f"unknown class {self.klass!r}; choose from {CLASSES}"])
-        if self.count is not None and self.count < 0:
-            raise ValidationError(
-                [f"enumeration count must not be negative, got {self.count}"])
+        # seeded sampling draws convergences, from a seed, count many
+        count = self.count
+        problems = [problem for broken, problem in (
+            (self.klass not in CLASSES,
+             f"unknown class {self.klass!r}; choose from {CLASSES}"),
+            (count is not None and count < 0,
+             f"enumeration count must not be negative, got {count}"),
+            (count is not None and self.klass != "convergence",
+             f"only convergences are sampled, not the class {self.klass!r}"),
+            (count is not None and self.seed is None, "sampling needs a seed"),
+            (count is None and self.seed is not None, "a seed needs a count"),
+        ) if broken]
+        if problems:
+            raise ValidationError(problems)
 
 
 def default_carrier(n: int) -> Carrier:
@@ -194,8 +207,6 @@ def enumerate_spaces(spec: EnumerationSpec) -> tuple[Convergence, ...]:
     """Materialize the stream: the seeded sample, or the class universe."""
     carrier = default_carrier(spec.size)
     if spec.count is not None:
-        if spec.seed is None:
-            raise ValidationError(["sampling needs a seed"])
         return sample_convergences(carrier, spec.count, spec.seed)
     if spec.klass == "convergence":
         return all_convergences(carrier)
@@ -353,7 +364,6 @@ def _closed_image_candidates():
 
 
 def _closed_image_not_closed(ctx) -> bool:
-    from .spaces import closed_masks
     closed_t = set(closed_masks(ctx.target))
     return any(ctx.f.image_mask(c) not in closed_t
                for c in closed_masks(ctx.source))

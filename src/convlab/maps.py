@@ -71,8 +71,11 @@ each ladder twice, for the principal class and for the closed class; the
 principal result is the biquotient, countably biquotient and hereditarily
 quotient flag (the perfect, countably perfect and adherent flag).
 
-continuous() and graph_closed() keep their own loops: the first accepts
-maps that are not surjective, the second any relation.
+classification_witnesses reads its witnesses off the one MapFacts record
+that decides its report: each is the first constraint of the flag's route
+that the target breaks.  continuous() and graph_closed() keep their own
+loops, which their witnesses reuse: the first accepts maps that are not
+surjective, the second any relation.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ from .families import (
     FiniteRelation,
     InvariantViolation,
     NotSurjective,
+    ValidationError,
     bits_of,
     popcount,
     transpose,
@@ -217,6 +221,13 @@ def _forbidden(allowed, full: int) -> tuple:
     return tuple((k, bad) for k, ok in allowed if (bad := full & ~ok))
 
 
+def _first_breach(table, constraints) -> tuple[int, int]:
+    """The first (k, bad) constraint that the table breaks, as (k,
+    table[k] & bad); (0, 0) if it breaks none."""
+    return next(((k, table[k] & bad) for k, bad in constraints
+                 if table[k] & bad), (0, 0))
+
+
 def _complement(table_of):
     def complement(tau):
         full = tau.carrier.full
@@ -286,11 +297,8 @@ class TargetUniverse:
         == 0 for each."""
         full, tables = self.full, self._tables.get(kind) or self.tables(kind)
         if full <= 1:
-            for table in tables:
-                for k, bad in constraints:
-                    if table[k] & bad:
-                        return 0
-            return full
+            broken = full and _first_breach(tables[0], constraints)[1]
+            return 0 if broken else full
         rows = self._rows.get(kind) or self._rows.setdefault(
             kind, [None] * len(tables[0]))
         failing = 0
@@ -567,36 +575,6 @@ def is_open_map(ctx: MapContext) -> bool:
     return bool(_evaluate(ctx)[0].open)
 
 
-def quotient_witness(ctx: MapContext, sel: Selector) -> dict | None:
-    """First (class filter, point) violating the fiberwise form, if any."""
-    f = ctx.f
-    adh_t = adherence_table(ctx.target)
-    adh_s = adherence_table(ctx.source)
-    for h in class_filter_masks(sel, final_convergence(f, ctx.source)):
-        bad = adh_t[h] & ~f.image_mask(adh_s[f.preimage_mask(h)])
-        if bad:
-            y = bad.bit_length() - 1
-            return {
-                "filter_base": list(ctx.target.carrier.labels_of(h)),
-                "point": ctx.target.carrier.labels[y],
-            }
-    return None
-
-
-def perfect_witness(ctx: MapContext, sel: Selector) -> dict | None:
-    f = ctx.f
-    adh_t = adherence_table(ctx.target)
-    adh_s = adherence_table(ctx.source)
-    for g in class_filter_masks(sel, ctx.source):
-        bad = adh_t[f.image_mask(g)] & ~f.image_mask(adh_s[g])
-        if bad:
-            return {
-                "filter_base": list(ctx.source.carrier.labels_of(g)),
-                "point": ctx.target.carrier.labels[bad.bit_length() - 1],
-            }
-    return None
-
-
 def is_open_map_topological(ctx: MapContext) -> bool:
     """Open-set form: images of open sets are open.  Equivalent to the
     filter form when the source is a topology."""
@@ -654,7 +632,6 @@ def is_hausdorff(conv: Convergence) -> bool:
 # ---------------------------------------------------------------------------
 
 def _require_kinds(j: FunctorHandle, e: FunctorHandle) -> None:
-    from .families import ValidationError
     if j.kind not in ("reflector", "identity"):
         raise ValidationError([f"{j.tag} is not a reflector"])
     if e.kind != "coreflector":
@@ -739,53 +716,63 @@ class ClassificationReport:
                     f"implication breached: {stronger} without {weaker}")
 
 
+def _report(flags: dict[str, int]) -> ClassificationReport:
+    return ClassificationReport(**{k: bool(v) for k, v in flags.items()})
+
+
 def classify(ctx: MapContext) -> ClassificationReport:
     """The one-target case of map_flags."""
-    flags = map_flags(*_evaluate(ctx))
-    return ClassificationReport(**dict(zip(flags, map(bool, flags.values()))))
+    return _report(map_flags(*_evaluate(ctx)))
 
 
-def classification_witnesses(ctx: MapContext,
-                             report: ClassificationReport) -> dict[str, dict]:
-    """A violating instance for each false flag, where one is extractable."""
+def classification_witnesses(
+        ctx: MapContext) -> tuple[ClassificationReport, dict[str, dict]]:
+    """classify's report and a violating instance for each false flag, both
+    read off the pair's one MapFacts record: each witness but continuity's
+    and graph-closedness's (own scans, for any map or relation) is the
+    first constraint of its route that the target breaks."""
+    facts, universe = _evaluate(ctx)
+    report = _report(map_flags(facts, universe))
     out: dict[str, dict] = {}
     f, src, dst = ctx.f, ctx.source, ctx.target
     a = 0 if report.continuous else _continuity_violation(ctx)
     if a:
         out["continuous"] = {"set": list(src.carrier.labels_of(a))}
-    # the ladder makes a map that is not almost open not open either
-    facts = None if report.open else _evaluate(ctx)[0]
-    if not report.open:
-        for b, bad in facts.lift_every:
-            y_bits = dst.table[b] & bad
-            if y_bits:
-                y = (y_bits & -y_bits).bit_length() - 1
-                x_bits = f.fibers[y] & ~facts.lifts[b]
-                out["open"] = {
-                    "target_set": list(dst.carrier.labels_of(b)),
-                    "target_point": dst.carrier.labels[y],
-                    "source_point": src.carrier.labels[
-                        (x_bits & -x_bits).bit_length() - 1]}
-                break
-    if not report.almost_open:
-        for b, bad in facts.order:
-            y_bits = dst.table[b] & bad
-            if y_bits:
-                out["almost_open"] = {
-                    "target_set": list(dst.carrier.labels_of(b)),
-                    "point": dst.carrier.labels[y_bits.bit_length() - 1]}
-                break
-    for witness, classes in ((quotient_witness, _QUOTIENT_CLASSES),
-                             (perfect_witness, _PERFECT_CLASSES)):
+    # the routes test these constraints: a breach exists iff the flag fails
+    b, y_bits = _first_breach(dst.table, facts.lift_every)
+    if y_bits:
+        y = (y_bits & -y_bits).bit_length() - 1
+        x_bits = f.fibers[y] & ~facts.lifts[b]
+        out["open"] = {
+            "target_set": list(dst.carrier.labels_of(b)),
+            "target_point": dst.carrier.labels[y],
+            "source_point": src.carrier.labels[
+                (x_bits & -x_bits).bit_length() - 1]}
+    b, y_bits = _first_breach(dst.table, facts.order)
+    if y_bits:
+        out["almost_open"] = {
+            "target_set": list(dst.carrier.labels_of(b)),
+            "point": dst.carrier.labels[y_bits.bit_length() - 1]}
+    adh_t = universe.tables("adh")[0]
+    # adh f[^G] per source mask G, the table the perfect routes break
+    adh_img = tuple(map(adh_t.__getitem__, facts.img))
+    for classes, table, space, bad in (
+            (_QUOTIENT_CLASSES, adh_t, facts.fxi,
+             lambda h: ~facts.pre_adh[h]),
+            (_PERFECT_CLASSES, adh_img, src, facts.misses.__getitem__)):
         for names, sel in classes:
-            failing = [name for name in names if not getattr(report, name)]
-            w = witness(ctx, sel) if failing else None
-            if w:
-                out.update(dict.fromkeys(failing, w))
+            if getattr(report, names[0]):
+                continue
+            m, y_bits = _first_breach(table, (
+                (m, bad(m)) for m in class_filter_masks(sel, space)))
+            if y_bits:
+                out.update(dict.fromkeys(names, {
+                    "filter_base": list(space.carrier.labels_of(m)),
+                    "point": dst.carrier.labels[y_bits.bit_length() - 1]}))
     if not report.graph_closed:
         rel = f.as_relation()
         for w in src.carrier.points():
             if not graph_closed_at(rel, src, dst, w):
                 out["graph_closed"] = {"point": src.carrier.labels[w]}
                 break
-    return out
+    return report, out

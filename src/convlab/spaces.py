@@ -468,14 +468,15 @@ def pretopology_from_vicinities(carrier: Carrier,
                                 vicinity: Mapping[str, int | Iterable[str]]
                                 ) -> Convergence:
     """lim ^A = {x : A <= V(x)}, each vicinity a mask or its labels.
-    Requires x in V(x) for every point."""
+    Requires a vicinity for every point, and x in V(x)."""
     vmasks = [0] * carrier.size
     for label, vs in vicinity.items():
         vmasks[carrier.index(label)] = (
             vs if isinstance(vs, int) else carrier.mask_of(vs))
     violations = [
-        f"centered axiom violated at point {carrier.labels[i]}"
-        for i in carrier.points() if not vmasks[i] >> i & 1]
+        f"centered axiom violated at point {label}"
+        for i, label in enumerate(carrier.labels)
+        if label in vicinity and not vmasks[i] >> i & 1]
     missing = set(carrier.labels) - set(vicinity)
     violations += [f"vicinity map misses point {m}" for m in sorted(missing)]
     if violations:

@@ -1,6 +1,8 @@
 import errno
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -171,6 +173,18 @@ class TestIO:
             io.convergence_from_doc(doc)
         assert any("centered axiom violated at point a" in v
                    for v in exc.value.violations)
+
+    @pytest.mark.parametrize("vicinity, violations", [
+        ({"a": ["a"]}, ["vicinity map misses point b"]),
+        ({"a": ["b"]}, ["centered axiom violated at point a",
+                        "vicinity map misses point b"]),
+    ], ids=["centered", "off-centre"])
+    def test_point_without_a_vicinity_is_only_missing(self, vicinity,
+                                                      violations):
+        with pytest.raises(ValidationError) as exc:
+            io.convergence_from_doc({"points": ["a", "b"],
+                                     "vicinity": vicinity})
+        assert exc.value.violations == violations
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
     def test_malformed_document_rejected(self, case):
@@ -393,6 +407,44 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert "adherent" in doc["witnesses"]
 
+    def test_classify_map_witness_builds_one_record(
+            self, p3_file, tp3_file, ident_file, monkeypatch, capsys):
+        from convlab import maps
+        built = []
+        init = maps.MapFacts.__init__
+
+        def counted(self, *args, **kw):
+            built.append(args[0])
+            init(self, *args, **kw)
+        monkeypatch.setattr(maps.MapFacts, "__init__", counted)
+        assert main(["classify-map", "--map", ident_file, "--source", p3_file,
+                     "--target", tp3_file, "--witness"]) == 0
+        assert len(built) == 1
+        assert json.loads(capsys.readouterr().out)["witnesses"]
+
+    def test_sixteen_point_witness_document_is_pinned(self, tmp_path, capsys):
+        """The identity from the discrete 16-point space onto a random
+        16-point pretopology (the recipe the CI job runs) fails 11 flags;
+        the sha256 of the document printed, as first recorded."""
+        points = [f"x{i}" for i in range(16)]
+        rng = random.Random(16)
+        docs = {
+            "target": {"vicinity": {
+                p: sorted({p} | set(rng.sample(points, 4))) for p in points}},
+            "source": {"vicinity": {p: [p] for p in points}},
+            "map": {"map": {p: p for p in points}},
+        }
+        args = ["classify-map", "--witness"]
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            args += [f"--{name}", str(path)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["witnesses"]) == 11
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2c1a66c3f135c78686065785ced70788dca8b0190b115b0a7b94a1e91672265d")
+
     def test_check_compact(self, tmp_path, capsys):
         space = tmp_path / "sierp.json"
         space.write_text(io.dump_json(io.convergence_to_doc(sierpinski())))
@@ -402,6 +454,21 @@ class TestCLI:
                      "--family", str(fam), "--at", str(fam),
                      "--class", "F"]) == 0
         assert json.loads(capsys.readouterr().out)["compact"] is True
+
+    @pytest.mark.parametrize("options, message", [
+        (["--class", "topology", "--seed", "1", "--count", "20"],
+         "only convergences are sampled, not the class 'topology'"),
+        (["--class", "pretopology", "--seed", "1", "--count", "20"],
+         "only convergences are sampled, not the class 'pretopology'"),
+        (["--class", "topology", "--seed", "3"], "a seed needs a count"),
+        (["--class", "convergence", "--count", "5"], "sampling needs a seed"),
+    ], ids=["topology", "pretopology", "seed-alone", "count-alone"])
+    def test_enumerate_sampling_options_exit_2(self, options, message,
+                                               capsys):
+        assert main(["enumerate", "--size", "3", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_enumerate_count_only(self, capsys):
         assert main(["enumerate", "--size", "3", "--class", "pretopology",

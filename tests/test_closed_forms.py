@@ -34,6 +34,7 @@ from convlab.families import (
 from convlab.functors import (
     HANDLES,
     Selector,
+    class_filter_masks,
     is_pseudotopology,
     reflect,
     reflect_by_steps,
@@ -48,8 +49,6 @@ from convlab.maps import (
     identity_map,
     is_perfect_like,
     is_quotient_like,
-    perfect_witness,
-    quotient_witness,
 )
 from convlab.spaces import (
     Convergence,
@@ -222,17 +221,35 @@ LADDER_FLAGS = {
 @given(surjection_contexts())
 @SETTINGS
 def test_classify_matches_per_selector_calls(ctx):
-    assert final_convergence(ctx.f, ctx.source) == \
-        final_convergence_scan(ctx.f, ctx.source)
-    report = classify(ctx)
-    witnesses = classification_witnesses(ctx, report)
+    f, xi, tau = ctx.f, ctx.source, ctx.target
+    fxi = final_convergence(f, xi)
+    assert fxi == final_convergence_scan(f, xi)
+    report, witnesses = classification_witnesses(ctx)
+    assert report == classify(ctx)
+    adh_s, adh_t = adherence_table(xi), adherence_table(tau)
+
+    def quotient_breach(h):  # adh ^H outside f(adh ^(f^-H))
+        return adh_t[h] & ~f.image_mask(adh_s[f.preimage_mask(h)])
+
+    def perfect_breach(g):  # adh f[^G] outside f(adh ^G)
+        return adh_t[f.image_mask(g)] & ~f.image_mask(adh_s[g])
+
     for sel, (q_name, p_name) in LADDER_FLAGS.items():
         assert getattr(report, q_name) == is_quotient_like(ctx, sel)
         assert getattr(report, p_name) == is_perfect_like(ctx, sel)
-        for name, witness in ((q_name, quotient_witness),
-                              (p_name, perfect_witness)):
-            want = None if getattr(report, name) else witness(ctx, sel)
-            assert witnesses.get(name) == want
+        # the named class filter is the first of its class to break the
+        # inclusion, and it breaks it at the named point
+        for name, space, breach in ((q_name, fxi, quotient_breach),
+                                    (p_name, xi, perfect_breach)):
+            breaking = [m for m in class_filter_masks(sel, space)
+                        if breach(m)]
+            assert getattr(report, name) == (not breaking)
+            if not breaking:
+                assert name not in witnesses
+                continue
+            w = witnesses[name]
+            assert space.carrier.mask_of(w["filter_base"]) == breaking[0]
+            assert breach(breaking[0]) >> tau.carrier.index(w["point"]) & 1
 
 
 def families_of(draw, n: int) -> SetFamily:
@@ -320,7 +337,7 @@ def test_no_query_runs_an_oracle(oracles_raise):
         3, [[rng.getrandbits(3)] for _ in range(3)]))
     for ctx in (MapContext(identity_map(carrier), xi, topologize(xi)),
                 MapContext(onto3, xi, tau3)):
-        classification_witnesses(ctx, classify(ctx))
+        classification_witnesses(ctx)
     is_pseudotopology(xi)
     fam = SetFamily(carrier, frozenset({0b1111, 0b110000, 0b1010101010}))
     at = SetFamily(carrier, frozenset({0b11, 0b1100000000}))

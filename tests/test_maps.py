@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from convlab.families import Carrier, CarrierMap, NotSurjective
@@ -131,10 +135,11 @@ class TestQuotientRoutes:
         assert not blunt
 
     def test_quotient_witness_extraction(self, p3, tp3):
-        from convlab.maps import quotient_witness
         ctx = MapContext(identity_map(ABC), p3, tp3)
-        w = quotient_witness(ctx, Selector.F0)
-        assert w is not None and set(w) == {"filter_base", "point"}
+        report, witnesses = classification_witnesses(ctx)
+        assert not report.hereditarily_quotient
+        assert set(witnesses["hereditarily_quotient"]) == {
+            "filter_base", "point"}
 
 
 class TestPerfectRoutes:
@@ -239,8 +244,8 @@ class TestClassify:
 
     def test_witnesses_for_false_flags(self, p3, tp3):
         ctx = MapContext(identity_map(ABC), p3, tp3)
-        rep = classify(ctx)
-        ws = classification_witnesses(ctx, rep)
+        rep, ws = classification_witnesses(ctx)
+        assert rep == classify(ctx)
         for flag, value in rep.as_dict().items():
             if not value:
                 assert flag in ws
@@ -258,6 +263,31 @@ class TestClassify:
         assert set(calls) == {
             (name, sel) for name in ("_quotient", "_perfect")
             for sel in (Selector.F0, Selector.F0_CLOSED)}
+
+
+# sha256 of the report and the witnesses, in output order, of every
+# stride-th context of the domain (maps, then sources, then targets), as
+# first recorded
+PINNED_WITNESSES = {
+    ("3to2", 29):
+        "6a72b2bc06bca3b8f7ae57623302f53a8ce4b7be8e3ab5dc0f217ef44aff78e2",
+    ("3to3 pretopologies", 11):
+        "4735a67a12df41551bf7d2c2cec8aea2f562e2129b5884a86a635372c80329c3",
+    ("3to3 pretopologies onto topologies", 11):
+        "f828bd77b218a68f211fb48f5dc7240e57fea1893c8c6de2ddf0a0cd6d6623fe",
+    ("3to3 sampled", 11):
+        "f09ae5d440da930c977981bd1601056e10dbdd847a8d616da013bd9b989842c7",
+}
+
+
+@pytest.mark.parametrize("name, stride", sorted(PINNED_WITNESSES))
+def test_witness_digest_is_pinned(name, stride):
+    digest = hashlib.sha256()
+    contexts = itertools.product(*domain(name))
+    for f, xi, tau in itertools.islice(contexts, 0, None, stride):
+        report, witnesses = classification_witnesses(MapContext(f, xi, tau))
+        digest.update(json.dumps([report.as_dict(), witnesses]).encode())
+    assert digest.hexdigest() == PINNED_WITNESSES[name, stride]
 
 
 class TestGraphClosed:
