@@ -21,8 +21,8 @@ Enumeration strategy per class:
 Streams are duplicate-free and deterministically ordered: itertools.product
 over the per-point choices, the last point varying fastest.  Caps are
 n <= 3 for general convergences and n <= 4 for the other classes and for
-seeded sampling, whose per-point downsets are found by a scan over
-2^(2^n) candidates; carriers have 1 to 16 points.
+seeded sampling, whose per-point downsets are generated mask by mask
+(point_downsets); carriers have 1 to 16 points.
 
 A domain is the (maps, sources, targets) triple that a law sweep or a
 search runs over; domain(name) builds each named one from the cached
@@ -53,6 +53,7 @@ from .families import (
     Carrier,
     CarrierMap,
     ValidationError,
+    bits_of,
     transpose,
 )
 from .spaces import (
@@ -109,27 +110,17 @@ def target_carrier(n: int) -> Carrier:
 def point_downsets(n: int, i: int) -> tuple[int, ...]:
     """Downsets of the nonempty-subset poset of an n-carrier containing the
     singleton of point i, encoded as bitsets over masks (bit m = mask m in
-    the downset).  Ascending order."""
-    full = (1 << n) - 1
-    singleton = 1 << i
-    out = []
-    for cand in range(1 << (full + 1)):
-        if not cand >> singleton & 1 or cand & 1:
-            continue  # must contain {i}; bit 0 (the empty set) stays clear
-        ok = True
-        for m in range(1, full + 1):
-            if cand >> m & 1:
-                sub = (m - 1) & m
-                while sub:
-                    if not cand >> sub & 1:
-                        ok = False
-                        break
-                    sub = (sub - 1) & m
-                if not ok:
-                    break
-        if ok:
-            out.append(cand)
-    return tuple(out)
+    the downset), ascending.  The masks are decided in ascending order: m
+    joins only once every set it covers (m minus one point) has joined, and
+    {i} always joins; bit 0 (the empty set) stays clear."""
+    downs = [0]
+    for m in range(1, 1 << n):
+        covered = [m & ~(1 << j) for j in bits_of(m) if m != 1 << j]
+        grown = [] if m == 1 << i else list(downs)  # m stays out
+        grown += [down | 1 << m for down in downs
+                  if all(down >> c & 1 for c in covered)]
+        downs = grown
+    return tuple(sorted(downs))
 
 
 def _conv_from_downsets(carrier: Carrier, choice: tuple[int, ...]) -> Convergence:

@@ -114,10 +114,6 @@ class Carrier:
     def subset(self, *labels: str) -> "Subset":
         return Subset(self, self.mask_of(labels))
 
-    def subsets(self, nonempty: bool = False) -> Iterator["Subset"]:
-        for mask in range(1 if nonempty else 0, self.full + 1):
-            yield Subset(self, mask)
-
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
@@ -247,10 +243,6 @@ class FiniteFilter:
             raise ValidationError(["filter base outside the carrier"])
 
     @classmethod
-    def principal(cls, subset: Subset) -> "FiniteFilter":
-        return cls(subset.carrier, subset.bits)
-
-    @classmethod
     def point(cls, carrier: Carrier, label: str) -> "FiniteFilter":
         return cls(carrier, 1 << carrier.index(label))
 
@@ -276,10 +268,6 @@ class FiniteFilter:
         """Coarser-or-equal in the filter order (family inclusion)."""
         _same_carrier(self, other)
         return other.base & ~self.base == 0
-
-    def meshes(self, other: "FiniteFilter") -> bool:
-        _same_carrier(self, other)
-        return self.base & other.base != 0
 
     def as_family(self) -> SetFamily:
         """The one-member base family; same grill and mesh behaviour."""
@@ -366,9 +354,6 @@ class FiniteRelation:
         for i in bits_of(mask):
             out |= self.rows[i]
         return out
-
-    def image(self, subset: Subset) -> Subset:
-        return Subset(self.target, self.image_mask(subset.bits))
 
     def inverse(self) -> "FiniteRelation":
         return FiniteRelation(self.target, self.source,
@@ -475,12 +460,6 @@ class CarrierMap:
 
     def preimage_mask(self, mask: int) -> int:
         return self.preimage_table[mask]
-
-    def image(self, subset: Subset) -> Subset:
-        return Subset(self.target, self.image_mask(subset.bits))
-
-    def preimage(self, subset: Subset) -> Subset:
-        return Subset(self.source, self.preimage_mask(subset.bits))
 
     def is_surjective(self) -> bool:
         return self.image_mask(self.source.full) == self.target.full

@@ -87,7 +87,8 @@ def convergence_from_doc(doc: dict) -> Convergence:
         problems = [f"vicinity names unknown point {p!r}"
                     for p in vic if p not in carrier.positions]
         problems += [f"vicinity of {p!r} must be a list of labels"
-                     for p, v in vic.items() if v is None]
+                     for p, v in vic.items()
+                     if v is None and p in carrier.positions]
         if problems:
             raise ValidationError(problems)
         return pretopology_from_vicinities(carrier, vic)

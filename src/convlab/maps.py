@@ -257,8 +257,7 @@ class TargetUniverse:
     first question about (kind, k); holding ORs those entries.  A row has
     an entry per mask of the carrier, so a one-target universe, which has
     nothing to share, tests the entry directly instead.  memoized keeps,
-    for one map at a time, what the map decides over the universe; a
-    one-target universe keeps nothing there either."""
+    for one map at a time, what the map decides over the universe."""
 
     __slots__ = ("targets", "full", "_tables", "_rows", "_map", "_per_map")
 
@@ -273,8 +272,6 @@ class TargetUniverse:
     def memoized(self, f: CarrierMap, key, build):
         """build() once per key while f is the map at hand; a new map drops
         the entries.  Callers tag their keys apart."""
-        if self.full == 1:
-            return build()
         if f is not self._map:
             self._map, self._per_map = f, {}
         got = self._per_map.get(key)
@@ -365,6 +362,8 @@ class MapFacts:
     universe's per-map memo, one entry per key:
 
       per map:               the image, preimage and fiber tables;
+      per source:            its adherence adh_s, from the cached
+                             adherence_table;
       per pair:              the lift table lifts[B] and the pushed limits
                              lims[A] = f(lim ^A), the keys below; the
                              pushed adherence pushed_adh[A] = f(adh ^A) and,
@@ -380,9 +379,7 @@ class MapFacts:
       per pushed limits:     the graph_closed flag;
       per (adh_s, fxi):      the class routes, each selector's built once
                              by _class_flags, and only when map_flags
-                             misses its memo of the class verdicts.
-
-    adh_s is the source adherence, passed in by a caller that holds it."""
+                             misses its memo of the class verdicts."""
 
     __slots__ = ("f", "xi", "full_s", "full_t", "img", "pre", "adh_s",
                  "lifts", "lims", "pushed_adh", "pre_adh", "misses",
@@ -390,14 +387,14 @@ class MapFacts:
                  "lift_every", "open", "graph_closed")
 
     def __init__(self, f: CarrierMap, xi: Convergence,
-                 universe: TargetUniverse, adh_s: tuple | None = None):
+                 universe: TargetUniverse):
         memoized = universe.memoized
         self.f, self.xi = f, xi
         img = self.img = f.image_table
         self.pre = f.preimage_table
         full_t = self.full_t = f.target.full
         self.full_s = f.source.full
-        self.adh_s = adherence_table(xi) if adh_s is None else adh_s
+        self.adh_s = adherence_table(xi)
         pushed = self.pushed_adh = tuple(map(img.__getitem__, self.adh_s))
         self.pre_adh = tuple(map(pushed.__getitem__, self.pre))
         self.misses = tuple(full_t & ~adh for adh in pushed)

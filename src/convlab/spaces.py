@@ -193,9 +193,6 @@ def adherence_scan(conv: Convergence) -> tuple[int, ...]:
 def adherence_mask(conv: Convergence, fam_masks: Iterable[int]) -> int:
     """Adherence of an arbitrary family: union of lim^H over H meshing it."""
     fam = list(fam_masks)
-    if not fam:
-        # vacuous meshing: every filter qualifies
-        return adherence_table(conv)[conv.carrier.full]
     if len(fam) == 1:
         return adherence_table(conv)[fam[0]] if fam[0] else 0
     full = conv.carrier.full

@@ -3,17 +3,23 @@ line.  The heavy exhaustive surface is produced once by the full law run
 (module fixture) and the criteria assert on its named suites plus their
 stated runtime bounds."""
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from convlab.laws import (
     LawSuiteReport,
+    emit_tables,
     run_laws,
     suite_axioms_and_lattice,
     suite_functor_laws,
 )
+
+# the answers the benchmark checks, recorded by perfbench/record.py
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +52,7 @@ def test_criterion_01_axiom_and_lattice_suite():
 
 def test_criterion_02_functor_laws():
     t0 = time.time()
-    result = suite_functor_laws(10_000, seed=0)
+    result = suite_functor_laws(10_000)
     elapsed = time.time() - t0
     _criterion(
         2, "T/S0/S1/S contractive+idempotent+isotone+functorial "
@@ -209,3 +215,17 @@ def test_every_law_suite_green(laws):
     print(f"[INFO] full law run: {len(laws.results)} suites, "
           f"{total} instances, {laws.elapsed:.1f}s")
     assert not bad, f"failing suites: {bad}"
+
+
+def test_suite_instance_counts_match_the_benchmark_record(laws):
+    """Every suite counts the instances the benchmark's laws record
+    expects, so a moved count shows here first."""
+    want = json.loads((EXPECTED / "laws.json").read_text())["instances"]
+    assert {r.name: r.instances for r in laws.results} == want
+
+
+def test_tables_document_matches_the_benchmark_record():
+    """emit_tables(3) is the tables document the benchmark checks (its
+    search documents are checked in test_enumerate)."""
+    want = json.loads((EXPECTED / "tables.json").read_text())["tables"]
+    assert json.loads(json.dumps(emit_tables(3))) == want

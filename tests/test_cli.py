@@ -108,6 +108,9 @@ UNKNOWN_LABEL_DOCS = {
     "vicinity": (
         {"vicinity": {"a": ["a", "z"], "b": ["b"]}},
         ["vicinity of 'a' must be a list of labels"]),
+    "vicinity-key": (
+        {"points": ["a"], "vicinity": {"a": ["a"], "z": ["z"]}},
+        ["vicinity names unknown point 'z'"]),
 }
 
 # malformed family documents on the carrier a, b, with their messages

@@ -42,8 +42,11 @@ class TestUniverses:
         assert len(all_convergences(default_carrier(3))) == 14 ** 3
 
     def test_downset_counts(self):
-        assert len(point_downsets(2, 0)) == 3
-        assert len(point_downsets(3, 0)) == 14
+        for n, count in ((1, 1), (2, 3), (3, 14), (4, 148)):
+            for i in range(n):
+                downsets = point_downsets(n, i)
+                assert len(downsets) == count
+                assert list(downsets) == sorted(set(downsets))
 
     def test_pseudotopologies_coincide_with_pretopologies(self):
         from convlab.functors import is_pseudotopology
@@ -158,6 +161,8 @@ PINNED_STREAMS = {
         "71cb612190617375e295ae363a0c99aaa8ec54ab8991bf81b04ba66028ab6347",
     ("sample", 3):
         "bcb0e2b44e9d8dee4314691cca66dec47c73dda4b015a47abd7f7c88f96dbfc6",
+    ("sample", 4):
+        "7c578cdafc63482564a23fe30efe62355c27d25876e85f6677b996de614e9187",
 }
 STREAMS = {
     "convergence": all_convergences,

@@ -10,7 +10,13 @@ from convlab.enumerate import (
     surjections,
     target_carrier,
 )
-from convlab.families import Carrier, CarrierMap, InvariantViolation, popcount
+from convlab.families import (
+    CapExceeded,
+    Carrier,
+    CarrierMap,
+    InvariantViolation,
+    popcount,
+)
 from convlab.functors import (
     Selector,
     is_pretopology,
@@ -50,6 +56,19 @@ class TestRunner:
         assert {"name", "instances", "ok", "failures_total",
                 "failures"} <= set(doc["suites"][0])
 
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_sizes_other_than_two_or_three_are_refused(self, size,
+                                                       monkeypatch):
+        """run_laws and emit_tables raise CapExceeded before any suite or
+        sweep runs, instead of running another size's surface."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+        monkeypatch.setattr(laws, "sweep_domain", refuse)
+        monkeypatch.setattr(laws, "suite_axioms_and_lattice", refuse)
+        for run in (run_laws, emit_tables):
+            with pytest.raises(CapExceeded):
+                run(max_size=size)
+
     def test_standalone_suites_report_their_seconds(self, small_report):
         swept = {r.name for r in laws.SweepStats().merged()}
         for suite in small_report.as_dict()["suites"]:
@@ -88,13 +107,13 @@ class TestErrorsPropagate:
     def test_cover_duality(self, monkeypatch):
         calls = self._failing(monkeypatch, "is_cover")
         with pytest.raises(TypeError):
-            laws.suite_cover_duality(samples=1, seed=0)
+            laws.suite_cover_duality(samples=1)
         assert len(calls) == 1
 
     def test_prop_JE(self, monkeypatch):
         calls = self._failing(monkeypatch, "is_JE")
         with pytest.raises(TypeError):
-            laws.suite_prop_JE(max_size=1)
+            laws.suite_prop_JE()
         assert len(calls) == 1
 
 
@@ -334,8 +353,8 @@ def test_the_quotient_routes_read_the_pushed_preimage_adherence(
     maps_, sources, targets = domain("2to2")
     xi0, record = sources[4], maps.MapFacts
 
-    def planted(f, xi, universe, adh_s=None):
-        facts = record(f, xi, universe, adh_s)
+    def planted(f, xi, universe):
+        facts = record(f, xi, universe)
         if xi is xi0:
             facts.pre_adh = facts.pre_adh[:-1] + (0,)
         return facts
@@ -590,7 +609,7 @@ def test_cover_duality_fails_on_a_wrong_complement_adherence(monkeypatch):
     adherence_mask = spaces.adherence_mask
     monkeypatch.setattr(spaces, "adherence_mask", lambda conv, masks: (
         adherence_mask(topologize(conv), masks)))
-    r = laws.suite_cover_duality(samples=10_000, seed=0)
+    r = laws.suite_cover_duality(samples=10_000)
     assert (r.instances, r.failures_total) == (30_632, 824)
     assert all(m.startswith("duality broke: cover clauses disagree")
                for m in r.failures)
@@ -602,6 +621,6 @@ def test_functor_laws_decide_every_handle_with_its_own_tables(monkeypatch):
     keyed by the (h xi, h zeta) tables, hides no handle."""
     monkeypatch.setitem(functors._APPLY, "S1", lambda c: (
         topologize(c) if is_pretopology(c) else c))
-    r = laws.suite_functor_laws(10_000, seed=0)
+    r = laws.suite_functor_laws(10_000)
     assert (r.instances, r.failures_total) == (65_824, 7)
     assert "S1 not functorial at n=3" in r.failures

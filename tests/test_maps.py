@@ -343,6 +343,34 @@ class TestTargetUniverse:
                         1 << i for i, table in enumerate(tables)
                         if table[k] & m)
 
+    def test_a_one_target_universe_builds_class_routes_once(self,
+                                                           monkeypatch):
+        """Two pairs of one map with the same (source adherence, final
+        convergence) key share the class verdicts in a one-target universe
+        too: the routes are built for the first pair only."""
+        from convlab import maps
+        maps_, sources, targets = domain("3to2")
+        f = maps_[0]
+        by_key: dict = {}
+        for xi in sources:
+            key = (adherence_table(xi), final_convergence(f, xi).table)
+            by_key.setdefault(key, []).append(xi)
+        first, later = next(xis for xis in by_key.values()
+                            if len(xis) > 1)[:2]
+        fresh = TargetUniverse(targets[:1])
+        want = maps.map_flags(maps.MapFacts(f, later, fresh), fresh)
+        build, built = maps.MapFacts._build_routes, []
+
+        def counted(facts, sel):
+            built.append(sel)
+            return build(facts, sel)
+        monkeypatch.setattr(maps.MapFacts, "_build_routes", counted)
+        universe = TargetUniverse(targets[:1])
+        maps.map_flags(maps.MapFacts(f, first, universe), universe)
+        assert maps.map_flags(maps.MapFacts(f, later, universe),
+                              universe) == want
+        assert built == [Selector.F0, Selector.F0_CLOSED]
+
     def test_an_empty_universe_answers_nothing(self):
         universe = TargetUniverse(())
         assert universe.full == 0
