@@ -47,8 +47,6 @@ def _print_table(doc, indent: int = 0) -> None:
                 print(f"{pad}-")
             else:
                 print(f"{pad}{v}")
-    else:
-        print(f"{pad}{doc}")
 
 
 def _load(path: str):

@@ -183,8 +183,8 @@ def image_of_compact(rel: FiniteRelation, theta: Convergence,
                   sigma.carrier.full):
         return CheckedProposition(True, None)
     return CheckedProposition(False, {
-        "family": [list(s) for s in fam],
-        "at": list(at),
+        "family": [list(s.labels()) for s in fam],
+        "at": list(at.labels()),
     })
 
 

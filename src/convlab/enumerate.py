@@ -103,6 +103,8 @@ def default_carrier(n: int) -> Carrier:
 def target_carrier(n: int) -> Carrier:
     """The target carrier p, q, r, s of the sweep and search domains, cut
     to n points."""
+    if not 1 <= n <= 4:
+        raise CapExceeded(f"target carrier size {n} outside 1..4")
     return Carrier(tuple("pqrs"[:n]))
 
 

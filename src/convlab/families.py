@@ -144,41 +144,12 @@ class Subset:
     def labels(self) -> tuple[str, ...]:
         return self.carrier.labels_of(self.bits)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels())
-
-    def __len__(self) -> int:
-        return popcount(self.bits)
-
-    def __contains__(self, label: str) -> bool:
-        return self.bits >> self.carrier.index(label) & 1 == 1
-
-    def __or__(self, other: "Subset") -> "Subset":
-        _same_carrier(self, other)
-        return Subset(self.carrier, self.bits | other.bits)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        _same_carrier(self, other)
-        return Subset(self.carrier, self.bits & other.bits)
-
-    def __sub__(self, other: "Subset") -> "Subset":
-        _same_carrier(self, other)
-        return Subset(self.carrier, self.bits & ~other.bits)
-
     def __invert__(self) -> "Subset":
         return Subset(self.carrier, self.carrier.full & ~self.bits)
 
     def __le__(self, other: "Subset") -> bool:
         _same_carrier(self, other)
         return self.bits & ~other.bits == 0
-
-    def meets(self, other: "Subset") -> bool:
-        _same_carrier(self, other)
-        return self.bits & other.bits != 0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
 
     def __repr__(self):
         return "{%s}" % ",".join(self.labels())
@@ -197,18 +168,9 @@ class SetFamily:
             raise ValidationError(["family member outside the carrier"])
 
     @classmethod
-    def of(cls, carrier: Carrier, *members) -> "SetFamily":
-        """Build from Subsets, masks, or iterables of labels."""
-        masks = set()
-        for m in members:
-            if isinstance(m, Subset):
-                _same_carrier(m, cls(carrier, frozenset()))
-                masks.add(m.bits)
-            elif isinstance(m, int):
-                masks.add(m)
-            else:
-                masks.add(carrier.mask_of(m))
-        return cls(carrier, frozenset(masks))
+    def of(cls, carrier: Carrier, *members: Iterable[str]) -> "SetFamily":
+        """Build from iterables of labels, one per member."""
+        return cls(carrier, frozenset(carrier.mask_of(m) for m in members))
 
     def members(self) -> tuple[Subset, ...]:
         return tuple(Subset(self.carrier, m) for m in sorted(self.masks))
@@ -218,9 +180,6 @@ class SetFamily:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __contains__(self, subset: Subset) -> bool:
-        return subset.bits in self.masks
 
     def __repr__(self):
         return "Family{%s}" % ", ".join(repr(s) for s in self.members())
@@ -341,14 +300,6 @@ class FiniteRelation:
         if any(not 0 <= r <= self.target.full for r in self.rows):
             raise ValidationError(["relation row outside the target carrier"])
 
-    @classmethod
-    def of(cls, source: Carrier, target: Carrier,
-           pairs: Iterable[tuple[str, str]]) -> "FiniteRelation":
-        rows = [0] * source.size
-        for a, b in pairs:
-            rows[source.index(a)] |= 1 << target.index(b)
-        return cls(source, target, tuple(rows))
-
     def image_mask(self, mask: int) -> int:
         out = 0
         for i in bits_of(mask):
@@ -358,9 +309,6 @@ class FiniteRelation:
     def inverse(self) -> "FiniteRelation":
         return FiniteRelation(self.target, self.source,
                               transpose(self.rows, self.target.size))
-
-    def preimage_mask(self, mask: int) -> int:
-        return self.inverse().image_mask(mask)
 
     def is_injective(self) -> bool:
         """No two distinct source points have meeting images."""

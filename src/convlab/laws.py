@@ -364,11 +364,11 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     with the final_convergence_scan oracle, adh_fxi with pre_adh, the
     ladder, bijection and compactness bitsets; it counts the instances and
     writes every failure message, naming its own pair.  The rest is one
-    record per key in the universe's per-map memo, seven keys in all:
+    record per key in the universe's per-map memo, six keys in all:
 
-      ("fxi", fxi):           the final convergence, its adherence, and the
-                              continuity and almost-open flags (maps);
-      ("lifts", lifts):       the open constraints and flag (maps);
+      ("lifts", lifts):       the final convergence fxi, its adherence, the
+                              almost-open and open constraints, and the
+                              continuity, almost-open and open flags (maps);
       ("lims", lims):         the graph-closedness flag (maps);
       ("classes", adh_s, fxi): the class verdicts with their route faults
                               (maps);

@@ -5,12 +5,12 @@ Classification has one kernel.  MapFacts is the one record of a (map,
 source) pair: what the routes read of it that does not depend on the
 target, the pushed adherence f(adh ^A) built once per pair, and the rest,
 with each flag that needs no class route, one record per key in the
-universe's per-map memo (MapFacts lists them).  map_flags adds the class
-verdicts with their route faults per (source adherence, final
-convergence), and builds the filter classes, reflections, cover-route
-triggers and routes only where it misses that entry.  Each route is a
-tuple of (k, bad) constraints that hold when table[k] & bad == 0 on a
-target table.
+universe's per-map memo, which holds six kinds of record (MapFacts lists
+the kernel's three).  map_flags adds the class verdicts with their route
+faults per (source adherence, final convergence), and builds the filter
+classes, reflections, cover-route triggers and routes only where it
+misses that entry.  Each route is a tuple of (k, bad) constraints that
+hold when table[k] & bad == 0 on a target table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
@@ -311,30 +311,25 @@ class TargetUniverse:
         return full & ~failing
 
 
-def _final_parts(f: CarrierMap, fxi_table: tuple,
-                 universe: TargetUniverse) -> tuple:
-    """The record of one final convergence: fxi itself, its adherence, the
-    almost-open constraints order (the target is finer than fxi), and the
-    continuity flag (f(lim ^A) within lim ^f(A), on the co_lim tables) and
-    the almost-open flag."""
-    fxi = Convergence(f.target, fxi_table)
-    full_t = f.target.full
-    targets = range(1, full_t + 1)
-    order = _forbidden(((b, fxi_table[b]) for b in targets), full_t)
-    return (fxi, adherence_table(fxi), order,
-            universe.holding("co_lim", ((b, fxi_table[b]) for b in targets
-                                        if fxi_table[b])),
-            universe.holding("lim", order))
-
-
 def _lift_parts(f: CarrierMap, lifts: tuple,
                 universe: TargetUniverse) -> tuple:
-    """The record of one lift table: the open constraints, every fiber point
-    lifts ^B, and the open flag."""
+    """The record of one lift table: the final convergence fxi (its image),
+    its adherence, the almost-open constraints order (the target is finer
+    than fxi), the open constraints lift_every (every fiber point lifts
+    ^B), and the continuity flag (f(lim ^A) within lim ^f(A), on the co_lim
+    tables), the almost-open flag and the open flag."""
     img, full_s, full_t = f.image_table, f.source.full, f.target.full
+    fxi_table = tuple(map(img.__getitem__, lifts))
+    targets = range(1, full_t + 1)
+    order = _forbidden(((b, fxi_table[b]) for b in targets), full_t)
     lift_every = _forbidden(((b, full_t & ~img[full_s & ~lifts[b]])
-                             for b in range(1, full_t + 1)), full_t)
-    return lift_every, universe.holding("lim", lift_every)
+                             for b in targets), full_t)
+    fxi = Convergence(f.target, fxi_table)
+    return (fxi, adherence_table(fxi), order, lift_every,
+            universe.holding("co_lim", ((b, fxi_table[b]) for b in targets
+                                        if fxi_table[b])),
+            universe.holding("lim", order),
+            universe.holding("lim", lift_every))
 
 
 def _graph_closed(f: CarrierMap, lims: tuple,
@@ -359,7 +354,9 @@ class MapFacts:
     flags that need no class route.  The targets enter through a
     TargetUniverse alone.  Each part is built once per distinct value of
     what it reads, the per-map tables by CarrierMap, the rest through the
-    universe's per-map memo, one entry per key:
+    universe's per-map memo, one entry per key: the last three kinds below,
+    beside the law sweep's three (laws.sweep_domain), are the memo's six
+    kinds of record.
 
       per map:               the image, preimage and fiber tables;
       per source:            its adherence adh_s, from the cached
@@ -370,12 +367,10 @@ class MapFacts:
                              read off it, pre_adh[H] = f(adh ^(f^-H)) and
                              the fiber misses misses[A], the target points
                              whose fiber misses adh ^A;
-      per final convergence: fxi (the image of the lift table), its
+      per lift table:        fxi (the image of the lift table), its
                              adherence adh_fxi, the almost-open constraints
-                             order, and the continuous and almost_open
-                             flags;
-      per lift table:        the open constraints lift_every and the open
-                             flag;
+                             order, the open constraints lift_every, and
+                             the continuous, almost_open and open flags;
       per pushed limits:     the graph_closed flag;
       per (adh_s, fxi):      the class routes, each selector's built once
                              by _class_flags, and only when map_flags
@@ -399,12 +394,8 @@ class MapFacts:
         self.pre_adh = tuple(map(pushed.__getitem__, self.pre))
         self.misses = tuple(full_t & ~adh for adh in pushed)
         lifts = self.lifts = _lifts(f, xi)
-        fxi_table = tuple(map(img.__getitem__, lifts))
-        (self.fxi, self.adh_fxi, self.order, self.continuous,
-         self.almost_open) = memoized(
-            f, ("fxi", fxi_table),
-            partial(_final_parts, f, fxi_table, universe))
-        self.lift_every, self.open = memoized(
+        (self.fxi, self.adh_fxi, self.order, self.lift_every,
+         self.continuous, self.almost_open, self.open) = memoized(
             f, ("lifts", lifts), partial(_lift_parts, f, lifts, universe))
         lims = self.lims = tuple(map(img.__getitem__, xi.table))
         self.graph_closed = memoized(

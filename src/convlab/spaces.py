@@ -482,17 +482,10 @@ def pretopology_from_vicinities(carrier: Carrier,
 
 
 def topology_from_opens(carrier: Carrier,
-                        opens: Iterable[Subset | int | Iterable[str]]
-                        ) -> Convergence:
-    """Build the convergence of a topology given its open-set system."""
-    masks = set()
-    for o in opens:
-        if isinstance(o, Subset):
-            masks.add(o.bits)
-        elif isinstance(o, int):
-            masks.add(o)
-        else:
-            masks.add(carrier.mask_of(o))
+                        opens: Iterable[int | Iterable[str]]) -> Convergence:
+    """Build the convergence of a topology given its open-set system, each
+    open set a mask or an iterable of labels."""
+    masks = {o if isinstance(o, int) else carrier.mask_of(o) for o in opens}
     violations = []
     if 0 not in masks or carrier.full not in masks:
         violations.append("open system must contain the empty set and the carrier")

@@ -15,7 +15,7 @@ This module re-checks those primitives inside finite windows:
                    explicit disjoint members are verified pointwise.
 
 Each check declares the window range it is valid on via the operands'
-stability bounds; the callers sweep k up to 6.
+stability bounds; every window reaches MAX_WINDOW = 6.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ from .sets import APEX
 MAX_WINDOW = 6
 
 
-def _window_members(s, k: int) -> list:
-    """The points of the set inside window k, in window order."""
-    return [p for p in s.window(k) if s.contains(p)]
+def _window_members(s) -> list:
+    """The points of the set inside the window, in window order."""
+    return [p for p in s.window(MAX_WINDOW) if s.contains(p)]
 
 
-def check_set_ops(s1, s2, k: int = MAX_WINDOW) -> bool:
+def check_set_ops(s1, s2) -> bool:
     """Union/intersection/difference/complement agree with pointwise
     membership on every window point."""
     u, i, d, c = s1 | s2, s1 & s2, s1 - s2, ~s1
-    for p in s1.window(k):
+    for p in s1.window(MAX_WINDOW):
         a, b = s1.contains(p), s2.contains(p)
         if u.contains(p) != (a or b):
             return False
@@ -50,30 +50,30 @@ def check_set_ops(s1, s2, k: int = MAX_WINDOW) -> bool:
     return True
 
 
-def check_emptiness(s, k_max: int = MAX_WINDOW) -> bool:
+def check_emptiness(s) -> bool:
     """Symbolic emptiness matches window occupancy beyond the stability
     bound (plus one period, so both parities are visible)."""
     start = s.stability_bound() + 2
-    for k in range(start, max(start, k_max) + 1):
+    for k in range(start, max(start, MAX_WINDOW) + 1):
         occupied = bool(s.truncate(k))
         if s.is_empty == occupied:
             return False
     return True
 
 
-def check_infiniteness(s, k_max: int = MAX_WINDOW) -> bool:
+def check_infiniteness(s) -> bool:
     """An infinite set strictly grows with the window beyond its bound; a
     finite set stops growing.  Step 2 covers the period-2 sets."""
     bound = s.stability_bound()
-    k2 = max(bound, k_max)
+    k2 = max(bound, MAX_WINDOW)
     n0 = len(s.truncate(k2))
     n1 = len(s.truncate(k2 + 2))
     return (n1 > n0) == s.is_infinite
 
 
-def _sample_members(f: SymbolicFilter, k: int):
+def _sample_members(f: SymbolicFilter):
     """Members of the form core + (wide minus E) for small window E."""
-    singles = _window_members(f.wide, k)[:4]
+    singles = _window_members(f.wide)[:4]
     out = [f.core | f.wide]
     for r in range(1, min(3, len(singles)) + 1):
         for combo in combinations(singles, r):
@@ -82,15 +82,15 @@ def _sample_members(f: SymbolicFilter, k: int):
     return out
 
 
-def check_member_semantics(f: SymbolicFilter, k: int = MAX_WINDOW) -> bool:
+def check_member_semantics(f: SymbolicFilter) -> bool:
     """Every sampled generator member passes the member test, and removing
     the core from a principal filter's member fails it."""
-    for m in _sample_members(f, k):
+    for m in _sample_members(f):
         if not f.member(m):
             return False
     if not f.core.is_empty:
         # dropping a core point must leave the filter
-        pts = _window_members(f.core, k)
+        pts = _window_members(f.core)
         if pts:
             gone = type(f.core).of_points(pts[0])
             if f.member((f.core | f.wide) - gone):
@@ -98,8 +98,7 @@ def check_member_semantics(f: SymbolicFilter, k: int = MAX_WINDOW) -> bool:
     return True
 
 
-def check_mesh(f1: SymbolicFilter, f2: SymbolicFilter,
-               k: int = MAX_WINDOW) -> bool:
+def check_mesh(f1: SymbolicFilter, f2: SymbolicFilter) -> bool:
     """Cross-check the mesh decision member-wise on the window."""
     verdict = symbolic_mesh(f1, f2)
     if not verdict:
@@ -111,10 +110,10 @@ def check_mesh(f1: SymbolicFilter, f2: SymbolicFilter,
         if not (m1 & m2).is_empty:
             return False
         return not any(m1.contains(p) and m2.contains(p)
-                       for p in m1.window(k))
+                       for p in m1.window(MAX_WINDOW))
     # meshing: every sampled member pair intersects
-    for m1 in _sample_members(f1, k):
-        for m2 in _sample_members(f2, k):
+    for m1 in _sample_members(f1):
+        for m2 in _sample_members(f2):
             if not m1.meets(m2):
                 return False
     return True
@@ -130,12 +129,11 @@ def _some_point(s):
     return min(p for p in pts)
 
 
-def check_leq(f1: SymbolicFilter, f2: SymbolicFilter,
-              k: int = MAX_WINDOW) -> bool:
+def check_leq(f1: SymbolicFilter, f2: SymbolicFilter) -> bool:
     """Cross-check the order decision member-wise on the window."""
     verdict = symbolic_leq(f1, f2)
     if verdict:
-        return all(f2.member(m) for m in _sample_members(f1, k))
+        return all(f2.member(m) for m in _sample_members(f1))
     # otherwise construct a member of f1 outside f2
     if not f2.core.subset_of(f1.core):
         point = _some_point(f2.core - f1.core)

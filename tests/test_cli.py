@@ -458,6 +458,24 @@ class TestCLI:
                      "--class", "F"]) == 0
         assert json.loads(capsys.readouterr().out)["compact"] is True
 
+    def test_check_compact_defaults_to_the_whole_carrier(self, tmp_path,
+                                                          capsys):
+        """Without --at the family is checked at the family of the whole
+        carrier: {a, b} is compact there on the discrete space on a, b, and
+        not at {a}."""
+        space = tmp_path / "discrete.json"
+        space.write_text(json.dumps({"vicinity": {"a": ["a"], "b": ["b"]}}))
+        fam, at = tmp_path / "fam.json", tmp_path / "at.json"
+        fam.write_text(json.dumps([["a", "b"]]))
+        at.write_text(json.dumps([["a"]]))
+        base = ["check-compact", "--space", str(space), "--family", str(fam)]
+        assert main(base) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "compact": True, "class": "F"}
+        assert main(base + ["--at", str(at)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "compact": False, "class": "F"}
+
     @pytest.mark.parametrize("options, message", [
         (["--class", "topology", "--seed", "1", "--count", "20"],
          "only convergences are sampled, not the class 'topology'"),
@@ -484,6 +502,32 @@ class TestCLI:
         assert len(docs) == 4
         for doc in docs:
             io.convergence_from_doc(doc)
+
+    def test_enumerate_every_convergence_on_two_points(self, capsys):
+        """Without sampling, the size-2 convergences: lim ^{a}, lim ^{b}
+        and lim ^{a,b} of each of the 9, in enumeration order."""
+        assert main(["enumerate", "--size", "2",
+                     "--class", "convergence"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert docs == [
+            {"points": ["a", "b"], "lim": {"a": a, "b": b, "a,b": ab}}
+            for a, b, ab in (
+                (["a"], ["b"], []),
+                (["a", "b"], ["b"], []),
+                (["a", "b"], ["b"], ["b"]),
+                (["a"], ["a", "b"], []),
+                (["a", "b"], ["a", "b"], []),
+                (["a", "b"], ["a", "b"], ["b"]),
+                (["a"], ["a", "b"], ["a"]),
+                (["a", "b"], ["a", "b"], ["a"]),
+                (["a", "b"], ["a", "b"], ["a", "b"]))]
+
+    def test_enumerate_topologies_past_their_cap_exits_2(self, capsys):
+        assert main(["enumerate", "--size", "5", "--class", "topology"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: topologies are enumerated up to n=4"]
 
     @pytest.mark.parametrize("size", ["0", "5", "17"])
     def test_enumerate_sampling_past_the_caps_exits_2(self, size, capsys):
@@ -533,6 +577,33 @@ class TestCLI:
                      "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "lim:" in out
+
+    def test_table_format_prints_key_value_lines(self, p3_file, ident_file,
+                                                 capsys):
+        assert main(["classify-map", "--map", ident_file, "--source", p3_file,
+                     "--target", p3_file, "--format", "table"]) == 0
+        flags = dict.fromkeys(
+            ("continuous", "open", "almost_open", "biquotient",
+             "countably_biquotient", "hereditarily_quotient", "quotient",
+             "perfect", "countably_perfect", "adherent", "closed"), True)
+        assert capsys.readouterr().out.splitlines() == [
+            "classification:",
+            *(f"  {name}: {value}"
+              for name, value in {**flags, "graph_closed": False}.items())]
+
+    def test_table_format_separates_documents_by_dashes(self, capsys):
+        assert main(["enumerate", "--size", "2", "--class", "topology",
+                     "--format", "table"]) == 0
+        docs = capsys.readouterr().out.split("-\n")
+        assert docs[-1] == ""
+        assert docs[:-1] == [
+            "points:\n  a\n  b\nlim:\n"
+            f"  a:\n{a}  b:\n{b}  a,b:\n{ab}"
+            for a, b, ab in (
+                ("    a\n    b\n", "    a\n    b\n", "    a\n    b\n"),
+                ("    a\n    b\n", "    b\n", "    b\n"),
+                ("    a\n", "    a\n    b\n", "    a\n"),
+                ("    a\n", "    b\n", ""))]
 
     def test_tables_command(self, capsys):
         assert main(["tables", "--size", "2"]) == 0

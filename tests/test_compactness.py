@@ -175,6 +175,16 @@ class TestImageOfCompact:
             hull_holds(hulls[c], fam.masks, ABC.full), hulls)
         assert res.holds and res.witness is None
 
+    def test_a_hull_table_holding_no_image_member_fails_with_a_witness(self):
+        conv = chain_pretopology()
+        rel = identity_map(ABC).as_relation()
+        fam = SetFamily.of(ABC, ("a", "c"), ("b",))
+        res = image_of_compact(rel, conv, conv, fam, ABC.subset("a", "b"),
+                               True, True, [0] * (ABC.full + 1))
+        assert res.holds is False
+        assert res.witness == {"family": [["b"], ["a", "c"]],
+                               "at": ["a", "b"]}
+
 
 class TestCompleteness:
     def test_discrete_and_chain_are_complete_at_level_zero(self):

@@ -80,6 +80,9 @@ class TestUniverses:
             all_convergences(default_carrier(4))
         with pytest.raises(CapExceeded):
             all_pretopologies(Carrier(tuple(f"x{i}" for i in range(5))))
+        for n in (0, 5):
+            with pytest.raises(CapExceeded, match=f"size {n} outside 1..4"):
+                target_carrier(n)
 
 
 class TestDomains:

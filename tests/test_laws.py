@@ -329,9 +329,10 @@ def test_map_flags_returns_a_fresh_dict(monkeypatch):
 
 
 def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
-    """A sweep keeps seven kinds of record in the per-map memo, one per key:
-    each flag sits in the record of the key it reads, and the adherence
-    transport is a comparison per pair, not a record."""
+    """A sweep keeps six kinds of record in the per-map memo, one per key:
+    each flag sits in the record of the key it reads, the final convergence
+    in its lift table's, and the adherence transport is a comparison per
+    pair, not a record."""
     memoized, tags = maps.TargetUniverse.memoized, set()
 
     def tagged(universe, f, key, build):
@@ -339,8 +340,7 @@ def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
         return memoized(universe, f, key, build)
     monkeypatch.setattr(maps.TargetUniverse, "memoized", tagged)
     laws.sweep_domain(*domain("3to2"), laws.SweepStats())
-    assert tags == {"classes", "final", "fxi", "init", "lifts", "lims",
-                    "source"}
+    assert tags == {"classes", "final", "init", "lifts", "lims", "source"}
 
 
 def test_the_quotient_routes_read_the_pushed_preimage_adherence(

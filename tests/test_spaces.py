@@ -26,6 +26,7 @@ from convlab.spaces import (
     open_sets,
     product,
     sup,
+    topology_from_opens,
     validate_table,
     vicinity_filter,
 )
@@ -93,6 +94,31 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             Convergence.make(AB, tuple(bad))
         assert len(exc.value.violations) == 2  # both points uncentered
+
+
+class TestTopologyFromOpens:
+    def test_masks_and_label_lists_give_one_topology(self):
+        by_masks = topology_from_opens(ABC, [0, 0b100, 0b110, ABC.full])
+        by_labels = topology_from_opens(
+            ABC, [(), ("c",), ("b", "c"), ("a", "b", "c")])
+        assert by_masks == by_labels
+        assert {s.bits for s in open_sets(by_masks)} == {
+            0, 0b100, 0b110, ABC.full}
+
+    def test_a_system_without_the_empty_set_or_the_carrier_is_rejected(self):
+        for opens in ([0b01], [0, 0b01], [0b01, AB.full]):
+            with pytest.raises(ValidationError) as exc:
+                topology_from_opens(AB, opens)
+            assert exc.value.violations == [
+                "open system must contain the empty set and the carrier"]
+
+    def test_a_system_not_closed_under_union_or_meet_is_rejected(self):
+        for opens in ([0, 0b001, 0b010, ABC.full],
+                      [0, 0b011, 0b110, ABC.full]):
+            with pytest.raises(ValidationError) as exc:
+                topology_from_opens(ABC, opens)
+            assert exc.value.violations == [
+                "open system not closed under union/intersection"]
 
 
 class TestLimits:
