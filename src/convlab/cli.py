@@ -16,7 +16,6 @@ from .families import (
     CarrierMismatch,
     InvariantViolation,
     NotSurjective,
-    SetFamily,
     ValidationError,
 )
 from .functors import Selector, handle
@@ -104,10 +103,7 @@ def cmd_check_compact(args) -> int:
 
     conv = io.convergence_from_doc(_load(args.space))
     fam = io.family_from_doc(_load(args.family), conv.carrier)
-    if args.at:
-        at = io.family_from_doc(_load(args.at), conv.carrier)
-    else:
-        at = SetFamily(conv.carrier, frozenset({conv.carrier.full}))
+    at = io.family_from_doc(_load(args.at), conv.carrier)
     sel = SELECTOR_FLAGS[args.klass]
     ok = is_compact_at(CompactnessQuery(conv, fam, at, sel))
     _print({"compact": ok, "class": args.klass}, args.format)
@@ -202,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("check-compact", help="family compactness query")
     sp.add_argument("--space", required=True)
     sp.add_argument("--family", required=True)
-    sp.add_argument("--at", default=None)
+    sp.add_argument("--at", required=True)
     sp.add_argument("--class", dest="klass", default="F",
                     choices=sorted(SELECTOR_FLAGS))
     sp.set_defaults(fn=cmd_check_compact)

@@ -9,19 +9,22 @@ is isolated.
 
 A representable set is open exactly when it is a vicinity member of each
 of its points, which is decidable on the representation: row slices at
-included anchors must be cofinite in their row, and if the uniform bulk
-slice contains the anchor position it must itself be cofinite.  The check
-below runs a complete case analysis over the representation schema and
-shows there is NO representable open set squeezed between the apex and the
-spine, so the spine is a vicinity member but not a neighborhood: the
-pretopology is not a topology.
+included anchors must be cofinite in their row (their complement is
+finite), and if the uniform bulk slice contains the anchor position it
+must itself be cofinite.  Row slices are PeriodicSets; every set built
+here has finite-or-cofinite slices, on which "not cofinite" reads
+"finite", as the violation messages say.  The check below runs a complete
+case analysis over the representation schema and shows there is NO
+representable open set squeezed between the apex and the spine, so the
+spine is a vicinity member but not a neighborhood: the pretopology is not
+a topology.
 """
 
 from __future__ import annotations
 
 from .filters import SymbolicFilter, cofinite_filter, principal_filter
 from .report import SymbolicReport
-from .sets import APEX, FanSet, FinCof, fan_anchor, fan_apex, fan_points, fan_row, fan_spine
+from .sets import APEX, FanSet, PeriodicSet, fan_anchor, fan_apex, fan_points, fan_row, fan_spine
 
 
 def vicinity(point) -> SymbolicFilter:
@@ -46,10 +49,10 @@ def open_violations(s: FanSet) -> list[str]:
                    "complement infinitely")
     for row in s.override_rows():
         sl = s.slice_of(row)
-        if sl.contains(0) and not sl.cofinite:
+        if sl.contains(0) and (~sl).is_infinite:
             out.append(f"the anchor of row {row} is in the set, but the "
                        f"row slice is finite")
-    if s.default.contains(0) and not s.default.cofinite:
+    if s.default.contains(0) and (~s.default).is_infinite:
         out.append("anchors of every bulk row are in the set, but the "
                    "uniform slice is finite")
     return out
@@ -68,10 +71,10 @@ def lemma_cofinite_slice_never_inside_finite() -> bool:
     cores = [frozenset(core) for k in range(4)
              for core in itertools.combinations(range(4), k)]
     for excl in cores:
-        cof = FinCof(True, excl)
+        cof = PeriodicSet.cofinite_without(*excl)
         for core in cores:
-            fin = FinCof(False, core)
-            if cof.subset_of(fin) or not (cof - fin).cofinite:
+            fin = PeriodicSet.of(*core)
+            if cof.subset_of(fin) or (~(cof - fin)).is_infinite:
                 return False
     return True
 
@@ -103,14 +106,14 @@ def no_open_between_apex_and_spine() -> tuple[bool, list[str]]:
                  "finite set stays cofinite (lemma verified on a grid)")
 
     # branch 1: bulk slice {0}
-    o1 = FanSet.build(True, FinCof.of(0), {})
+    o1 = FanSet.build(True, PeriodicSet.of(0), {})
     v1 = open_violations(o1)
     if not (o1.subset_of(fan_spine()) and v1):
         ok = False
     steps.append(f"bulk slice {{0}}: openness fails ({v1[0] if v1 else '??'})")
 
     # branch 2: bulk slice {}
-    o2 = FanSet.build(True, FinCof.empty(), {})
+    o2 = FanSet.build(True, PeriodicSet.empty(), {})
     remainder = fan_spine() - o2
     v2 = open_violations(o2)
     if not (o2.subset_of(fan_spine()) and remainder.is_infinite and v2):
@@ -120,8 +123,8 @@ def no_open_between_apex_and_spine() -> tuple[bool, list[str]]:
 
     # overrides cannot repair: the remainder stays infinite because its
     # uniform slice is untouched by finitely many rows
-    o3 = FanSet.build(True, FinCof.empty(),
-                      {0: FinCof.of(0), 5: FinCof.of(0)})
+    o3 = FanSet.build(True, PeriodicSet.empty(),
+                      {0: PeriodicSet.of(0), 5: PeriodicSet.of(0)})
     if not ((fan_spine() - o3).is_infinite and open_violations(o3)):
         ok = False
     steps.append("finitely many override rows leave the remainder's "
@@ -154,7 +157,8 @@ def fan_check() -> SymbolicReport:
         "; ".join(steps))
 
     # openness of a typical genuinely open set, as a control
-    control = FanSet.build(True, FinCof.full(), {3: FinCof.tail(2)})
+    control = FanSet.build(True, PeriodicSet.full(),
+                           {3: PeriodicSet.cofinite_without(0, 1)})
     report.add(
         "control: a union of row tails over a cofinite anchor set is open",
         is_open(control) and not control.subset_of(spine),

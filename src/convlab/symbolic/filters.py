@@ -87,18 +87,14 @@ def symbolic_join(f1: SymbolicFilter, f2: SymbolicFilter) -> SymbolicFilter:
 def symbolic_mesh(f1: SymbolicFilter, f2: SymbolicFilter) -> bool:
     """Every member of one meets every member of the other.
 
-    Decision table on generators (members are core + (wide minus finite)):
-    the cores meet, or one core meets the other wide part infinitely, or
-    the wide parts meet infinitely.  In canonical form core <= wide, so the
-    two mixed clauses are subsumed by the wide-wide clause; they are kept
-    for fidelity to the documented table.
+    Members are core + (wide minus finite), so the filters mesh iff the
+    cores meet or the wide parts meet infinitely.  A core meeting the other
+    wide part infinitely is the second clause again, as ``cofinite_filter``
+    keeps every core inside its wide part.
     """
     if f1.degenerate or f2.degenerate:
         return False
-    return (f1.core.meets(f2.core)
-            or f1.core.infinitely_meets(f2.wide)
-            or f1.wide.infinitely_meets(f2.core)
-            or f1.wide.infinitely_meets(f2.wide))
+    return f1.core.meets(f2.core) or f1.wide.infinitely_meets(f2.wide)
 
 
 def symbolic_leq(f1: SymbolicFilter, f2: SymbolicFilter) -> bool:

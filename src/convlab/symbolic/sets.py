@@ -1,26 +1,26 @@
 """Representable sets on the two countable exemplar carriers.
 
-Two small decidable set algebras:
+One small decidable set algebra on N:
 
   PeriodicSet   subsets of N that are eventually periodic with period 2,
                 stored as (even-tail flag, odd-tail flag, finite symmetric
                 difference).  Contains every finite and every cofinite set
-                and, crucially, the even/odd halves used to witness that a
-                cofinite filter is not an ultrafilter.
-  FinCof        plain finite-or-cofinite subsets of N, used as per-row
-                slices of the fan carrier.
+                (equal tail flags) and, crucially, the even/odd halves used
+                to witness that a cofinite filter is not an ultrafilter.
 
-The spoke carrier ("prime") is {apex} + N, its representable sets are a
-PeriodicSet plus an apex flag.  The fan carrier is {apex} + rows x
-positions; a representable set fixes a FinCof slice for finitely many rows
-and one uniform FinCof slice for all remaining rows.
+The spoke carrier ("prime") is {apex} + N, its representable sets
+(PrimeSet) are a PeriodicSet plus an apex flag.  The fan carrier is
+{apex} + rows x positions; a representable set (FanSet) fixes a
+PeriodicSet slice for finitely many rows and one uniform PeriodicSet slice
+for all remaining rows.  Every set the fan exemplar builds has
+finite-or-cofinite slices.
 
 Each class states only its primitives: membership, emptiness,
 infiniteness, a stability bound beyond which the finite-truncation harness
 can confirm its verdicts inside a window, intersection, complement, the
 window of carrier points and the set of finitely many points.
 ``RepresentableSet`` derives finiteness, inclusion, meeting, union,
-difference and truncation from those, once for all four classes.
+difference and truncation from those, once for all three classes.
 """
 
 from __future__ import annotations
@@ -147,62 +147,6 @@ class PeriodicSet(RepresentableSet):
 
 
 @dataclass(frozen=True, slots=True)
-class FinCof(RepresentableSet):
-    """A finite or cofinite subset of N (per-row slices of the fan)."""
-
-    cofinite: bool
-    core: frozenset[int]
-
-    def __post_init__(self):
-        if any(x < 0 for x in self.core):
-            raise UnrepresentableSet("negative positions are not points")
-
-    @classmethod
-    def empty(cls) -> "FinCof":
-        return cls(False, frozenset())
-
-    @classmethod
-    def full(cls) -> "FinCof":
-        return cls(True, frozenset())
-
-    @classmethod
-    def of(cls, *xs: int) -> "FinCof":
-        return cls(False, frozenset(xs))
-
-    of_points = of
-
-    @classmethod
-    def tail(cls, start: int) -> "FinCof":
-        return cls(True, frozenset(range(start)))
-
-    def contains(self, x: int) -> bool:
-        return (x in self.core) != self.cofinite
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.cofinite and not self.core
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.cofinite
-
-    def stability_bound(self) -> int:
-        return max(self.core, default=-1) + 1
-
-    def __and__(self, other: "FinCof") -> "FinCof":
-        if not self.cofinite and not other.cofinite:
-            return FinCof(False, self.core & other.core)
-        if self.cofinite and other.cofinite:
-            return FinCof(True, self.core | other.core)
-        if self.cofinite:
-            return FinCof(False, other.core - self.core)
-        return FinCof(False, self.core - other.core)
-
-    def __invert__(self) -> "FinCof":
-        return FinCof(not self.cofinite, self.core)
-
-
-@dataclass(frozen=True, slots=True)
 class PrimeSet(RepresentableSet):
     """Representable subset of the spoke carrier {apex} + N."""
 
@@ -266,13 +210,13 @@ class PrimeSet(RepresentableSet):
 class FanSet(RepresentableSet):
     """Representable subset of the fan carrier {apex} + rows x positions.
 
-    ``overrides`` pins a FinCof slice for finitely many rows; every other
-    row carries the uniform ``default`` slice.
+    ``overrides`` pins a PeriodicSet slice for finitely many rows; every
+    other row carries the uniform ``default`` slice.
     """
 
     apex: bool
-    default: FinCof
-    overrides: tuple[tuple[int, FinCof], ...]
+    default: PeriodicSet
+    overrides: tuple[tuple[int, PeriodicSet], ...]
 
     def __post_init__(self):
         rows = [r for r, _ in self.overrides]
@@ -280,19 +224,19 @@ class FanSet(RepresentableSet):
             raise UnrepresentableSet("override rows must be sorted, unique")
 
     @classmethod
-    def build(cls, apex: bool, default: FinCof,
-              overrides: dict[int, FinCof]) -> "FanSet":
+    def build(cls, apex: bool, default: PeriodicSet,
+              overrides: dict[int, PeriodicSet]) -> "FanSet":
         canon = tuple(sorted(
             (r, s) for r, s in overrides.items() if s != default))
         return cls(apex, default, canon)
 
     @classmethod
     def empty(cls) -> "FanSet":
-        return cls.build(False, FinCof.empty(), {})
+        return cls.build(False, PeriodicSet.empty(), {})
 
     @classmethod
     def full(cls) -> "FanSet":
-        return cls.build(True, FinCof.full(), {})
+        return cls.build(True, PeriodicSet.full(), {})
 
     @classmethod
     def of_points(cls, *points) -> "FanSet":
@@ -300,8 +244,8 @@ class FanSet(RepresentableSet):
         for p in points:
             if p != APEX:
                 rows.setdefault(p[0], set()).add(p[1])
-        return cls.build(APEX in points, FinCof.empty(),
-                         {r: FinCof.of(*ps) for r, ps in rows.items()})
+        return cls.build(APEX in points, PeriodicSet.empty(),
+                         {r: PeriodicSet.of(*ps) for r, ps in rows.items()})
 
     @staticmethod
     def window(k: int) -> Iterator:
@@ -310,7 +254,7 @@ class FanSet(RepresentableSet):
             for j in range(k + 1):
                 yield (n, j)
 
-    def slice_of(self, row: int) -> FinCof:
+    def slice_of(self, row: int) -> PeriodicSet:
         for r, s in self.overrides:
             if r == row:
                 return s
@@ -358,18 +302,18 @@ fan_points = FanSet.of_points
 
 def fan_row(n: int) -> FanSet:
     """The full row X_n = {(n, j) : j in N}."""
-    return FanSet.build(False, FinCof.empty(), {n: FinCof.full()})
+    return FanSet.build(False, PeriodicSet.empty(), {n: PeriodicSet.full()})
 
 
 def fan_anchor(n: int) -> FanSet:
     """The singleton of the row anchor x_n = (n, 0)."""
-    return FanSet.build(False, FinCof.empty(), {n: FinCof.of(0)})
+    return FanSet.build(False, PeriodicSet.empty(), {n: PeriodicSet.of(0)})
 
 
 def fan_apex() -> FanSet:
-    return FanSet.build(True, FinCof.empty(), {})
+    return FanSet.build(True, PeriodicSet.empty(), {})
 
 
 def fan_spine() -> FanSet:
     """X_infinity = {apex} + all anchors: the uniform slice {0}."""
-    return FanSet.build(True, FinCof.of(0), {})
+    return FanSet.build(True, PeriodicSet.of(0), {})

@@ -151,7 +151,7 @@ def test_criterion_15_symbolic_exemplars():
     from convlab.symbolic.fan import fan_check
     from convlab.symbolic.prime import prime_check
     from convlab.symbolic.sets import (
-        FanSet, FinCof, PeriodicSet, PrimeSet, fan_points, fan_row,
+        FanSet, PeriodicSet, PrimeSet, fan_points, fan_row,
         fan_spine)
     from convlab.symbolic.filters import cofinite_filter
     from convlab.symbolic.truncation import (
@@ -163,14 +163,15 @@ def test_criterion_15_symbolic_exemplars():
 
     rng = random.Random(0)
 
-    def rand_fincof():
-        return FinCof(rng.random() < 0.5,
-                      frozenset(rng.sample(range(5), rng.randrange(3))))
+    def rand_slice():
+        cofinite = rng.random() < 0.5
+        return PeriodicSet(cofinite, cofinite,
+                           frozenset(rng.sample(range(5), rng.randrange(3))))
 
     def rand_fan():
         return FanSet.build(
-            rng.random() < 0.5, rand_fincof(),
-            {r: rand_fincof() for r in rng.sample(range(5), rng.randrange(3))})
+            rng.random() < 0.5, rand_slice(),
+            {r: rand_slice() for r in rng.sample(range(5), rng.randrange(3))})
 
     def rand_prime():
         return PrimeSet(
@@ -229,3 +230,14 @@ def test_tables_document_matches_the_benchmark_record():
     search documents are checked in test_enumerate)."""
     want = json.loads((EXPECTED / "tables.json").read_text())["tables"]
     assert json.loads(json.dumps(emit_tables(3))) == want
+
+
+def test_exemplar_documents_match_the_benchmark_record():
+    """The fan and prime reports are the exemplar documents the benchmark
+    checks."""
+    from convlab.symbolic.fan import fan_check
+    from convlab.symbolic.prime import prime_check
+
+    want = json.loads((EXPECTED / "tables.json").read_text())["exemplars"]
+    assert {"fan": fan_check().as_dict(),
+            "prime": prime_check().as_dict()} == want

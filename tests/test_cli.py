@@ -380,10 +380,11 @@ class TestCLI:
         doc, messages = MALFORMED_FAMILIES[case]
         space = tmp_path / "space.json"
         space.write_text(json.dumps({"vicinity": {"a": ["a"], "b": ["b"]}}))
-        fam = tmp_path / "fam.json"
+        fam, at = tmp_path / "fam.json", tmp_path / "at.json"
         fam.write_text(json.dumps(doc))
+        at.write_text(json.dumps([["a"]]))
         assert main(["check-compact", "--space", str(space),
-                     "--family", str(fam)]) == 2
+                     "--family", str(fam), "--at", str(at)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {m}" for m in messages]
 
@@ -460,18 +461,19 @@ class TestCLI:
 
     def test_check_compact_defaults_to_the_whole_carrier(self, tmp_path,
                                                           capsys):
-        """Without --at the family is checked at the family of the whole
-        carrier: {a, b} is compact there on the discrete space on a, b, and
-        not at {a}."""
+        """--at has no default: at the whole carrier every family is
+        compact on a finite space, so a default could only answer yes.
+        {a, b} is not compact at {a} on the discrete space on a, b."""
         space = tmp_path / "discrete.json"
         space.write_text(json.dumps({"vicinity": {"a": ["a"], "b": ["b"]}}))
         fam, at = tmp_path / "fam.json", tmp_path / "at.json"
         fam.write_text(json.dumps([["a", "b"]]))
         at.write_text(json.dumps([["a"]]))
         base = ["check-compact", "--space", str(space), "--family", str(fam)]
-        assert main(base) == 0
-        assert json.loads(capsys.readouterr().out) == {
-            "compact": True, "class": "F"}
+        with pytest.raises(SystemExit) as exc:
+            main(base)
+        assert exc.value.code == 2
+        assert "--at" in capsys.readouterr().err
         assert main(base + ["--at", str(at)]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "compact": False, "class": "F"}

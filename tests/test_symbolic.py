@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from convlab.symbolic.sets import (
     APEX,
     FanSet,
-    FinCof,
     PeriodicSet,
     PrimeSet,
     UnrepresentableSet,
@@ -54,13 +53,24 @@ periodic_sets = st.builds(
 
 prime_sets = st.builds(PrimeSet, st.booleans(), periodic_sets)
 
-fincofs = st.builds(
-    FinCof, st.booleans(), st.frozensets(st.integers(0, 4), max_size=3))
-
 fan_sets = st.builds(
     lambda apex, default, rows: FanSet.build(apex, default, rows),
-    st.booleans(), fincofs,
-    st.dictionaries(st.integers(0, 4), fincofs, max_size=3))
+    st.booleans(), periodic_sets,
+    st.dictionaries(st.integers(0, 4), periodic_sets, max_size=3))
+
+# the sets the fan exemplar builds, closed under & and ~
+exemplar_fan_sets = st.recursive(
+    st.one_of(
+        st.builds(fan_row, st.integers(0, 4)),
+        st.builds(fan_anchor, st.integers(0, 4)),
+        st.just(fan_apex()), st.just(fan_spine()),
+        st.just(FanSet.empty()), st.just(FanSet.full()),
+        st.lists(st.one_of(st.just(APEX), st.tuples(st.integers(0, 4),
+                                                    st.integers(0, 5))),
+                 max_size=4).map(lambda ps: fan_points(*ps))),
+    lambda sets: st.one_of(st.builds(lambda a, b: a & b, sets, sets),
+                           st.builds(lambda a: ~a, sets)),
+    max_leaves=6)
 
 
 def prime_filters():
@@ -120,11 +130,10 @@ class TestSetAlgebra:
 
     def test_negative_positions_rejected(self):
         with pytest.raises(UnrepresentableSet):
-            FinCof(False, frozenset({-2}))
+            PeriodicSet(False, False, frozenset({-2}))
 
 
-@pytest.mark.parametrize("sets", [periodic_sets, fincofs],
-                         ids=["PeriodicSet", "FinCof"])
+@pytest.mark.parametrize("sets", [periodic_sets], ids=["PeriodicSet"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_harness_on_natural_carriers(sets, data):
@@ -221,6 +230,32 @@ class TestFilterAlgebra:
         assert not symbolic_mesh(evens, odds)
 
 
+def _canonical_derived(f1, f2):
+    """The two filters, their meet and join, and both decompose parts."""
+    yield f1
+    yield f2
+    yield symbolic_meet(f1, f2)
+    yield symbolic_join(f1, f2)
+    yield from decompose(f1)
+
+
+@pytest.mark.parametrize("filters", [prime_filters(), fan_filters()],
+                         ids=["prime", "fan"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_filters_stay_canonical(filters, data):
+    """Every filter the layer builds keeps its core inside its wide part,
+    collapses to its core when the gap is finite, and is (empty, empty)
+    when degenerate: the premise of the two-clause mesh."""
+    f1, f2 = data.draw(st.tuples(filters, filters))
+    for f in _canonical_derived(f1, f2):
+        assert f.core.subset_of(f.wide)
+        if (f.wide - f.core).is_finite:
+            assert f.wide == f.core
+        if f.degenerate:
+            assert f.wide.is_empty and f.core.is_empty
+
+
 class TestDecompose:
     def test_mixed_filter_splits(self):
         wide = PrimeSet.full()
@@ -298,12 +333,19 @@ class TestFan:
         assert is_open(FanSet.full())
         assert is_open(FanSet.empty())
         # all rows fully, apex, minus a finite non-anchor chunk
-        o = FanSet.build(True, FinCof.full(), {2: FinCof.tail(3)})
+        o = FanSet.build(True, PeriodicSet.full(),
+                         {2: PeriodicSet.cofinite_without(0, 1, 2)})
         assert is_open(o)
         # isolated points are open singletons
         assert is_open(fan_points((1, 4)))
         # an anchor singleton is not open
         assert not is_open(fan_anchor(1))
+
+    @given(exemplar_fan_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_exemplar_slices_are_finite_or_cofinite(self, s):
+        for sl in (s.default, *(sl for _, sl in s.overrides)):
+            assert sl.even_tail == sl.odd_tail
 
     @given(fan_sets)
     @settings(max_examples=200, deadline=None)
