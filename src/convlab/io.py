@@ -23,7 +23,7 @@ import json
 from typing import Any
 
 from .families import Carrier, CarrierMap, SetFamily, Subset, ValidationError
-from .spaces import Convergence, pretopology_from_vicinities, validate_table
+from .spaces import Convergence, pretopology_from_vicinities
 
 
 def subset_key(carrier: Carrier, mask: int) -> str:
@@ -125,10 +125,7 @@ def convergence_from_doc(doc: dict) -> Convergence:
                 f"missing lim entry for {subset_key(carrier, m) or '{}'}")
     if problems:
         raise ValidationError(problems)
-    problems = validate_table(carrier, tuple(table))
-    if problems:
-        raise ValidationError(problems)
-    return Convergence(carrier, tuple(table))
+    return Convergence.make(carrier, table)
 
 
 def map_from_doc(doc: dict, source: Carrier, target: Carrier) -> CarrierMap:

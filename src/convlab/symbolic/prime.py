@@ -2,6 +2,9 @@
 point is isolated except the apex, and the filters converging to the apex
 are exactly the free ultrafilters together with the apex's point filter.
 
+The carrier is N, with the apex at PRIME_APEX = 0 and the spokes at
+1, 2, ...; its representable sets are PeriodicSets.
+
 The check shows the convergence is not a pseudotopology: the cofinite
 filter of the whole carrier converges nowhere (it is neither a point
 filter nor an ultrafilter), yet every ultrafilter above it is free and
@@ -22,19 +25,21 @@ from __future__ import annotations
 
 from .filters import SymbolicFilter, cofinite_filter, symbolic_equal, principal_filter
 from .report import SymbolicReport
-from .sets import APEX, PrimeSet, UnrepresentableSet
+from .sets import PeriodicSet, UnrepresentableSet
+
+PRIME_APEX = 0  # the apex of the spoke carrier N
 
 
 def whole_carrier_cofinite() -> SymbolicFilter:
     """The cofinite filter of the whole spoke carrier."""
-    return cofinite_filter(PrimeSet.full())
+    return cofinite_filter(PeriodicSet.full())
 
 
 def apex_point_filter() -> SymbolicFilter:
-    return principal_filter(PrimeSet.of_points(APEX))
+    return principal_filter(PeriodicSet.of(PRIME_APEX))
 
 
-def limit_points(f: SymbolicFilter) -> PrimeSet:
+def limit_points(f: SymbolicFilter) -> PeriodicSet:
     """Limits under the defined convergence.
 
     Point filters converge to their point; free ultrafilters converge to
@@ -44,21 +49,21 @@ def limit_points(f: SymbolicFilter) -> PrimeSet:
     fragment and raises.
     """
     if f.degenerate:
-        return PrimeSet.empty()
+        return PeriodicSet.empty()
     if f.principal:
         core = f.core
         bound = core.stability_bound() + 2
         pts = core.truncate(bound)
         if core.is_finite and len(pts) == 1:
-            return PrimeSet.of_points(next(iter(pts)))
-        return PrimeSet.empty()
-    evens, odds = PrimeSet.even_half(), PrimeSet.odd_half()
+            return PeriodicSet.of(next(iter(pts)))
+        return PeriodicSet.empty()
+    evens, odds = PeriodicSet.evens(), PeriodicSet.odds()
     if f.member(evens) or f.member(odds):
         raise UnrepresentableSet(
             "ultrafilter status of a parity-deciding free filter is not "
             "decidable in the period-2 class")
     # undecided on a partition => not an ultrafilter => no limits
-    return PrimeSet.empty()
+    return PeriodicSet.empty()
 
 
 def ultrafilters_above_are_free(f: SymbolicFilter) -> tuple[bool, str]:
@@ -68,9 +73,9 @@ def ultrafilters_above_are_free(f: SymbolicFilter) -> tuple[bool, str]:
     at the apex."""
     if not f.free:
         return False, "only meaningful for free filters"
-    sample = [APEX] + list(range(0, 6))
+    sample = range(7)  # the apex and the first six spokes
     for p in sample:
-        member = f.wide - PrimeSet.of_points(p)
+        member = f.wide - PeriodicSet.of(p)
         if not f.member(member) or member.contains(p):
             return False, f"witness member construction failed at {p}"
     return True, ("for every point p, wide - {p} is a member avoiding p "
@@ -104,7 +109,7 @@ def prime_check() -> SymbolicReport:
         not symbolic_equal(cof, apexf),
         "the carrier minus the apex is a member omitting the apex")
 
-    evens, odds = PrimeSet.even_half(), PrimeSet.odd_half()
+    evens, odds = PeriodicSet.evens(), PeriodicSet.odds()
     undecided = not cof.member(evens) and not cof.member(odds)
     report.add(
         "it is not an ultrafilter",
@@ -122,9 +127,9 @@ def prime_check() -> SymbolicReport:
     # filter (the cofinite sets are exactly what survives the encoded
     # rules), and every ultrafilter above it is free
     cof_member_complement_finite = all(
-        (PrimeSet.full() - s).is_finite
-        for s in [PrimeSet.cofinite_without(0, 2, 5),
-                  PrimeSet.cofinite_without(APEX)])
+        (PeriodicSet.full() - s).is_finite
+        for s in [PeriodicSet.cofinite_without(1, 3, 6),
+                  PeriodicSet.cofinite_without(PRIME_APEX)])
     report.add(
         "every free ultrafilter refines it",
         cof_member_complement_finite,

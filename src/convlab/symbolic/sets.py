@@ -8,11 +8,11 @@ One small decidable set algebra on N:
                 (equal tail flags) and, crucially, the even/odd halves used
                 to witness that a cofinite filter is not an ultrafilter.
 
-The spoke carrier ("prime") is {apex} + N, its representable sets
-(PrimeSet) are a PeriodicSet plus an apex flag.  The fan carrier is
-{apex} + rows x positions; a representable set (FanSet) fixes a
-PeriodicSet slice for finitely many rows and one uniform PeriodicSet slice
-for all remaining rows.  Every set the fan exemplar builds has
+The spoke carrier ("prime") is N itself, its apex the point 0 and its
+spokes 1, 2, ..., so its representable sets are PeriodicSets.  The fan
+carrier is {APEX} + rows x positions; a representable set (FanSet) fixes
+a PeriodicSet slice for finitely many rows and one uniform PeriodicSet
+slice for all remaining rows.  Every set the fan exemplar builds has
 finite-or-cofinite slices.
 
 Each class states only its primitives: membership, emptiness,
@@ -20,7 +20,7 @@ infiniteness, a stability bound beyond which the finite-truncation harness
 can confirm its verdicts inside a window, intersection, complement, the
 window of carrier points and the set of finitely many points.
 ``RepresentableSet`` derives finiteness, inclusion, meeting, union,
-difference and truncation from those, once for all three classes.
+difference and truncation from those, once for both classes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-APEX = -1  # the distinguished point x_infinity on either carrier
+APEX = -1  # the fan's apex x_infinity, outside every row
 
 
 class UnrepresentableSet(ValueError):
@@ -135,75 +135,15 @@ class PeriodicSet(RepresentableSet):
     def __and__(self, other: "PeriodicSet") -> "PeriodicSet":
         et = self.even_tail and other.even_tail
         ot = self.odd_tail and other.odd_tail
-        bound = max(self.stability_bound(), other.stability_bound())
+        # off both diffs each operand follows its tail, and so does this
         diff = frozenset(
-            x for x in range(bound)
+            x for x in self.diff | other.diff
             if (self.contains(x) and other.contains(x))
             != (et if x % 2 == 0 else ot))
         return PeriodicSet(et, ot, diff)
 
     def __invert__(self) -> "PeriodicSet":
         return PeriodicSet(not self.even_tail, not self.odd_tail, self.diff)
-
-
-@dataclass(frozen=True, slots=True)
-class PrimeSet(RepresentableSet):
-    """Representable subset of the spoke carrier {apex} + N."""
-
-    apex: bool
-    part: PeriodicSet
-
-    @classmethod
-    def empty(cls) -> "PrimeSet":
-        return cls(False, PeriodicSet.empty())
-
-    @classmethod
-    def full(cls) -> "PrimeSet":
-        return cls(True, PeriodicSet.full())
-
-    @classmethod
-    def of_points(cls, *points: int) -> "PrimeSet":
-        return cls(APEX in points,
-                   PeriodicSet.of(*[p for p in points if p != APEX]))
-
-    @classmethod
-    def cofinite_without(cls, *points: int) -> "PrimeSet":
-        return cls(APEX not in points,
-                   PeriodicSet.cofinite_without(
-                       *[p for p in points if p != APEX]))
-
-    @classmethod
-    def even_half(cls) -> "PrimeSet":
-        return cls(False, PeriodicSet.evens())
-
-    @classmethod
-    def odd_half(cls) -> "PrimeSet":
-        return cls(False, PeriodicSet.odds())
-
-    @staticmethod
-    def window(k: int) -> Iterator[int]:
-        yield APEX
-        yield from range(k + 1)
-
-    def contains(self, p: int) -> bool:
-        return self.apex if p == APEX else self.part.contains(p)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.apex and self.part.is_empty
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.part.is_infinite
-
-    def stability_bound(self) -> int:
-        return self.part.stability_bound()
-
-    def __and__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(self.apex and other.apex, self.part & other.part)
-
-    def __invert__(self) -> "PrimeSet":
-        return PrimeSet(not self.apex, ~self.part)
 
 
 @dataclass(frozen=True, slots=True)

@@ -151,7 +151,7 @@ def test_criterion_15_symbolic_exemplars():
     from convlab.symbolic.fan import fan_check
     from convlab.symbolic.prime import prime_check
     from convlab.symbolic.sets import (
-        FanSet, PeriodicSet, PrimeSet, fan_points, fan_row,
+        FanSet, PeriodicSet, fan_points, fan_row,
         fan_spine)
     from convlab.symbolic.filters import cofinite_filter
     from convlab.symbolic.truncation import (
@@ -174,10 +174,8 @@ def test_criterion_15_symbolic_exemplars():
             {r: rand_slice() for r in rng.sample(range(5), rng.randrange(3))})
 
     def rand_prime():
-        return PrimeSet(
-            rng.random() < 0.5,
-            PeriodicSet(rng.random() < 0.5, rng.random() < 0.5,
-                        frozenset(rng.sample(range(6), rng.randrange(4)))))
+        return PeriodicSet(rng.random() < 0.5, rng.random() < 0.5,
+                           frozenset(rng.sample(range(7), rng.randrange(4))))
 
     truncations_ok = True
     for _ in range(120):

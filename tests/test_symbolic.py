@@ -5,7 +5,6 @@ from convlab.symbolic.sets import (
     APEX,
     FanSet,
     PeriodicSet,
-    PrimeSet,
     UnrepresentableSet,
     fan_anchor,
     fan_apex,
@@ -26,6 +25,7 @@ from convlab.symbolic.filters import (
 )
 from convlab.symbolic.fan import fan_check, is_open, open_violations, vicinity
 from convlab.symbolic.prime import (
+    PRIME_APEX,
     apex_point_filter,
     limit_points,
     prime_check,
@@ -51,8 +51,6 @@ periodic_sets = st.builds(
     st.booleans(), st.booleans(),
     st.frozensets(st.integers(0, 5), max_size=4))
 
-prime_sets = st.builds(PrimeSet, st.booleans(), periodic_sets)
-
 fan_sets = st.builds(
     lambda apex, default, rows: FanSet.build(apex, default, rows),
     st.booleans(), periodic_sets,
@@ -77,7 +75,7 @@ def prime_filters():
     def build(wide, core_pick):
         core = wide & core_pick
         return cofinite_filter(wide, core)
-    return st.builds(build, prime_sets, prime_sets)
+    return st.builds(build, periodic_sets, periodic_sets)
 
 
 def fan_filters():
@@ -92,7 +90,7 @@ def fan_filters():
 # ---------------------------------------------------------------------------
 
 class TestSetAlgebra:
-    @given(prime_sets, prime_sets)
+    @given(periodic_sets, periodic_sets)
     @settings(max_examples=150, deadline=None)
     def test_prime_ops_pointwise(self, s1, s2):
         assert check_set_ops(s1, s2)
@@ -102,7 +100,7 @@ class TestSetAlgebra:
     def test_fan_ops_pointwise(self, s1, s2):
         assert check_set_ops(s1, s2)
 
-    @given(prime_sets)
+    @given(periodic_sets)
     def test_prime_certificates(self, s):
         assert check_emptiness(s)
         assert check_infiniteness(s)
@@ -112,7 +110,7 @@ class TestSetAlgebra:
         assert check_emptiness(s)
         assert check_infiniteness(s)
 
-    @given(prime_sets, prime_sets)
+    @given(periodic_sets, periodic_sets)
     def test_subset_via_truncation(self, s1, s2):
         k = max(s1.stability_bound(), s2.stability_bound(), MAX_WINDOW) + 2
         truncated = s1.truncate(k) <= s2.truncate(k)
@@ -128,26 +126,20 @@ class TestSetAlgebra:
         assert ~(~s1) == s1
         assert (~(s1 | s2)) == (~s1 & ~s2)
 
+    @given(periodic_sets, periodic_sets)
+    def test_intersection_diff_is_read_off_the_two_diffs(self, a, b):
+        c = a & b
+        bound = max(a.stability_bound(), b.stability_bound())
+        expected = frozenset(
+            x for x in range(bound)
+            if (a.contains(x) and b.contains(x))
+            != (c.even_tail if x % 2 == 0 else c.odd_tail))
+        assert c.diff == expected
+        assert c.diff <= a.diff | b.diff
+
     def test_negative_positions_rejected(self):
         with pytest.raises(UnrepresentableSet):
             PeriodicSet(False, False, frozenset({-2}))
-
-
-@pytest.mark.parametrize("sets", [periodic_sets], ids=["PeriodicSet"])
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_harness_on_natural_carriers(sets, data):
-    """The harness checks sets and filters on the plain N-carrier classes
-    as it does on the spoke and fan carriers."""
-    s1, s2, c1, c2 = data.draw(st.tuples(sets, sets, sets, sets))
-    assert check_set_ops(s1, s2)
-    assert check_emptiness(s1)
-    assert check_infiniteness(s1)
-    f1 = cofinite_filter(s1, s1 & c1)
-    f2 = cofinite_filter(s2, s2 & c2)
-    assert check_mesh(f1, f2)
-    assert check_leq(f1, f2)
-    assert check_member_semantics(f1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +148,25 @@ def test_harness_on_natural_carriers(sets, data):
 
 class TestFilterAlgebra:
     def test_canonical_principal_when_gap_finite(self):
-        wide = PrimeSet.of_points(0, 1, 2)
-        f = cofinite_filter(wide, PrimeSet.of_points(0))
+        wide = PeriodicSet.of(1, 2, 3)
+        f = cofinite_filter(wide, PeriodicSet.of(1))
         assert f.principal
-        assert f.wide == f.core == PrimeSet.of_points(0)
+        assert f.wide == f.core == PeriodicSet.of(1)
 
     def test_degenerate_when_free_and_finite(self):
-        f = cofinite_filter(PrimeSet.of_points(1, 2))
+        f = cofinite_filter(PeriodicSet.of(2, 3))
         assert f.degenerate
 
     def test_center_must_sit_inside(self):
         with pytest.raises(UnrepresentableSet):
-            cofinite_filter(PrimeSet.even_half(), PrimeSet.of_points(1))
+            cofinite_filter(PeriodicSet.evens(), PeriodicSet.of(1))
 
     @given(prime_filters(), prime_filters())
     @settings(max_examples=100, deadline=None)
     def test_meet_is_member_intersection(self, f1, f2):
         m = symbolic_meet(f1, f2)
         for s in [f1.wide, f2.wide, f1.wide | f2.wide, f1.core | f2.core,
-                  (f1.wide | f2.wide) - PrimeSet.of_points(0)]:
+                  (f1.wide | f2.wide) - PeriodicSet.of(1)]:
             assert m.member(s) == (f1.member(s) and f2.member(s))
 
     @given(prime_filters(), prime_filters())
@@ -191,11 +183,11 @@ class TestFilterAlgebra:
         # two cofinite-centered generators always meet to one generator;
         # the meet of the even-cofinite and odd-cofinite filters is the
         # cofinite filter of the union, and it stays sequential
-        f1 = cofinite_filter(PrimeSet.even_half())
-        f2 = cofinite_filter(PrimeSet.odd_half())
+        f1 = cofinite_filter(PeriodicSet.evens())
+        f2 = cofinite_filter(PeriodicSet.odds())
         m = symbolic_meet(f1, f2)
         assert symbolic_equal(m, cofinite_filter(
-            PrimeSet.even_half() | PrimeSet.odd_half()))
+            PeriodicSet.evens() | PeriodicSet.odds()))
         assert is_sequential(m)
 
     @given(prime_filters(), prime_filters())
@@ -220,13 +212,13 @@ class TestFilterAlgebra:
         assert check_member_semantics(f)
 
     def test_mesh_spec_cases(self):
-        b = PrimeSet.cofinite_without(APEX)
+        b = PeriodicSet.cofinite_without(PRIME_APEX)
         assert symbolic_mesh(cofinite_filter(b), cofinite_filter(b))
-        point = PrimeSet.of_points(7)
+        point = PeriodicSet.of(8)
         centered = cofinite_filter(b | point, point)
         assert symbolic_mesh(centered, principal_filter(point))
-        evens = cofinite_filter(PrimeSet.even_half())
-        odds = cofinite_filter(PrimeSet.odd_half())
+        evens = cofinite_filter(PeriodicSet.evens())
+        odds = cofinite_filter(PeriodicSet.odds())
         assert not symbolic_mesh(evens, odds)
 
 
@@ -258,8 +250,8 @@ def test_filters_stay_canonical(filters, data):
 
 class TestDecompose:
     def test_mixed_filter_splits(self):
-        wide = PrimeSet.full()
-        core = PrimeSet.of_points(1, 3)
+        wide = PeriodicSet.full()
+        core = PeriodicSet.of(2, 4)
         f = cofinite_filter(wide, core)
         free, princ = decompose(f)
         assert free.free and not free.degenerate
@@ -267,7 +259,7 @@ class TestDecompose:
         assert princ.principal and princ.core == core
 
     def test_principal_filter_has_degenerate_free_part(self):
-        f = principal_filter(PrimeSet.of_points(2))
+        f = principal_filter(PeriodicSet.of(3))
         free, princ = decompose(f)
         assert free.degenerate
         assert symbolic_equal(princ, f)
@@ -293,11 +285,11 @@ class TestSequential:
         assert is_sequential(f) and f.free
 
     def test_constant_sequence_is_principal_sequential(self):
-        f = principal_filter(PrimeSet.of_points(1))
+        f = principal_filter(PeriodicSet.of(2))
         assert is_sequential(f) and f.principal
 
     def test_degenerate_not_sequential(self):
-        assert not is_sequential(cofinite_filter(PrimeSet.of_points(1)))
+        assert not is_sequential(cofinite_filter(PeriodicSet.of(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +367,12 @@ class TestPrime:
         assert any("pseudotopological reflection" in c for c in claims)
 
     def test_point_filter_limits(self):
-        assert limit_points(principal_filter(PrimeSet.of_points(3))) == \
-            PrimeSet.of_points(3)
-        assert limit_points(apex_point_filter()) == PrimeSet.of_points(APEX)
+        assert limit_points(principal_filter(PeriodicSet.of(4))) == \
+            PeriodicSet.of(4)
+        assert limit_points(apex_point_filter()) == PeriodicSet.of(0)
 
     def test_two_point_principal_converges_nowhere(self):
-        f = principal_filter(PrimeSet.of_points(1, 2))
+        f = principal_filter(PeriodicSet.of(2, 3))
         assert limit_points(f).is_empty
 
     def test_cofinite_filter_converges_nowhere(self):
@@ -388,9 +380,15 @@ class TestPrime:
 
     def test_parity_deciding_filter_is_out_of_scope(self):
         with pytest.raises(UnrepresentableSet):
-            limit_points(cofinite_filter(PrimeSet.even_half()))
+            limit_points(cofinite_filter(PeriodicSet.evens()))
+
+    def test_halves_partition_the_carrier(self):
+        evens, odds = PeriodicSet.evens(), PeriodicSet.odds()
+        assert (evens & odds).is_empty
+        assert evens | odds == PeriodicSet.full()
+        assert evens.contains(PRIME_APEX)
 
     def test_undecided_on_parity(self):
         cof = whole_carrier_cofinite()
-        assert not cof.member(PrimeSet.even_half())
-        assert not cof.member(PrimeSet.odd_half())
+        assert not cof.member(PeriodicSet.evens())
+        assert not cof.member(PeriodicSet.odds())
