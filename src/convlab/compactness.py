@@ -40,6 +40,7 @@ from .families import (
     CarrierMismatch,
     FiniteFilter,
     FiniteRelation,
+    InvariantViolation,
     SetFamily,
     Subset,
     bits_of,
@@ -190,9 +191,7 @@ def image_of_compact(rel: FiniteRelation, theta: Convergence,
 
 def completeness_number_finite(conv: Convergence) -> int:
     """0, after verifying the space is compact (every filter adherent)."""
-    adh = adherence_table(conv)
-    for h in range(1, conv.carrier.full + 1):
-        if not adh[h]:
-            raise AssertionError(
-                "finite carrier with a non-adherent filter cannot happen")
+    if not all(adherence_table(conv)[1:]):
+        raise InvariantViolation(
+            "finite carrier with a non-adherent filter cannot happen")
     return 0

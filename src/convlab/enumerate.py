@@ -30,21 +30,27 @@ universes, and the targets of a domain live on target_carrier.  Nothing is
 built at import: each search stream builds its domain when it is first
 read, so a command pays only for the universes it uses.
 
-A flag search reads the classification kernel as the law sweep does: the
-targets of its domain form one maps.TargetUniverse, and each (map, source)
-pair builds one MapFacts and runs map_flags once, so no context is
-classified on its own.  The witness is the first context, in (map, source,
-target) order, whose flag bits match; examined counts the contexts read.
-A route disagreement raises InvariantViolation (exit code 3) when its pair
-is decided, so also at a target that follows the witness in that pair.
+A search reads its candidates in chunks (f, xi, cands, data), in search
+order.  A chunk's test is a bitset over its cands and the witness is the
+lowest hit bit, so examined and exhausted follow by arithmetic.  A flag
+search reads the classification kernel as the law sweep does: the targets
+of its domain form one maps.TargetUniverse, and each (map, source) pair
+builds one MapFacts and runs map_flags once, one chunk whose cands are the
+targets and whose data are their flag bitsets, so no context is built or
+classified on its own.  The closed-image hunt reads the same pairs cut to
+their continuous targets; the topology-final hunts take one candidate per
+chunk and generate each map's topologies afresh.  A route disagreement
+raises InvariantViolation (exit code 3) when its pair is decided, so also
+at a target that follows the witness in that pair.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterator
 
 from .families import (
@@ -272,54 +278,55 @@ class SearchResult:
 
 @dataclass(frozen=True, slots=True)
 class SearchEntry:
-    description: str
-    candidates: Callable[[], Iterator]
-    test: Callable[[object], bool]
-    serialize: Callable[[object], dict]
+    """A hunt over chunks (f, xi, cands, data) in search order: test(chunk)
+    is the bitset of the cands that witness, serialize(chunk, i) the
+    document of cands[i]; exhausts says that no candidate witnesses."""
+    exhausts: bool
+    candidates: Callable[[], Iterator[tuple]]
+    test: Callable[[tuple], int]
+    serialize: Callable[[tuple, int], dict]
 
 
-def _flagged(domain_name: str, want: dict[str, bool]):
-    """Factory of the deterministic (context, hit) stream of a named domain,
-    built when the stream is first read: the maps outermost, the targets
-    fastest.  Each (map, source) pair runs the classification kernel once
-    over the domain's targets, as the law sweep does, and hit says that the
-    context's flags have the wanted values."""
-    from .maps import MapContext, MapFacts, TargetUniverse, map_flags
+def _pairs(domain_name: str):
+    """Factory of the chunks of a named domain, one per (map, source) pair,
+    built when the stream is first read: the maps outermost, the cands the
+    domain's targets and data their flags, which the classification kernel
+    decides once per pair over all targets, as the law sweep does."""
+    from .maps import MapFacts, TargetUniverse, map_flags
 
     def gen():
         maps, sources, targets = domain(domain_name)
         universe = TargetUniverse(targets)
         for f in maps:
             for xi in sources:
-                flags = map_flags(MapFacts(f, xi, universe), universe)
-                hits = universe.full
-                for k, v in want.items():
-                    hits &= flags[k] if v else ~flags[k]
-                for tau in targets:
-                    yield MapContext(f, xi, tau), bool(hits & 1)
-                    hits >>= 1
+                yield f, xi, targets, map_flags(MapFacts(f, xi, universe),
+                                                universe)
     return gen
 
 
-def _serialize_context(ctx) -> dict:
-    from .io import convergence_to_doc
-    return {
-        "map": {lab: ctx.f(lab) for lab in ctx.f.source.labels},
-        "source": convergence_to_doc(ctx.source),
-        "target": convergence_to_doc(ctx.target),
-    }
+def _flags_match(want: dict[str, bool]):
+    """The test of the targets whose flags have the wanted values."""
+    def test(chunk) -> int:
+        hits = (1 << len(chunk[2])) - 1
+        for k, v in want.items():
+            hits &= chunk[3][k] if v else ~chunk[3][k]
+        return hits
+    return test
 
 
-def _hit(cand) -> bool:
-    return cand[1]
+def _serializer(key: str):
+    """The document of cands[i]: the map, the source and cands[i] as key."""
+    def serialize(chunk, i: int) -> dict:
+        from .io import convergence_to_doc
+        f, xi, cands, _ = chunk
+        return {"map": {lab: f(lab) for lab in f.source.labels},
+                "source": convergence_to_doc(xi),
+                key: convergence_to_doc(cands[i])}
+    return serialize
 
 
-def _serialize_flagged(cand) -> dict:
-    return _serialize_context(cand[0])
-
-
-def _topology_final_candidates(src_n: int, dst_n: int):
-    """Factory of the (map, topology, final convergence) stream; the
+def _topology_finals(src_n: int, dst_n: int):
+    """Factory of the chunks (f, topology, (final convergence,), None); the
     topologies are generated afresh for each map, so a hunt that stops
     early builds only the topologies it examines."""
     from .maps import final_convergence
@@ -328,87 +335,76 @@ def _topology_final_candidates(src_n: int, dst_n: int):
         src_c = default_carrier(src_n)
         for f in surjections(src_c, target_carrier(dst_n)):
             for xi in topologies(src_c):
-                yield (f, xi, final_convergence(f, xi))
+                yield f, xi, (final_convergence(f, xi),), None
     return gen
 
 
-def _final_not_topology(cand) -> bool:
+def _final_not_topology(chunk) -> int:
     from .functors import is_topology
-    return not is_topology(cand[2])
+    return not is_topology(chunk[2][0])
 
 
-def _serialize_final(cand) -> dict:
-    from .io import convergence_to_doc
-    f, xi, fxi = cand
-    return {
-        "map": {lab: f(lab) for lab in f.source.labels},
-        "source": convergence_to_doc(xi),
-        "final": convergence_to_doc(fxi),
-    }
-
-
-def _closed_image_candidates():
-    """Factory of the continuous contexts of 3to2, in domain order."""
-    flagged = _flagged("3to2", {"continuous": True})
+def _continuous_3to2():
+    """Factory of the 3to2 chunks cut to their continuous targets, if any."""
+    pairs = _pairs("3to2")
 
     def gen():
-        return (ctx for ctx, hit in flagged() if hit)
+        for f, xi, targets, flags in pairs():
+            cands = tuple(targets[k] for k in bits_of(flags["continuous"]))
+            if cands:
+                yield f, xi, cands, None
     return gen
 
 
-def _closed_image_not_closed(ctx) -> bool:
-    closed_t = set(closed_masks(ctx.target))
-    return any(ctx.f.image_mask(c) not in closed_t
-               for c in closed_masks(ctx.source))
+def _closed_image_not_closed(chunk) -> int:
+    f, xi, cands, _ = chunk
+    images = {f.image_mask(c) for c in closed_masks(xi)}
+    return sum(1 << k for k, tau in enumerate(cands)
+               if not images <= set(closed_masks(tau)))
 
 
-# (description, domain, wanted flags) of every search over the kernel's
-# flags.  The quotient-but-not-hereditarily-quotient pattern needs equal
-# 3-point carriers: on a 2-point target the two classes provably coincide
-# (a 2-point pretopology is a topology and openness is a pretopological
+# (exhausts, domain, wanted flags) of every search over the kernel's flags.
+# The quotient-but-not-hereditarily-quotient pattern needs equal 3-point
+# carriers: on a 2-point target the two classes provably coincide (a
+# 2-point pretopology is a topology and openness is a pretopological
 # invariant).
 _FLAG_PREDICATES = {
     "quotient_not_hereditarily_quotient": (
-        "quotient surjection that is not hereditarily quotient",
-        "3to3 pretopologies onto topologies",
+        False, "3to3 pretopologies onto topologies",
         {"quotient": True, "hereditarily_quotient": False}),
     "closed_not_adherent": (
-        "closed surjection that is not adherent",
-        "3to2", {"closed": True, "adherent": False}),
+        False, "3to2", {"closed": True, "adherent": False}),
     "quotient_not_closed": (
-        "quotient surjection that is not closed",
-        "3to2", {"quotient": True, "closed": False}),
+        False, "3to2", {"quotient": True, "closed": False}),
     "almost_open_not_open": (
-        "almost open surjection that is not open",
-        "3to2", {"almost_open": True, "open": False}),
+        False, "3to2", {"almost_open": True, "open": False}),
     "biquotient_not_almost_open": (
-        "biquotient surjection that is not almost open",
-        "3to2", {"biquotient": True, "almost_open": False}),
+        False, "3to2", {"biquotient": True, "almost_open": False}),
     "biquotient_not_perfect": (
-        "biquotient surjection that is not perfect",
-        "3to2", {"biquotient": True, "perfect": False}),
+        False, "3to2", {"biquotient": True, "perfect": False}),
+    # collapses at finite scale
     "hereditarily_quotient_not_biquotient": (
-        "collapses at finite scale: expected exhausted",
-        "2to2", {"hereditarily_quotient": True, "biquotient": False}),
+        True, "2to2", {"hereditarily_quotient": True, "biquotient": False}),
+    # impossible by the implication ladder
     "perfect_not_closed": (
-        "impossible by the implication ladder: expected exhausted",
-        "2to2", {"perfect": True, "closed": False}),
+        True, "2to2", {"perfect": True, "closed": False}),
 }
 
 PREDICATES: dict[str, SearchEntry] = {
-    name: SearchEntry(description, _flagged(domain_name, want), _hit,
-                      _serialize_flagged)
-    for name, (description, domain_name, want) in _FLAG_PREDICATES.items()}
+    name: SearchEntry(exhausts, _pairs(domain_name), _flags_match(want),
+                      _serializer("target"))
+    for name, (exhausts, domain_name, want) in _FLAG_PREDICATES.items()}
+# a topology whose final convergence is not a topology, 4 -> 3
 PREDICATES["topology_final_not_topology"] = SearchEntry(
-    "topology whose final convergence is not a topology (4 -> 3)",
-    _topology_final_candidates(4, 3), _final_not_topology, _serialize_final)
+    False, _topology_finals(4, 3), _final_not_topology, _serializer("final"))
+# the same hunt at 3 -> 2 exhausts: 2-point pretopologies are topologies,
+# and finality onto 2 points preserves pretopologies
 PREDICATES["topology_final_not_topology_3to2"] = SearchEntry(
-    "same hunt at 3 -> 2; provably exhausted (2-point pretopologies are "
-    "topologies and finality onto 2 points preserves pretopologies)",
-    _topology_final_candidates(3, 2), _final_not_topology, _serialize_final)
+    True, _topology_finals(3, 2), _final_not_topology, _serializer("final"))
+# a continuous surjection and a closed set with a non-closed image
 PREDICATES["continuous_image_of_closed_not_closed"] = SearchEntry(
-    "continuous surjection and a closed set with non-closed image",
-    _closed_image_candidates(), _closed_image_not_closed, _serialize_context)
+    False, _continuous_3to2(), _closed_image_not_closed,
+    _serializer("target"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,14 +425,21 @@ class SearchTask:
 def search(task: SearchTask) -> SearchResult:
     """First witness in the deterministic candidate order, or none with the
     number of examined candidates; exhausted when no candidate is left, so
-    a search cut at its limit is not."""
-    entry = PREDICATES[task.predicate]
-    stream = entry.candidates()
+    a search cut at its limit is not.  Each chunk is tested at once, and
+    only its candidates up to the limit count."""
+    entry, cap = PREDICATES[task.predicate], task.limit or math.inf
     examined = 0
-    for cand in islice(stream, task.limit):
-        examined += 1
-        if entry.test(cand):
-            return SearchResult(task.predicate, entry.serialize(cand),
-                                examined, False)
-    exhausted = examined != task.limit or next(stream, None) is None
-    return SearchResult(task.predicate, None, examined, exhausted)
+    for chunk in entry.candidates():
+        if examined == cap:  # a candidate is left past the limit
+            return SearchResult(task.predicate, None, examined, False)
+        room = min(len(chunk[2]), cap - examined)
+        hits = entry.test(chunk) & ((1 << room) - 1)
+        if hits:
+            i = (hits & -hits).bit_length() - 1
+            return SearchResult(task.predicate, entry.serialize(chunk, i),
+                                examined + i + 1, False)
+        examined += len(chunk[2])
+        if examined > cap:  # the limit cut the chunk
+            break
+    return SearchResult(task.predicate, None, min(examined, cap),
+                        examined <= cap)

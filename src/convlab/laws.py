@@ -10,7 +10,8 @@ pair at once, each flag a bitset over the targets.  A route
 disagreement inside the kernel raises InvariantViolation at the first
 failing context, the one a scan of one context at a time would meet.  The
 flag searches of enumerate, which suite_strictness_witnesses and
-emit_tables run, read the same kernel the same way.
+emit_tables run, read the same kernel the same way: one chunk per (map,
+source) pair, its witnesses a bitset over the targets.
 
 What the sweep adds are the laws about the flags, decided the same way per
 pair: the implication ladder and bijections are masks over the flag
@@ -70,6 +71,7 @@ from .compactness import (
     is_relation_compact,
 )
 from .enumerate import (
+    PREDICATES,
     SearchTask,
     all_convergences,
     all_maps,
@@ -1006,32 +1008,16 @@ def suite_prop_JE() -> LawResult:
 
 def suite_strictness_witnesses() -> LawResult:
     """Every non-reversible arrow that survives the finite collapse has a
-    search witness; collapsing or impossible arrows exhaust."""
+    search witness; collapsing or impossible arrows exhaust, as each search
+    entry states."""
     r = LawResult("strictness witnesses via search")
-    expect_witness = [
-        "quotient_not_hereditarily_quotient",
-        "closed_not_adherent",
-        "quotient_not_closed",
-        "almost_open_not_open",
-        "biquotient_not_almost_open",
-        "biquotient_not_perfect",
-        "continuous_image_of_closed_not_closed",
-        "topology_final_not_topology",
-    ]
-    expect_exhausted = [
-        "perfect_not_closed",
-        "hereditarily_quotient_not_biquotient",
-        "topology_final_not_topology_3to2",
-    ]
-    for name in expect_witness:
-        r.instances += 1
-        if search(SearchTask(name)).witness is None:
-            r.fail(f"{name}: expected a witness")
-    for name in expect_exhausted:
+    for name, entry in PREDICATES.items():
         r.instances += 1
         res = search(SearchTask(name))
-        if res.witness is not None:
+        if entry.exhausts and res.witness is not None:
             r.fail(f"{name}: expected exhaustion, found {res.witness}")
+        elif not entry.exhausts and res.witness is None:
+            r.fail(f"{name}: expected a witness")
     return r
 
 

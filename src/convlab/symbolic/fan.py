@@ -106,14 +106,14 @@ def no_open_between_apex_and_spine() -> tuple[bool, list[str]]:
                  "finite set stays cofinite (lemma verified on a grid)")
 
     # branch 1: bulk slice {0}
-    o1 = FanSet.build(True, PeriodicSet.of(0), {})
+    o1 = FanSet(True, PeriodicSet.of(0), {})
     v1 = open_violations(o1)
     if not (o1.subset_of(fan_spine()) and v1):
         ok = False
     steps.append(f"bulk slice {{0}}: openness fails ({v1[0] if v1 else '??'})")
 
     # branch 2: bulk slice {}
-    o2 = FanSet.build(True, PeriodicSet.empty(), {})
+    o2 = FanSet(True, PeriodicSet.empty(), {})
     remainder = fan_spine() - o2
     v2 = open_violations(o2)
     if not (o2.subset_of(fan_spine()) and remainder.is_infinite and v2):
@@ -123,8 +123,8 @@ def no_open_between_apex_and_spine() -> tuple[bool, list[str]]:
 
     # overrides cannot repair: the remainder stays infinite because its
     # uniform slice is untouched by finitely many rows
-    o3 = FanSet.build(True, PeriodicSet.empty(),
-                      {0: PeriodicSet.of(0), 5: PeriodicSet.of(0)})
+    o3 = FanSet(True, PeriodicSet.empty(),
+                {0: PeriodicSet.of(0), 5: PeriodicSet.of(0)})
     if not ((fan_spine() - o3).is_infinite and open_violations(o3)):
         ok = False
     steps.append("finitely many override rows leave the remainder's "
@@ -157,8 +157,8 @@ def fan_check() -> SymbolicReport:
         "; ".join(steps))
 
     # openness of a typical genuinely open set, as a control
-    control = FanSet.build(True, PeriodicSet.full(),
-                           {3: PeriodicSet.cofinite_without(0, 1)})
+    control = FanSet(True, PeriodicSet.full(),
+                     {3: PeriodicSet.cofinite_without(0, 1)})
     report.add(
         "control: a union of row tails over a cofinite anchor set is open",
         is_open(control) and not control.subset_of(spine),

@@ -151,7 +151,9 @@ class FanSet(RepresentableSet):
     """Representable subset of the fan carrier {apex} + rows x positions.
 
     ``overrides`` pins a PeriodicSet slice for finitely many rows; every
-    other row carries the uniform ``default`` slice.
+    other row carries the uniform ``default`` slice.  It is given as a dict
+    or as (row, slice) pairs and stored canonically: sorted by row, without
+    the slices equal to ``default``.
     """
 
     apex: bool
@@ -159,24 +161,20 @@ class FanSet(RepresentableSet):
     overrides: tuple[tuple[int, PeriodicSet], ...]
 
     def __post_init__(self):
-        rows = [r for r, _ in self.overrides]
-        if sorted(set(rows)) != rows or any(r < 0 for r in rows):
-            raise UnrepresentableSet("override rows must be sorted, unique")
-
-    @classmethod
-    def build(cls, apex: bool, default: PeriodicSet,
-              overrides: dict[int, PeriodicSet]) -> "FanSet":
-        canon = tuple(sorted(
-            (r, s) for r, s in overrides.items() if s != default))
-        return cls(apex, default, canon)
+        rows = dict(self.overrides)
+        if len(rows) != len(self.overrides) or any(r < 0 for r in rows):
+            raise UnrepresentableSet(
+                "override rows must be unique and non-negative")
+        object.__setattr__(self, "overrides", tuple(
+            (r, s) for r, s in sorted(rows.items()) if s != self.default))
 
     @classmethod
     def empty(cls) -> "FanSet":
-        return cls.build(False, PeriodicSet.empty(), {})
+        return cls(False, PeriodicSet.empty(), {})
 
     @classmethod
     def full(cls) -> "FanSet":
-        return cls.build(True, PeriodicSet.full(), {})
+        return cls(True, PeriodicSet.full(), {})
 
     @classmethod
     def of_points(cls, *points) -> "FanSet":
@@ -184,8 +182,8 @@ class FanSet(RepresentableSet):
         for p in points:
             if p != APEX:
                 rows.setdefault(p[0], set()).add(p[1])
-        return cls.build(APEX in points, PeriodicSet.empty(),
-                         {r: PeriodicSet.of(*ps) for r, ps in rows.items()})
+        return cls(APEX in points, PeriodicSet.empty(),
+                   {r: PeriodicSet.of(*ps) for r, ps in rows.items()})
 
     @staticmethod
     def window(k: int) -> Iterator:
@@ -227,12 +225,12 @@ class FanSet(RepresentableSet):
 
     def __and__(self, other: "FanSet") -> "FanSet":
         rows = set(self.override_rows()) | set(other.override_rows())
-        return FanSet.build(
+        return FanSet(
             self.apex and other.apex, self.default & other.default,
             {r: self.slice_of(r) & other.slice_of(r) for r in rows})
 
     def __invert__(self) -> "FanSet":
-        return FanSet.build(
+        return FanSet(
             not self.apex, ~self.default,
             {r: ~s for r, s in self.overrides})
 
@@ -242,18 +240,18 @@ fan_points = FanSet.of_points
 
 def fan_row(n: int) -> FanSet:
     """The full row X_n = {(n, j) : j in N}."""
-    return FanSet.build(False, PeriodicSet.empty(), {n: PeriodicSet.full()})
+    return FanSet(False, PeriodicSet.empty(), {n: PeriodicSet.full()})
 
 
 def fan_anchor(n: int) -> FanSet:
     """The singleton of the row anchor x_n = (n, 0)."""
-    return FanSet.build(False, PeriodicSet.empty(), {n: PeriodicSet.of(0)})
+    return FanSet(False, PeriodicSet.empty(), {n: PeriodicSet.of(0)})
 
 
 def fan_apex() -> FanSet:
-    return FanSet.build(True, PeriodicSet.empty(), {})
+    return FanSet(True, PeriodicSet.empty(), {})
 
 
 def fan_spine() -> FanSet:
     """X_infinity = {apex} + all anchors: the uniform slice {0}."""
-    return FanSet.build(True, PeriodicSet.of(0), {})
+    return FanSet(True, PeriodicSet.of(0), {})

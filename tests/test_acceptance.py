@@ -169,7 +169,7 @@ def test_criterion_15_symbolic_exemplars():
                            frozenset(rng.sample(range(5), rng.randrange(3))))
 
     def rand_fan():
-        return FanSet.build(
+        return FanSet(
             rng.random() < 0.5, rand_slice(),
             {r: rand_slice() for r in rng.sample(range(5), rng.randrange(3))})
 

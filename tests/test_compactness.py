@@ -16,12 +16,18 @@ from convlab.families import (
     Carrier,
     FiniteFilter,
     FiniteRelation,
+    InvariantViolation,
     SetFamily,
     Subset,
 )
 from convlab.functors import Selector, topologize
 from convlab.maps import MapContext, identity_map, is_perfect_like
-from convlab.spaces import closed_masks, discrete, validate_table
+from convlab.spaces import (
+    adherence_table,
+    closed_masks,
+    discrete,
+    validate_table,
+)
 from convlab.enumerate import all_convergences, default_carrier
 from convlab.zoo import ABC, chain_pretopology, sierpinski
 
@@ -196,6 +202,17 @@ class TestCompleteness:
         tau = topologize(xi)
         assert completeness_number_finite(xi) == \
             completeness_number_finite(tau) == 0
+
+    def test_a_non_adherent_filter_is_an_invariant_violation(self,
+                                                             monkeypatch):
+        """A broken adherence table exits 3 through InvariantViolation, not
+        with a traceback."""
+        def without_b(conv):
+            return tuple(0 if h == 0b10 else a
+                         for h, a in enumerate(adherence_table(conv)))
+        monkeypatch.setattr("convlab.compactness.adherence_table", without_b)
+        with pytest.raises(InvariantViolation):
+            completeness_number_finite(discrete(ABC))
 
     def test_query_carrier_mismatch(self):
         from convlab.families import CarrierMismatch

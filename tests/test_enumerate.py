@@ -231,13 +231,15 @@ class TestSearch:
     @pytest.mark.parametrize("name", sorted(PREDICATES))
     def test_search_reads_the_kernel_and_matches_the_record(self, name,
                                                             monkeypatch):
-        """No search classifies one context at a time, and every search
-        document is the recorded one."""
+        """No search builds or classifies one context at a time, and every
+        search document is the recorded one."""
         def refuse(*args, **kwargs):
-            raise AssertionError("a search classified a single context")
+            raise AssertionError("a search built or classified one context")
         # classify builds one report per call, whoever holds a reference
         monkeypatch.setattr("convlab.maps.classify", refuse)
         monkeypatch.setattr("convlab.maps.ClassificationReport", refuse)
+        # and a context is refused on construction, whatever bound its class
+        monkeypatch.setattr("convlab.maps.MapContext.__post_init__", refuse)
         res = search(SearchTask(name))
         assert {"predicate": res.predicate, "examined": res.examined,
                 "witness": res.witness, "exhausted": res.exhausted} == \
@@ -288,6 +290,33 @@ class TestSearch:
         for limit in (162, 163, None):
             res = search(SearchTask("perfect_not_closed", limit=limit))
             assert res.examined == 162 and res.exhausted
+
+    def test_limit_at_a_chunk_boundary(self):
+        """A 3to2 chunk holds the 9 targets of a pair.  The witness at 2144
+        is the second candidate of the chunk after 2142, so cuts at the
+        chunk's boundary and inside it leave the witness unread."""
+        for limit in (2142, 2143):
+            cut = search(SearchTask("closed_not_adherent", limit=limit))
+            assert (cut.examined, cut.witness, cut.exhausted) == \
+                (limit, None, False)
+        res = search(SearchTask("closed_not_adherent", limit=2144))
+        assert res.examined == 2144
+        assert res.witness == RECORDED_SEARCHES["closed_not_adherent"][
+            "witness"]
+
+    def test_limit_at_the_last_single_candidate_chunk(self):
+        # the 3 -> 2 topology hunt has 174 one-candidate chunks
+        cut = search(SearchTask("topology_final_not_topology_3to2",
+                                limit=173))
+        assert cut.examined == 173 and not cut.exhausted
+        res = search(SearchTask("topology_final_not_topology_3to2",
+                                limit=174))
+        assert res.examined == 174 and res.exhausted
+
+    def test_limit_one_before_the_closed_image_witness(self):
+        res = search(SearchTask("continuous_image_of_closed_not_closed",
+                                limit=1))
+        assert (res.examined, res.witness, res.exhausted) == (1, None, False)
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, limit):

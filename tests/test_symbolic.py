@@ -52,8 +52,7 @@ periodic_sets = st.builds(
     st.frozensets(st.integers(0, 5), max_size=4))
 
 fan_sets = st.builds(
-    lambda apex, default, rows: FanSet.build(apex, default, rows),
-    st.booleans(), periodic_sets,
+    FanSet, st.booleans(), periodic_sets,
     st.dictionaries(st.integers(0, 4), periodic_sets, max_size=3))
 
 # the sets the fan exemplar builds, closed under & and ~
@@ -140,6 +139,21 @@ class TestSetAlgebra:
     def test_negative_positions_rejected(self):
         with pytest.raises(UnrepresentableSet):
             PeriodicSet(False, False, frozenset({-2}))
+
+    def test_fan_sets_are_stored_canonically(self):
+        """A row slice equal to the default is dropped, so equal point sets
+        compare equal however their rows were given."""
+        empty = PeriodicSet.empty()
+        assert FanSet(False, empty, ((1, empty),)) == FanSet.empty()
+        assert FanSet(True, empty, ((3, PeriodicSet.of(0)), (1, ~empty))) \
+            == FanSet(True, empty, {1: ~empty, 3: PeriodicSet.of(0)})
+
+    @pytest.mark.parametrize("rows", [((1, PeriodicSet.of(0)),
+                                       (1, PeriodicSet.of(2))),
+                                      ((-1, PeriodicSet.of(0)),)])
+    def test_fan_rows_unique_and_non_negative(self, rows):
+        with pytest.raises(UnrepresentableSet):
+            FanSet(False, PeriodicSet.empty(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +339,8 @@ class TestFan:
         assert is_open(FanSet.full())
         assert is_open(FanSet.empty())
         # all rows fully, apex, minus a finite non-anchor chunk
-        o = FanSet.build(True, PeriodicSet.full(),
-                         {2: PeriodicSet.cofinite_without(0, 1, 2)})
+        o = FanSet(True, PeriodicSet.full(),
+                   {2: PeriodicSet.cofinite_without(0, 1, 2)})
         assert is_open(o)
         # isolated points are open singletons
         assert is_open(fan_points((1, 4)))
