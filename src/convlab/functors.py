@@ -12,7 +12,7 @@ pseudotopologizer S).
 The finite collapse is decided once.  On a finite carrier every filter
 attains its intersection, so the principal, countably based, sequential and
 all-filter classes have the same bases: _principal_masks enumerates them
-for F0, F1 and F_ALL, and S0 = S1 = S is one function under three names.
+for F0, F1 and F_ALL, and reflect sends the three to one cached function.
 That function is the closed form the antitone axiom gives: every class
 filter meshing ^F contains a point filter of F, so the operator sends
 lim ^F to the intersection of lim ^{x} over x in F (the ultrafilter
@@ -26,9 +26,13 @@ reflect_by_steps, is the O(4^n) oracle the law sweep compares both with.
 The coreflectors Seq (sequentially based), I1 (countable character) and K
 (locally compactoid) are the identity on a finite convergence: antitony
 makes Seq's union over coarser principal filters the entry itself, and
-every nonempty set is compactoid.  Their handles return the argument;
-seq_coreflect (= I1) and locally_compactoid_coreflect are the definitions,
-the oracle the finite-collapse suite compares with the identity.
+every nonempty set is compactoid.  seq_coreflect (= I1) and
+locally_compactoid_coreflect are the definitions, the oracle the
+finite-collapse suite compares with the identity.
+
+A FunctorHandle carries its selector: T, S0, S1 and S apply reflect at
+their filter class, so reflect is the one dispatch; the identity I and the
+coreflectors carry none and return the argument.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ def pretopologize(conv: Convergence) -> Convergence:
     return reflect(Selector.F0, conv)
 
 
-paratopologize = pseudotopologize = pretopologize
+pseudotopologize = pretopologize
 
 
 # ---------------------------------------------------------------------------
@@ -189,39 +193,20 @@ def locally_compactoid_coreflect(conv: Convergence) -> Convergence:
 class FunctorHandle:
     tag: str
     kind: str  # reflector | coreflector | identity
+    selector: Selector | None = None  # the filter class of a reflector
 
     def __call__(self, conv: Convergence) -> Convergence:
-        return _APPLY[self.tag](conv)
-
-    @property
-    def selector(self) -> Selector:
-        try:
-            return _REFLECTOR_SELECTOR[self.tag]
-        except KeyError:
-            raise ValidationError(
-                [f"{self.tag} is not an adherence-determined reflector"]) from None
+        # the identity, and each coreflector's closed form on a finite
+        # carrier (module docstring)
+        if self.selector is None:
+            return conv
+        return reflect(self.selector, conv)
 
 
-_APPLY = {
-    "T": topologize,
-    "S0": pretopologize,
-    "S1": paratopologize,
-    "S": pseudotopologize,
-    # the coreflectors' closed form on a finite carrier (module docstring)
-    **dict.fromkeys(("I", "Seq", "I1", "K"), lambda conv: conv),
-}
-
-_REFLECTOR_SELECTOR = {
-    "T": Selector.F0_CLOSED,
-    "S0": Selector.F0,
-    "S1": Selector.F1,
-    "S": Selector.F_ALL,
-}
-
-T = FunctorHandle("T", "reflector")
-S0 = FunctorHandle("S0", "reflector")
-S1 = FunctorHandle("S1", "reflector")
-S = FunctorHandle("S", "reflector")
+T = FunctorHandle("T", "reflector", Selector.F0_CLOSED)
+S0 = FunctorHandle("S0", "reflector", Selector.F0)
+S1 = FunctorHandle("S1", "reflector", Selector.F1)
+S = FunctorHandle("S", "reflector", Selector.F_ALL)
 I = FunctorHandle("I", "identity")
 SEQ = FunctorHandle("Seq", "coreflector")
 I1 = FunctorHandle("I1", "coreflector")

@@ -603,13 +603,9 @@ def check_functor_laws(r: LawResult, h, convs, maps) -> None:
 def suite_functor_laws(sample_pairs: int) -> LawResult:
     """Contractive/expansive, idempotent, isotone, functorial for the four
     reflectors, three coreflectors and the identity; exhaustive at n=2 and
-    sampled at n=3.  At n=3 each sample decides "zeta finer than xi" once,
-    applies each reflector to xi and zeta once, for the laws and for
-    functoriality, and decides the continuity of f once per distinct
-    (h xi, h zeta) table pair, seeded with the guard's verdict on
-    (xi, zeta): handles that share a table, such as the identity
-    coreflectors, share the decision, and every handle is still applied
-    and counted."""
+    sampled at n=3.  At n=3 each sample decides "zeta finer than xi" once
+    and applies each reflector to xi and zeta once, for the laws and for
+    functoriality."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
@@ -635,15 +631,10 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
                 r.fail(f"{h.tag} not isotone at n=3")
         f = maps3[rng.randrange(len(maps3))]
         if continuous(MapContext(f, xi, zeta)):
-            decided = {(xi.table, zeta.table): True}
             applied += [(h, h(xi), h(zeta)) for h in COREFLECTORS]
             for h, hx, hz in applied:
                 r.instances += 1
-                key = hx.table, hz.table
-                ok = decided.get(key)
-                if ok is None:
-                    ok = decided[key] = continuous(MapContext(f, hx, hz))
-                if not ok:
+                if not continuous(MapContext(f, hx, hz)):
                     r.fail(f"{h.tag} not functorial at n=3")
     return r
 
@@ -1137,13 +1128,17 @@ def run_laws(max_size: int = 3) -> LawSuiteReport:
 # machine-checked analogues of the implication / preservation tables
 # ---------------------------------------------------------------------------
 
+# (perfect-like, quotient-like, non-reversal witness: a map with the
+# right-hand class only).  At finite scale hereditarily quotient =
+# biquotient and adherent = perfect, so the middle rows share the
+# biquotient-not-perfect witness.
 PERFECT_TO_QUOTIENT_ROWS = [
-    (None, "open"),
-    (None, "almost_open"),
-    ("perfect", "biquotient"),
-    ("countably_perfect", "countably_biquotient"),
-    ("adherent", "hereditarily_quotient"),
-    ("closed", "quotient"),
+    (None, "open", None),
+    (None, "almost_open", None),
+    ("perfect", "biquotient", "biquotient_not_perfect"),
+    ("countably_perfect", "countably_biquotient", "biquotient_not_perfect"),
+    ("adherent", "hereditarily_quotient", "biquotient_not_perfect"),
+    ("closed", "quotient", "quotient_not_closed"),
 ]
 
 PRESERVATION_ROWS = [
@@ -1153,16 +1148,6 @@ PRESERVATION_ROWS = [
     ("hereditarily quotient", "S0", "Frechet"),
     ("quotient", "T", "sequential"),
 ]
-
-# non-reversal witness per arrow: a map with the right-hand class only
-# (at finite scale hereditarily quotient = biquotient and adherent =
-# perfect, so the middle rows share the biquotient-not-perfect witness)
-_ARROW_WITNESS = {
-    ("perfect", "biquotient"): "biquotient_not_perfect",
-    ("countably_perfect", "countably_biquotient"): "biquotient_not_perfect",
-    ("adherent", "hereditarily_quotient"): "biquotient_not_perfect",
-    ("closed", "quotient"): "quotient_not_closed",
-}
 
 # strictness of the quotient ladder itself
 _LADDER_WITNESSES = {
@@ -1183,20 +1168,12 @@ def emit_tables(max_size: int = 3) -> dict:
     stats = SweepStats()
     sweep_domain(*domain(_maps_domain(max_size)), stats)
     impl_rows = []
-    for left, right in PERFECT_TO_QUOTIENT_ROWS:
-        if left is None:
-            impl_rows.append({"perfect_like": None, "quotient_like": right,
-                              "verified_instances": stats.contexts})
-            continue
-        row = {
-            "perfect_like": left,
-            "quotient_like": right,
-            "verified_instances": stats.contexts,
-            "violations": stats.breaches.get((left, right), 0),
-        }
-        key = (left, right)
-        if key in _ARROW_WITNESS:
-            row["non_reversal_witness"] = witness(_ARROW_WITNESS[key])
+    for left, right, pred in PERFECT_TO_QUOTIENT_ROWS:
+        row = {"perfect_like": left, "quotient_like": right,
+               "verified_instances": stats.contexts}
+        if left is not None:
+            row["violations"] = stats.breaches.get((left, right), 0)
+            row["non_reversal_witness"] = witness(pred)
         impl_rows.append(row)
     collapse_note = ("biquotient = countably biquotient = hereditarily "
                      "quotient and perfect = countably perfect = adherent "

@@ -112,11 +112,9 @@ def check_mesh(f1: SymbolicFilter, f2: SymbolicFilter) -> bool:
         return not any(m1.contains(p) and m2.contains(p)
                        for p in m1.window(MAX_WINDOW))
     # meshing: every sampled member pair intersects
-    for m1 in _sample_members(f1):
-        for m2 in _sample_members(f2):
-            if not m1.meets(m2):
-                return False
-    return True
+    members2 = _sample_members(f2)
+    return all(m1.meets(m2)
+               for m1 in _sample_members(f1) for m2 in members2)
 
 
 def _some_point(s):

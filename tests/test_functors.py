@@ -16,6 +16,7 @@ from convlab.functors import (
     pretopologize,
     pseudotopologize,
     reflect,
+    reflect_by_steps,
     seq_coreflect,
     topologize,
 )
@@ -134,9 +135,19 @@ class TestHandles:
         assert r.ok
         assert r.instances == 9 + 9 * 9 + 9 * 9 * 4
 
-    def test_selector_of_coreflector_raises(self):
-        with pytest.raises(ValidationError):
-            HANDLES["Seq"].selector
+    def test_only_the_reflectors_carry_a_selector(self):
+        carrying = [h for h in HANDLES.values() if h.selector is not None]
+        assert carrying == list(REFLECTORS)
+        assert [h.selector for h in carrying] == [
+            Selector.F0_CLOSED, Selector.F0, Selector.F1, Selector.F_ALL]
+
+    def test_each_handle_is_reflect_at_its_selector_or_the_identity(self):
+        for c in all_convergences(default_carrier(3)):
+            for h in HANDLES.values():
+                if h.selector is None:
+                    assert h(c) is c
+                else:
+                    assert h(c).table == reflect_by_steps(h.selector, c).table
 
 
 class TestOrdering:

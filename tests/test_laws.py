@@ -617,10 +617,12 @@ def test_cover_duality_fails_on_a_wrong_complement_adherence(monkeypatch):
 
 def test_functor_laws_decide_every_handle_with_its_own_tables(monkeypatch):
     """An S1 that differs from S0 (it topologizes pretopologies and keeps
-    the rest) and is not functorial fails at n=3: the functoriality memo,
-    keyed by the (h xi, h zeta) tables, hides no handle."""
-    monkeypatch.setitem(functors._APPLY, "S1", lambda c: (
-        topologize(c) if is_pretopology(c) else c))
+    the rest) and is not functorial fails at n=3: each handle's
+    functoriality is decided on its own images."""
+    reflect = functors.reflect
+    monkeypatch.setattr(functors, "reflect", lambda sel, c: (
+        reflect(sel, c) if sel is not Selector.F1
+        else topologize(c) if is_pretopology(c) else c))
     r = laws.suite_functor_laws(10_000)
     assert (r.instances, r.failures_total) == (65_824, 7)
     assert "S1 not functorial at n=3" in r.failures
