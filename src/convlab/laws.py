@@ -13,8 +13,8 @@ flag searches of enumerate, which suite_strictness_witnesses and
 emit_tables run, read the same kernel the same way: one chunk per (map,
 source) pair, its witnesses a bitset over the targets.
 
-What the sweep adds are the laws about the flags, decided the same way per
-pair: the implication ladder and bijections are masks over the flag
+What the sweep adds are the laws about the flags, decided the same way, as
+bitsets: the implication ladder and bijections are masks over the flag
 bitsets; preservation compares the T and S0 flags with the targets whose
 reflection equals that of the final convergence, read on the universe's T
 and S0 tables; the final/initial adjunction and the continuity
@@ -26,13 +26,16 @@ are constraints on the adherence tables, which are the closure tables of
 topologies.  The forms that read the source only through
 its adherence table, whose singleton limits fix its S0 table and its closed
 sets, only through its final convergence, or only through its pushed
-limits f(lim ^A) share the per-map memo of map_flags, keyed by that table
-(sweep_domain lists each part with its key).  The ladder check also
-counts, per arrow, the contexts that breach it (a popcount per pair), and
-emit_tables reads its implication rows' violations from those counts.  On
-the contexts whose number is a multiple of CROSSCHECK_STRIDE, the kernel's
-graph-closedness flag and the relation-compactness verdicts are compared
-with the relation-level implementations in maps and compactness.
+limits f(lim ^A) share the per-map memo of map_flags, keyed by that table,
+and so do the law gaps, one record per (adherence, lift table) and one
+per (lift table, pushed limits) (sweep_domain lists each part with its
+key); each pair looks up its two law records and reports their gaps at
+itself.  The ladder check also counts, per arrow, the contexts that breach
+it (a popcount per pair), and emit_tables reads its implication rows'
+violations from those counts.  On the contexts whose number is a multiple
+of CROSSCHECK_STRIDE, the kernel's graph-closedness flag and the
+relation-compactness verdicts are compared with the relation-level
+implementations in maps and compactness.
 
 run_laws sweeps the enumerate domains named in LAW_DOMAINS, in that order
 (a smoke run, max_size 2, only the first); the preservation grid and
@@ -47,7 +50,8 @@ continuity verdict per distinct (h xi, h zeta) table pair of a sample.
 
 LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
 counts every failure in failures_total; run_laws records each standalone
-suite's wall time in its seconds.
+suite's wall time in its seconds, and each named domain's pairs, contexts,
+law records and wall time in SweepStats.domains.
 """
 
 from __future__ import annotations
@@ -134,7 +138,9 @@ from .maps import (
     is_hausdorff,
     is_JE,
     is_quotient_like,
+    lift_record,
     map_flags,
+    pair_keys,
 )
 from .spaces import (
     adherence_scan,
@@ -187,6 +193,7 @@ class LawResult:
 class LawSuiteReport:
     results: list[LawResult]
     elapsed: float
+    domains: list[dict] = field(default_factory=list)  # SweepStats.domains
 
     @property
     def ok(self) -> bool:
@@ -209,6 +216,8 @@ class LawSuiteReport:
                  "seconds": (None if r.seconds is None
                              else round(r.seconds, 4))}
                 for r in self.results],
+            "domains": [{**d, "seconds": round(d["seconds"], 4)}
+                        for d in self.domains],
         }
 
 
@@ -218,7 +227,13 @@ class LawSuiteReport:
 
 @dataclass(slots=True)
 class SweepStats:
+    pairs: int = 0
     contexts: int = 0
+    # law records built (sweep_domain lists the two kinds)
+    records: int = 0
+    # per named domain of run_laws: its name, (map, source) pairs,
+    # contexts, law records built and wall time in seconds
+    domains: list[dict] = field(default_factory=list)
     agreement: LawResult = field(
         default_factory=lambda: LawResult("route agreement (quotient x3, perfect x2)"))
     continuity_eq: LawResult = field(
@@ -353,180 +368,275 @@ def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
         ("closed-class continuity form", closed_cont ^ cont))
 
 
+class _Pair:
+    """One (map, source) pair of a sweep, with its lift table and pushed
+    limits.  decided() builds its MapFacts record and flags on the first
+    call and keeps them for the pair; source_laws and limit_laws build the
+    pair's two law records on a memo miss.  A law record is () when every
+    gap in it is empty; else it holds what reporting the gaps at a pair
+    needs, and each (result, gaps) entry of its checks is what _fail_at
+    reads, its messages naming the map alone."""
+
+    __slots__ = ("f", "xi", "lifts", "lims", "universe", "stats", "_decided")
+
+    def __init__(self, f, xi, lifts: tuple, lims: tuple,
+                 universe: TargetUniverse, stats: SweepStats):
+        self.f, self.xi, self.lifts, self.lims = f, xi, lifts, lims
+        self.universe, self.stats = universe, stats
+        self._decided = None
+
+    def decided(self) -> tuple:
+        if self._decided is None:
+            facts = MapFacts(self.f, self.xi, self.universe)
+            self._decided = facts, map_flags(facts, self.universe)
+        return self._decided
+
+    def source_laws(self) -> tuple:
+        """The record of one (adh_s, lifts) key: the laws that read the pair
+        through its source adherence and lift table alone (fxi is the
+        image of the lift table), as (transport, breaches, checks):
+        whether adh_fxi differs from pre_adh, (arrow, the targets breaching
+        it) per breached arrow of the ladder, and the bijection,
+        continuity-form, compactness and preservation gaps."""
+        facts, flags = self.decided()
+        f, universe = self.f, self.universe
+        self.stats.records += 1
+        cont_refl, incl2, rc_perf_gen, rc_perf_closed = universe.memoized(
+            f, ("source", facts.adh_s), partial(_source_forms, facts, universe))
+        rc_quot_gen, rc_quot_closed, t_eq, s0_eq = universe.memoized(
+            f, ("final", facts.fxi.table),
+            partial(_final_forms, facts, universe))
+        cont = flags["continuous"]
+        q_gen, q_closed = flags["biquotient"], flags["quotient"]
+        p_gen, p_closed = flags["perfect"], flags["closed"]
+        # adherence transport: adh in the final convergence equals the
+        # pushed source adherence of the preimage filter
+        transport = facts.adh_fxi != facts.pre_adh
+        breaches = tuple((arrow, bad) for arrow in _LADDER
+                         if (bad := flags[arrow[0]] & ~flags[arrow[1]]))
+        checks = []
+
+        # bijections: quotient <-> perfect per class
+        gap = (q_gen ^ p_gen) | (q_closed ^ p_closed)
+        if gap and f.is_bijective():
+            checks.append(("bijections", [(gap, lambda i: (
+                f"bijection gap at {f.mapping}: "
+                f"q={_at(q_gen, i)}/{_at(q_closed, i)} "
+                f"p={_at(p_gen, i)}/{_at(p_closed, i)}"))]))
+
+        gap = cont_refl ^ incl2
+        if gap:
+            checks.append(("continuity_eq", [(gap, lambda i: (
+                f"cont-in-conv forms disagree at {f.mapping}: "
+                f"{_at(cont_refl, i)}/{_at(incl2, i)}"))]))
+
+        # relation compactness
+        perf_gap = (rc_perf_gen ^ p_gen) | (rc_perf_closed ^ p_closed)
+        quot_gap = (rc_quot_gen ^ q_gen) | (rc_quot_closed ^ q_closed)
+        if perf_gap or quot_gap:
+            checks.append(("compact_thms", [
+                (perf_gap, lambda i: (
+                    f"perfect/compact-fiber gap at {f.mapping}: "
+                    f"rc={_at(rc_perf_gen, i)}/{_at(rc_perf_closed, i)} "
+                    f"p={_at(p_gen, i)}/{_at(p_closed, i)}")),
+                (quot_gap, lambda i: (
+                    f"quotient/compact gap at {f.mapping}: "
+                    f"rc={_at(rc_quot_gen, i)}/{_at(rc_quot_closed, i)} "
+                    f"q={_at(q_gen, i)}/{_at(q_closed, i)}"))]))
+
+        # the quotient variants are the quotient maps of the reflective
+        # subcategories: for continuous f (f xi >= tau), tau >= J(f xi) iff
+        # J tau = J(f xi), by isotony, idempotence and contractivity of J.
+        # S0, S1 and S share the reflection table.
+        gap = cont & ((q_closed ^ t_eq) | (q_gen ^ s0_eq))
+        if gap:
+            checks.append(("preservation", [(gap, lambda i: (
+                f"T/S0-quotient {_at(q_closed, i)}/{_at(q_gen, i)} but "
+                f"J tau = J(f xi) {_at(t_eq, i)}/{_at(s0_eq, i)} at "
+                f"{f.mapping}"))]))
+        if transport or breaches or checks:
+            return transport, breaches, tuple(checks)
+        return ()
+
+    def limit_laws(self) -> tuple:
+        """The record of one (lifts, lims) key: the laws that read the pair
+        through its lift table and pushed limits alone, as (differs,
+        checks): whether fxi differs from the final_convergence_scan
+        oracle, which reads xi only through f(lim ^A), and the adjunction
+        gap.  The adjunction: f xi >= tau (the kernel's continuity flag,
+        read on the final convergence) <=> xi >= f- tau, read one A at a
+        time: f(lim ^A) inside lim ^f(A).  It reads fxi and the continuity
+        flag off the kernel's lift record, so it builds no MapFacts."""
+        f, xi, universe, lims = self.f, self.xi, self.universe, self.lims
+        self.stats.records += 1
+        img_a = f.image_table
+        fxi, _, _, _, cont, _, _ = lift_record(f, self.lifts, universe)
+        init_ok, scan = universe.memoized(f, ("init", lims), lambda: (
+            universe.holding("co_lim", (
+                (img_a[a], lims[a]) for a in range(1, f.source.full + 1))),
+            final_convergence_scan(f, xi)))
+        differs = fxi != scan
+        gap = cont ^ init_ok
+        checks = ((("adjunction", [(gap, lambda i: (
+            f"adjunction broken at {f.mapping}: "
+            f"{_at(cont, i)}/{_at(init_ok, i)}"))]),) if gap else ())
+        return (differs, checks) if differs or checks else ()
+
+
+def _report(stats: SweepStats, n: int, pair: _Pair, source_laws: tuple,
+            limit_laws: tuple) -> None:
+    """The failures of one pair, read off its two law records, as a run
+    that decides every law at the pair records them; the ladder message
+    lists the pair's own flags."""
+    f, xi = pair.f, pair.xi
+    transport, breaches, checks = source_laws or (False, (), ())
+    differs, limit_checks = limit_laws or (False, ())
+    if transport or differs:
+        stats.adjunction.fail(
+            f"final convergence or its adherence transport failed: "
+            f"{f.mapping} {xi!r}")
+    if breaches:
+        breached = 0
+        for arrow, bad in breaches:
+            breached |= bad
+            stats.breaches[arrow] = stats.breaches.get(arrow, 0) + popcount(bad)
+        flags = pair.decided()[1]
+        _fail_at(stats.implications, n, [(breached, lambda i: (
+            f"ladder breached at {f.mapping}: "
+            f"{ {name: _at(bits, i) for name, bits in flags.items()} }"))])
+    for name, gaps in checks + limit_checks:
+        _fail_at(getattr(stats, name), n, gaps)
+
+
 def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     """One fused pass, transposed over the targets: they form one
     maps.TargetUniverse, and each (map, source) pair decides every target
     at once.  map_flags returns each flag as a bitset over the targets and
     raises InvariantViolation at the first target where two routes
     disagree; each law about the flags is a few bitset operations or "need
-    inside table[k]" lookups per pair.
+    inside table[k]" lookups.
 
-    Per pair it builds the MapFacts record, whose pushed adherence holds
-    the adherence-transport table pre_adh, and it makes every comparison: fxi
-    with the final_convergence_scan oracle, adh_fxi with pre_adh, the
-    ladder, bijection and compactness bitsets; it counts the instances and
-    writes every failure message, naming its own pair.  The rest is one
-    record per key in the universe's per-map memo, six keys in all:
+    Within one map every law reads its pair through three tables, which
+    maps.pair_keys computes per pair: the source adherence adh_s, the lift
+    table lifts and the pushed limits lims.  So the laws are decided once
+    per record, and the per-map memo of the universe holds eight kinds of
+    record, one per key:
 
-      ("lifts", lifts):       the final convergence fxi, its adherence, the
-                              almost-open and open constraints, and the
-                              continuity, almost-open and open flags (maps);
-      ("lims", lims):         the graph-closedness flag (maps);
+      ("lifts", lifts):        the final convergence fxi, its adherence, the
+                               almost-open and open constraints, and the
+                               continuity, almost-open and open flags (maps);
+      ("lims", lims):          the graph-closedness flag (maps);
       ("classes", adh_s, fxi): the class verdicts with their route faults
-                              (maps);
-      ("source", adh_s):      the continuity forms and fiber relation
-                              compactness (_source_forms);
-      ("final", fxi):         the quotient relation compactness and the
-                              targets with J tau = J(fxi) (_final_forms);
-      ("init", lims):         the adjunction's initial-side continuity
-                              init_ok and the final_convergence_scan
-                              oracle, which reads xi only through
-                              f(lim ^A).
+                               (maps);
+      ("source", adh_s):       the continuity forms and fiber relation
+                               compactness (_source_forms);
+      ("final", fxi):          the quotient relation compactness and the
+                               targets with J tau = J(fxi) (_final_forms);
+      ("init", lims):          the adjunction's initial-side continuity
+                               init_ok and the final_convergence_scan
+                               oracle, which reads xi only through
+                               f(lim ^A);
+      ("source_laws", adh_s, lifts):
+                               the ladder, bijection, continuity-form,
+                               adherence-transport, compactness and
+                               preservation gaps (_Pair.source_laws);
+      ("limit_laws", lifts, lims):
+                               the adjunction gap and fxi against the
+                               oracle (_Pair.limit_laws).
 
-    A memo hit still reports its verdict at the pair in hand.  Only the
-    sampled cross-check against the reference implementations runs per
-    context."""
+    Per pair the sweep looks up the two law records and reports each
+    nonzero gap at the pair in hand, naming it, with the true total; the
+    ladder check counts, per arrow, the contexts that breach it.  The
+    pair's MapFacts record and flags are built only where its source_laws
+    record misses, where a ladder breach lists the pair's flags, at a
+    topological source (the closure forms) and at the contexts whose
+    number is a multiple of CROSSCHECK_STRIDE (the sampled cross-check
+    against the reference implementations).  The first pair with a
+    class-route fault is the first with its (adh_s, fxi) key, and the lift
+    table fixes fxi, so it misses its source_laws record and map_flags
+    raises there, as in a pair-by-pair run."""
     universe = TargetUniverse(targets)
     targets, n = universe.targets, len(universe.targets)
     sources = [(xi, is_topology(xi)) for xi in sources]
     tau_top = sum(1 << i for i, t in enumerate(targets) if is_topology(t))
+    top_sources = sum(xi_is_top for _, xi_is_top in sources)
+    memoized = universe.memoized
     node = 0
     for f in maps:
-        img_a, src_sets = f.image_table, range(1, f.source.full + 1)
-        bijective = f.is_bijective()
         for xi, xi_is_top in sources:
-            facts = MapFacts(f, xi, universe)
-            flags = map_flags(facts, universe)
-            fxi, lims = facts.fxi, facts.lims
-            cont_refl, incl2, rc_perf_gen, rc_perf_closed = (
-                universe.memoized(f, ("source", facts.adh_s),
-                                  partial(_source_forms, facts, universe)))
-            rc_quot_gen, rc_quot_closed, t_eq, s0_eq = universe.memoized(
-                f, ("final", fxi.table),
-                partial(_final_forms, facts, universe))
-            stats.contexts += n
-            stats.agreement.instances += 5 * n
-            cont = flags["continuous"]
-            q_gen, q_closed = flags["biquotient"], flags["quotient"]
-            p_gen, p_closed = flags["perfect"], flags["closed"]
-
-            # the final convergence equals its antitone-closure scan, and
-            # adherence transport: adh in the final convergence equals the
-            # pushed source adherence of the preimage filter
-            stats.adjunction.instances += 1
-            init_ok, scan = universe.memoized(f, ("init", lims), lambda: (
-                universe.holding("co_lim", (
-                    (img_a[a], lims[a]) for a in src_sets)),
-                final_convergence_scan(f, xi)))
-            if fxi != scan or facts.adh_fxi != facts.pre_adh:
-                stats.adjunction.fail(
-                    f"final convergence or its adherence transport failed: "
-                    f"{f.mapping} {xi!r}")
-
-            # implication ladder ---------------------------------------
-            stats.implications.instances += n
-            breached = 0
-            for arrow in _LADDER:
-                bad = flags[arrow[0]] & ~flags[arrow[1]]
-                if bad:
-                    breached |= bad
-                    stats.breaches[arrow] = (stats.breaches.get(arrow, 0)
-                                             + popcount(bad))
-            if breached:
-                _fail_at(stats.implications, n, [(breached, lambda i: (
-                    f"ladder breached at {f.mapping}: "
-                    f"{ {name: _at(bits, i) for name, bits in flags.items()} }"
-                ))])
-
-            # bijections: quotient <-> perfect per class ---------------
-            if bijective:
-                stats.bijections.instances += n
-                gap = (q_gen ^ p_gen) | (q_closed ^ p_closed)
-                if gap:
-                    _fail_at(stats.bijections, n, [(gap, lambda i: (
-                        f"bijection gap at {f.mapping}: "
-                        f"q={_at(q_gen, i)}/{_at(q_closed, i)} "
-                        f"p={_at(p_gen, i)}/{_at(p_closed, i)}"))])
-
-            stats.continuity_eq.instances += n
-            gap = cont_refl ^ incl2
-            if gap:
-                _fail_at(stats.continuity_eq, n, [(gap, lambda i: (
-                    f"cont-in-conv forms disagree at {f.mapping}: "
-                    f"{_at(cont_refl, i)}/{_at(incl2, i)}"))])
-
-            # adjunction: f xi >= tau (the kernel's continuity flag, read
-            # on the final convergence) <=> xi >= f- tau, read one A at a
-            # time: f(lim ^A) inside lim ^f(A)
-            stats.adjunction.instances += n
-            gap = cont ^ init_ok
-            if gap:
-                _fail_at(stats.adjunction, n, [(gap, lambda i: (
-                    f"adjunction broken at {f.mapping}: "
-                    f"{_at(cont, i)}/{_at(init_ok, i)}"))])
-
-            # relation compactness ---------------------------------------
-            stats.compact_thms.instances += 2 * n
-            perf_gap = (rc_perf_gen ^ p_gen) | (rc_perf_closed ^ p_closed)
-            quot_gap = (rc_quot_gen ^ q_gen) | (rc_quot_closed ^ q_closed)
-            if perf_gap or quot_gap:
-                _fail_at(stats.compact_thms, n, [
-                    (perf_gap, lambda i: (
-                        f"perfect/compact-fiber gap at {f.mapping}: "
-                        f"rc={_at(rc_perf_gen, i)}/{_at(rc_perf_closed, i)} "
-                        f"p={_at(p_gen, i)}/{_at(p_closed, i)}")),
-                    (quot_gap, lambda i: (
-                        f"quotient/compact gap at {f.mapping}: "
-                        f"rc={_at(rc_quot_gen, i)}/{_at(rc_quot_closed, i)} "
-                        f"q={_at(q_gen, i)}/{_at(q_closed, i)}"))])
+            adh_s, lifts, lims = pair_keys(f, xi)
+            pair = _Pair(f, xi, lifts, lims, universe, stats)
+            source_laws = memoized(f, ("source_laws", adh_s, lifts),
+                                   pair.source_laws)
+            limit_laws = memoized(f, ("limit_laws", lifts, lims),
+                                  pair.limit_laws)
+            if source_laws or limit_laws:
+                _report(stats, n, pair, source_laws, limit_laws)
 
             # topological pairs: one failure per context, naming its gaps
             if xi_is_top and tau_top:
-                stats.topo_props.instances += popcount(tau_top)
+                facts, flags = pair.decided()
+                incl2 = memoized(f, ("source", adh_s), partial(
+                    _source_forms, facts, universe))[1]
                 gaps = _topological_gaps(facts, flags, universe, incl2)
                 bad = reduce(or_, (gap for _, gap in gaps))
                 _fail_at(stats.topo_props, n, [(bad & tau_top, lambda i: (
                     f"{[what for what, gap in gaps if gap >> i & 1]} at "
                     f"{f.mapping} xi={xi!r} tau={targets[i]!r}"))])
 
-            # the quotient variants are the quotient maps of the reflective
-            # subcategories: for continuous f (f xi >= tau), tau >= J(f xi)
-            # iff J tau = J(f xi), by isotony, idempotence and
-            # contractivity of J.  S0, S1 and S share the reflection table.
-            stats.preservation.instances += n
-            gap = cont & ((q_closed ^ t_eq) | (q_gen ^ s0_eq))
-            if gap:
-                _fail_at(stats.preservation, n, [(gap, lambda i: (
-                    f"T/S0-quotient {_at(q_closed, i)}/{_at(q_gen, i)} but "
-                    f"J tau = J(f xi) {_at(t_eq, i)}/{_at(s0_eq, i)} at "
-                    f"{f.mapping}"))])
-
             # sampled cross-check against reference implementations, at
             # the contexts numbered by a multiple of the stride
-            for i in range((-node - 1) % CROSSCHECK_STRIDE, n,
-                           CROSSCHECK_STRIDE):
-                tau = targets[i]
-                stats.crosscheck.instances += 1
-                if (graph_closed(f.as_relation(), xi, tau)
-                        != _at(flags["graph_closed"], i)):
-                    stats.crosscheck.fail(
-                        f"graph-closedness diverges at {f.mapping}")
-                for sel, fast in ((Selector.F_ALL, rc_perf_gen),
-                                  (Selector.F0_CLOSED, rc_perf_closed)):
-                    slow = is_relation_compact(
-                        f.as_relation().inverse(), tau, xi, sel)
-                    if slow != _at(fast, i):
-                        stats.crosscheck.fail(
-                            f"relation compactness diverges at {f.mapping}")
-                itau = initial_convergence(f, tau)
-                for sel, fast in ((Selector.F_ALL, rc_quot_gen),
-                                  (Selector.F0_CLOSED, rc_quot_closed)):
-                    slow = is_relation_compact(
-                        f.as_relation(), itau, fxi, sel)
-                    if slow != _at(fast, i):
-                        stats.crosscheck.fail(
-                            f"quotient compactness diverges at {f.mapping}")
+            first = (-node - 1) % CROSSCHECK_STRIDE
+            if first < n:
+                _crosscheck(stats, pair, range(first, n, CROSSCHECK_STRIDE))
             node += n
+        pairs = len(sources)
+        stats.pairs += pairs
+        stats.contexts += pairs * n
+        stats.agreement.instances += 5 * pairs * n
+        stats.adjunction.instances += pairs * (1 + n)
+        stats.implications.instances += pairs * n
+        if f.is_bijective():
+            stats.bijections.instances += pairs * n
+        stats.continuity_eq.instances += pairs * n
+        stats.compact_thms.instances += 2 * pairs * n
+        stats.topo_props.instances += top_sources * popcount(tau_top)
+        stats.preservation.instances += pairs * n
+
+
+def _crosscheck(stats: SweepStats, pair: _Pair, positions) -> None:
+    """The kernel's graph-closedness flag and the relation-compactness
+    verdicts against the relation-level implementations in maps and
+    compactness, at the given targets of one pair."""
+    facts, flags = pair.decided()
+    f, xi, universe = pair.f, pair.xi, pair.universe
+    fxi = facts.fxi
+    rc_perf_gen, rc_perf_closed = universe.memoized(
+        f, ("source", facts.adh_s),
+        partial(_source_forms, facts, universe))[2:]
+    rc_quot_gen, rc_quot_closed = universe.memoized(
+        f, ("final", fxi.table), partial(_final_forms, facts, universe))[:2]
+    for i in positions:
+        tau = universe.targets[i]
+        stats.crosscheck.instances += 1
+        if (graph_closed(f.as_relation(), xi, tau)
+                != _at(flags["graph_closed"], i)):
+            stats.crosscheck.fail(
+                f"graph-closedness diverges at {f.mapping}")
+        for sel, fast in ((Selector.F_ALL, rc_perf_gen),
+                          (Selector.F0_CLOSED, rc_perf_closed)):
+            slow = is_relation_compact(
+                f.as_relation().inverse(), tau, xi, sel)
+            if slow != _at(fast, i):
+                stats.crosscheck.fail(
+                    f"relation compactness diverges at {f.mapping}")
+        itau = initial_convergence(f, tau)
+        for sel, fast in ((Selector.F_ALL, rc_quot_gen),
+                          (Selector.F0_CLOSED, rc_quot_closed)):
+            slow = is_relation_compact(f.as_relation(), itau, fxi, sel)
+            if slow != _at(fast, i):
+                stats.crosscheck.fail(
+                    f"quotient compactness diverges at {f.mapping}")
 
 
 # ---------------------------------------------------------------------------
@@ -1118,10 +1228,17 @@ def run_laws(max_size: int = 3) -> LawSuiteReport:
 
     stats = SweepStats()
     for name in LAW_DOMAINS if full else LAW_DOMAINS[:1]:
+        before = stats.pairs, stats.contexts, stats.records
+        t1 = time.perf_counter()
         sweep_domain(*domain(name), stats)
+        stats.domains.append({
+            "name": name, "pairs": stats.pairs - before[0],
+            "contexts": stats.contexts - before[1],
+            "records": stats.records - before[2],
+            "seconds": time.perf_counter() - t1})
     results.extend(stats.merged())
     results.append(_timed(suite_preservation_grid, *domain(grid_domain)))
-    return LawSuiteReport(results, time.perf_counter() - t0)
+    return LawSuiteReport(results, time.perf_counter() - t0, stats.domains)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Classification has one kernel.  MapFacts is the one record of a (map,
 source) pair: what the routes read of it that does not depend on the
 target, the pushed adherence f(adh ^A) built once per pair, and the rest,
 with each flag that needs no class route, one record per key in the
-universe's per-map memo, which holds six kinds of record (MapFacts lists
-the kernel's three).  map_flags adds the class verdicts with their route
+universe's per-map memo, which holds eight kinds of record (MapFacts lists
+the kernel's three; the law sweep adds its two law records, source_laws
+and limit_laws, and three more).  pair_keys computes the three tables the
+keys are made of, and lift_record reads the record of a lift table.  map_flags adds the class verdicts with their route
 faults per (source adherence, final convergence), and builds the filter
 classes, reflections, cover-route triggers and routes only where it
 misses that entry.  Each route is a tuple of (k, bad) constraints that
@@ -174,6 +176,14 @@ def _lifts(f: CarrierMap, xi: Convergence) -> tuple:
     return tuple(lifts)
 
 
+def pair_keys(f: CarrierMap, xi: Convergence) -> tuple:
+    """The three tables through which the per-map memo reads the pair of the
+    surjection f and the source xi: the source adherence adh_s, the lift
+    table lifts and the pushed limits lims[A] = f(lim ^A)."""
+    return (adherence_table(xi), _lifts(f, xi),
+            tuple(map(f.image_table.__getitem__, xi.table)))
+
+
 def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
     """Finest convergence on the target making f continuous, in the
     exact-image form: lim ^B = union of f(lim ^A) over A with f(A) = B.
@@ -332,6 +342,13 @@ def _lift_parts(f: CarrierMap, lifts: tuple,
             universe.holding("lim", lift_every))
 
 
+def lift_record(f: CarrierMap, lifts: tuple,
+                universe: TargetUniverse) -> tuple:
+    """The universe's per-map record of one lift table (_lift_parts)."""
+    return universe.memoized(f, ("lifts", lifts),
+                             partial(_lift_parts, f, lifts, universe))
+
+
 def _graph_closed(f: CarrierMap, lims: tuple,
                   universe: TargetUniverse) -> int:
     """The graph-closedness flag of one pushed-limit table: adh f(A) lies in
@@ -355,17 +372,18 @@ class MapFacts:
     TargetUniverse alone.  Each part is built once per distinct value of
     what it reads, the per-map tables by CarrierMap, the rest through the
     universe's per-map memo, one entry per key: the last three kinds below,
-    beside the law sweep's three (laws.sweep_domain), are the memo's six
-    kinds of record.
+    beside the law sweep's five (laws.sweep_domain), the source_laws and
+    limit_laws records among them, are the memo's eight kinds of record.
 
       per map:               the image, preimage and fiber tables;
       per source:            its adherence adh_s, from the cached
                              adherence_table;
       per pair:              the lift table lifts[B] and the pushed limits
-                             lims[A] = f(lim ^A), the keys below; the
-                             pushed adherence pushed_adh[A] = f(adh ^A) and,
-                             read off it, pre_adh[H] = f(adh ^(f^-H)) and
-                             the fiber misses misses[A], the target points
+                             lims[A] = f(lim ^A), the keys below, which
+                             pair_keys computes with adh_s; the pushed
+                             adherence pushed_adh[A] = f(adh ^A) and, read
+                             off it, pre_adh[H] = f(adh ^(f^-H)) and the
+                             fiber misses misses[A], the target points
                              whose fiber misses adh ^A;
       per lift table:        fxi (the image of the lift table), its
                              adherence adh_fxi, the almost-open constraints
@@ -383,22 +401,20 @@ class MapFacts:
 
     def __init__(self, f: CarrierMap, xi: Convergence,
                  universe: TargetUniverse):
-        memoized = universe.memoized
         self.f, self.xi = f, xi
         img = self.img = f.image_table
         self.pre = f.preimage_table
         full_t = self.full_t = f.target.full
         self.full_s = f.source.full
-        self.adh_s = adherence_table(xi)
-        pushed = self.pushed_adh = tuple(map(img.__getitem__, self.adh_s))
+        adh_s, lifts, lims = pair_keys(f, xi)
+        self.adh_s, self.lifts, self.lims = adh_s, lifts, lims
+        pushed = self.pushed_adh = tuple(map(img.__getitem__, adh_s))
         self.pre_adh = tuple(map(pushed.__getitem__, self.pre))
         self.misses = tuple(full_t & ~adh for adh in pushed)
-        lifts = self.lifts = _lifts(f, xi)
         (self.fxi, self.adh_fxi, self.order, self.lift_every,
-         self.continuous, self.almost_open, self.open) = memoized(
-            f, ("lifts", lifts), partial(_lift_parts, f, lifts, universe))
-        lims = self.lims = tuple(map(img.__getitem__, xi.table))
-        self.graph_closed = memoized(
+         self.continuous, self.almost_open, self.open) = lift_record(
+            f, lifts, universe)
+        self.graph_closed = universe.memoized(
             f, ("lims", lims), partial(_graph_closed, f, lims, universe))
 
     def _cover_triggers(self, pairs) -> tuple:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from convlab.laws import (
+    LAW_DOMAINS,
     LawSuiteReport,
     emit_tables,
     run_laws,
@@ -221,6 +222,19 @@ def test_suite_instance_counts_match_the_benchmark_record(laws):
     expects, so a moved count shows here first."""
     want = json.loads((EXPECTED / "laws.json").read_text())["instances"]
     assert {r.name: r.instances for r in laws.results} == want
+
+
+def test_the_law_run_reports_each_domain(laws):
+    """The full run records, per named domain, its (map, source) pairs, its
+    contexts, the law records its sweep built and its seconds, and its
+    document lists them."""
+    domains = laws.as_dict()["domains"]
+    assert [d["name"] for d in domains] == list(LAW_DOMAINS)
+    by_name = {d["name"]: d for d in domains}
+    assert (by_name["3to2"]["pairs"], by_name["3to2"]["contexts"],
+            by_name["3to2"]["records"]) == (16_464, 148_176, 5_124)
+    assert sum(d["contexts"] for d in domains) == 196_914
+    assert all(isinstance(d["seconds"], float) for d in domains)
 
 
 def test_tables_document_matches_the_benchmark_record():

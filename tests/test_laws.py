@@ -329,10 +329,11 @@ def test_map_flags_returns_a_fresh_dict(monkeypatch):
 
 
 def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
-    """A sweep keeps six kinds of record in the per-map memo, one per key:
+    """A sweep keeps eight kinds of record in the per-map memo, one per key:
     each flag sits in the record of the key it reads, the final convergence
-    in its lift table's, and the adherence transport is a comparison per
-    pair, not a record."""
+    in its lift table's, and each law gap, the adherence transport among
+    them, in the law record of the (adh_s, lifts) or (lifts, lims) key it
+    reads."""
     memoized, tags = maps.TargetUniverse.memoized, set()
 
     def tagged(universe, f, key, build):
@@ -340,7 +341,38 @@ def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
         return memoized(universe, f, key, build)
     monkeypatch.setattr(maps.TargetUniverse, "memoized", tagged)
     laws.sweep_domain(*domain("3to2"), laws.SweepStats())
-    assert tags == {"classes", "final", "init", "lifts", "lims", "source"}
+    assert tags == {"classes", "final", "init", "lifts", "lims", "source",
+                    "source_laws", "limit_laws"}
+
+
+def test_the_laws_are_decided_once_per_record(monkeypatch):
+    """On 3to2 the law gaps are built once per key per map, 1,512 source_laws
+    records and 3,612 limit_laws records, and a MapFacts record is built at
+    most once per record miss, topological pair (29 topologies x 6 maps)
+    or cross-check context: the other pairs read the two records alone."""
+    memoized, built = maps.TargetUniverse.memoized, []
+
+    def counted(universe, f, key, build):
+        def build_counted():
+            built.append((f, key))
+            return build()
+        return memoized(universe, f, key, build_counted)
+    record, facts = laws.MapFacts, []
+
+    def counted_facts(f, xi, universe):
+        facts.append(xi)
+        return record(f, xi, universe)
+    monkeypatch.setattr(maps.TargetUniverse, "memoized", counted)
+    monkeypatch.setattr(laws, "MapFacts", counted_facts)
+    stats = laws.SweepStats()
+    laws.sweep_domain(*domain("3to2"), stats)
+    kinds = [key[0] for _, key in built]
+    assert len(built) == len(set(built))
+    assert (kinds.count("source_laws"), kinds.count("limit_laws")) == (
+        1512, 3612)
+    assert stats.records == 1512 + 3612
+    assert len(facts) <= stats.records + 29 * 6 + stats.crosscheck.instances
+    assert stats.crosscheck.instances == 148
 
 
 def test_the_quotient_routes_read_the_pushed_preimage_adherence(
