@@ -45,8 +45,10 @@ are fixed, so a run is determined by max_size alone.
 The standalone suites build each per-space fact once, in the loop that
 reads it, and keep no table past it: suite_compactness_extras one hull
 table per (space, class), suite_cover_duality one cover_clauses pair per
-(space, family) whose targets run innermost, and suite_functor_laws one
-continuity verdict per distinct (h xi, h zeta) table pair of a sample.
+(space, family) whose targets run innermost, and suite_functor_laws, at
+n=3, each handle's h xi and h zeta once per sample; it decides
+continuous(MapContext(f, h xi, h zeta)) for every handle and keeps no
+verdict across samples.
 
 LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
 counts every failure in failures_total; run_laws records each standalone
@@ -138,9 +140,9 @@ from .maps import (
     is_hausdorff,
     is_JE,
     is_quotient_like,
+    lift_keys,
     lift_record,
     map_flags,
-    pair_keys,
 )
 from .spaces import (
     adherence_scan,
@@ -369,25 +371,27 @@ def _topological_gaps(facts: MapFacts, flags: dict, universe: TargetUniverse,
 
 
 class _Pair:
-    """One (map, source) pair of a sweep, with its lift table and pushed
-    limits.  decided() builds its MapFacts record and flags on the first
-    call and keeps them for the pair; source_laws and limit_laws build the
-    pair's two law records on a memo miss.  A law record is () when every
+    """The (map, source) pair a sweep is at: one per map, which at() moves
+    from source to source with the pair's keys (adh_s, lifts, lims).
+    decided() builds the pair's MapFacts record, from those keys, and its
+    flags on the first call at the pair; source_laws and limit_laws, bound
+    once per map, build the pair's two law records on a memo miss, so a
+    pair whose records hit builds nothing.  A law record is () when every
     gap in it is empty; else it holds what reporting the gaps at a pair
     needs, and each (result, gaps) entry of its checks is what _fail_at
     reads, its messages naming the map alone."""
 
-    __slots__ = ("f", "xi", "lifts", "lims", "universe", "stats", "_decided")
+    __slots__ = ("f", "universe", "stats", "xi", "keys", "_decided")
 
-    def __init__(self, f, xi, lifts: tuple, lims: tuple,
-                 universe: TargetUniverse, stats: SweepStats):
-        self.f, self.xi, self.lifts, self.lims = f, xi, lifts, lims
-        self.universe, self.stats = universe, stats
-        self._decided = None
+    def __init__(self, f, universe: TargetUniverse, stats: SweepStats):
+        self.f, self.universe, self.stats = f, universe, stats
+
+    def at(self, xi, keys: tuple) -> None:
+        self.xi, self.keys, self._decided = xi, keys, None
 
     def decided(self) -> tuple:
         if self._decided is None:
-            facts = MapFacts(self.f, self.xi, self.universe)
+            facts = MapFacts(self.f, self.xi, self.universe, self.keys)
             self._decided = facts, map_flags(facts, self.universe)
         return self._decided
 
@@ -467,10 +471,11 @@ class _Pair:
         read on the final convergence) <=> xi >= f- tau, read one A at a
         time: f(lim ^A) inside lim ^f(A).  It reads fxi and the continuity
         flag off the kernel's lift record, so it builds no MapFacts."""
-        f, xi, universe, lims = self.f, self.xi, self.universe, self.lims
+        f, xi, universe = self.f, self.xi, self.universe
+        _, lifts, lims = self.keys
         self.stats.records += 1
         img_a = f.image_table
-        fxi, _, _, _, cont, _, _ = lift_record(f, self.lifts, universe)
+        fxi, _, _, _, cont, _, _ = lift_record(f, lifts, universe)
         init_ok, scan = universe.memoized(f, ("init", lims), lambda: (
             universe.holding("co_lim", (
                 (img_a[a], lims[a]) for a in range(1, f.source.full + 1))),
@@ -516,11 +521,12 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     disagree; each law about the flags is a few bitset operations or "need
     inside table[k]" lookups.
 
-    Within one map every law reads its pair through three tables, which
-    maps.pair_keys computes per pair: the source adherence adh_s, the lift
-    table lifts and the pushed limits lims.  So the laws are decided once
-    per record, and the per-map memo of the universe holds eight kinds of
-    record, one per key:
+    Within one map every law reads its pair through three tables: the
+    source adherence adh_s, read once per source, and the lift table lifts
+    and pushed limits lims, which maps.lift_keys builds once per map, for
+    every source, after checking the map and the sources' carrier.  So the
+    laws are decided once per record, and the per-map memo of the universe
+    holds eight kinds of record, one per key:
 
       ("lifts", lifts):        the final convergence fxi, its adherence, the
                                almost-open and open constraints, and the
@@ -547,9 +553,10 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     Per pair the sweep looks up the two law records and reports each
     nonzero gap at the pair in hand, naming it, with the true total; the
     ladder check counts, per arrow, the contexts that breach it.  The
-    pair's MapFacts record and flags are built only where its source_laws
-    record misses, where a ladder breach lists the pair's flags, at a
-    topological source (the closure forms) and at the contexts whose
+    pair's MapFacts record, from the keys in hand, and flags are built only
+    where its source_laws record misses, where a ladder breach lists the
+    pair's flags, at a topological source (the closure forms; is_topology
+    runs once per source, on the pretopologies) and at the contexts whose
     number is a multiple of CROSSCHECK_STRIDE (the sampled cross-check
     against the reference implementations).  The first pair with a
     class-route fault is the first with its (adh_s, fxi) key, and the lift
@@ -557,19 +564,25 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     raises there, as in a pair-by-pair run."""
     universe = TargetUniverse(targets)
     targets, n = universe.targets, len(universe.targets)
-    sources = [(xi, is_topology(xi)) for xi in sources]
+    sources = tuple(sources)
+    # per source, once per domain: its adherence table, and whether it is a
+    # topology, decided on the pretopologies alone, as every topology is one
+    per_source = [(adherence_table(xi), is_pretopology(xi) and is_topology(xi))
+                  for xi in sources]
     tau_top = sum(1 << i for i, t in enumerate(targets) if is_topology(t))
-    top_sources = sum(xi_is_top for _, xi_is_top in sources)
+    top_sources = sum(xi_is_top for _, xi_is_top in per_source)
     memoized = universe.memoized
     node = 0
     for f in maps:
-        for xi, xi_is_top in sources:
-            adh_s, lifts, lims = pair_keys(f, xi)
-            pair = _Pair(f, xi, lifts, lims, universe, stats)
+        pair = _Pair(f, universe, stats)
+        source_laws_of, limit_laws_of = pair.source_laws, pair.limit_laws
+        for xi, (adh_s, xi_is_top), (lifts, lims) in zip(
+                sources, per_source, lift_keys(f, sources)):
+            pair.at(xi, (adh_s, lifts, lims))
             source_laws = memoized(f, ("source_laws", adh_s, lifts),
-                                   pair.source_laws)
+                                   source_laws_of)
             limit_laws = memoized(f, ("limit_laws", lifts, lims),
-                                  pair.limit_laws)
+                                  limit_laws_of)
             if source_laws or limit_laws:
                 _report(stats, n, pair, source_laws, limit_laws)
 

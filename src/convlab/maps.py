@@ -7,12 +7,15 @@ target, the pushed adherence f(adh ^A) built once per pair, and the rest,
 with each flag that needs no class route, one record per key in the
 universe's per-map memo, which holds eight kinds of record (MapFacts lists
 the kernel's three; the law sweep adds its two law records, source_laws
-and limit_laws, and three more).  pair_keys computes the three tables the
-keys are made of, and lift_record reads the record of a lift table.  map_flags adds the class verdicts with their route
-faults per (source adherence, final convergence), and builds the filter
-classes, reflections, cover-route triggers and routes only where it
-misses that entry.  Each route is a tuple of (k, bad) constraints that
-hold when table[k] & bad == 0 on a target table.
+and limit_laws, and three more).  The keys are made of three tables: the
+source adherence, and the lift table and pushed limits, which lift_keys
+builds for every source of a map after checking the map once; pair_keys
+gives all three for one pair.  lift_record reads the record of a lift
+table.  map_flags adds the class verdicts with their route faults per
+(source adherence, final convergence), and builds the filter classes,
+reflections, cover-route triggers and routes only where it misses that
+entry.  Each route is a tuple of (k, bad) constraints that hold when
+table[k] & bad == 0 on a target table.
 
 The targets enter as a TargetUniverse: a tuple of targets on one carrier,
 with bitsets over it (bit i stands for targets[i]).  meets(kind, k, m) is
@@ -84,7 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .families import (
     Carrier,
@@ -162,26 +165,34 @@ def initial_convergence(f: CarrierMap, tau: Convergence) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
-def _lifts(f: CarrierMap, xi: Convergence) -> tuple:
-    """lifts[B]: the source points in lim ^A for some A with f(A) = B, for
-    a surjection f from xi's carrier."""
-    if f.source != xi.carrier:
+def lift_keys(f: CarrierMap, sources) -> Iterator[tuple]:
+    """(lifts, lims) for each source xi of the surjection f, one source at
+    a time: the lift table, lifts[B] the points in lim ^A for some A with
+    f(A) = B, and the pushed limits lims[A] = f(lim ^A).  f and the
+    carriers of the sources are checked once, on the call."""
+    if any(xi.carrier is not f.source and xi.carrier != f.source
+           for xi in sources):
         raise CarrierMismatch("final convergence needs xi on the source")
     if not f.is_surjective():
         raise NotSurjective("the final convergence needs a surjection")
-    img = f.image_table
-    lifts = [0] * (f.target.full + 1)
-    for a in range(1, f.source.full + 1):
-        lifts[img[a]] |= xi.table[a]
-    return tuple(lifts)
+    return _lift_loop(f.image_table, f.target.full, sources)
+
+
+def _lift_loop(img: tuple, full_t: int, sources) -> Iterator[tuple]:
+    # the one lift loop: the sweep, pair_keys and final_convergence run it
+    masks = range(1, len(img))
+    for xi in sources:
+        table, lifts = xi.table, [0] * (full_t + 1)
+        for a in masks:
+            lifts[img[a]] |= table[a]
+        yield tuple(lifts), tuple(map(img.__getitem__, table))
 
 
 def pair_keys(f: CarrierMap, xi: Convergence) -> tuple:
     """The three tables through which the per-map memo reads the pair of the
-    surjection f and the source xi: the source adherence adh_s, the lift
-    table lifts and the pushed limits lims[A] = f(lim ^A)."""
-    return (adherence_table(xi), _lifts(f, xi),
-            tuple(map(f.image_table.__getitem__, xi.table)))
+    surjection f and the source xi: the source adherence adh_s and the
+    pair's lift_keys."""
+    return (adherence_table(xi), *next(lift_keys(f, (xi,))))
 
 
 def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
@@ -192,7 +203,8 @@ def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
     A & f^-B, whose image is B and whose limits include those of A;
     surjectivity also makes it centered."""
     img = f.image_table
-    return Convergence(f.target, tuple(img[x] for x in _lifts(f, xi)))
+    return Convergence(f.target,
+                       tuple(img[x] for x in next(lift_keys(f, (xi,)))[0]))
 
 
 def final_convergence_scan(f: CarrierMap, xi: Convergence) -> Convergence:
@@ -374,14 +386,16 @@ class MapFacts:
     universe's per-map memo, one entry per key: the last three kinds below,
     beside the law sweep's five (laws.sweep_domain), the source_laws and
     limit_laws records among them, are the memo's eight kinds of record.
+    keys, when given, is the pair's (adh_s, lifts, lims), as the law sweep
+    holds them; else pair_keys computes them.
 
       per map:               the image, preimage and fiber tables;
       per source:            its adherence adh_s, from the cached
                              adherence_table;
       per pair:              the lift table lifts[B] and the pushed limits
-                             lims[A] = f(lim ^A), the keys below, which
-                             pair_keys computes with adh_s; the pushed
-                             adherence pushed_adh[A] = f(adh ^A) and, read
+                             lims[A] = f(lim ^A) of lift_keys, the keys
+                             below; the pushed adherence
+                             pushed_adh[A] = f(adh ^A) and, read
                              off it, pre_adh[H] = f(adh ^(f^-H)) and the
                              fiber misses misses[A], the target points
                              whose fiber misses adh ^A;
@@ -400,13 +414,13 @@ class MapFacts:
                  "lift_every", "open", "graph_closed")
 
     def __init__(self, f: CarrierMap, xi: Convergence,
-                 universe: TargetUniverse):
+                 universe: TargetUniverse, keys: tuple | None = None):
         self.f, self.xi = f, xi
         img = self.img = f.image_table
         self.pre = f.preimage_table
         full_t = self.full_t = f.target.full
         self.full_s = f.source.full
-        adh_s, lifts, lims = pair_keys(f, xi)
+        adh_s, lifts, lims = keys or pair_keys(f, xi)
         self.adh_s, self.lifts, self.lims = adh_s, lifts, lims
         pushed = self.pushed_adh = tuple(map(img.__getitem__, adh_s))
         self.pre_adh = tuple(map(pushed.__getitem__, self.pre))

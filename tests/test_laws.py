@@ -14,7 +14,9 @@ from convlab.families import (
     CapExceeded,
     Carrier,
     CarrierMap,
+    CarrierMismatch,
     InvariantViolation,
+    NotSurjective,
     popcount,
 )
 from convlab.functors import (
@@ -359,9 +361,9 @@ def test_the_laws_are_decided_once_per_record(monkeypatch):
         return memoized(universe, f, key, build_counted)
     record, facts = laws.MapFacts, []
 
-    def counted_facts(f, xi, universe):
+    def counted_facts(f, xi, universe, keys=None):
         facts.append(xi)
-        return record(f, xi, universe)
+        return record(f, xi, universe, keys)
     monkeypatch.setattr(maps.TargetUniverse, "memoized", counted)
     monkeypatch.setattr(laws, "MapFacts", counted_facts)
     stats = laws.SweepStats()
@@ -385,8 +387,8 @@ def test_the_quotient_routes_read_the_pushed_preimage_adherence(
     maps_, sources, targets = domain("2to2")
     xi0, record = sources[4], maps.MapFacts
 
-    def planted(f, xi, universe):
-        facts = record(f, xi, universe)
+    def planted(f, xi, universe, keys=None):
+        facts = record(f, xi, universe, keys)
         if xi is xi0:
             facts.pre_adh = facts.pre_adh[:-1] + (0,)
         return facts
@@ -395,6 +397,51 @@ def test_the_quotient_routes_read_the_pushed_preimage_adherence(
                        match="quotient routes disagree") as raised:
         laws.sweep_domain(maps_, sources, targets, laws.SweepStats())
     assert f"xi={xi0!r}" in str(raised.value)
+
+
+def test_the_sweep_reads_each_source_once_per_domain(monkeypatch):
+    """On 3to2 the sweep decides is_topology on the 64 pretopology sources
+    and the 9 targets alone, and takes every pair's keys from the per-source
+    adherence tables and the per-map lift_keys, never from pair_keys."""
+    counts = {"is_topology": 0, "pair_keys": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(laws, "is_topology",
+                        counted("is_topology", is_topology))
+    keys = counted("pair_keys", maps.pair_keys)
+    monkeypatch.setattr(maps, "pair_keys", keys)
+    monkeypatch.setattr(laws, "pair_keys", keys, raising=False)
+    stats = laws.SweepStats()
+    laws.sweep_domain(*domain("3to2"), stats)
+    assert counts == {"is_topology": 64 + 9, "pair_keys": 0}
+    assert all(r.ok for r in stats.merged())
+
+
+@pytest.mark.parametrize("bad", ["not surjective", "source elsewhere"])
+def test_the_sweep_checks_maps_and_sources_before_any_record(monkeypatch,
+                                                              bad):
+    """A map that is not onto its target raises NotSurjective, and a source
+    on another carrier, even the last one, CarrierMismatch, before the
+    sweep looks up or builds any record."""
+    maps_, sources, targets = domain("2to2")
+    if bad == "not surjective":
+        maps_ = [CarrierMap(maps_[0].source, maps_[0].target, (0, 0))]
+        raised = NotSurjective
+    else:
+        sources = (*sources, all_convergences(target_carrier(2))[0])
+        raised = CarrierMismatch
+
+    def refused(universe, f, key, build):
+        raise AssertionError(f"a {key[0]} record looked up before the guard")
+    monkeypatch.setattr(maps.TargetUniverse, "memoized", refused)
+    stats = laws.SweepStats()
+    with pytest.raises(raised):
+        laws.sweep_domain(maps_, sources, targets, stats)
+    assert stats.records == stats.pairs == 0
 
 
 def test_adherence_fixes_the_closed_sets():
