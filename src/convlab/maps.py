@@ -165,34 +165,44 @@ def initial_convergence(f: CarrierMap, tau: Convergence) -> Convergence:
     return Convergence(carrier, tuple(table))
 
 
-def lift_keys(f: CarrierMap, sources) -> Iterator[tuple]:
-    """(lifts, lims) for each source xi of the surjection f, one source at
-    a time: the lift table, lifts[B] the points in lim ^A for some A with
-    f(A) = B, and the pushed limits lims[A] = f(lim ^A).  f and the
-    carriers of the sources are checked once, on the call."""
-    if any(xi.carrier is not f.source and xi.carrier != f.source
-           for xi in sources):
-        raise CarrierMismatch("final convergence needs xi on the source")
+def _require_surjection(f: CarrierMap, sources) -> None:
+    """Raise unless f is a surjection from the carrier of every source."""
+    for xi in sources:
+        if xi.carrier is not f.source and xi.carrier != f.source:
+            raise CarrierMismatch("final convergence needs xi on the source")
     if not f.is_surjective():
         raise NotSurjective("the final convergence needs a surjection")
-    return _lift_loop(f.image_table, f.target.full, sources)
 
 
-def _lift_loop(img: tuple, full_t: int, sources) -> Iterator[tuple]:
-    # the one lift loop: the sweep, pair_keys and final_convergence run it
-    masks = range(1, len(img))
-    for xi in sources:
-        table, lifts = xi.table, [0] * (full_t + 1)
-        for a in masks:
-            lifts[img[a]] |= table[a]
-        yield tuple(lifts), tuple(map(img.__getitem__, table))
+def _lift_table(img: tuple, full_t: int, table: tuple) -> tuple:
+    """The one lift loop, which lift_keys, pair_keys and final_convergence
+    run: lifts[B], the points in lim ^A for some A with f(A) = B, for the
+    limit table lim and the image table img of the surjection f."""
+    lifts = [0] * (full_t + 1)
+    for a in range(1, len(img)):
+        lifts[img[a]] |= table[a]
+    return tuple(lifts)
+
+
+def lift_keys(f: CarrierMap, sources) -> Iterator[tuple]:
+    """(lifts, lims) for each source xi of the surjection f, one source at
+    a time: the lift table (_lift_table) and the pushed limits
+    lims[A] = f(lim ^A).  f and the carriers of the sources are checked
+    once, on the call."""
+    _require_surjection(f, sources)
+    img, full_t = f.image_table, f.target.full
+    return ((_lift_table(img, full_t, xi.table),
+             tuple(map(img.__getitem__, xi.table))) for xi in sources)
 
 
 def pair_keys(f: CarrierMap, xi: Convergence) -> tuple:
     """The three tables through which the per-map memo reads the pair of the
-    surjection f and the source xi: the source adherence adh_s and the
-    pair's lift_keys."""
-    return (adherence_table(xi), *next(lift_keys(f, (xi,))))
+    surjection f and the source xi: the source adherence adh_s, and the
+    lift table lifts and pushed limits lims that lift_keys gives."""
+    _require_surjection(f, (xi,))
+    img = f.image_table
+    return (adherence_table(xi), _lift_table(img, f.target.full, xi.table),
+            tuple(map(img.__getitem__, xi.table)))
 
 
 def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
@@ -202,9 +212,10 @@ def final_convergence(f: CarrierMap, xi: Convergence) -> Convergence:
     (final_convergence_scan): for surjective f, such an A shrinks to
     A & f^-B, whose image is B and whose limits include those of A;
     surjectivity also makes it centered."""
+    _require_surjection(f, (xi,))
     img = f.image_table
-    return Convergence(f.target,
-                       tuple(img[x] for x in next(lift_keys(f, (xi,)))[0]))
+    lifts = _lift_table(img, f.target.full, xi.table)
+    return Convergence(f.target, tuple(img[x] for x in lifts))
 
 
 def final_convergence_scan(f: CarrierMap, xi: Convergence) -> Convergence:
