@@ -176,8 +176,8 @@ def _require_surjection(f: CarrierMap, sources) -> None:
 
 def _lift_table(img: tuple, full_t: int, table: tuple) -> tuple:
     """The one lift loop, which lift_keys, pair_keys and final_convergence
-    run: lifts[B], the points in lim ^A for some A with f(A) = B, for the
-    limit table lim and the image table img of the surjection f."""
+    run: lifts[B], the points in lim ^A for some A with f(A) = B, where
+    table is the limit table and img the image table of the surjection f."""
     lifts = [0] * (full_t + 1)
     for a in range(1, len(img)):
         lifts[img[a]] |= table[a]

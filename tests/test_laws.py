@@ -414,6 +414,7 @@ def test_the_sweep_reads_each_source_once_per_domain(monkeypatch):
                         counted("is_topology", is_topology))
     keys = counted("pair_keys", maps.pair_keys)
     monkeypatch.setattr(maps, "pair_keys", keys)
+    # counted too if laws binds the name, as a sweep calling it would
     monkeypatch.setattr(laws, "pair_keys", keys, raising=False)
     stats = laws.SweepStats()
     laws.sweep_domain(*domain("3to2"), stats)
