@@ -22,20 +22,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .families import Carrier, CarrierMap, SetFamily, Subset, ValidationError
+from .families import Carrier, CarrierMap, SetFamily, ValidationError
 from .spaces import Convergence, pretopology_from_vicinities
 
 
 def subset_key(carrier: Carrier, mask: int) -> str:
     return ",".join(sorted(carrier.labels_of(mask)))
-
-
-def subset_to_doc(s: Subset) -> list[str]:
-    return sorted(s.labels())
-
-
-def family_to_doc(fam: SetFamily) -> list[list[str]]:
-    return sorted(sorted(m.labels()) for m in fam.members())
 
 
 def convergence_to_doc(conv: Convergence) -> dict[str, Any]:

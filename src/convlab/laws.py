@@ -28,8 +28,8 @@ its adherence table, whose singleton limits fix its S0 table and its closed
 sets, only through its final convergence, or only through its pushed
 limits f(lim ^A) share the per-map memo of map_flags, keyed by that table,
 and so do the law gaps, one record per (adherence, lift table) and one
-per (lift table, pushed limits) (sweep_domain lists each part with its
-key); each pair looks up its two law records and reports their gaps at
+per pushed-limit table (sweep_domain lists each record with its key);
+each pair looks up its two law records and reports their gaps at
 itself.  The ladder check also counts, per arrow, the contexts that breach
 it (a popcount per pair), and emit_tables reads its implication rows'
 violations from those counts.  On the contexts whose number is a multiple
@@ -463,24 +463,23 @@ class _Pair:
         return ()
 
     def limit_laws(self) -> tuple:
-        """The record of one (lifts, lims) key: the laws that read the pair
-        through its lift table and pushed limits alone, as (differs,
-        checks): whether fxi differs from the final_convergence_scan
-        oracle, which reads xi only through f(lim ^A), and the adjunction
+        """The record of one pushed-limit table lims: the laws that read the
+        pair through f(lim ^A) alone, as (differs, checks): whether fxi
+        differs from the final_convergence_scan oracle, and the adjunction
         gap.  The adjunction: f xi >= tau (the kernel's continuity flag,
         read on the final convergence) <=> xi >= f- tau, read one A at a
-        time: f(lim ^A) inside lim ^f(A).  It reads fxi and the continuity
-        flag off the kernel's lift record, so it builds no MapFacts."""
-        f, xi, universe = self.f, self.xi, self.universe
+        time: f(lim ^A) inside lim ^f(A).  fxi and the flag are functions of
+        lims, as fxi.table[B], the image of lifts[B], is the union of
+        lims[A] over the A with f(A) = B; so it reads them off the pair's
+        lift record and builds no MapFacts."""
+        f, universe = self.f, self.universe
         _, lifts, lims = self.keys
         self.stats.records += 1
         img_a = f.image_table
         fxi, _, _, _, cont, _, _ = lift_record(f, lifts, universe)
-        init_ok, scan = universe.memoized(f, ("init", lims), lambda: (
-            universe.holding("co_lim", (
-                (img_a[a], lims[a]) for a in range(1, f.source.full + 1))),
-            final_convergence_scan(f, xi)))
-        differs = fxi != scan
+        init_ok = universe.holding("co_lim", (
+            (img_a[a], lims[a]) for a in range(1, f.source.full + 1)))
+        differs = fxi != final_convergence_scan(f, self.xi)
         gap = cont ^ init_ok
         checks = ((("adjunction", [(gap, lambda i: (
             f"adjunction broken at {f.mapping}: "
@@ -525,30 +524,21 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
     source adherence adh_s, read once per source, and the lift table lifts
     and pushed limits lims, which maps.lift_keys builds once per map, for
     every source, after checking the map and the sources' carrier.  So the
-    laws are decided once per record, and the per-map memo of the universe
-    holds eight kinds of record, one per key:
+    laws are decided once per record; beside the kernel's records
+    (maps.MapFacts), the sweep keeps these in the per-map memo of the
+    universe, one per key:
 
-      ("lifts", lifts):        the final convergence fxi, its adherence, the
-                               almost-open and open constraints, and the
-                               continuity, almost-open and open flags (maps);
-      ("lims", lims):          the graph-closedness flag (maps);
-      ("classes", adh_s, fxi): the class verdicts with their route faults
-                               (maps);
       ("source", adh_s):       the continuity forms and fiber relation
                                compactness (_source_forms);
       ("final", fxi):          the quotient relation compactness and the
                                targets with J tau = J(fxi) (_final_forms);
-      ("init", lims):          the adjunction's initial-side continuity
-                               init_ok and the final_convergence_scan
-                               oracle, which reads xi only through
-                               f(lim ^A);
       ("source_laws", adh_s, lifts):
                                the ladder, bijection, continuity-form,
                                adherence-transport, compactness and
                                preservation gaps (_Pair.source_laws);
-      ("limit_laws", lifts, lims):
-                               the adjunction gap and fxi against the
-                               oracle (_Pair.limit_laws).
+      ("limit_laws", lims):    the adjunction gap and fxi against the
+                               final_convergence_scan oracle, which reads
+                               xi only through f(lim ^A) (_Pair.limit_laws).
 
     Per pair the sweep looks up the two law records and reports each
     nonzero gap at the pair in hand, naming it, with the true total; the
@@ -581,8 +571,7 @@ def sweep_domain(maps, sources, targets, stats: SweepStats) -> None:
             pair.at(xi, (adh_s, lifts, lims))
             source_laws = memoized(f, ("source_laws", adh_s, lifts),
                                    source_laws_of)
-            limit_laws = memoized(f, ("limit_laws", lifts, lims),
-                                  limit_laws_of)
+            limit_laws = memoized(f, ("limit_laws", lims), limit_laws_of)
             if source_laws or limit_laws:
                 _report(stats, n, pair, source_laws, limit_laws)
 

@@ -5,14 +5,13 @@ Classification has one kernel.  MapFacts is the one record of a (map,
 source) pair: what the routes read of it that does not depend on the
 target, the pushed adherence f(adh ^A) built once per pair, and the rest,
 with each flag that needs no class route, one record per key in the
-universe's per-map memo, which holds eight kinds of record (MapFacts lists
-the kernel's three; the law sweep adds its two law records, source_laws
-and limit_laws, and three more).  The keys are made of three tables: the
-source adherence, and the lift table and pushed limits, which lift_keys
-builds for every source of a map after checking the map once; pair_keys
-gives all three for one pair.  lift_record reads the record of a lift
-table.  map_flags adds the class verdicts with their route faults per
-(source adherence, final convergence), and builds the filter classes,
+universe's per-map memo (MapFacts lists the kernel's three kinds of
+record; laws.sweep_domain lists its own).  The keys are made of three
+tables: the source adherence, and the lift table and pushed limits, which
+lift_keys builds for every source of a map after checking the map once;
+pair_keys gives all three for one pair.  lift_record reads the record of
+a lift table.  map_flags adds the class verdicts with their route faults
+per (source adherence, final convergence), and builds the filter classes,
 reflections, cover-route triggers and routes only where it misses that
 entry.  Each route is a tuple of (k, bad) constraints that hold when
 table[k] & bad == 0 on a target table.
@@ -394,11 +393,10 @@ class MapFacts:
     flags that need no class route.  The targets enter through a
     TargetUniverse alone.  Each part is built once per distinct value of
     what it reads, the per-map tables by CarrierMap, the rest through the
-    universe's per-map memo, one entry per key: the last three kinds below,
-    beside the law sweep's five (laws.sweep_domain), the source_laws and
-    limit_laws records among them, are the memo's eight kinds of record.
-    keys, when given, is the pair's (adh_s, lifts, lims), as the law sweep
-    holds them; else pair_keys computes them.
+    universe's per-map memo, one entry per key, the last three kinds
+    below (laws.sweep_domain lists its own records).  keys, when given,
+    is the pair's (adh_s, lifts, lims), as the law sweep holds them; else
+    pair_keys computes them.
 
       per map:               the image, preimage and fiber tables;
       per source:            its adherence adh_s, from the cached

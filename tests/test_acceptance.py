@@ -232,7 +232,7 @@ def test_the_law_run_reports_each_domain(laws):
     assert [d["name"] for d in domains] == list(LAW_DOMAINS)
     by_name = {d["name"]: d for d in domains}
     assert (by_name["3to2"]["pairs"], by_name["3to2"]["contexts"],
-            by_name["3to2"]["records"]) == (16_464, 148_176, 5_124)
+            by_name["3to2"]["records"]) == (16_464, 148_176, 2_436)
     assert sum(d["contexts"] for d in domains) == 196_914
     assert all(isinstance(d["seconds"], float) for d in domains)
 

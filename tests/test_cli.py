@@ -226,14 +226,10 @@ class TestIO:
         assert exc.value.violations == messages
 
     def test_family_doc(self):
-        conv = chain_pretopology()
-        fam = io.family_from_doc([["a"], ["b", "c"]], conv.carrier)
-        assert io.family_to_doc(fam) == [["a"], ["b", "c"]]
-
-    def test_subset_serialization_sorted(self):
-        conv = chain_pretopology()
-        s = conv.carrier.subset("c", "a")
-        assert io.subset_to_doc(s) == ["a", "c"]
+        carrier = chain_pretopology().carrier
+        assert carrier.labels == ("a", "b", "c")
+        fam = io.family_from_doc([["a"], ["c", "b"], ["a"]], carrier)
+        assert fam.masks == {0b001, 0b110}
 
 
 class TestCLI:

@@ -331,11 +331,11 @@ def test_map_flags_returns_a_fresh_dict(monkeypatch):
 
 
 def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
-    """A sweep keeps eight kinds of record in the per-map memo, one per key:
+    """A sweep keeps seven kinds of record in the per-map memo, one per key:
     each flag sits in the record of the key it reads, the final convergence
     in its lift table's, and each law gap, the adherence transport among
-    them, in the law record of the (adh_s, lifts) or (lifts, lims) key it
-    reads."""
+    them, in the law record of the (adh_s, lifts) or lims key it reads; the
+    adjunction's initial side and the oracle sit in the lims record."""
     memoized, tags = maps.TargetUniverse.memoized, set()
 
     def tagged(universe, f, key, build):
@@ -343,15 +343,17 @@ def test_the_per_map_memo_holds_one_record_per_key(monkeypatch):
         return memoized(universe, f, key, build)
     monkeypatch.setattr(maps.TargetUniverse, "memoized", tagged)
     laws.sweep_domain(*domain("3to2"), laws.SweepStats())
-    assert tags == {"classes", "final", "init", "lifts", "lims", "source",
+    assert tags == {"classes", "final", "lifts", "lims", "source",
                     "source_laws", "limit_laws"}
 
 
 def test_the_laws_are_decided_once_per_record(monkeypatch):
     """On 3to2 the law gaps are built once per key per map, 1,512 source_laws
-    records and 3,612 limit_laws records, and a MapFacts record is built at
-    most once per record miss, topological pair (29 topologies x 6 maps)
-    or cross-check context: the other pairs read the two records alone."""
+    records and 924 limit_laws records (154 pushed-limit tables per map),
+    and a MapFacts record is built at most once per source_laws miss,
+    topological pair (29 topologies x 6 maps) or cross-check context: the
+    limit_laws records build none, and the other pairs read the two records
+    alone."""
     memoized, built = maps.TargetUniverse.memoized, []
 
     def counted(universe, f, key, build):
@@ -371,9 +373,9 @@ def test_the_laws_are_decided_once_per_record(monkeypatch):
     kinds = [key[0] for _, key in built]
     assert len(built) == len(set(built))
     assert (kinds.count("source_laws"), kinds.count("limit_laws")) == (
-        1512, 3612)
-    assert stats.records == 1512 + 3612
-    assert len(facts) <= stats.records + 29 * 6 + stats.crosscheck.instances
+        1512, 924)
+    assert stats.records == 1512 + 924
+    assert len(facts) <= 1512 + 29 * 6 + stats.crosscheck.instances
     assert stats.crosscheck.instances == 148
 
 
@@ -454,6 +456,28 @@ def test_adherence_fixes_the_closed_sets():
         facts = closed_masks(xi), pretopologize(xi).table
         assert facts_of.setdefault(adherence_table(xi), facts) == facts
     assert len(facts_of) < len(sources)
+
+
+def test_the_pushed_limits_fix_the_final_convergence_and_continuity():
+    """The limit_laws record is keyed by the pushed limits alone: on every
+    pair of the law domains the lift record's fxi.table[B] is the union of
+    lims[A] over the A with f(A) = B, and the continuity flag is the same
+    for every source of a map with the same pushed limits."""
+    pairs = 0
+    for name in laws.LAW_DOMAINS:
+        maps_, sources, targets = domain(name)
+        universe = maps.TargetUniverse(targets)
+        for f in maps_:
+            img, cont_of = f.image_table, {}
+            for lifts, lims in maps.lift_keys(f, sources):
+                fxi, _, _, _, cont, _, _ = maps.lift_record(f, lifts, universe)
+                union = [0] * (f.target.full + 1)
+                for a in range(1, f.source.full + 1):
+                    union[img[a]] |= lims[a]
+                assert fxi.table == tuple(union)
+                assert cont_of.setdefault(lims, cont) == cont
+                pairs += 1
+    assert pairs == 18_066
 
 
 def test_closure_form_characterizes_hereditarily_quotient_maps():
@@ -632,8 +656,8 @@ def test_the_final_convergence_oracle_runs_per_pushed_limit_table(
         monkeypatch):
     """final_convergence_scan reads xi only through its pushed limits
     f(lim ^A), so the sweep runs it once per distinct pushed-limit table
-    of a map, in the memo entry of the adjunction's initial side, and
-    compares it with fxi at every pair: wrong for the pushed limits of the
+    of a map, in the pair's limit_laws record, and compares it with fxi
+    at every pair: wrong for the pushed limits of the
     last source xi0 of 3to2 alone, it fails the adjunction suite at every
     pair that shares them, each failure naming its own source."""
     maps_, sources, targets = domain("3to2")
