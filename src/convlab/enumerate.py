@@ -22,7 +22,9 @@ Streams are duplicate-free and deterministically ordered: itertools.product
 over the per-point choices, the last point varying fastest.  Caps are
 n <= 3 for general convergences and n <= 4 for the other classes and for
 seeded sampling, whose per-point downsets are generated mask by mask
-(point_downsets); carriers have 1 to 16 points.
+(point_downsets); carriers have 1 to 16 points.  SpaceUniverse numbers
+the convergences on one carrier in that order, so a table's number is its
+mixed-radix position over the per-point choices.
 
 A domain is the (maps, sources, targets) triple that a law sweep or a
 search runs over; domain(name) builds each named one from the cached
@@ -48,9 +50,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import lshift
 from typing import Callable, Iterator
 
 from .families import (
@@ -58,6 +62,7 @@ from .families import (
     CapExceeded,
     Carrier,
     CarrierMap,
+    InvariantViolation,
     ValidationError,
     bits_of,
     transpose,
@@ -144,6 +149,66 @@ def all_convergences(carrier: Carrier) -> tuple[Convergence, ...]:
     downsets = [point_downsets(carrier.size, i) for i in carrier.points()]
     return tuple(_conv_from_downsets(carrier, choice)
                  for choice in product(*downsets))
+
+
+class SpaceUniverse:
+    """The convergences on one carrier, numbered in all_convergences order.
+
+    A table's number is its mixed-radix position in the product of the
+    per-point downsets, read off its columns without hashing the table.
+    reflections(h) numbers h's image of every space, built on first request
+    and held by this universe alone."""
+
+    __slots__ = ("carrier", "spaces", "_spread", "_place", "_reflections")
+
+    def __init__(self, carrier: Carrier):
+        self.carrier = carrier
+        self.spaces = all_convergences(carrier)
+        width = carrier.full + 1
+        # limit value -> its bit i moved to bit i * width: summed over the
+        # table shifted by mask, these give the columns side by side
+        self._spread = tuple(sum(1 << i * width for i in bits_of(v))
+                             for v in range(width))
+        self._place = []  # per point: downset -> its share of the number
+        weight = 1
+        for i in reversed(carrier.points()):
+            downs = point_downsets(carrier.size, i)
+            self._place.append({d: k * weight for k, d in enumerate(downs)})
+            weight *= len(downs)
+        self._place.reverse()
+        self._reflections = {}
+
+    def index(self, table: tuple[int, ...]) -> int | None:
+        """The number of the space with this limit table; None when no
+        convergence on the carrier has it."""
+        width = self.carrier.full + 1
+        if len(table) != width or min(table) < 0 or max(table) >= width:
+            return None
+        columns = sum(map(lshift, map(self._spread.__getitem__, table),
+                          range(width)))
+        number = 0
+        for place in self._place:
+            share = place.get(columns & ~(-1 << width))
+            if share is None:
+                return None
+            number += share
+            columns >>= width
+        return number
+
+    def reflections(self, h) -> array:
+        """of[i]: the number of h(spaces[i]) for the functor handle h;
+        InvariantViolation when h leaves the convergences on the carrier."""
+        if h not in self._reflections:
+            of = array("H")
+            for conv in self.spaces:
+                j = self.index(h(conv).table)
+                if j is None:
+                    raise InvariantViolation(
+                        f"{h.tag} sends {conv!r} outside the convergences "
+                        f"on {self.carrier.size} points")
+                of.append(j)
+            self._reflections[h] = of
+        return self._reflections[h]
 
 
 @lru_cache(maxsize=None)

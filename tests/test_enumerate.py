@@ -12,6 +12,7 @@ from convlab.enumerate import (
     PREDICATES,
     EnumerationSpec,
     SearchTask,
+    SpaceUniverse,
     all_convergences,
     all_maps,
     all_pretopologies,
@@ -83,6 +84,36 @@ class TestUniverses:
         for n in (0, 5):
             with pytest.raises(CapExceeded, match=f"size {n} outside 1..4"):
                 target_carrier(n)
+
+
+class TestSpaceUniverse:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_table_is_numbered_by_its_position(self, n):
+        universe = SpaceUniverse(default_carrier(n))
+        assert universe.spaces is all_convergences(default_carrier(n))
+        assert [universe.index(conv.table) for conv in universe.spaces] == (
+            list(range(len(universe.spaces))))
+
+    @pytest.mark.parametrize("table", [
+        (0,) * 8,                    # no point is a limit of its singleton
+        (1, 1, 2, 3, 4, 5, 6, 7),    # a limit for the empty set
+        (0, 1, 2, 3, 4, 5, 6, 15),   # a limit outside the carrier
+        (0, 1, 2, 3, 4, 5, 6, -1),
+        (0, 1, 2, 7, 4, 5, 6, 7),    # lim ^{a,b} exceeds lim ^{a}
+        (0, 1, 2, 3),                # a 2-point table
+        (0, 1, 2, 3, 4, 5, 6, 7, 0),
+    ])
+    def test_a_table_that_is_no_convergence_has_no_number(self, table):
+        assert SpaceUniverse(default_carrier(3)).index(table) is None
+
+    def test_reflections_are_the_numbers_of_the_reflections(self):
+        from convlab.functors import S0, T, pretopologize, topologize
+        universe = SpaceUniverse(default_carrier(3))
+        position = {conv: i for i, conv in enumerate(universe.spaces)}
+        for h, reflector in ((T, topologize), (S0, pretopologize)):
+            want = [position[reflector(conv)] for conv in universe.spaces]
+            assert list(universe.reflections(h)) == want
+            assert universe.reflections(h) is universe.reflections(h)
 
 
 class TestDomains:

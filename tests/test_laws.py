@@ -2,6 +2,7 @@ import pytest
 
 from convlab import compactness, functors, laws, maps, spaces
 from convlab.enumerate import (
+    SpaceUniverse,
     all_convergences,
     all_pretopologies,
     all_topologies,
@@ -20,6 +21,7 @@ from convlab.families import (
     popcount,
 )
 from convlab.functors import (
+    REFLECTORS,
     Selector,
     is_pretopology,
     is_topology,
@@ -32,6 +34,7 @@ from convlab.spaces import (
     Convergence,
     adherence_table,
     closed_masks,
+    finer,
     indiscrete,
     topology_from_opens,
 )
@@ -730,3 +733,59 @@ def test_functor_laws_decide_every_handle_with_its_own_tables(monkeypatch):
     r = laws.suite_functor_laws(10_000)
     assert (r.instances, r.failures_total) == (65_824, 7)
     assert "S1 not functorial at n=3" in r.failures
+
+
+def test_functor_laws_keep_no_reflection_across_calls(monkeypatch):
+    """A run before the S1 of the test above is planted leaves nothing
+    behind that the next run reads: the universe and its reflections live
+    in one call."""
+    laws.suite_functor_laws(200)
+    reflect = functors.reflect
+    monkeypatch.setattr(functors, "reflect", lambda sel, c: (
+        reflect(sel, c) if sel is not Selector.F1
+        else topologize(c) if is_pretopology(c) else c))
+    r = laws.suite_functor_laws(10_000)
+    assert (r.instances, r.failures_total) == (65_824, 7)
+
+
+def test_reflector_bits_are_the_per_space_verdicts():
+    universe = SpaceUniverse(default_carrier(3))
+    for h in REFLECTORS:
+        of, idempotent, contractive = laws.reflector_bits(universe, h)
+        for i, conv in enumerate(universe.spaces):
+            hc = functors.reflect(h.selector, conv)
+            assert hc == universe.spaces[of[i]]
+            assert (idempotent >> i & 1) == (
+                functors.reflect(h.selector, hc).table == hc.table)
+            assert (contractive >> i & 1) == finer(conv, hc)
+
+
+def test_a_reflection_outside_the_universe_is_an_internal_fault(
+        monkeypatch, capsys):
+    """An S1 that empties every 3-point table leaves the convergences: the
+    suite raises InvariantViolation and convlab laws exits 3."""
+    from convlab.cli import main
+    reflect = functors.reflect
+    monkeypatch.setattr(functors, "reflect", lambda sel, c: (
+        Convergence(c.carrier, (0,) * len(c.table))
+        if sel is Selector.F1 and c.carrier.size == 3 else reflect(sel, c)))
+    with pytest.raises(InvariantViolation, match="S1 sends .* outside"):
+        laws.suite_functor_laws(10)
+    assert main(["laws", "--size", "2"]) == 3
+    assert "S1 sends" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("covers, failures", [(True, 2_741), (False, 0)])
+def test_reflector_ordering_under_a_planted_covering_pair_test(
+        monkeypatch, covers, failures):
+    """The covering-pair test answers the same everywhere, in the validator
+    and in the suite's check of the raised tables: the suite counts the
+    failures that comparing validate_table with antitone_scan on every
+    table counts (the raised table passes the covering pairs on 13 of the
+    2,754 spaces)."""
+    for module in (spaces, laws):
+        monkeypatch.setattr(module, "_antitone_on_covers", lambda t: covers)
+    r = laws.suite_reflector_ordering(3)
+    assert (r.instances, r.failures_total) == (2_754, failures)
+    assert all(m.startswith("covering-pair validation != full scan")
+               for m in r.failures)
