@@ -200,8 +200,10 @@ class SpaceUniverse:
         InvariantViolation when h leaves the convergences on the carrier."""
         if h not in self._reflections:
             of = array("H")
-            for conv in self.spaces:
-                j = self.index(h(conv).table)
+            for i, conv in enumerate(self.spaces):
+                table = h(conv).table
+                # a fixed point keeps its own number
+                j = i if table == conv.table else self.index(table)
                 if j is None:
                     raise InvariantViolation(
                         f"{h.tag} sends {conv!r} outside the convergences "

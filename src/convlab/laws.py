@@ -45,11 +45,16 @@ are fixed, so a run is determined by max_size alone.
 The standalone suites build each per-space fact once, in the loop that
 reads it, and keep no table past it: suite_compactness_extras one hull
 table per (space, class), suite_cover_duality one cover_clauses pair per
-(space, family) whose targets run innermost, and suite_functor_laws, at
-n=3, one enumerate.SpaceUniverse per call: each reflector's image of
-every space by number, and its idempotence and contractivity as bitsets
-over the spaces; a sample reads those by number and decides
-continuous(MapContext(f, h xi, h zeta)) for every handle.
+(space, family) whose targets run innermost, suite_functor_laws, at n=3,
+one enumerate.SpaceUniverse per call: each reflector's and coreflector's
+image of every space by number, and each reflector's idempotence and
+contractivity as bitsets over the spaces; a sample reads those by number
+and decides continuous(MapContext(f, h xi, h zeta)) for every handle
+whose images are not xi and zeta themselves, reading the sample's own
+verdict for the rest.  suite_preservation_grid goes straight to its
+sampled contexts, builds one MapFacts record per continuous one, from
+which each reflector's quotient verdict is read, and decides is_JE once
+per (space, reflector, coreflector image) within the call.
 
 LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
 counts every failure in failures_total; run_laws records each standalone
@@ -141,10 +146,10 @@ from .maps import (
     initial_convergence,
     is_hausdorff,
     is_JE,
-    is_quotient_like,
     lift_keys,
     lift_record,
     map_flags,
+    quotient_decider,
 )
 from .spaces import (
     _antitone_on_covers,
@@ -731,9 +736,10 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     reflectors, three coreflectors and the identity; exhaustive at n=2 and
     sampled at n=3.  At n=3 the convergences form one SpaceUniverse, built
     per call, and each reflector's idempotence and contractivity are decided
-    once per space (reflector_bits); a sample reads those bits and its
-    reflections by number, and decides "zeta finer than xi", isotony and
-    functoriality."""
+    once per space (reflector_bits); a sample reads those bits and every
+    handle's images by number, and decides "zeta finer than xi", isotony and
+    functoriality.  A functoriality instance whose image pair is the
+    sample's own pair reads the sample's continuity verdict."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
@@ -746,6 +752,8 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     spaces = universe.spaces
     maps3 = all_maps(c3, c3)
     reflectors = [(h, *reflector_bits(universe, h)) for h in REFLECTORS]
+    images = [(h, of) for h, of, _, _ in reflectors]
+    images += [(h, universe.reflections(h)) for h in COREFLECTORS]
     for _ in range(sample_pairs):
         x = rng.randrange(len(spaces))
         z = rng.randrange(len(spaces))
@@ -761,12 +769,12 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
                 r.fail(f"{h.tag} not isotone at n=3")
         f = maps3[rng.randrange(len(maps3))]
         if continuous(MapContext(f, xi, zeta)):
-            applied = [(h, spaces[of[x]], spaces[of[z]])
-                       for h, of, _, _ in reflectors]
-            applied += [(h, h(xi), h(zeta)) for h in COREFLECTORS]
-            for h, hx, hz in applied:
+            for h, of in images:
                 r.instances += 1
-                if not continuous(MapContext(f, hx, hz)):
+                hx, hz = of[x], of[z]
+                # an image pair that is (x, z) is the draw's own context
+                if (hx != x or hz != z) and not continuous(
+                        MapContext(f, spaces[hx], spaces[hz])):
                     r.fail(f"{h.tag} not functorial at n=3")
     return r
 
@@ -822,6 +830,8 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
                     or _antitone_on_covers(raised)
                     and antitone_scan(conv.carrier, raised)):
                 r.fail(f"covering-pair validation != full scan on {conv!r}")
+            if not _antitone_on_covers(conv.table):
+                r.fail(f"covering pairs fail the valid table of {conv!r}")
             for sel in Selector:
                 refl_adh = adherence_table(reflect(sel, conv))
                 if any(refl_adh[h] != adh[h]
@@ -1091,27 +1101,39 @@ def suite_sierpinski() -> LawResult:
 
 def suite_preservation_grid(maps, sources, targets) -> LawResult:
     """Thm-preserv instances through the genuine is_JE machinery for every
-    (reflector, coreflector) pair on a thinned deterministic sample."""
+    (reflector, coreflector) pair on a thinned deterministic sample: the
+    contexts numbered by a multiple of 211, counting from 1 in (map,
+    source, target) order, reached by their numbers.  A continuous one is
+    evaluated once (maps.quotient_decider) and decides each reflector's
+    quotient verdict through that reflector's selector routes; is_JE is
+    decided once per (space, reflector, coreflector image) within the
+    call."""
     r = LawResult("JE preservation via is_JE (sampled grid)")
-    node = 0
-    for f in maps:
-        for xi in sources:
-            for tau in targets:
-                node += 1
-                if node % 211 != 0:
-                    continue
-                ctx = MapContext(f, xi, tau)
-                if not continuous(ctx):
-                    continue
-                for j in REFLECTORS:
-                    if not is_quotient_like(ctx, j.selector):
-                        continue
-                    for e in COREFLECTORS:
-                        r.instances += 1
-                        if is_JE(xi, j, e) and not is_JE(tau, j, e):
-                            r.fail(
-                                f"({j.tag},{e.tag}) preservation fails at "
-                                f"{f.mapping}")
+    je: dict = {}
+
+    def is_je(conv, j, e) -> bool:
+        key = conv.table, j, e(conv).table
+        if key not in je:
+            je[key] = is_JE(conv, j, e)
+        return je[key]
+
+    n_s, n_t = len(sources), len(targets)
+    for node in range(211, len(maps) * n_s * n_t + 1, 211):
+        m, s = divmod((node - 1) // n_t, n_s)
+        f, xi, tau = maps[m], sources[s], targets[(node - 1) % n_t]
+        ctx = MapContext(f, xi, tau)
+        if not continuous(ctx):
+            continue
+        quotient_like = quotient_decider(ctx)
+        for j in REFLECTORS:
+            if not quotient_like(j.selector):
+                continue
+            for e in COREFLECTORS:
+                r.instances += 1
+                if is_je(xi, j, e) and not is_je(tau, j, e):
+                    r.fail(
+                        f"({j.tag},{e.tag}) preservation fails at "
+                        f"{f.mapping}")
     return r
 
 

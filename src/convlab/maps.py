@@ -26,7 +26,8 @@ an OR of a few row lookups.  map_flags decides the twelve flags of one
 agreement is equality of bitsets; on a disagreement the lowest differing
 bit names the first failing target.
 classify, the is_* predicates and the law sweep all call it: classify is
-the one-target case, so each route exists once.  As f is J-quotient iff
+the one-target case, so each route exists once; quotient_decider answers
+is_quotient_like for every selector off one record.  As f is J-quotient iff
 tau >= J(fxi), the reflector route reads the source only through fxi, the
 other class routes through its adherence and closed sets, and the closed
 sets are fixed by the singleton limits, which the adherence table holds (C
@@ -575,20 +576,28 @@ def _evaluate(ctx: MapContext) -> tuple:
     return MapFacts(ctx.f, ctx.source, universe), universe
 
 
-def _decide(decide, ctx: MapContext, sel: Selector) -> bool:
-    facts, universe = _evaluate(ctx)
+def _decide(decide, facts: MapFacts, universe: TargetUniverse,
+            sel: Selector) -> bool:
+    """One class verdict of an evaluated context (_evaluate), raising its
+    route faults."""
     faults: list = []
     verdict = decide(sel, facts._build_routes(sel), universe, faults)
     _raise_first(facts, universe, faults)
     return bool(verdict)
 
 
+def quotient_decider(ctx: MapContext):
+    """is_quotient_like(ctx, sel) as a function of sel: every selector's
+    routes are built on the one MapFacts record of ctx."""
+    return partial(_decide, _quotient, *_evaluate(ctx))
+
+
 def is_quotient_like(ctx: MapContext, sel: Selector) -> bool:
-    return _decide(_quotient, ctx, sel)
+    return _decide(_quotient, *_evaluate(ctx), sel)
 
 
 def is_perfect_like(ctx: MapContext, sel: Selector) -> bool:
-    return _decide(_perfect, ctx, sel)
+    return _decide(_perfect, *_evaluate(ctx), sel)
 
 
 def is_almost_open(ctx: MapContext) -> bool:

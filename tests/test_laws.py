@@ -29,7 +29,13 @@ from convlab.functors import (
     topologize,
 )
 from convlab.laws import LawResult, emit_tables, run_laws
-from convlab.maps import MapContext, classify
+from convlab.maps import (
+    MapContext,
+    classify,
+    continuous,
+    is_JE,
+    is_quotient_like,
+)
 from convlab.spaces import (
     Convergence,
     adherence_table,
@@ -119,6 +125,12 @@ class TestErrorsPropagate:
         calls = self._failing(monkeypatch, "is_JE")
         with pytest.raises(TypeError):
             laws.suite_prop_JE()
+        assert len(calls) == 1
+
+    def test_preservation_grid(self, monkeypatch):
+        calls = self._failing(monkeypatch, "is_JE")
+        with pytest.raises(TypeError):
+            laws.suite_preservation_grid(*domain("3to2"))
         assert len(calls) == 1
 
 
@@ -735,6 +747,22 @@ def test_functor_laws_decide_every_handle_with_its_own_tables(monkeypatch):
     assert "S1 not functorial at n=3" in r.failures
 
 
+def test_functor_laws_decide_a_coreflector_that_moves_spaces(monkeypatch):
+    """A "coreflector" P that topologizes pretopologies and keeps the rest
+    is not functorial: a sample reads its own continuity verdict only where
+    P keeps both of its spaces, and decides every other image pair."""
+    class Planted:
+        tag, kind = "P", "coreflector"
+
+        def __call__(self, conv):
+            return topologize(conv) if is_pretopology(conv) else conv
+    monkeypatch.setattr(laws, "COREFLECTORS",
+                        (Planted(),) + functors.COREFLECTORS[1:])
+    r = laws.suite_functor_laws(10_000)
+    assert (r.instances, r.failures_total) == (65_824, 1)
+    assert "P not functorial at n=3" in r.failures
+
+
 def test_functor_laws_keep_no_reflection_across_calls(monkeypatch):
     """A run before the S1 of the test above is planted leaves nothing
     behind that the next run reads: the universe and its reflections live
@@ -775,17 +803,98 @@ def test_a_reflection_outside_the_universe_is_an_internal_fault(
     assert "S1 sends" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("covers, failures", [(True, 2_741), (False, 0)])
+@pytest.mark.parametrize("covers, failures, prefix", [
+    pytest.param(True, 2_741, "covering-pair validation != full scan",
+                 id="True-2741"),
+    pytest.param(False, 2_754, "covering pairs fail the valid table",
+                 id="False-2754"),
+])
 def test_reflector_ordering_under_a_planted_covering_pair_test(
-        monkeypatch, covers, failures):
+        monkeypatch, covers, failures, prefix):
     """The covering-pair test answers the same everywhere, in the validator
-    and in the suite's check of the raised tables: the suite counts the
-    failures that comparing validate_table with antitone_scan on every
-    table counts (the raised table passes the covering pairs on 13 of the
-    2,754 spaces)."""
+    and in the suite's checks.  Always true, it passes the raised tables
+    that antitone_scan rejects, on all but 13 of the 2,754 spaces; always
+    false, it fails the valid table of every space, although validate_table
+    then falls back to antitone_scan and reports what the scan reports."""
     for module in (spaces, laws):
         monkeypatch.setattr(module, "_antitone_on_covers", lambda t: covers)
     r = laws.suite_reflector_ordering(3)
     assert (r.instances, r.failures_total) == (2_754, failures)
-    assert all(m.startswith("covering-pair validation != full scan")
-               for m in r.failures)
+    assert all(m.startswith(prefix) for m in r.failures)
+
+
+def _grid_contexts(maps_, sources, targets) -> list:
+    """The grid's sample, literally: every context in (map, source,
+    target) order, numbered from 1, kept where the number is a multiple of
+    211."""
+    contexts = [(f, xi, tau) for f in maps_ for xi in sources
+                for tau in targets]
+    return contexts[210::211]
+
+
+def _grid_by_scan(maps_, sources, targets) -> list:
+    """The grid's failure messages, one is_quotient_like and one is_JE call
+    per question."""
+    failures = []
+    for f, xi, tau in _grid_contexts(maps_, sources, targets):
+        ctx = MapContext(f, xi, tau)
+        if not continuous(ctx):
+            continue
+        for j in REFLECTORS:
+            if is_quotient_like(ctx, j.selector):
+                for e in functors.COREFLECTORS:
+                    if laws.is_JE(xi, j, e) and not laws.is_JE(tau, j, e):
+                        failures.append(f"({j.tag},{e.tag}) preservation "
+                                        f"fails at {f.mapping}")
+    return failures
+
+
+@pytest.mark.parametrize("name, visited", [("3to2", 702), ("2to2", 0)])
+def test_the_grid_visits_the_sampled_contexts_in_order(monkeypatch, name,
+                                                       visited):
+    seen = []
+
+    def recorded(ctx):
+        seen.append((ctx.f, ctx.source, ctx.target))
+        return continuous(ctx)
+    monkeypatch.setattr(laws, "continuous", recorded)
+    maps_, sources, targets = domain(name)
+    r = laws.suite_preservation_grid(maps_, sources, targets)
+    assert seen == _grid_contexts(maps_, sources, targets)
+    assert len(seen) == visited
+    assert r.instances == (1_404 if visited else 0) and r.ok
+
+
+def test_the_grid_fails_every_instance_under_a_planted_is_JE(monkeypatch):
+    """is_JE planted false on every 2-point space fails each instance of
+    3 -> 2: is_JE is asked once per (space, reflector, coreflector image),
+    and each instance reads the answers of its own source and target."""
+    calls = []
+
+    def planted(conv, j, e):
+        calls.append((conv.table, j, e))
+        return conv.carrier.size != 2 and is_JE(conv, j, e)
+    monkeypatch.setattr(laws, "is_JE", planted)
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    r = laws.suite_preservation_grid(*domain("3to2"))
+    assert r.instances == r.failures_total == 1_404
+    assert len({(table, j) for table, j, _ in calls}) == len(calls)
+    assert r.failures == _grid_by_scan(*domain("3to2"))
+
+
+def test_a_route_fault_escapes_from_the_grid_as_is_quotient_like_raises(
+        monkeypatch):
+    """With S1's reflector route planted to hold everywhere, the grid
+    raises, at the first continuous context that is not S1-quotient, the
+    InvariantViolation that is_quotient_like raises there."""
+    build = maps.MapFacts._build_routes
+    monkeypatch.setattr(maps.MapFacts, "_build_routes", lambda self, sel: (
+        build(self, sel)._replace(quotient_refl=())
+        if sel is Selector.F1 else build(self, sel)))
+    with pytest.raises(InvariantViolation) as by_scan:
+        _grid_by_scan(*domain("3to2"))
+    with pytest.raises(InvariantViolation) as by_grid:
+        laws.suite_preservation_grid(*domain("3to2"))
+    assert str(by_grid.value) == str(by_scan.value)
+    assert str(by_grid.value).startswith(
+        "quotient routes disagree for Selector.F1")
