@@ -1,3 +1,5 @@
+from itertools import islice, product
+
 import pytest
 
 from convlab import compactness, functors, laws, maps, spaces
@@ -827,9 +829,7 @@ def _grid_contexts(maps_, sources, targets) -> list:
     """The grid's sample, literally: every context in (map, source,
     target) order, numbered from 1, kept where the number is a multiple of
     211."""
-    contexts = [(f, xi, tau) for f in maps_ for xi in sources
-                for tau in targets]
-    return contexts[210::211]
+    return list(islice(product(maps_, sources, targets), 210, None, 211))
 
 
 def _grid_by_scan(maps_, sources, targets) -> list:
