@@ -14,7 +14,13 @@ for each workload in turn; of the 10 pairs, the parent runs first in the
 first half and the change first in the rest.
 The file records, per workload and end-to-end metric of BENCHMARK.json,
 the median and quartiles of each side's runs, the relative change of the
-medians, and change_wins: the pairs in which the change read better.
+medians, change_wins: the pairs in which the change read better,
+beyond_parent_spread: the medians differ by more than the parent's
+q3 - q1, and within_bound: the change's median is no worse than the
+parent's by more than the metric's bound, a fraction of the parent's
+median.  A gain holds when change_wins is at least 9 of 10 and the medians
+differ beyond the parent's spread in the better direction; no metric may
+leave its bound.
 """
 
 from __future__ import annotations
@@ -58,8 +64,13 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3, inclusive of the extremes."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = quartiles(values)
     return {"median": round(median, 4), "q1": round(q1, 4),
             "q3": round(q3, 4)}
 
@@ -81,6 +92,8 @@ def summarize(runs: dict, spec: list[dict]) -> dict:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
         parent, change = spread(values["parent"]), spread(values["change"])
+        q1, before, q3 = quartiles(values["parent"])
+        after = statistics.median(values["change"])
         out["metrics"][name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -91,6 +104,8 @@ def summarize(runs: dict, spec: list[dict]) -> dict:
             "median_change": round(
                 change["median"] / parent["median"] - 1, 4)
             if parent["median"] else None,
+            "beyond_parent_spread": abs(after - before) > q3 - q1,
+            "within_bound": sign * (after - before) >= -m["bound"] * before,
         }
     return out
 

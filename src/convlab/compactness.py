@@ -25,7 +25,10 @@ a caller that asks many questions of one small space builds it once, as
 the compactness suite of laws does per enumerated space and class, and
 image_of_compact takes its hypothesis as a verdict and reads its
 conclusion off the target's table.  The scan, is_compact_at_scan, is the
-oracle the compactness suite compares with.
+oracle the compactness suite compares with.  That suite keeps, for one
+call, a record per distinct value each question reads (its docstring
+lists the keys), so the scan and image_of_compact run once per distinct
+input rather than once per space or instance.
 
 On a finite carrier every filter has adherent points, so every space is
 compact and the completeness number is 0; completeness_number_finite

@@ -43,15 +43,23 @@ emit_tables read the surjections onto 2 points.  Sample sizes and the seed
 are fixed, so a run is determined by max_size alone.
 
 The standalone suites build each per-space fact once, in the loop that
-reads it, and keep no table past it: suite_compactness_extras one hull
-table per (space, class), suite_cover_duality one cover_clauses pair per
-(space, family) whose targets run innermost, suite_functor_laws, at n=3,
-one enumerate.SpaceUniverse per call: each reflector's and coreflector's
-image of every space by number, and each reflector's idempotence and
-contractivity as bitsets over the spaces; a sample reads those by number
-and decides continuous(MapContext(f, h xi, h zeta)) for every handle
-whose images are not xi and zeta themselves, reading the sample's own
-verdict for the rest.  suite_preservation_grid goes straight to its
+reads it, and keep no table or record past the call.
+suite_compactness_extras builds one hull table per (space, class) and
+decides each of its questions once per distinct value of what the
+question reads, in one dict per question: the scan comparison, the
+characteristic detection, the S-limit check and image_of_compact
+(its docstring lists the keys); every instance is still counted, and a
+space with a failing record formats its messages in the order of a loop
+that asks every question at every space.  suite_cover_duality builds one
+cover_clauses pair per (space, family) whose targets run innermost.
+suite_functor_laws decides continuous(MapContext(f, c1, c2)) once per
+context within the call: at n=2 one verdict per (map, source, target)
+serves all eight handles, and at n=3 one per (map index, source number,
+target number) of one enumerate.SpaceUniverse, which holds each
+reflector's and coreflector's image of every space by number, and each
+reflector's idempotence and contractivity as bitsets over the spaces; a
+sample reads those by number, its own continuity and that of every
+handle's image pair.  suite_preservation_grid goes straight to its
 sampled contexts, builds one MapFacts record per continuous one, from
 which each reflector's quotient verdict is read, and decides is_JE once
 per (space, reflector, coreflector image) within the call.
@@ -162,6 +170,7 @@ from .spaces import (
     inf,
     interior_mask,
     is_cover,
+    min_open_table,
     open_masks,
     open_masks_scan,
     sup,
@@ -690,11 +699,22 @@ def suite_axioms_and_lattice() -> LawResult:
     return r
 
 
-def check_functor_laws(r: LawResult, h, convs, maps) -> None:
+def check_functor_laws(r: LawResult, h, convs, maps,
+                       verdicts: dict | None = None) -> None:
     """Idempotent, contractive (reflectors) or expansive (coreflectors),
     isotone on every pair, and functorial along every map, for the handle h
     on convergences of one carrier and self-maps of it; the identity is
-    both contractive and expansive."""
+    both contractive and expansive.  verdicts holds
+    continuous(MapContext(f, c1, c2)) per (f, c1, c2), each decided once;
+    calls for several handles over the same spaces and maps may share it."""
+    verdicts = {} if verdicts is None else verdicts
+
+    def continuous_at(f, c1, c2) -> bool:
+        key = (f, c1, c2)
+        got = verdicts.get(key)
+        if got is None:
+            got = verdicts[key] = continuous(MapContext(f, c1, c2))
+        return got
     for c in convs:
         hc = h(c)
         r.instances += 1
@@ -711,11 +731,13 @@ def check_functor_laws(r: LawResult, h, convs, maps) -> None:
                 r.fail(
                     f"{h.tag} not isotone on a pair over {c1.carrier.labels}")
     for c1 in convs:
+        hc1 = h(c1)
         for c2 in convs:
+            hc2 = h(c2)
             for f in maps:
                 r.instances += 1
-                if continuous(MapContext(f, c1, c2)) and not continuous(
-                        MapContext(f, h(c1), h(c2))):
+                if continuous_at(f, c1, c2) and not continuous_at(f, hc1,
+                                                                  hc2):
                     r.fail(f"{h.tag} not functorial on a map "
                            f"{c1.carrier.labels}->{c2.carrier.labels}")
 
@@ -738,14 +760,17 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     per call, and each reflector's idempotence and contractivity are decided
     once per space (reflector_bits); a sample reads those bits and every
     handle's images by number, and decides "zeta finer than xi", isotony and
-    functoriality.  A functoriality instance whose image pair is the
-    sample's own pair reads the sample's continuity verdict."""
+    functoriality.  Each continuity verdict is decided once per call: at
+    n=2 per (map, source, target) for all handles, at n=3 per (map index,
+    source number, target number), so an image pair that is the sample's
+    own reads the sample's verdict."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
     maps2 = all_maps(c2, c2)
+    verdicts2 = {}
     for h in HANDLES.values():
-        check_functor_laws(r, h, universe2, maps2)
+        check_functor_laws(r, h, universe2, maps2, verdicts2)
     c3 = default_carrier(3)
     rng = random.Random(0)
     universe = SpaceUniverse(c3)
@@ -754,6 +779,17 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     reflectors = [(h, *reflector_bits(universe, h)) for h in REFLECTORS]
     images = [(h, of) for h, of, _, _ in reflectors]
     images += [(h, universe.reflections(h)) for h in COREFLECTORS]
+    # per (map index, source number, target number), numbered as one int,
+    # which takes less memory per record than a tuple of three
+    verdicts = {}
+
+    def continuous_at(i: int, x: int, z: int) -> bool:
+        key = (i * len(spaces) + x) * len(spaces) + z
+        got = verdicts.get(key)
+        if got is None:
+            got = verdicts[key] = continuous(
+                MapContext(maps3[i], spaces[x], spaces[z]))
+        return got
     for _ in range(sample_pairs):
         x = rng.randrange(len(spaces))
         z = rng.randrange(len(spaces))
@@ -767,14 +803,11 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
                 r.fail(f"{h.tag} not contractive at n=3")
             if zeta_finer and not finer(spaces[of[z]], spaces[of[x]]):
                 r.fail(f"{h.tag} not isotone at n=3")
-        f = maps3[rng.randrange(len(maps3))]
-        if continuous(MapContext(f, xi, zeta)):
+        i = rng.randrange(len(maps3))
+        if continuous_at(i, x, z):
             for h, of in images:
                 r.instances += 1
-                hx, hz = of[x], of[z]
-                # an image pair that is (x, z) is the draw's own context
-                if (hx != x or hz != z) and not continuous(
-                        MapContext(f, spaces[hx], spaces[hz])):
+                if not continuous_at(i, of[x], of[z]):
                     r.fail(f"{h.tag} not functorial at n=3")
     return r
 
@@ -936,6 +969,69 @@ def suite_enumeration_counts() -> LawResult:
     return r
 
 
+def _closed_form_gap(conv, odd: SetFamily, singletons: SetFamily,
+                     sel: Selector) -> bool:
+    """The closed form and the class-filter scan disagree on whether the
+    sets holding the first point are compact at the singletons."""
+    scan = is_compact_at_scan(CompactnessQuery(conv, odd, singletons, sel))
+    return compact_at_masks(conv, odd.masks, singletons.masks, sel) != scan
+
+
+def _detection_record(nonempty, chi, wholes, full: int) -> tuple | None:
+    """For a table whose entries are nonempty where nonempty is, its
+    characteristic chi and the hulls of the whole carrier (wholes: closed
+    class, principal): per selector, the masks at which the whole hull
+    holds the mask while the reflected chi gives it no limit, or back; per
+    mask, whether it converges without being compactoid.  None when
+    nothing fails."""
+    closed, principal = wholes
+    masks = range(1, full + 1)
+    detections = tuple(
+        sum(hull_holds(closed if sel is Selector.F0_CLOSED else principal,
+                       (h,), full) != bool(reflect(sel, chi).table[h])
+            for h in masks)
+        for sel in Selector)
+    convergent = tuple(bool(nonempty[h]) and not hull_holds(
+        principal, (h,), full) for h in masks)
+    if any(detections) or any(convergent):
+        return detections, convergent
+    return None
+
+
+def _s_limit_record(s_table, point_hulls, full: int) -> tuple | None:
+    """Per mask, the points at which "the hull of the point holds the
+    mask" and "the point is an S-limit of the mask" differ; None when they
+    never do."""
+    gaps = tuple(
+        sum(hull_holds(hull, (h,), full) != bool(s_table[h] >> x & 1)
+            for x, hull in enumerate(point_hulls))
+        for h in range(1, full + 1))
+    return gaps if any(gaps) else None
+
+
+def _replay_compactness(r: LawResult, conv, invalid: bool, gaps: dict,
+                        detection, s_gaps) -> None:
+    """One space's failures from its records, in the order of a loop that
+    asks every question at the space."""
+    text, full = repr(conv), conv.carrier.full
+    detections, convergent = detection or ((0,) * len(Selector),
+                                           (False,) * full)
+    s_gaps = s_gaps or (0,) * full
+    if invalid:
+        r.fail(f"characteristic table invalid for {text}")
+    for sel, count in zip(Selector, detections):
+        if gaps.get(sel):
+            r.fail(f"compactness closed form and scan disagree ({sel}) "
+                   f"on {text}")
+        for _ in range(count):
+            r.fail(f"characteristic detection fails ({sel}) on {text}")
+    for count, diverges in zip(s_gaps, convergent):
+        for _ in range(count):
+            r.fail(f"S-limit/compact-at gap on {text}")
+        if diverges:
+            r.fail(f"convergent filter not compactoid on {text}")
+
+
 def suite_compactness_extras(max_size: int) -> LawResult:
     """Pseudotopology limits = compactness at points; convergent filters
     are compactoid; compactoid <=> reflected characteristic limit nonempty;
@@ -944,13 +1040,29 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     each distinct class, on the sets holding the first point at all
     singletons, inside the characteristic-detection instances.
 
-    Every other question reads a hull table built once per (space, class)
-    in the loop that asks it: per enumerated space one table for the
-    principal selectors and one for the closed class; in the 2x2 relation
-    block, per source theta and class the hypothesis "fam is compact at
-    the set", and per target sigma and class the rows the image family is
-    read against."""
+    Each question is decided once per distinct value of what its two sides
+    read, in a dict that lives for one call, and every instance is counted
+    and reported at its space as before:
+    - the closed form against the scan, per (selector, adherence table,
+      class filter masks, singleton limits, least opens for the closed
+      class);
+    - characteristic detection and "convergent filter is compactoid", per
+      (nonempty entries of the table, characteristic table, the hulls of
+      the whole carrier);
+    - the S-limit check, per (S-reflection table, hulls of the
+      singletons);
+    - the validity of the characteristic table, per table, and the
+      completeness number, per adherence table;
+    - in the 2x2 relation block, image_of_compact per (relation rows,
+      family, set, both hypothesis verdicts, the target's hull table for
+      the class).
+    A record holds failure counts; a space with a failing record formats
+    its messages on replay, in the order of a loop that asks every
+    question at every space.  Hull tables are built per (space, class) in
+    the loop that reads them, and in the relation block the hypothesis
+    "fam is compact at the set" per source and class."""
     r = LawResult("compactness: characteristic, images, completeness")
+    scans, detections, s_limits, invalid_of, complete_of = {}, {}, {}, {}, {}
     for n in range(1, max_size + 1):
         carrier = default_carrier(n)
         full = carrier.full
@@ -958,42 +1070,51 @@ def suite_compactness_extras(max_size: int) -> LawResult:
         # the odd masks: the sets holding the first point
         odd = SetFamily(carrier, frozenset(range(1, full + 1, 2)))
         singletons = SetFamily(carrier, frozenset(points))
+        # 4 selectors + S-limits and compactoid per mask, + completeness
+        per_space = (len(Selector) + 1) * full + 1
         for conv in all_convergences(carrier):
+            r.instances += per_space
+            table = conv.table
             s = pseudotopologize(conv)
             chi = characteristic(conv)
-            if validate_table(carrier, chi.table):
-                r.fail(f"characteristic table invalid for {conv!r}")
+            invalid = invalid_of.get(chi.table)
+            if invalid is None:
+                invalid = invalid_of[chi.table] = bool(
+                    validate_table(carrier, chi.table))
             principal = hull_table(conv, Selector.F_ALL)
             closed = hull_table(conv, Selector.F0_CLOSED)
-            for sel in Selector:
-                if sel in (Selector.F_ALL, Selector.F0_CLOSED):
-                    scan = is_compact_at_scan(
-                        CompactnessQuery(conv, odd, singletons, sel))
-                    if compact_at_masks(conv, odd.masks, singletons.masks,
-                                        sel) != scan:
-                        r.fail(f"compactness closed form and scan disagree "
-                               f"({sel}) on {conv!r}")
-                jchi = reflect(sel, chi)
-                whole = (closed if sel is Selector.F0_CLOSED
-                         else principal)[full]
-                for h in range(1, full + 1):
-                    r.instances += 1
-                    if hull_holds(whole, (h,), full) != bool(jchi.table[h]):
-                        r.fail(
-                            f"characteristic detection fails ({sel}) on {conv!r}")
-            for h in range(1, full + 1):
-                r.instances += 1
-                # S-limits are exactly the points the filter is compact at
-                for x, point in enumerate(points):
-                    if (hull_holds(principal[point], (h,), full)
-                            != bool(s.table[h] >> x & 1)):
-                        r.fail(f"S-limit/compact-at gap on {conv!r}")
-                # every convergent filter is compactoid
-                if conv.table[h] and not hull_holds(principal[full], (h,),
-                                                    full):
-                    r.fail(f"convergent filter not compactoid on {conv!r}")
-            r.instances += 1
-            if completeness_number_finite(conv) != 0:
+            adh = adherence_table(conv)
+            singles = tuple(table[p] for p in points)
+            gaps = {}
+            for sel, least in ((Selector.F0_CLOSED, min_open_table(conv)),
+                               (Selector.F_ALL, None)):
+                key = (sel, adh, class_filter_masks(sel, conv), singles,
+                       least)
+                gap = scans.get(key)
+                if gap is None:
+                    gap = scans[key] = _closed_form_gap(conv, odd,
+                                                        singletons, sel)
+                gaps[sel] = gap
+            wholes = closed[full], principal[full]
+            key = (tuple(map(bool, table)), chi.table, wholes)
+            if key in detections:
+                detection = detections[key]
+            else:
+                detection = detections[key] = _detection_record(
+                    key[0], chi, wholes, full)
+            key = (s.table, tuple(principal[p] for p in points))
+            if key in s_limits:
+                s_gaps = s_limits[key]
+            else:
+                s_gaps = s_limits[key] = _s_limit_record(*key, full)
+            if invalid or any(gaps.values()) or detection or s_gaps:
+                _replay_compactness(r, conv, invalid, gaps, detection,
+                                    s_gaps)
+            complete = complete_of.get(adh)
+            if complete is None:
+                complete = complete_of[adh] = (
+                    completeness_number_finite(conv) == 0)
+            if not complete:
                 r.fail("finite completeness number must be 0")
     # image of compact at 2x2, all relations, all spaces, all selectors
     c2 = default_carrier(2)
@@ -1007,27 +1128,33 @@ def suite_compactness_extras(max_size: int) -> LawResult:
         return [[{sel: hull_holds(tables[sel][at.bits], fam.masks, c2.full)
                   for sel in sels} for at in ats] for fam in fams]
     sources = [(theta, hypotheses(theta)) for theta in all_convergences(c2)]
-    targets = [(sigma, {sel: hull_table(sigma, sel) for sel in sels})
+    targets = [(sigma, {sel: tuple(hull_table(sigma, sel)) for sel in sels})
                for sigma in all_convergences(d2)]
+    images = {}  # fams[i] and ats[j] keyed by i and j
+    per_context = len(fams) * len(ats) * len(sels)
     for rows in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2),
                  (3, 0), (0, 3), (1, 2), (2, 1), (3, 3), (1, 1), (1, 3),
                  (3, 1), (2, 3), (3, 2)):
         rel = FiniteRelation(c2, d2, rows)
         for theta, fam_compact in sources:
             for sigma, sigma_hulls in targets:
+                r.instances += per_context
                 rel_compact = {sel: is_relation_compact(rel, theta, sigma, sel)
                                for sel in sels}
-                for fam, fam_row in zip(fams, fam_compact):
-                    for at, at_compact in zip(ats, fam_row):
+                for i, fam_row in enumerate(fam_compact):
+                    for j, at_compact in enumerate(fam_row):
                         for sel, compact in rel_compact.items():
-                            r.instances += 1
-                            res = image_of_compact(
-                                rel, theta, sigma, fam, at, compact,
-                                at_compact[sel], sigma_hulls[sel])
-                            if not res.holds:
-                                r.fail(
-                                    f"compact image failed: rel={rows} "
-                                    f"fam={sorted(fam.masks)} at={at.bits}")
+                            key = (rows, i, j, compact, at_compact[sel],
+                                   sigma_hulls[sel])
+                            holds = images.get(key)
+                            if holds is None:
+                                holds = images[key] = image_of_compact(
+                                    rel, theta, sigma, fams[i], ats[j],
+                                    *key[3:]).holds
+                            if not holds:
+                                r.fail(f"compact image failed: rel={rows} "
+                                       f"fam={sorted(fams[i].masks)} "
+                                       f"at={ats[j].bits}")
     return r
 
 

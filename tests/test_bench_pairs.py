@@ -58,3 +58,38 @@ def test_medians_and_quartiles_are_inclusive():
     assert run_s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert run_s["change"] == {"median": 2.0, "q1": 1.5, "q3": 3.5}
     assert run_s["median_change"] == round(2.0 / 3.0 - 1, 4)
+
+
+def verdicts(parent, change):
+    """Both metrics' verdict fields for runs that read the same values on
+    run_s (better lower) and queries_per_s (better higher)."""
+    zeros = [0] * len(parent)
+    runs = {"parent": runs_of(parent, zeros, zeros),
+            "change": runs_of(change, zeros, zeros)}
+    metrics = load_script().summarize(runs, SPEC)["metrics"]
+    return {name: (m["beyond_parent_spread"], m["within_bound"])
+            for name, m in metrics.items()}
+
+
+def test_a_tie_is_neither_beyond_the_spread_nor_out_of_bound():
+    assert verdicts(PARENT, PARENT) == {"run_s": (False, True),
+                                        "queries_per_s": (False, True)}
+
+
+def test_the_spread_is_the_parents_quartile_distance():
+    # the parent's q3 - q1 is 2.0; the change's median moves by 1.0 or 2.5
+    assert verdicts(PARENT, [0.0, 1.0, 2.0, 3.0, 4.0])["run_s"][0] is False
+    assert verdicts(PARENT, [0.5, 0.5, 0.5, 0.5, 0.5])["run_s"][0] is True
+
+
+def test_the_bound_is_read_in_the_worse_direction():
+    """A regression of 23.9% stays inside a 24% bound and one of 24.1%
+    leaves it; the same values are a gain on a better: higher metric,
+    and a drop of 24.1% there leaves the bound."""
+    parent = [1.0] * 5
+    assert verdicts(parent, [1.239] * 5) == {"run_s": (True, True),
+                                             "queries_per_s": (True, True)}
+    assert verdicts(parent, [1.241] * 5) == {"run_s": (True, False),
+                                             "queries_per_s": (True, True)}
+    assert verdicts(parent, [0.759] * 5) == {"run_s": (True, True),
+                                             "queries_per_s": (True, False)}

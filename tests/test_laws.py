@@ -3,9 +3,11 @@ from itertools import islice, product
 import pytest
 
 from convlab import compactness, functors, laws, maps, spaces
+from convlab.compactness import CompactnessQuery
 from convlab.enumerate import (
     SpaceUniverse,
     all_convergences,
+    all_maps,
     all_pretopologies,
     all_topologies,
     default_carrier,
@@ -18,13 +20,18 @@ from convlab.families import (
     Carrier,
     CarrierMap,
     CarrierMismatch,
+    FiniteRelation,
     InvariantViolation,
     NotSurjective,
+    SetFamily,
+    Subset,
     popcount,
 )
 from convlab.functors import (
+    HANDLES,
     REFLECTORS,
     Selector,
+    class_filter_masks,
     is_pretopology,
     is_topology,
     pretopologize,
@@ -42,8 +49,10 @@ from convlab.spaces import (
     Convergence,
     adherence_table,
     closed_masks,
+    discrete,
     finer,
     indiscrete,
+    min_open_table,
     topology_from_opens,
 )
 
@@ -723,6 +732,191 @@ def test_compactness_suite_fails_without_the_closed_class_opening(
                             "(Selector.F0_CLOSED)") for m in r.failures)
 
 
+RELATION_ROWS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2),
+                 (3, 0), (0, 3), (1, 2), (2, 1), (3, 3), (1, 1), (1, 3),
+                 (3, 1), (2, 3), (3, 2))
+
+
+def literal_compactness_extras(max_size):
+    """The compactness suite as one call per instance, every question asked
+    at every space, through the same module names as the suite."""
+    r = LawResult("literal")
+    for n in range(1, max_size + 1):
+        carrier = default_carrier(n)
+        full = carrier.full
+        points = [1 << x for x in carrier.points()]
+        odd = SetFamily(carrier, frozenset(range(1, full + 1, 2)))
+        singletons = SetFamily(carrier, frozenset(points))
+        for conv in all_convergences(carrier):
+            s = laws.pseudotopologize(conv)
+            chi = laws.characteristic(conv)
+            if laws.validate_table(carrier, chi.table):
+                r.fail(f"characteristic table invalid for {conv!r}")
+            principal = laws.hull_table(conv, Selector.F_ALL)
+            closed = laws.hull_table(conv, Selector.F0_CLOSED)
+            for sel in Selector:
+                if sel in (Selector.F_ALL, Selector.F0_CLOSED):
+                    scan = laws.is_compact_at_scan(
+                        CompactnessQuery(conv, odd, singletons, sel))
+                    if laws.compact_at_masks(conv, odd.masks,
+                                             singletons.masks, sel) != scan:
+                        r.fail(f"compactness closed form and scan disagree "
+                               f"({sel}) on {conv!r}")
+                jchi = laws.reflect(sel, chi)
+                whole = (closed if sel is Selector.F0_CLOSED
+                         else principal)[full]
+                for h in range(1, full + 1):
+                    r.instances += 1
+                    if (laws.hull_holds(whole, (h,), full)
+                            != bool(jchi.table[h])):
+                        r.fail(f"characteristic detection fails ({sel}) "
+                               f"on {conv!r}")
+            for h in range(1, full + 1):
+                r.instances += 1
+                for x, point in enumerate(points):
+                    if (laws.hull_holds(principal[point], (h,), full)
+                            != bool(s.table[h] >> x & 1)):
+                        r.fail(f"S-limit/compact-at gap on {conv!r}")
+                if conv.table[h] and not laws.hull_holds(principal[full],
+                                                         (h,), full):
+                    r.fail(f"convergent filter not compactoid on {conv!r}")
+            r.instances += 1
+            if laws.completeness_number_finite(conv) != 0:
+                r.fail("finite completeness number must be 0")
+    c2, d2 = default_carrier(2), target_carrier(2)
+    fams = [SetFamily(c2, frozenset(m)) for m in ({1}, {2}, {3}, {1, 2})]
+    ats = [Subset(c2, at) for at in range(1, 4)]
+    sels = (Selector.F0, Selector.F_ALL)
+    for rows in RELATION_ROWS:
+        rel = FiniteRelation(c2, d2, rows)
+        for theta in all_convergences(c2):
+            for sigma in all_convergences(d2):
+                for fam in fams:
+                    for at in ats:
+                        for sel in sels:
+                            r.instances += 1
+                            fam_compact = laws.hull_holds(
+                                laws.hull_table(theta, sel)[at.bits],
+                                fam.masks, c2.full)
+                            res = laws.image_of_compact(
+                                rel, theta, sigma, fam, at,
+                                laws.is_relation_compact(rel, theta, sigma,
+                                                         sel),
+                                fam_compact, laws.hull_table(sigma, sel))
+                            if not res.holds:
+                                r.fail(f"compact image failed: rel={rows} "
+                                       f"fam={sorted(fam.masks)} "
+                                       f"at={at.bits}")
+    return r
+
+
+def _unopened_hulls(monkeypatch):
+    hulls = compactness._hulls
+    monkeypatch.setattr(compactness, "_hulls",
+                        lambda conv, b, sel: hulls(conv, b, Selector.F0))
+
+
+def _hull_holds_wrong_at_3(monkeypatch):
+    hull_holds = compactness.hull_holds
+    monkeypatch.setattr(laws, "hull_holds", lambda hull, a, full: (
+        hull_holds(hull, a, full) != (3 in tuple(a))))
+
+
+def _image_wrong_on_row_1_2(monkeypatch):
+    image_of_compact = compactness.image_of_compact
+
+    def planted(rel, theta, sigma, fam, at, rel_compact, fam_compact,
+                hulls):
+        if rel.rows == (1, 2) and rel_compact and fam_compact:
+            return compactness.CheckedProposition(False, {})
+        return image_of_compact(rel, theta, sigma, fam, at, rel_compact,
+                                fam_compact, hulls)
+    monkeypatch.setattr(laws, "image_of_compact", planted)
+
+
+def _s_is_the_identity(monkeypatch):
+    monkeypatch.setattr(laws, "pseudotopologize", lambda conv: conv)
+
+
+def _scan_flipped_where_the_first_point_converges_everywhere(monkeypatch):
+    scan = compactness.is_compact_at_scan
+    monkeypatch.setattr(laws, "is_compact_at_scan", lambda q: (
+        scan(q) != (q.conv.table[1] == q.conv.carrier.full)))
+
+
+def _flipped_scan_and_hull_holds_wrong_at_odd_masks(monkeypatch):
+    """Failures of every kind at one space, at several masks."""
+    _scan_flipped_where_the_first_point_converges_everywhere(monkeypatch)
+    hull_holds = compactness.hull_holds
+    monkeypatch.setattr(laws, "hull_holds", lambda hull, a, full: (
+        hull_holds(hull, a, full) != any(m & 1 for m in a)))
+
+
+@pytest.mark.parametrize("plant, failures", [
+    pytest.param(_unopened_hulls, 616, id="unopened-closed-hulls"),
+    pytest.param(_hull_holds_wrong_at_3, 21_887, id="hull_holds-at-mask-3"),
+    pytest.param(_image_wrong_on_row_1_2, 1_008, id="image-at-row-1-2"),
+    pytest.param(_s_is_the_identity, 12_942, id="S-identity"),
+    pytest.param(_scan_flipped_where_the_first_point_converges_everywhere,
+                 3_402, id="flipped-scan"),
+    pytest.param(_flipped_scan_and_hull_holds_wrong_at_odd_masks, 88_667,
+                 id="flipped-scan-and-odd-masks"),
+])
+def test_the_compactness_records_report_what_a_literal_loop_reports(
+        monkeypatch, plant, failures):
+    """Under each planted fault, the suite's per-call records give the
+    counts and every message, in order, of a loop that asks each question
+    at each instance; each fault fails at every space it reaches."""
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    plant(monkeypatch)
+    got = laws.suite_compactness_extras(3)
+    want = literal_compactness_extras(3)
+    assert (got.instances, got.failures_total) == (131_982, failures)
+    assert (want.instances, want.failures_total) == (131_982, failures)
+    assert got.failures == want.failures
+
+
+def _scan_key(q):
+    conv, sel = q.conv, q.selector
+    return (sel, adherence_table(conv), class_filter_masks(sel, conv),
+            tuple(conv.table[1 << x] for x in conv.carrier.points()),
+            min_open_table(conv) if sel is Selector.F0_CLOSED else None)
+
+
+def _image_key(rel, theta, sigma, fam, at, rel_compact, fam_compact, hulls):
+    return (rel.rows, fam, at, rel_compact, fam_compact, tuple(hulls))
+
+
+def test_the_compactness_suite_asks_each_distinct_input_once(monkeypatch):
+    """The scan runs once per distinct (selector, adherence table, class
+    filter masks, singleton limits, least opens of the closed class):
+    138 times for the 5,508 comparisons; image_of_compact once per
+    distinct (rows, family, set, both hypotheses, target hull table):
+    1,480 times for 33,048 instances.  Both meet every input the literal
+    loop meets."""
+    scans, images = [], []
+    scan, image_of_compact = (compactness.is_compact_at_scan,
+                              compactness.image_of_compact)
+
+    def counted_scan(q):
+        scans.append(_scan_key(q))
+        return scan(q)
+
+    def counted_image(*args):
+        images.append(_image_key(*args))
+        return image_of_compact(*args)
+    monkeypatch.setattr(laws, "is_compact_at_scan", counted_scan)
+    monkeypatch.setattr(laws, "image_of_compact", counted_image)
+    literal_compactness_extras(3)
+    assert (len(scans), len(images)) == (5_508, 33_048)
+    every_scan, every_image = set(scans), set(images)
+    scans.clear()
+    images.clear()
+    assert laws.suite_compactness_extras(3).ok
+    assert (len(scans), len(images)) == (138, 1_480)
+    assert set(scans) == every_scan and set(images) == every_image
+
+
 def test_cover_duality_fails_on_a_wrong_complement_adherence(monkeypatch):
     """adh P_c read in the topologization is wrong off topologies only, so
     the clause sets built once per (space, family) disagree at the same
@@ -763,6 +957,47 @@ def test_functor_laws_decide_a_coreflector_that_moves_spaces(monkeypatch):
     r = laws.suite_functor_laws(10_000)
     assert (r.instances, r.failures_total) == (65_824, 1)
     assert "P not functorial at n=3" in r.failures
+
+
+class _DiscreteWhereSingletonsAgree:
+    """Not contractive, isotone or functorial on 2 points."""
+    tag, kind = "P", "reflector"
+
+    def __call__(self, conv):
+        return (discrete(conv.carrier) if conv.table[1] == conv.table[2]
+                else conv)
+
+
+def test_functor_laws_decide_each_context_once(monkeypatch):
+    """At n=2 the handles share one continuity verdict per (map, source,
+    target): 324 continuous calls for the eight handles, where a verdict
+    per handle makes 2,592 and one call per instance 4,464.  Each handle,
+    and a planted P that fails 24 functoriality instances, keeps the
+    instances and every message of a call with verdicts of its own.  The
+    whole suite asks each distinct context once: 12,713 calls for what
+    were 27,319."""
+    contexts = []
+    monkeypatch.setattr(laws, "continuous",
+                        lambda ctx: contexts.append(ctx) or continuous(ctx))
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    c2 = default_carrier(2)
+    convs, maps2 = list(all_convergences(c2)), all_maps(c2, c2)
+    verdicts = {}
+    for h in HANDLES.values():
+        laws.check_functor_laws(LawResult("shared"), h, convs, maps2,
+                                verdicts)
+    assert len(contexts) == len(set(contexts)) == len(verdicts) == 324
+    shared, own = LawResult("shared"), LawResult("own")
+    planted = _DiscreteWhereSingletonsAgree()
+    laws.check_functor_laws(shared, planted, convs, maps2, verdicts)
+    laws.check_functor_laws(own, planted, convs, maps2)
+    assert sum("functorial" in m for m in own.failures) == 24
+    assert (shared.instances, shared.failures_total, shared.failures) == (
+        own.instances, own.failures_total, own.failures)
+    contexts.clear()
+    r = laws.suite_functor_laws(10_000)
+    assert (r.instances, r.failures_total) == (65_824, 0)
+    assert len(contexts) == len(set(contexts)) == 12_713
 
 
 def test_functor_laws_keep_no_reflection_across_calls(monkeypatch):
