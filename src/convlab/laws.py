@@ -54,12 +54,13 @@ that asks every question at every space.  suite_cover_duality builds one
 cover_clauses pair per (space, family) whose targets run innermost.
 suite_functor_laws decides continuous(MapContext(f, c1, c2)) once per
 context within the call: at n=2 one verdict per (map, source, target)
-serves all eight handles, and at n=3 one per (map index, source number,
-target number) of one enumerate.SpaceUniverse, which holds each
+serves all eight handles; at n=3 one enumerate.SpaceUniverse holds each
 reflector's and coreflector's image of every space by number, and each
 reflector's idempotence and contractivity as bitsets over the spaces; a
-sample reads those by number, its own continuity and that of every
-handle's image pair.  suite_preservation_grid goes straight to its
+sample reads those by number, decides its own continuity, reads it again
+where a handle fixes both of its spaces, and reads every other image
+pair's verdict from a dict per (map index, source number, target
+number).  suite_preservation_grid goes straight to its
 sampled contexts, builds one MapFacts record per continuous one, from
 which each reflector's quotient verdict is read, and decides is_JE once
 per (space, reflector, coreflector image) within the call.
@@ -760,10 +761,10 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     per call, and each reflector's idempotence and contractivity are decided
     once per space (reflector_bits); a sample reads those bits and every
     handle's images by number, and decides "zeta finer than xi", isotony and
-    functoriality.  Each continuity verdict is decided once per call: at
-    n=2 per (map, source, target) for all handles, at n=3 per (map index,
-    source number, target number), so an image pair that is the sample's
-    own reads the sample's verdict."""
+    functoriality.  Each continuity verdict of an image pair is decided
+    once per call: at n=2 per (map, source, target) for all handles, at
+    n=3 per (map index, source number, target number); an image pair that
+    is the sample's own reads the sample's verdict."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
@@ -779,8 +780,10 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     reflectors = [(h, *reflector_bits(universe, h)) for h in REFLECTORS]
     images = [(h, of) for h, of, _, _ in reflectors]
     images += [(h, universe.reflections(h)) for h in COREFLECTORS]
-    # per (map index, source number, target number), numbered as one int,
-    # which takes less memory per record than a tuple of three
+    # the image pairs' verdicts, per (map index, source number, target
+    # number) numbered as one int, which takes less memory than a tuple;
+    # a draw's own context is decided where it is drawn and not kept, as
+    # the draws almost never meet it again
     verdicts = {}
 
     def continuous_at(i: int, x: int, z: int) -> bool:
@@ -804,10 +807,12 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
             if zeta_finer and not finer(spaces[of[z]], spaces[of[x]]):
                 r.fail(f"{h.tag} not isotone at n=3")
         i = rng.randrange(len(maps3))
-        if continuous_at(i, x, z):
+        if continuous(MapContext(maps3[i], xi, zeta)):
             for h, of in images:
                 r.instances += 1
-                if not continuous_at(i, of[x], of[z]):
+                hx, hz = of[x], of[z]
+                # an image pair that is (x, z) is the draw's own context
+                if (hx != x or hz != z) and not continuous_at(i, hx, hz):
                     r.fail(f"{h.tag} not functorial at n=3")
     return r
 

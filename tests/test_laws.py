@@ -974,8 +974,10 @@ def test_functor_laws_decide_each_context_once(monkeypatch):
     per handle makes 2,592 and one call per instance 4,464.  Each handle,
     and a planted P that fails 24 functoriality instances, keeps the
     instances and every message of a call with verdicts of its own.  The
-    whole suite asks each distinct context once: 12,713 calls for what
-    were 27,319."""
+    whole suite asks each image pair once and each draw's own context
+    where it is drawn: 12,714 calls for what were 27,319, over 12,713
+    distinct contexts, as one of the 10,000 draws at n=3 repeats an
+    earlier one."""
     contexts = []
     monkeypatch.setattr(laws, "continuous",
                         lambda ctx: contexts.append(ctx) or continuous(ctx))
@@ -997,7 +999,7 @@ def test_functor_laws_decide_each_context_once(monkeypatch):
     contexts.clear()
     r = laws.suite_functor_laws(10_000)
     assert (r.instances, r.failures_total) == (65_824, 0)
-    assert len(contexts) == len(set(contexts)) == 12_713
+    assert (len(contexts), len(set(contexts))) == (12_714, 12_713)
 
 
 def test_functor_laws_keep_no_reflection_across_calls(monkeypatch):
