@@ -1061,9 +1061,9 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     - in the 2x2 relation block, image_of_compact per (relation rows,
       family, set, both hypothesis verdicts, the target's hull table for
       the class).
-    A record holds failure counts; a space with a failing record formats
-    its messages on replay, in the order of a loop that asks every
-    question at every space.  Hull tables are built per (space, class) in
+    A record holds a verdict or failure counts; a space with a failing
+    record formats its messages on replay, in the order of a loop that
+    asks every question at every space.  Hull tables are built per (space, class) in
     the loop that reads them, and in the relation block the hypothesis
     "fam is compact at the set" per source and class."""
     r = LawResult("compactness: characteristic, images, completeness")
