@@ -1063,9 +1063,9 @@ def suite_compactness_extras(max_size: int) -> LawResult:
       the class).
     A record holds a verdict or failure counts; a space with a failing
     record formats its messages on replay, in the order of a loop that
-    asks every question at every space.  Hull tables are built per (space, class) in
-    the loop that reads them, and in the relation block the hypothesis
-    "fam is compact at the set" per source and class."""
+    asks every question at every space.  Hull tables are built per (space,
+    class) in the loop that reads them, and in the relation block the
+    hypothesis "fam is compact at the set" per source and class."""
     r = LawResult("compactness: characteristic, images, completeness")
     scans, detections, s_limits, invalid_of, complete_of = {}, {}, {}, {}, {}
     for n in range(1, max_size + 1):
