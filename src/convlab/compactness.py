@@ -21,14 +21,16 @@ member of B, in O(|B| * (n + |A|)) instead of a scan over up to 2^n class
 filters, and is_relation_compact reads one hull per row R(w); neither
 builds a table over the 2^n masks.  hull_table holds the hull of every
 mask, one table for the principal selectors and one for the closed class;
-a caller that asks many questions of one small space builds it once, as
-the compactness suite of laws does per enumerated space and class, and
-image_of_compact takes its hypothesis as a verdict and reads its
+it reads only the singleton limits, and for the closed class the least
+opens, so a caller that asks many questions of small spaces builds it
+once per distinct value of those, as the compactness suite of laws does,
+and image_of_compact takes its hypothesis as a verdict and reads its
 conclusion off the target's table.  The scan, is_compact_at_scan, is the
 oracle the compactness suite compares with.  That suite keeps, for one
 call, a record per distinct value each question reads (its docstring
-lists the keys), so the scan and image_of_compact run once per distinct
-input rather than once per space or instance.
+lists the keys), so hull_table, the scan, is_relation_compact and
+image_of_compact run once per distinct input rather than once per space
+or instance.
 
 On a finite carrier every filter has adherent points, so every space is
 compact and the completeness number is 0; completeness_number_finite

@@ -197,17 +197,21 @@ class SpaceUniverse:
 
     def reflections(self, h) -> array:
         """of[i]: the number of h(spaces[i]) for the functor handle h;
-        InvariantViolation when h leaves the convergences on the carrier."""
+        InvariantViolation when h leaves the convergences on the carrier.
+        Each distinct image table is numbered once per call."""
         if h not in self._reflections:
             of = array("H")
+            numbers = {}  # image table -> its number, for this call
             for i, conv in enumerate(self.spaces):
                 table = h(conv).table
                 # a fixed point keeps its own number
-                j = i if table == conv.table else self.index(table)
+                j = i if table == conv.table else numbers.get(table)
                 if j is None:
-                    raise InvariantViolation(
-                        f"{h.tag} sends {conv!r} outside the convergences "
-                        f"on {self.carrier.size} points")
+                    j = numbers[table] = self.index(table)
+                    if j is None:
+                        raise InvariantViolation(
+                            f"{h.tag} sends {conv!r} outside the "
+                            f"convergences on {self.carrier.size} points")
                 of.append(j)
             self._reflections[h] = of
         return self._reflections[h]

@@ -43,27 +43,40 @@ emit_tables read the surjections onto 2 points.  Sample sizes and the seed
 are fixed, so a run is determined by max_size alone.
 
 The standalone suites build each per-space fact once, in the loop that
-reads it, and keep no table or record past the call.
-suite_compactness_extras builds one hull table per (space, class) and
-decides each of its questions once per distinct value of what the
-question reads, in one dict per question: the scan comparison, the
-characteristic detection, the S-limit check and image_of_compact
-(its docstring lists the keys); every instance is still counted, and a
-space with a failing record formats its messages in the order of a loop
-that asks every question at every space.  suite_cover_duality builds one
-cover_clauses pair per (space, family) whose targets run innermost.
-suite_functor_laws decides continuous(MapContext(f, c1, c2)) once per
-context within the call: at n=2 one verdict per (map, source, target)
-serves all eight handles; at n=3 one enumerate.SpaceUniverse holds each
-reflector's and coreflector's image of every space by number, and each
-reflector's idempotence and contractivity as bitsets over the spaces; a
-sample reads those by number, decides its own continuity, reads it again
-where a handle fixes both of its spaces, and reads every other image
-pair's verdict from a dict per (map index, source number, target
-number).  suite_preservation_grid goes straight to its
-sampled contexts, builds one MapFacts record per continuous one, from
-which each reflector's quotient verdict is read, and decides is_JE once
-per (space, reflector, coreflector image) within the call.
+reads it, and keep no table or record past the call.  Where the inputs of
+a question repeat across spaces, a suite decides it once per distinct
+value of what it reads, in a dict per question that lives for one call;
+every instance is still counted and reported at its space, in the order
+of a loop that asks every question at every space.  The oracles that read
+a whole table (reflect_by_steps, adherence_scan, open_masks_scan,
+antitone_scan, seq_coreflect, locally_compactoid_coreflect) still run
+once per space: a key narrower than the table would miss an input, and
+the whole table repeats nowhere.
+- suite_reflector_ordering decides "class-filter adherence moved" per
+  (reflection table, class filter masks, source adherence table).
+- suite_compactness_extras keeps its hull tables, per singleton limits
+  (and least opens, for the closed class), and each of its questions, in
+  one dict each: the scan comparison, the characteristic detection, the
+  S-limit check, is_relation_compact and image_of_compact (its docstring
+  lists the keys); a space with a failing record formats its messages on
+  replay.
+- suite_cover_duality builds one cover_clauses pair per (space, family)
+  whose targets run innermost, and the open-cover remark one interior per
+  (topology, mask).
+- suite_functor_laws decides continuous(MapContext(f, c1, c2)) once per
+  context within the call: at n=2 one verdict per (map, source, target)
+  serves all eight handles; at n=3 one enumerate.SpaceUniverse holds each
+  reflector's and coreflector's image of every space by number, and each
+  reflector's idempotence and contractivity as bitsets over the spaces,
+  the contractivity shared where two reflectors send a space to the same
+  image; a sample reads those by number, decides its own continuity,
+  reads it again where a handle fixes both of its spaces, and reads
+  isotony per image pair and every other image pair's continuity from a
+  dict per (map index, source number, target number).
+- suite_preservation_grid goes straight to its sampled contexts, builds
+  one MapFacts record per continuous one, from which each reflector's
+  quotient verdict is read, and decides is_JE once per (space, reflector,
+  coreflector image) within the call.
 
 LawResult keeps the first MAX_REPORTED_FAILURES messages of a suite and
 counts every failure in failures_total; run_laws records each standalone
@@ -743,14 +756,24 @@ def check_functor_laws(r: LawResult, h, convs, maps,
                            f"{c1.carrier.labels}->{c2.carrier.labels}")
 
 
-def reflector_bits(universe: SpaceUniverse, h) -> tuple:
+def reflector_bits(universe: SpaceUniverse, h, earlier=()) -> tuple:
     """The reflector h's numbers over the universe, and the spaces at which
-    h is idempotent (of[of[i]] == of[i]) and contractive, as bitsets."""
+    h is idempotent (of[of[i]] == of[i]) and contractive, as bitsets.
+    earlier holds (of, contractive) pairs of other handles on the universe:
+    a space that one of them sends where h does reads its contractivity
+    bit, which is finer(spaces[i], spaces[of[i]]) too."""
     of = universe.reflections(h)
     spaces = universe.spaces
     idempotent = sum(1 << i for i, j in enumerate(of) if of[j] == j)
-    contractive = sum(1 << i for i, j in enumerate(of)
-                      if finer(spaces[i], spaces[j]))
+    contractive = 0
+    for i, j in enumerate(of):
+        for of_k, contractive_k in earlier:
+            if of_k[i] == j:
+                contractive |= contractive_k & 1 << i
+                break
+        else:
+            if finer(spaces[i], spaces[j]):
+                contractive |= 1 << i
     return of, idempotent, contractive
 
 
@@ -759,12 +782,14 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     reflectors, three coreflectors and the identity; exhaustive at n=2 and
     sampled at n=3.  At n=3 the convergences form one SpaceUniverse, built
     per call, and each reflector's idempotence and contractivity are decided
-    once per space (reflector_bits); a sample reads those bits and every
+    once per space (reflector_bits), the contractivity once per (space,
+    image) across the reflectors; a sample reads those bits and every
     handle's images by number, and decides "zeta finer than xi", isotony and
-    functoriality.  Each continuity verdict of an image pair is decided
-    once per call: at n=2 per (map, source, target) for all handles, at
-    n=3 per (map index, source number, target number); an image pair that
-    is the sample's own reads the sample's verdict."""
+    functoriality.  Isotony reads finer once per (image number, image
+    number) in the call.  Each continuity verdict of an image pair is
+    decided once per call: at n=2 per (map, source, target) for all
+    handles, at n=3 per (map index, source number, target number); an image
+    pair that is the sample's own reads the sample's verdict."""
     r = LawResult("functor laws (n=2 exhaustive, n=3 sampled)")
     c2 = default_carrier(2)
     universe2 = list(all_convergences(c2))
@@ -777,7 +802,10 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     universe = SpaceUniverse(c3)
     spaces = universe.spaces
     maps3 = all_maps(c3, c3)
-    reflectors = [(h, *reflector_bits(universe, h)) for h in REFLECTORS]
+    reflectors = []
+    for h in REFLECTORS:
+        reflectors.append((h, *reflector_bits(
+            universe, h, [(of, bits) for _, of, _, bits in reflectors])))
     images = [(h, of) for h, of, _, _ in reflectors]
     images += [(h, universe.reflections(h)) for h in COREFLECTORS]
     # the image pairs' verdicts, per (map index, source number, target
@@ -785,6 +813,15 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
     # a draw's own context is decided where it is drawn and not kept, as
     # the draws almost never meet it again
     verdicts = {}
+    # "h zeta finer than h xi", per (image number, image number) as one int
+    finer_of = {}
+
+    def finer_at(a: int, b: int) -> bool:
+        key = a * len(spaces) + b
+        got = finer_of.get(key)
+        if got is None:
+            got = finer_of[key] = finer(spaces[a], spaces[b])
+        return got
 
     def continuous_at(i: int, x: int, z: int) -> bool:
         key = (i * len(spaces) + x) * len(spaces) + z
@@ -804,7 +841,7 @@ def suite_functor_laws(sample_pairs: int) -> LawResult:
                 r.fail(f"{h.tag} not idempotent at n=3")
             if not contractive >> x & 1:
                 r.fail(f"{h.tag} not contractive at n=3")
-            if zeta_finer and not finer(spaces[of[z]], spaces[of[x]]):
+            if zeta_finer and not finer_at(of[z], of[x]):
                 r.fail(f"{h.tag} not isotone at n=3")
         i = rng.randrange(len(maps3))
         if continuous(MapContext(maps3[i], xi, zeta)):
@@ -840,8 +877,14 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
     bit-exactly with the iterated closed-class operator; reflection leaves
     the adherence of class filters (and the open sets) unchanged; the closed
     forms for adherence, open sets and antitone validation agree with their
-    literal scans."""
+    literal scans.
+
+    Whether a reflection moves the class-filter adherence is decided once
+    per (reflection table, class filter masks, source adherence table) in a
+    dict that lives for one call; reflect and class_filter_masks are still
+    asked per (space, selector), and the oracles once per space."""
     r = LawResult("reflector ordering + topologizer agreement")
+    moved_of = {}
     for n in range(1, max_size + 1):
         for conv in all_convergences(default_carrier(n)):
             r.instances += 1
@@ -871,9 +914,14 @@ def suite_reflector_ordering(max_size: int) -> LawResult:
             if not _antitone_on_covers(conv.table):
                 r.fail(f"covering pairs fail the valid table of {conv!r}")
             for sel in Selector:
-                refl_adh = adherence_table(reflect(sel, conv))
-                if any(refl_adh[h] != adh[h]
-                       for h in class_filter_masks(sel, conv)):
+                refl = reflect(sel, conv)
+                key = (refl.table, class_filter_masks(sel, conv), adh)
+                moved = moved_of.get(key)
+                if moved is None:
+                    refl_adh = adherence_table(refl)
+                    moved = moved_of[key] = any(refl_adh[h] != adh[h]
+                                                for h in key[1])
+                if moved:
                     r.fail(f"class-filter adherence moved under {sel} "
                            f"on {conv!r}")
             if set(open_masks(t)) != set(open_masks(conv)):
@@ -888,20 +936,23 @@ def suite_cover_duality(samples: int) -> LawResult:
     exhaustive at n<=2, sampled at n=3; open-cover comparison on
     topologies.  Every instance is one is_cover call; where the targets of
     one (space, family) run innermost, its cover_clauses are built once,
-    before them."""
+    before them, and the targets once per carrier.  The open-cover remark
+    takes each interior once per (topology, mask).  The sampled half draws
+    almost every (space, family) once, so it keeps no record."""
     r = LawResult("cover duality (three clauses) + open-cover remark")
     for n in (1, 2):
         carrier = default_carrier(n)
+        targets = [Subset(carrier, a) for a in range(carrier.full + 1)]
         for conv in all_convergences(carrier):
             for fam_pick in range(1 << (carrier.full + 1)):
                 masks = frozenset(
                     m for m in range(carrier.full + 1) if fam_pick >> m & 1)
                 fam = SetFamily(carrier, masks)
                 clauses = cover_clauses(conv, fam)
-                for a in range(carrier.full + 1):
+                for target in targets:
                     r.instances += 1
                     try:
-                        is_cover(conv, fam, Subset(carrier, a), clauses)
+                        is_cover(conv, fam, target, clauses)
                     except InvariantViolation as exc:
                         r.fail(f"duality broke: {exc}")
     carrier = default_carrier(3)
@@ -920,21 +971,21 @@ def suite_cover_duality(samples: int) -> LawResult:
             r.fail(f"duality broke: {exc}")
     # open-cover comparison: for topologies the covers of A are exactly the
     # families whose interiors cover A
-    for conv in all_topologies(default_carrier(2)) + all_topologies(carrier):
-        cr = conv.carrier
-        for fam_pick in range(0, 1 << (cr.full + 1), 3):  # coarse stride
-            masks = frozenset(
-                m for m in range(cr.full + 1) if fam_pick >> m & 1)
-            fam = SetFamily(cr, masks)
-            clauses = cover_clauses(conv, fam)
-            union_int = 0
-            for m in masks:
-                union_int |= interior_mask(conv, m)
-            for a in range(cr.full + 1):
-                r.instances += 1
-                if (is_cover(conv, fam, Subset(cr, a), clauses)
-                        != (a & ~union_int == 0)):
-                    r.fail(f"open-cover remark fails on {conv!r}")
+    for cr in (default_carrier(2), carrier):
+        targets = [Subset(cr, a) for a in range(cr.full + 1)]
+        for conv in all_topologies(cr):
+            interiors = [interior_mask(conv, m) for m in range(cr.full + 1)]
+            for fam_pick in range(0, 1 << (cr.full + 1), 3):  # coarse stride
+                masks = frozenset(
+                    m for m in range(cr.full + 1) if fam_pick >> m & 1)
+                fam = SetFamily(cr, masks)
+                clauses = cover_clauses(conv, fam)
+                union_int = reduce(or_, map(interiors.__getitem__, masks), 0)
+                for a, target in enumerate(targets):
+                    r.instances += 1
+                    if (is_cover(conv, fam, target, clauses)
+                            != (a & ~union_int == 0)):
+                        r.fail(f"open-cover remark fails on {conv!r}")
     return r
 
 
@@ -1014,18 +1065,21 @@ def _s_limit_record(s_table, point_hulls, full: int) -> tuple | None:
     return gaps if any(gaps) else None
 
 
-def _replay_compactness(r: LawResult, conv, invalid: bool, gaps: dict,
+def _replay_compactness(r: LawResult, conv, invalid: bool, gaps: tuple,
                         detection, s_gaps) -> None:
     """One space's failures from its records, in the order of a loop that
-    asks every question at the space."""
+    asks every question at the space; gaps holds the scan comparisons of
+    F0_CLOSED and F_ALL."""
     text, full = repr(conv), conv.carrier.full
     detections, convergent = detection or ((0,) * len(Selector),
                                            (False,) * full)
     s_gaps = s_gaps or (0,) * full
     if invalid:
         r.fail(f"characteristic table invalid for {text}")
-    for sel, count in zip(Selector, detections):
-        if gaps.get(sel):
+    closed_gap, all_gap = gaps
+    for sel, gap, count in zip(Selector, (closed_gap, False, False, all_gap),
+                               detections):
+        if gap:
             r.fail(f"compactness closed form and scan disagree ({sel}) "
                    f"on {text}")
         for _ in range(count):
@@ -1048,6 +1102,8 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     Each question is decided once per distinct value of what its two sides
     read, in a dict that lives for one call, and every instance is counted
     and reported at its space as before:
+    - the two hull tables, the principal one per singleton limits and the
+      closed one per (singleton limits, least opens);
     - the closed form against the scan, per (selector, adherence table,
       class filter masks, singleton limits, least opens for the closed
       class);
@@ -1058,16 +1114,19 @@ def suite_compactness_extras(max_size: int) -> LawResult:
       singletons);
     - the validity of the characteristic table, per table, and the
       completeness number, per adherence table;
-    - in the 2x2 relation block, image_of_compact per (relation rows,
-      family, set, both hypothesis verdicts, the target's hull table for
-      the class).
+    - in the 2x2 relation block, is_relation_compact per (relation rows,
+      source table, class, the target's hull table for the class), and
+      image_of_compact per (relation rows, family, set, both hypothesis
+      verdicts, that hull table).
     A record holds a verdict or failure counts; a space with a failing
     record formats its messages on replay, in the order of a loop that
-    asks every question at every space.  Hull tables are built per (space,
-    class) in the loop that reads them, and in the relation block the
-    hypothesis "fam is compact at the set" per source and class."""
+    asks every question at every space.  The relation block builds its hull
+    tables per space and class, and the hypothesis "fam is compact at the
+    set" per source and class.  The two selectors of each part are held
+    by position, so no record key hashes a Selector."""
     r = LawResult("compactness: characteristic, images, completeness")
     scans, detections, s_limits, invalid_of, complete_of = {}, {}, {}, {}, {}
+    principal_of, closed_of = {}, {}
     for n in range(1, max_size + 1):
         carrier = default_carrier(n)
         full = carrier.full
@@ -1086,20 +1145,27 @@ def suite_compactness_extras(max_size: int) -> LawResult:
             if invalid is None:
                 invalid = invalid_of[chi.table] = bool(
                     validate_table(carrier, chi.table))
-            principal = hull_table(conv, Selector.F_ALL)
-            closed = hull_table(conv, Selector.F0_CLOSED)
             adh = adherence_table(conv)
             singles = tuple(table[p] for p in points)
-            gaps = {}
-            for sel, least in ((Selector.F0_CLOSED, min_open_table(conv)),
-                               (Selector.F_ALL, None)):
-                key = (sel, adh, class_filter_masks(sel, conv), singles,
-                       least)
+            least = min_open_table(conv)
+            principal = principal_of.get(singles)
+            if principal is None:
+                principal = principal_of[singles] = hull_table(
+                    conv, Selector.F_ALL)
+            closed = closed_of.get((singles, least))
+            if closed is None:
+                closed = closed_of[singles, least] = hull_table(
+                    conv, Selector.F0_CLOSED)
+            gaps = []
+            # the selectors by position: 0 is F0_CLOSED, 1 is F_ALL
+            for k, sel, opens in ((0, Selector.F0_CLOSED, least),
+                                  (1, Selector.F_ALL, None)):
+                key = (k, adh, class_filter_masks(sel, conv), singles, opens)
                 gap = scans.get(key)
                 if gap is None:
                     gap = scans[key] = _closed_form_gap(conv, odd,
                                                         singletons, sel)
-                gaps[sel] = gap
+                gaps.append(gap)
             wholes = closed[full], principal[full]
             key = (tuple(map(bool, table)), chi.table, wholes)
             if key in detections:
@@ -1112,7 +1178,7 @@ def suite_compactness_extras(max_size: int) -> LawResult:
                 s_gaps = s_limits[key]
             else:
                 s_gaps = s_limits[key] = _s_limit_record(*key, full)
-            if invalid or any(gaps.values()) or detection or s_gaps:
+            if invalid or any(gaps) or detection or s_gaps:
                 _replay_compactness(r, conv, invalid, gaps, detection,
                                     s_gaps)
             complete = complete_of.get(adh)
@@ -1126,16 +1192,16 @@ def suite_compactness_extras(max_size: int) -> LawResult:
     d2 = target_carrier(2)
     fams = [SetFamily(c2, frozenset(m)) for m in ({1}, {2}, {3}, {1, 2})]
     ats = [Subset(c2, at) for at in range(1, 4)]
-    sels = (Selector.F0, Selector.F_ALL)
+    sels = (Selector.F0, Selector.F_ALL)  # each class keyed by position
 
     def hypotheses(theta):  # per family and set, per class
-        tables = {sel: hull_table(theta, sel) for sel in sels}
-        return [[{sel: hull_holds(tables[sel][at.bits], fam.masks, c2.full)
-                  for sel in sels} for at in ats] for fam in fams]
+        tables = [hull_table(theta, sel) for sel in sels]
+        return [[tuple(hull_holds(hulls[at.bits], fam.masks, c2.full)
+                       for hulls in tables) for at in ats] for fam in fams]
     sources = [(theta, hypotheses(theta)) for theta in all_convergences(c2)]
-    targets = [(sigma, {sel: tuple(hull_table(sigma, sel)) for sel in sels})
+    targets = [(sigma, [tuple(hull_table(sigma, sel)) for sel in sels])
                for sigma in all_convergences(d2)]
-    images = {}  # fams[i] and ats[j] keyed by i and j
+    images, rel_compact_of = {}, {}  # fams[i] and ats[j] keyed by i and j
     per_context = len(fams) * len(ats) * len(sels)
     for rows in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2),
                  (3, 0), (0, 3), (1, 2), (2, 1), (3, 3), (1, 1), (1, 3),
@@ -1144,13 +1210,19 @@ def suite_compactness_extras(max_size: int) -> LawResult:
         for theta, fam_compact in sources:
             for sigma, sigma_hulls in targets:
                 r.instances += per_context
-                rel_compact = {sel: is_relation_compact(rel, theta, sigma, sel)
-                               for sel in sels}
+                rel_compact = []
+                for k, sel in enumerate(sels):
+                    key = (rows, theta.table, k, sigma_hulls[k])
+                    compact = rel_compact_of.get(key)
+                    if compact is None:
+                        compact = rel_compact_of[key] = is_relation_compact(
+                            rel, theta, sigma, sel)
+                    rel_compact.append(compact)
                 for i, fam_row in enumerate(fam_compact):
                     for j, at_compact in enumerate(fam_row):
-                        for sel, compact in rel_compact.items():
-                            key = (rows, i, j, compact, at_compact[sel],
-                                   sigma_hulls[sel])
+                        for k, compact in enumerate(rel_compact):
+                            key = (rows, i, j, compact, at_compact[k],
+                                   sigma_hulls[k])
                             holds = images.get(key)
                             if holds is None:
                                 holds = images[key] = image_of_compact(

@@ -1,3 +1,4 @@
+import random
 from itertools import islice, product
 
 import pytest
@@ -1135,3 +1136,290 @@ def test_a_route_fault_escapes_from_the_grid_as_is_quotient_like_raises(
     assert str(by_grid.value) == str(by_scan.value)
     assert str(by_grid.value).startswith(
         "quotient routes disagree for Selector.F1")
+
+
+def literal_reflector_ordering(max_size):
+    """The reflector-ordering suite as one call per question at every
+    space and selector, through the same module names as the suite."""
+    r = LawResult("literal")
+    for n in range(1, max_size + 1):
+        for conv in all_convergences(default_carrier(n)):
+            r.instances += 1
+            t = laws.topologize(conv)
+            s0 = laws.pretopologize(conv)
+            if not (laws.finer(s0, t) and laws.finer(conv, s0)):
+                r.fail(f"ordering broken on {conv!r}")
+            if (laws.reflect_by_steps(Selector.F0_CLOSED, conv).table
+                    != t.table):
+                r.fail(f"closed-class reflection != topologizer on {conv!r}")
+            if laws.is_topology(conv) and not (
+                    laws.is_pretopology(conv)
+                    and laws.is_pseudotopology(conv)):
+                r.fail(f"class predicates inconsistent on {conv!r}")
+            adh = laws.adherence_table(conv)
+            if adh != laws.adherence_scan(conv):
+                r.fail(f"closed-form adherence != scan on {conv!r}")
+            if laws.open_masks(conv) != laws.open_masks_scan(conv):
+                r.fail(f"closed-form open sets != scan on {conv!r}")
+            raised = conv.table[:-1] + (conv.carrier.full,)
+            if (laws.validate_table(conv.carrier, conv.table)
+                    != laws.antitone_scan(conv.carrier, conv.table)
+                    or laws._antitone_on_covers(raised)
+                    and laws.antitone_scan(conv.carrier, raised)):
+                r.fail(f"covering-pair validation != full scan on {conv!r}")
+            if not laws._antitone_on_covers(conv.table):
+                r.fail(f"covering pairs fail the valid table of {conv!r}")
+            for sel in Selector:
+                refl_adh = laws.adherence_table(laws.reflect(sel, conv))
+                if any(refl_adh[h] != adh[h]
+                       for h in laws.class_filter_masks(sel, conv)):
+                    r.fail(f"class-filter adherence moved under {sel} "
+                           f"on {conv!r}")
+            if set(laws.open_masks(t)) != set(laws.open_masks(conv)):
+                r.fail(f"open sets changed under topologization on {conv!r}")
+    return r
+
+
+def _family(carrier, pick):
+    return SetFamily(carrier, frozenset(
+        m for m in range(carrier.full + 1) if pick >> m & 1))
+
+
+def literal_cover_duality(samples):
+    """The cover-duality suite with one is_cover call per instance, and
+    every interior asked again at every instance of the open-cover
+    remark."""
+    r = LawResult("literal")
+
+    def cover(conv, fam, a):
+        try:
+            return laws.is_cover(conv, fam, Subset(conv.carrier, a))
+        except InvariantViolation as exc:
+            r.fail(f"duality broke: {exc}")
+    for n in (1, 2):
+        carrier = default_carrier(n)
+        for conv in all_convergences(carrier):
+            for pick in range(1 << (carrier.full + 1)):
+                for a in range(carrier.full + 1):
+                    r.instances += 1
+                    cover(conv, _family(carrier, pick), a)
+    carrier = default_carrier(3)
+    universe = all_convergences(carrier)
+    rng = random.Random(0)
+    for _ in range(samples):
+        conv = universe[rng.randrange(len(universe))]
+        masks = frozenset(rng.sample(range(carrier.full + 1),
+                                     rng.randrange(1, 5)))
+        r.instances += 1
+        cover(conv, SetFamily(carrier, masks),
+              rng.randrange(carrier.full + 1))
+    for conv in all_topologies(default_carrier(2)) + all_topologies(carrier):
+        cr = conv.carrier
+        for pick in range(0, 1 << (cr.full + 1), 3):
+            fam = _family(cr, pick)
+            for a in range(cr.full + 1):
+                r.instances += 1
+                union_int = 0
+                for m in fam.masks:
+                    union_int |= laws.interior_mask(conv, m)
+                if cover(conv, fam, a) != (a & ~union_int == 0):
+                    r.fail(f"open-cover remark fails on {conv!r}")
+    return r
+
+
+def literal_functor_laws(sample_pairs):
+    """The functor-law suite with every handle applied, and every finer
+    and continuous question asked, at every instance."""
+    r = LawResult("literal")
+    c2 = default_carrier(2)
+    convs, maps2 = all_convergences(c2), all_maps(c2, c2)
+    for h in HANDLES.values():
+        for c in convs:
+            hc = h(c)
+            r.instances += 1
+            if h(hc).table != hc.table:
+                r.fail(f"{h.tag} not idempotent on {c!r}")
+            if h.kind in ("reflector", "identity") and not laws.finer(c, hc):
+                r.fail(f"{h.tag} not contractive on {c!r}")
+            if h.kind in ("coreflector", "identity") and not laws.finer(hc,
+                                                                       c):
+                r.fail(f"{h.tag} not expansive on {c!r}")
+        for x, z in product(convs, convs):
+            r.instances += 1
+            if laws.finer(x, z) and not laws.finer(h(x), h(z)):
+                r.fail(f"{h.tag} not isotone on a pair over {c2.labels}")
+        for x, z, f in product(convs, convs, maps2):
+            r.instances += 1
+            if (laws.continuous(MapContext(f, x, z))
+                    and not laws.continuous(MapContext(f, h(x), h(z)))):
+                r.fail(f"{h.tag} not functorial on a map "
+                       f"{c2.labels}->{c2.labels}")
+    c3 = default_carrier(3)
+    rng = random.Random(0)
+    spaces3, maps3 = all_convergences(c3), all_maps(c3, c3)
+    for _ in range(sample_pairs):
+        xi = spaces3[rng.randrange(len(spaces3))]
+        zeta = spaces3[rng.randrange(len(spaces3))]
+        for h in laws.REFLECTORS:
+            r.instances += 1
+            if h(h(xi)).table != h(xi).table:
+                r.fail(f"{h.tag} not idempotent at n=3")
+            if not laws.finer(xi, h(xi)):
+                r.fail(f"{h.tag} not contractive at n=3")
+            if laws.finer(zeta, xi) and not laws.finer(h(zeta), h(xi)):
+                r.fail(f"{h.tag} not isotone at n=3")
+        f = maps3[rng.randrange(len(maps3))]
+        if laws.continuous(MapContext(f, xi, zeta)):
+            for h in laws.REFLECTORS + laws.COREFLECTORS:
+                r.instances += 1
+                if not laws.continuous(MapContext(f, h(xi), h(zeta))):
+                    r.fail(f"{h.tag} not functorial at n=3")
+    return r
+
+
+def _reflect_topologizes_F1(monkeypatch):
+    reflect = functors.reflect
+    monkeypatch.setattr(laws, "reflect", lambda sel, conv: (
+        topologize(conv) if sel is Selector.F1 else reflect(sel, conv)))
+
+
+def _interior_drops_bit_0(monkeypatch):
+    interior_mask = spaces.interior_mask
+    monkeypatch.setattr(laws, "interior_mask",
+                        lambda conv, m: interior_mask(conv, m) & ~1)
+
+
+def _finer_false_at_entry_1(monkeypatch):
+    monkeypatch.setattr(laws, "finer", lambda c1, c2: (
+        c1.table[1] != 1 and finer(c1, c2)))
+
+
+def _finer_false_into_a_full_entry_1(monkeypatch):
+    """False where the second table's lim ^{x0} is the whole carrier: it
+    reads the coarser side, where T and S0 differ."""
+    monkeypatch.setattr(laws, "finer", lambda c1, c2: (
+        c2.table[1] != c2.carrier.full and finer(c1, c2)))
+
+
+def _relation_compact_always(monkeypatch):
+    monkeypatch.setattr(laws, "is_relation_compact", lambda *args: True)
+
+
+def _hulls_drop_bit_0(monkeypatch):
+    """Wrong on the 3-point spaces whose lim ^{x0} is the whole carrier."""
+    hulls = compactness._hulls
+    monkeypatch.setattr(compactness, "_hulls", lambda conv, b, sel: (
+        [h & ~1 for h in hulls(conv, b, sel)]
+        if conv.carrier.size == 3 and conv.table[1] == conv.carrier.full
+        else hulls(conv, b, sel)))
+
+
+ORDERING = (laws.suite_reflector_ordering, literal_reflector_ordering, 3)
+COVERS = (laws.suite_cover_duality, literal_cover_duality, 10_000)
+FUNCTORS = (laws.suite_functor_laws, literal_functor_laws, 10_000)
+COMPACTNESS = (laws.suite_compactness_extras, literal_compactness_extras, 3)
+
+
+@pytest.mark.parametrize("plant, suite, instances, failures", [
+    pytest.param(_reflect_topologizes_F1, ORDERING, 2_754, 1_492,
+                 id="reflect-F1-ordering"),
+    pytest.param(_interior_drops_bit_0, COVERS, 30_632, 6_709,
+                 id="interior-covers"),
+    pytest.param(_finer_false_at_entry_1, ORDERING, 2_754, 130,
+                 id="finer-ordering"),
+    pytest.param(_finer_false_at_entry_1, FUNCTORS, 65_824, 1_735,
+                 id="finer-functors"),
+    pytest.param(_finer_false_into_a_full_entry_1, FUNCTORS, 65_824, 27_241,
+                 id="finer-into-functors"),
+    pytest.param(_relation_compact_always, COMPACTNESS, 131_982, 1_872,
+                 id="relation-compact-compactness"),
+    pytest.param(_hulls_drop_bit_0, COMPACTNESS, 131_982, 53_253,
+                 id="hulls-compactness"),
+])
+def test_the_suite_records_report_what_a_literal_loop_reports(
+        monkeypatch, plant, suite, instances, failures):
+    """Under each planted fault, a suite that decides each question once
+    per distinct input keeps the instances, the failure total and every
+    message, in order, of a loop that asks each question at each
+    instance."""
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    plant(monkeypatch)
+    run, literal, size = suite
+    got, want = run(size), literal(size)
+    assert (got.instances, got.failures_total) == (instances, failures)
+    assert (want.instances, want.failures_total) == (instances, failures)
+    assert got.failures == want.failures
+
+
+def test_the_oracles_that_read_the_whole_table_run_at_every_space(
+        monkeypatch):
+    """reflect_by_steps returning its argument wherever lim ^{x0} is the
+    whole carrier fails at every space it reaches: its stop test reads the
+    whole table, so a record keyed by what its first step reads would
+    miss some of them."""
+    reflect_by_steps = functors.reflect_by_steps
+    monkeypatch.setattr(laws, "reflect_by_steps", lambda sel, conv: (
+        conv if conv.table[1] == conv.carrier.full
+        else reflect_by_steps(sel, conv)))
+    monkeypatch.setattr(laws, "MAX_REPORTED_FAILURES", 10**6)
+    collapse = laws.suite_finite_collapse(3)
+    assert (collapse.instances, collapse.failures_total) == (2_754, 1_682)
+    ordering = laws.suite_reflector_ordering(3)
+    assert (ordering.instances, ordering.failures_total) == (2_754, 1_691)
+    assert ordering.failures == literal_reflector_ordering(3).failures
+
+
+def _counted(monkeypatch, module, name, calls, key=None):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args if key is None else key(*args))
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_the_suites_ask_each_distinct_input_once(monkeypatch):
+    """Each ledger counts the suite's calls at size 3, and each keyed
+    question meets every input the literal loop meets:
+    - reflector ordering, adherence_table: 2,889 calls, one per space and
+      one per distinct (reflection, class filter masks, source adherence);
+    - cover duality, interior_mask: 248, one per (topology, mask);
+    - functor laws, finer: 15,485, isotony once per image pair and the
+      contractivity of S1 and S read off S0's; SpaceUniverse.index: 217,
+      once per distinct image table of each handle;
+    - compactness, hull_table: 174, of which 138 per distinct singleton
+      limits (and least opens, for the closed class) and 36 in the relation
+      block; is_relation_compact: 1,152, once per (rows, source table,
+      class, target hull table)."""
+    ledger = {name: [] for name in ("adherence", "interior", "finer",
+                                    "index", "hulls", "relation")}
+    _counted(monkeypatch, laws, "adherence_table", ledger["adherence"],
+             lambda conv: conv.table)
+    _counted(monkeypatch, laws, "interior_mask", ledger["interior"],
+             lambda conv, m: (conv, m))
+    _counted(monkeypatch, laws, "finer", ledger["finer"])
+    _counted(monkeypatch, SpaceUniverse, "index", ledger["index"])
+    _counted(monkeypatch, laws, "hull_table", ledger["hulls"],
+             lambda conv, sel: (
+                 tuple(conv.table[1 << x] for x in conv.carrier.points()),
+                 min_open_table(conv) if sel is Selector.F0_CLOSED else sel))
+    _counted(monkeypatch, laws, "is_relation_compact", ledger["relation"],
+             lambda rel, theta, sigma, sel: (
+                 rel.rows, theta.table, sel,
+                 tuple(compactness.hull_table(sigma, sel))))
+    for (run, literal, size), counts, keyed in (
+            (ORDERING, {"adherence": 2_889}, True),
+            (COVERS, {"interior": 248}, True),
+            (FUNCTORS, {"finer": 15_485, "index": 217}, False),
+            (COMPACTNESS, {"hulls": 174, "relation": 1_152}, True)):
+        every = {}
+        if keyed:
+            assert literal(size).ok
+            every = {name: set(ledger[name]) for name in counts}
+        for calls in ledger.values():
+            calls.clear()
+        assert run(size).ok
+        assert {name: len(ledger[name]) for name in counts} == counts
+        assert all(set(ledger[name]) == keys for name, keys in every.items())
+        for calls in ledger.values():
+            calls.clear()
