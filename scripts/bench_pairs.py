@@ -12,7 +12,9 @@ records.  Pair k runs `perfbench/run.py --workload W --seed k --seconds S`,
 S being BENCHMARK.json's run_seconds, once in each tree, one run at a time,
 for each workload in turn; of the 10 pairs, the parent runs first in the
 first half and the change first in the rest.
-The file records, per workload and end-to-end metric of BENCHMARK.json,
+The file records the host (nproc; usable_cpus, the CPUs the runs may use,
+which a law run splits its work over; the Python version) and, per
+workload and end-to-end metric of BENCHMARK.json,
 the median and quartiles of each side's runs, the relative change of the
 medians, change_wins: the pairs in which the change read better,
 beyond_parent_spread: the medians differ by more than the parent's
@@ -110,6 +112,17 @@ def summarize(runs: dict, spec: list[dict]) -> dict:
     return out
 
 
+def host() -> dict:
+    """The CPU count, the CPUs this process may run on (its affinity mask,
+    where the platform has one; taskset narrows it) and the Python
+    version."""
+    cpus = os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    return {"nproc": os.cpu_count(), "usable_cpus": cpus,
+            "python": platform.python_version()}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the parent revision")
@@ -142,8 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(work, ignore_errors=True)
     doc = {
         "title": args.title,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
+        **host(),
         "parent_commit": revs["parent"],
         "change_commit": revs["change"],
         "command": f"python3 perfbench/run.py --workload "

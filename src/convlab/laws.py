@@ -42,6 +42,18 @@ run_laws sweeps the enumerate domains named in LAW_DOMAINS, in that order
 emit_tables read the surjections onto 2 points.  Sample sizes and the seed
 are fixed, so a run is determined by max_size alone.
 
+No suite reads another's result, so run_laws splits its fixed list of
+jobs, the thirteen standalone suites and then one job of the sweeps and
+the preservation grid, into two shards (shards.run_jobs).  Where os.fork
+exists, two CPUs are usable and the process runs one thread, a forked
+worker runs twelve of the suites and sends their results back through a
+pipe, while this process runs reflector ordering and the sweep job;
+otherwise the worker's shard is empty and every job runs here, through
+the same loop (taskset -c 0 asks for that).  The report lists the results
+in job order either way, and SweepStats comes from one process, so only
+the wall times differ.  Of the jobs that raise, the earliest in job order
+has its exception raised, the one a run in one process raises.
+
 The standalone suites build each per-space fact once, in the loop that
 reads it, and keep no table or record past the call.  Where the inputs of
 a question repeat across spaces, a suite decides it once per distinct
@@ -173,6 +185,7 @@ from .maps import (
     map_flags,
     quotient_decider,
 )
+from .shards import run_jobs
 from .spaces import (
     _antitone_on_covers,
     adherence_scan,
@@ -1452,30 +1465,9 @@ def _timed(suite, *args, **kwargs) -> LawResult:
     return result
 
 
-def run_laws(max_size: int = 3) -> LawSuiteReport:
-    """Run every suite; max_size trims the universes and the samples (2 for
-    a smoke run, 3 for the full acceptance surface; any other size raises
-    CapExceeded).  Each standalone suite reports its wall time; the results
-    the sweep fills across domains report none."""
-    t0 = time.perf_counter()
-    grid_domain = _maps_domain(max_size)
-    full = max_size == 3
-    results = [
-        _timed(suite_axioms_and_lattice),
-        _timed(suite_family_algebra),
-        _timed(suite_finite_collapse, max_size),
-        _timed(suite_reflector_ordering, max_size),
-        _timed(suite_functor_laws, 10_000 if full else 200),
-        _timed(suite_cover_duality, 10_000 if full else 500),
-        _timed(suite_enumeration_counts),
-        _timed(suite_compactness_extras, max_size),
-        _timed(suite_graph_closedness),
-        _timed(suite_chain_identity_example),
-        _timed(suite_sierpinski),
-        _timed(suite_prop_JE),
-        _timed(suite_strictness_witnesses),
-    ]
-
+def _sweeps(full: bool, grid_domain: str) -> tuple:
+    """The results the sweep fills across the domains of run_laws, then
+    the preservation grid's, and SweepStats.domains."""
     stats = SweepStats()
     for name in LAW_DOMAINS if full else LAW_DOMAINS[:1]:
         before = stats.pairs, stats.contexts, stats.records
@@ -1486,9 +1478,44 @@ def run_laws(max_size: int = 3) -> LawSuiteReport:
             "contexts": stats.contexts - before[1],
             "records": stats.records - before[2],
             "seconds": time.perf_counter() - t1})
-    results.extend(stats.merged())
-    results.append(_timed(suite_preservation_grid, *domain(grid_domain)))
-    return LawSuiteReport(results, time.perf_counter() - t0, stats.domains)
+    grid = _timed(suite_preservation_grid, *domain(grid_domain))
+    return [*stats.merged(), grid], stats.domains
+
+
+def run_laws(max_size: int = 3) -> LawSuiteReport:
+    """Run every suite; max_size trims the universes and the samples (2 for
+    a smoke run, 3 for the full acceptance surface; any other size raises
+    CapExceeded).  Each standalone suite reports its wall time; the results
+    the sweep fills across domains report none.
+
+    The jobs run in a fixed order: the thirteen standalone suites, then
+    the sweeps with the preservation grid.  shards.run_jobs runs reflector
+    ordering and the sweeps here and the other twelve suites in a forked
+    worker where two CPUs are usable (at size 3 the two shards take about
+    the same CPU time), else every job here; the report lists the results
+    in job order either way, and the exception raised is that of the
+    earliest job in that order that raised, as in a run of one process."""
+    t0 = time.perf_counter()
+    grid_domain = _maps_domain(max_size)
+    full = max_size == 3
+    jobs = [
+        partial(_timed, suite_axioms_and_lattice),
+        partial(_timed, suite_family_algebra),
+        partial(_timed, suite_finite_collapse, max_size),
+        partial(_timed, suite_reflector_ordering, max_size),
+        partial(_timed, suite_functor_laws, 10_000 if full else 200),
+        partial(_timed, suite_cover_duality, 10_000 if full else 500),
+        partial(_timed, suite_enumeration_counts),
+        partial(_timed, suite_compactness_extras, max_size),
+        partial(_timed, suite_graph_closedness),
+        partial(_timed, suite_chain_identity_example),
+        partial(_timed, suite_sierpinski),
+        partial(_timed, suite_prop_JE),
+        partial(_timed, suite_strictness_witnesses),
+        partial(_sweeps, full, grid_domain),
+    ]
+    *results, (swept, domains) = run_jobs(jobs, set(range(13)) - {3})
+    return LawSuiteReport(results + swept, time.perf_counter() - t0, domains)
 
 
 # ---------------------------------------------------------------------------

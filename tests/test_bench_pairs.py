@@ -93,3 +93,16 @@ def test_the_bound_is_read_in_the_worse_direction():
                                              "queries_per_s": (True, True)}
     assert verdicts(parent, [0.759] * 5) == {"run_s": (True, True),
                                              "queries_per_s": (True, False)}
+
+
+def test_the_host_records_the_usable_cpus(monkeypatch):
+    """usable_cpus is the affinity mask's size, which taskset narrows
+    below nproc, and the CPU count where the platform has no mask."""
+    script = load_script()
+    monkeypatch.setattr(script.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(script.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    got = script.host()
+    assert (got["nproc"], got["usable_cpus"]) == (2, 1)
+    monkeypatch.delattr(script.os, "sched_getaffinity")
+    assert script.host()["usable_cpus"] == 2

@@ -1,9 +1,12 @@
+import os
 import random
+import threading
+import time
 from itertools import islice, product
 
 import pytest
 
-from convlab import compactness, functors, laws, maps, spaces
+from convlab import compactness, functors, laws, maps, shards, spaces
 from convlab.compactness import CompactnessQuery
 from convlab.enumerate import (
     SpaceUniverse,
@@ -1423,3 +1426,184 @@ def test_the_suites_ask_each_distinct_input_once(monkeypatch):
         assert all(set(ledger[name]) == keys for name, keys in every.items())
         for calls in ledger.values():
             calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# two processes: shards.run_jobs
+# ---------------------------------------------------------------------------
+
+def _untimed(node):
+    """A report document without its wall times, which differ per run."""
+    if isinstance(node, dict):
+        return {k: _untimed(v) for k, v in node.items()
+                if k not in ("elapsed_seconds", "seconds")}
+    if isinstance(node, list):
+        return [_untimed(v) for v in node]
+    return node
+
+
+def _no_child_left():
+    """No worker is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_laws_2(monkeypatch, cpus):
+    """The untimed run_laws(2) document where cpus CPUs are usable, and
+    the number of workers the run forked."""
+    fork, forked = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+    with monkeypatch.context() as m:
+        m.setattr(shards, "usable_cpus", lambda: cpus)
+        m.setattr(os, "fork", counted)
+        doc = run_laws(2).as_dict()
+    _no_child_left()
+    return _untimed(doc), len(forked)
+
+
+def _s0_returns_its_argument(monkeypatch):
+    reflect = functors.reflect
+    monkeypatch.setattr(functors, "reflect", lambda sel, c: (
+        c if sel is Selector.F0 else reflect(sel, c)))
+
+
+def _biquotient_and_closed_flipped(monkeypatch):
+    monkeypatch.setattr(laws, "map_flags", _flipped("biquotient", "closed"))
+
+
+@pytest.mark.parametrize("plant, failing", [
+    pytest.param(None, set(), id="green"),
+    pytest.param(_s0_returns_its_argument,
+                 {"finite collapse (selector classes + coreflectors)",
+                  "compactness: characteristic, images, completeness",
+                  "mixed-property preservation grid"},
+                 id="functors-reflect"),
+    pytest.param(_biquotient_and_closed_flipped,
+                 {"implication ladder on classified instances",
+                  "perfect<->compact fiber relation, quotient<->compact",
+                  "topological pairs: closure forms + perfect collapse",
+                  "mixed-property preservation grid",
+                  "bijections: quotient <-> perfect per class"},
+                 id="sweep-map-flags"),
+])
+def test_two_processes_report_what_one_process_reports(monkeypatch, plant,
+                                                       failing):
+    """The report of a run split between a worker and this process equals
+    that of a run in one process, but for wall times: green, under a fault
+    planted in suites that the worker runs (finite collapse, compactness)
+    and in the sweep that this process runs, and under one planted in the
+    sweep alone."""
+    if plant:
+        plant(monkeypatch)
+    split, forked = _run_laws_2(monkeypatch, 2)
+    alone, alone_forked = _run_laws_2(monkeypatch, 1)
+    assert (forked, alone_forked) == (1, 0)
+    assert split == alone
+    assert {r["name"] for r in split["suites"] if not r["ok"]} == failing
+
+
+def _raising(exc):
+    def suite(*args):
+        raise exc
+    return suite
+
+
+@pytest.mark.parametrize("worker_suite, parent_suite, raised", [
+    pytest.param("suite_axioms_and_lattice", "suite_reflector_ordering",
+                 InvariantViolation, id="worker-first"),
+    pytest.param("suite_strictness_witnesses", "suite_reflector_ordering",
+                 TypeError, id="parent-first"),
+])
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_the_earliest_job_in_run_order_raises(monkeypatch, worker_suite,
+                                              parent_suite, raised, cpus):
+    """With a route disagreement planted in a suite that the worker runs
+    and a programming error in one that this process runs, run_laws
+    raises the one earlier in run order, with its message, as a run in one
+    process does, and leaves no child behind."""
+    monkeypatch.setattr(laws, worker_suite, _raising(
+        InvariantViolation("planted in the worker")))
+    monkeypatch.setattr(laws, parent_suite, _raising(
+        TypeError("planted here")))
+    monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
+    message = {InvariantViolation: "planted in the worker",
+               TypeError: "planted here"}[raised]
+    with pytest.raises(raised) as info:
+        run_laws(2)
+    _no_child_left()
+    assert type(info.value) is raised and str(info.value) == message
+    if cpus == 2 and raised is InvariantViolation:
+        # the worker's traceback comes back as the cause
+        assert isinstance(info.value.__cause__, shards.RemoteTraceback)
+        assert "planted in the worker" in str(info.value.__cause__)
+
+
+def test_an_exception_that_does_not_pickle_comes_back_as_runtime_error(
+        monkeypatch):
+    class Local(Exception):
+        pass
+    monkeypatch.setattr(laws, "suite_family_algebra",
+                        _raising(Local("not picklable")))
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError) as info:
+        run_laws(2)
+    _no_child_left()
+    message = str(info.value)
+    assert message.startswith("Local: not picklable\n")
+    assert "Traceback" in message and "in suite" in message
+
+
+def test_an_interrupt_here_kills_and_reaps_the_worker(monkeypatch):
+    """KeyboardInterrupt in this process's shard kills a worker that is
+    still running and reaps it before the interrupt propagates."""
+    monkeypatch.setattr(laws, "suite_axioms_and_lattice",
+                        lambda: time.sleep(60))
+    monkeypatch.setattr(laws, "suite_reflector_ordering",
+                        _raising(KeyboardInterrupt()))
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_laws(2)
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
+
+
+def test_a_worker_that_dies_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(laws, "suite_family_algebra", lambda: os._exit(7))
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="worker exited with status 7"):
+        run_laws(2)
+    _no_child_left()
+
+
+def test_one_usable_cpu_forks_nothing(monkeypatch):
+    """Under taskset -c 0 the affinity mask holds one CPU, and every job
+    runs in this process."""
+    def refuse():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert shards.usable_cpus() == 1
+    assert run_laws(2).ok
+
+
+def test_a_second_thread_forks_nothing(monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert shards.run_jobs([lambda: 1, lambda: 2], {1}) == [1, 2]
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
