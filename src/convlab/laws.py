@@ -185,7 +185,6 @@ from .maps import (
     map_flags,
     quotient_decider,
 )
-from .shards import run_jobs
 from .spaces import (
     _antitone_on_covers,
     adherence_scan,
@@ -1495,6 +1494,9 @@ def run_laws(max_size: int = 3) -> LawSuiteReport:
     the same CPU time), else every job here; the report lists the results
     in job order either way, and the exception raised is that of the
     earliest job in that order that raised, as in a run of one process."""
+    # loaded here, so that importing laws, as tables does, costs no more
+    from .shards import run_jobs
+
     t0 = time.perf_counter()
     grid_domain = _maps_domain(max_size)
     full = max_size == 3
