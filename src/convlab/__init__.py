@@ -16,6 +16,8 @@ Core layers:
   enumerate    exhaustive universes of small spaces and counterexample
                search
   laws         every theorem verified exhaustively at desk scale
+  shards       an ordered list of jobs, one shard in a forked worker
+               when two CPUs are usable
   symbolic     bounded cofinite-filter layer for two countable exemplars
   cli          command-line front end over JSON documents
 """
