@@ -8,7 +8,9 @@ which runs the jobs whose indices are in worker, in order, and sends their
 results back through a pipe, pickled, while this process runs the others.
 Otherwise the worker's shard is empty and every job runs here, in order,
 through the same loop; ``taskset -c 0`` asks for that.  The jobs must not
-read each other's effects: the worker's run on a copy of this process.
+read each other's effects, as the worker's jobs run on a copy of this
+process, and the worker's results must pickle.  pickle, signal and
+traceback are imported only where a worker is forked.
 
 A job that raises ends its shard: the jobs after it in that shard do not
 run.  Of the jobs that raised, the one earliest in job order has its
@@ -19,7 +21,9 @@ carries its type, message and traceback.
 
 The worker always ends with os._exit.  This process reads the pipe to its
 end and reaps the worker on every path; on KeyboardInterrupt or an error
-of its own it kills the worker with SIGKILL first.
+of its own it kills the worker with SIGKILL first.  A worker that exits
+without sending its outcome is a RuntimeError naming its exit status;
+where fork itself fails, every job runs here.
 """
 
 from __future__ import annotations
@@ -82,7 +86,12 @@ def _split(jobs, shard, mine) -> tuple[dict, tuple | None]:
     import pickle
 
     rfd, wfd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: every job runs here
+        os.close(rfd)
+        os.close(wfd)
+        return _run_shard(jobs, sorted(shard + mine))
     if pid == 0:
         status = 1
         try:

@@ -1581,23 +1581,36 @@ def test_a_worker_that_dies_is_a_runtime_error(monkeypatch):
     _no_child_left()
 
 
+def test_a_failed_fork_runs_every_job_here(monkeypatch):
+    """Where fork fails for want of processes or memory, the run goes on
+    in this process and reports what a split run reports."""
+    split, _ = _run_laws_2(monkeypatch, 2)
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    assert _untimed(run_laws(2).as_dict()) == split
+    _no_child_left()
+
+
+def _refuse_fork():
+    raise AssertionError("forked")
+
+
 def test_one_usable_cpu_forks_nothing(monkeypatch):
     """Under taskset -c 0 the affinity mask holds one CPU, and every job
     runs in this process."""
-    def refuse():
-        raise AssertionError("forked")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     assert shards.usable_cpus() == 1
     assert run_laws(2).ok
 
 
 def test_a_second_thread_forks_nothing(monkeypatch):
-    def refuse():
-        raise AssertionError("forked")
     monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
